@@ -588,100 +588,65 @@ void run_validation(Session& session, const CampaignSpec& spec, Backend backend,
   }
 }
 
-void run_fault_coverage(Session& session, const CampaignSpec& spec, Backend backend,
-                        const RunHooks& hooks, CampaignResult& result) {
-  AtpgOptions options = spec.atpg;
-  options.seed = spec.seed;
-  result.atpg = run_atpg(session.frame(), session.faults(), options);
-  if (backend == Backend::PackedParallel) {
-    std::unique_ptr<parallel::CampaignRunner> local;
-    parallel::CampaignRunner& runner = select_runner(session, spec, hooks, local);
-    const std::size_t fault_shard = spec.shard_size != 0 ? spec.shard_size : 128;
-    result.faults = fault_simulate(session.frame(), session.faults(),
-                                   result.atpg.patterns, runner.pool(), fault_shard);
-    result.threads = runner.threads();
-    result.shard_count =
-        (session.faults().size() + fault_shard - 1) / fault_shard;
-  } else {
-    // Reference and Packed coincide here: the serial fault simulator IS the
-    // 64-lane cone path (the oracle detect_mask_full stays a frame method).
-    result.faults =
-        fault_simulate(session.frame(), session.faults(), result.atpg.patterns);
-    result.threads = 1;
-    result.shard_count = 1;
-  }
-}
-
-void run_transition_delay(Session& session, const CampaignSpec& spec, Backend backend,
-                          const RunHooks& hooks, CampaignResult& result) {
-  AtpgOptions options = spec.atpg;
-  options.seed = spec.seed;
-  result.atpg = run_atpg(session.frame(), session.faults(), options);
-  const std::vector<TransitionFault> faults =
-      enumerate_transition_faults(session.netlist());
-  if (backend == Backend::PackedParallel) {
-    std::unique_ptr<parallel::CampaignRunner> local;
-    parallel::CampaignRunner& runner = select_runner(session, spec, hooks, local);
-    const std::size_t fault_shard = spec.shard_size != 0 ? spec.shard_size : 128;
-    result.faults = transition_fault_simulate(session.frame(), faults,
-                                              result.atpg.patterns, runner.pool(),
-                                              fault_shard);
-    result.threads = runner.threads();
-    result.shard_count = (faults.size() + fault_shard - 1) / fault_shard;
-  } else {
-    result.faults =
-        transition_fault_simulate(session.frame(), faults, result.atpg.patterns);
-    result.threads = 1;
-    result.shard_count = 1;
-  }
-}
-
-void run_bridging(Session& session, const CampaignSpec& spec, Backend backend,
+/// The four coverage kinds: ATPG (except sequential), then one fault model
+/// through the shared fault-simulation driver. Reference and Packed
+/// coincide here — both run the driver inline, without a pool.
+void run_coverage(Session& session, const CampaignSpec& spec, Backend backend,
                   const RunHooks& hooks, CampaignResult& result) {
-  AtpgOptions options = spec.atpg;
-  options.seed = spec.seed;
-  result.atpg = run_atpg(session.frame(), session.faults(), options);
-  const std::vector<BridgingFault> faults =
-      enumerate_bridging_faults(session.netlist());
-  if (backend == Backend::PackedParallel) {
-    std::unique_ptr<parallel::CampaignRunner> local;
-    parallel::CampaignRunner& runner = select_runner(session, spec, hooks, local);
-    const std::size_t fault_shard = spec.shard_size != 0 ? spec.shard_size : 128;
-    result.faults = bridging_fault_simulate(session.frame(), faults,
-                                            result.atpg.patterns, runner.pool(),
-                                            fault_shard);
-    result.threads = runner.threads();
-    result.shard_count = (faults.size() + fault_shard - 1) / fault_shard;
-  } else {
-    result.faults =
-        bridging_fault_simulate(session.frame(), faults, result.atpg.patterns);
-    result.threads = 1;
-    result.shard_count = 1;
+  const bool sequential = spec.kind == CampaignKind::SequentialCoverage;
+  if (!sequential) {
+    AtpgOptions options = spec.atpg;
+    options.seed = spec.seed;
+    result.atpg = run_atpg(session.frame(), session.faults(), options);
   }
-}
-
-void run_sequential_coverage(Session& session, const CampaignSpec& spec,
-                             Backend backend, const RunHooks& hooks,
-                             CampaignResult& result) {
-  // Runs on the session's gate-level netlist directly (no scan frame): the
-  // same collapsed stuck-at universe as fault-coverage, detected through
-  // free-running multi-cycle simulation instead of scan capture.
-  const Netlist& netlist = session.netlist();
-  const std::vector<Fault>& faults = session.faults();
+  std::unique_ptr<parallel::CampaignRunner> local;
+  ThreadPool* pool = nullptr;
+  result.threads = 1;
   if (backend == Backend::PackedParallel) {
-    std::unique_ptr<parallel::CampaignRunner> local;
     parallel::CampaignRunner& runner = select_runner(session, spec, hooks, local);
-    const std::size_t fault_shard = spec.shard_size != 0 ? spec.shard_size : 64;
-    result.faults = sequential_fault_simulate(netlist, faults, spec.sequences,
-                                              spec.cycles, spec.seed, runner.pool(),
-                                              fault_shard);
+    pool = &runner.pool();
     result.threads = runner.threads();
-    result.shard_count = (faults.size() + fault_shard - 1) / fault_shard;
-  } else {
-    result.faults = sequential_fault_simulate(netlist, faults, spec.sequences,
-                                              spec.cycles, spec.seed);
-    result.threads = 1;
-    result.shard_count = 1;
+  }
+  const std::size_t fault_shard =
+      spec.shard_size != 0 ? spec.shard_size : sequential ? 64 : 128;
+  // `simulate(faults, pooled...)` reaches a model's serial overload, or with
+  // (pool, fault_shard) its pooled one.
+  const auto run_model = [&](const auto& faults, const auto& simulate) {
+    result.faults = pool == nullptr ? simulate(faults) : simulate(faults, *pool, fault_shard);
+    result.shard_count = pool == nullptr ? 1 : (faults.size() + fault_shard - 1) / fault_shard;
+  };
+  const std::vector<BitVec>& patterns = result.atpg.patterns;
+  switch (spec.kind) {
+    case CampaignKind::FaultCoverage:
+      run_model(session.faults(), [&](const auto& faults, auto&&... pooled) {
+        return fault_simulate(session.frame(), faults, patterns, pooled...);
+      });
+      break;
+    case CampaignKind::TransitionDelay:
+      run_model(enumerate_transition_faults(session.netlist()),
+                [&](const auto& faults, auto&&... pooled) {
+                  return transition_fault_simulate(session.frame(), faults, patterns,
+                                                   pooled...);
+                });
+      break;
+    case CampaignKind::Bridging:
+      run_model(enumerate_bridging_faults(session.netlist()),
+                [&](const auto& faults, auto&&... pooled) {
+                  return bridging_fault_simulate(session.frame(), faults, patterns,
+                                                 pooled...);
+                });
+      break;
+    case CampaignKind::SequentialCoverage:
+      // Runs on the session's gate-level netlist directly (no scan frame):
+      // the same collapsed stuck-at universe as fault-coverage, detected
+      // through free-running multi-cycle simulation instead of scan capture.
+      run_model(session.faults(), [&](const auto& faults, auto&&... pooled) {
+        return sequential_fault_simulate(session.netlist(), faults, spec.sequences,
+                                         spec.cycles, spec.seed, pooled...);
+      });
+      break;
+    default:
+      break;
   }
 }
 
@@ -734,20 +699,14 @@ CampaignResult run(Session& session, const CampaignSpec& spec,
     case CampaignKind::Injection:
       run_validation(session, spec, backend, hooks, result);
       break;
-    case CampaignKind::FaultCoverage:
-      run_fault_coverage(session, spec, backend, hooks, result);
-      break;
     case CampaignKind::ScanTest:
       run_scan_test_campaign(session, spec, backend, hooks, result);
       break;
+    case CampaignKind::FaultCoverage:
     case CampaignKind::TransitionDelay:
-      run_transition_delay(session, spec, backend, hooks, result);
-      break;
     case CampaignKind::Bridging:
-      run_bridging(session, spec, backend, hooks, result);
-      break;
     case CampaignKind::SequentialCoverage:
-      run_sequential_coverage(session, spec, backend, hooks, result);
+      run_coverage(session, spec, backend, hooks, result);
       break;
   }
   result.seconds =

@@ -1,17 +1,14 @@
 #include "atpg/fault_models.hpp"
 
 #include <algorithm>
-#include <limits>
+#include <memory>
 #include <unordered_set>
 
+#include "atpg/fault_sim_driver.hpp"
 #include "sim/compiled_netlist.hpp"
 #include "util/rng.hpp"
 
 namespace retscan {
-
-namespace {
-constexpr std::size_t npos = FaultSimResult::npos;
-}
 
 // --- transition-delay faults ------------------------------------------------
 
@@ -39,144 +36,59 @@ Fault capture_alias(const TransitionFault& fault) {
   return {fault.net, !fault.slow_to_rise};
 }
 
-/// Detection mask of one transition fault over a loaded launch/capture
-/// batch pair (lane k = pattern pair k): capture must detect the stuck-at
-/// alias AND the launch pattern must set the net to the initial value.
-LaneBlock transition_detect(const CombinationalFrame& frame, const TransitionFault& fault,
-                            const CombinationalFrame::FaultCone& cone,
-                            std::uint32_t slot,
-                            const CombinationalFrame::LoadedPatternBatch& launch,
-                            const CombinationalFrame::LoadedPatternBatch& capture,
-                            CombinationalFrame::Workspace& workspace) {
-  const LaneBlock detect =
-      frame.detect_block(capture_alias(fault), cone, capture, capture.good, workspace);
-  const LaneBlock& launch_vals = launch.settled[slot];
-  return fault.slow_to_rise ? detect & ~launch_vals : detect & launch_vals;
-}
+/// Transition faults over launch/capture pattern pairs: lane k of block b
+/// is pair b * kLaneBlockBits + k. Capture must detect the stuck-at alias
+/// AND the launch pattern must set the net to the initial value.
+struct TransitionModel {
+  struct Batch {
+    CombinationalFrame::LoadedPatternBatch launch;
+    CombinationalFrame::LoadedPatternBatch capture;
+  };
+  struct Site {
+    const CombinationalFrame::FaultCone* cone = nullptr;
+    std::uint32_t slot = 0;
+  };
+  using Scratch = CombinationalFrame::Workspace;
+
+  const CombinationalFrame& frame;
+  const std::vector<BitVec>& patterns;
+  std::shared_ptr<const CompiledNetlist> compiled = frame.netlist().compiled();
+
+  std::size_t pairs() const { return patterns.empty() ? 0 : patterns.size() - 1; }
+  std::size_t batch_count() const { return detail::lane_blocks(pairs()); }
+  Batch load(std::size_t b) const {
+    const std::size_t first = b * kLaneBlockBits;
+    const std::size_t count = detail::lane_block_size(pairs(), b);
+    return {detail::load_patterns(frame, patterns, first, count),
+            detail::load_patterns(frame, patterns, first + 1, count)};
+  }
+  Site site(const TransitionFault& fault) const {
+    return {&frame.fault_cone(fault.net), compiled->slot(fault.net)};
+  }
+  Scratch scratch() const { return {}; }
+  LaneBlock detect(const TransitionFault& fault, const Site& site, const Batch& batch,
+                   Scratch& workspace) const {
+    const LaneBlock detect = frame.detect_block(capture_alias(fault), *site.cone,
+                                                batch.capture, batch.capture.good, workspace);
+    const LaneBlock& launch_vals = batch.launch.settled[site.slot];
+    return fault.slow_to_rise ? detect & ~launch_vals : detect & launch_vals;
+  }
+};
 
 }  // namespace
 
 FaultSimResult transition_fault_simulate(const CombinationalFrame& frame,
                                          const std::vector<TransitionFault>& faults,
                                          const std::vector<BitVec>& patterns) {
-  FaultSimResult result;
-  result.total_faults = faults.size();
-  result.detected_by.assign(faults.size(), npos);
-  if (faults.empty() || patterns.size() < 2) {
-    return result;
-  }
-  const auto compiled = frame.netlist().compiled();
-  std::vector<const CombinationalFrame::FaultCone*> cones;
-  std::vector<std::uint32_t> slots;
-  cones.reserve(faults.size());
-  slots.reserve(faults.size());
-  for (const TransitionFault& fault : faults) {
-    cones.push_back(&frame.fault_cone(fault.net));
-    slots.push_back(compiled->slot(fault.net));
-  }
-  CombinationalFrame::Workspace workspace;
-  const std::size_t pairs = patterns.size() - 1;
-  for (std::size_t base = 0; base < pairs; base += kLaneBlockBits) {
-    const std::size_t count = std::min<std::size_t>(kLaneBlockBits, pairs - base);
-    const std::vector<BitVec> launch_slice(patterns.begin() + base,
-                                           patterns.begin() + base + count);
-    const std::vector<BitVec> capture_slice(patterns.begin() + base + 1,
-                                            patterns.begin() + base + 1 + count);
-    const auto launch = frame.load_batch(launch_slice);
-    const auto capture = frame.load_batch(capture_slice);
-    for (std::size_t fi = 0; fi < faults.size(); ++fi) {
-      if (result.detected_by[fi] != npos) {
-        continue;  // fault dropping
-      }
-      const LaneBlock mask = transition_detect(frame, faults[fi], *cones[fi], slots[fi],
-                                               launch, capture, workspace);
-      if (block_any(mask)) {
-        result.detected_by[fi] = base + block_first_lane(mask);
-        ++result.detected;
-      }
-    }
-  }
-  return result;
+  return detail::simulate_faults(TransitionModel{frame, patterns}, faults, nullptr, 0);
 }
 
 FaultSimResult transition_fault_simulate(const CombinationalFrame& frame,
                                          const std::vector<TransitionFault>& faults,
                                          const std::vector<BitVec>& patterns,
                                          ThreadPool& pool, std::size_t fault_shard) {
-  FaultSimResult result;
-  result.total_faults = faults.size();
-  result.detected_by.assign(faults.size(), npos);
-  if (faults.empty() || patterns.size() < 2) {
-    return result;
-  }
-  if (fault_shard == 0) {
-    fault_shard = 1;
-  }
-  const auto compiled = frame.netlist().compiled();
-  {
-    std::vector<Fault> aliases;
-    aliases.reserve(faults.size());
-    for (const TransitionFault& fault : faults) {
-      aliases.push_back(capture_alias(fault));
-    }
-    frame.warm_cones(aliases);
-  }
-
-  struct BatchPair {
-    std::size_t base = 0;
-    CombinationalFrame::LoadedPatternBatch launch;
-    CombinationalFrame::LoadedPatternBatch capture;
-  };
-  const std::size_t pairs = patterns.size() - 1;
-  std::vector<BatchPair> batches((pairs + kLaneBlockBits - 1) / kLaneBlockBits);
-  pool.parallel_for(batches.size(), [&](std::size_t b) {
-    const std::size_t base = b * kLaneBlockBits;
-    const std::size_t count = std::min<std::size_t>(kLaneBlockBits, pairs - base);
-    batches[b].base = base;
-    batches[b].launch = frame.load_batch(
-        {patterns.begin() + base, patterns.begin() + base + count});
-    batches[b].capture = frame.load_batch(
-        {patterns.begin() + base + 1, patterns.begin() + base + 1 + count});
-  });
-
-  const std::size_t shard_count = (faults.size() + fault_shard - 1) / fault_shard;
-  std::vector<std::size_t> shard_detected(shard_count, 0);
-  pool.parallel_for(shard_count, [&](std::size_t s) {
-    const std::size_t first = s * fault_shard;
-    const std::size_t last = std::min(faults.size(), first + fault_shard);
-    CombinationalFrame::Workspace workspace;
-    std::vector<std::size_t> live;
-    std::vector<const CombinationalFrame::FaultCone*> cones(last - first, nullptr);
-    std::vector<std::uint32_t> slots(last - first, 0);
-    live.reserve(last - first);
-    for (std::size_t fi = first; fi < last; ++fi) {
-      live.push_back(fi);
-      cones[fi - first] = &frame.fault_cone(faults[fi].net);
-      slots[fi - first] = compiled->slot(faults[fi].net);
-    }
-    for (const BatchPair& batch : batches) {
-      if (live.empty()) {
-        break;
-      }
-      std::size_t kept = 0;
-      for (const std::size_t fi : live) {
-        const LaneBlock mask =
-            transition_detect(frame, faults[fi], *cones[fi - first], slots[fi - first],
-                              batch.launch, batch.capture, workspace);
-        if (block_any(mask)) {
-          result.detected_by[fi] = batch.base + block_first_lane(mask);
-          ++shard_detected[s];
-        } else {
-          live[kept++] = fi;
-        }
-      }
-      live.resize(kept);
-    }
-  });
-  for (const std::size_t count : shard_detected) {
-    result.detected += count;
-  }
-  return result;
+  return detail::simulate_faults(TransitionModel{frame, patterns}, faults, &pool,
+                                 fault_shard);
 }
 
 // --- bridging faults --------------------------------------------------------
@@ -219,284 +131,201 @@ std::string bridging_fault_name(const Netlist& netlist, const BridgingFault& fau
 
 namespace {
 
-LaneBlock bridging_detect(const CombinationalFrame& frame, const BridgingFault& fault,
-                          const CombinationalFrame::FaultCone& cone, std::uint32_t slot_a,
-                          std::uint32_t slot_b,
-                          const CombinationalFrame::LoadedPatternBatch& batch,
-                          std::vector<LaneBlock>& forced,
-                          CombinationalFrame::Workspace& workspace) {
-  const LaneBlock& va = batch.settled[slot_a];
-  const LaneBlock& vb = batch.settled[slot_b];
-  const LaneBlock wired = fault.wired_and ? va & vb : va | vb;
-  // Both nets take the wired value, so the forced vector is order-agnostic
-  // with respect to cone.source_slots.
-  forced[0] = wired;
-  forced[1] = wired;
-  return frame.replay_dirty(cone, forced, batch, batch.good, workspace);
-}
+/// Bridging faults: both nets forced to the wired value, replayed through
+/// their joint dirty cone (built per shard, not cached on the frame).
+struct BridgingModel : detail::PatternBlocks {
+  struct Site {
+    CombinationalFrame::FaultCone cone;
+    std::uint32_t slot_a = 0;
+    std::uint32_t slot_b = 0;
+  };
+  struct Scratch {
+    CombinationalFrame::Workspace workspace;
+    std::vector<LaneBlock> forced = std::vector<LaneBlock>(2);
+  };
+
+  std::shared_ptr<const CompiledNetlist> compiled = frame.netlist().compiled();
+
+  Site site(const BridgingFault& fault) const {
+    return {frame.dirty_cone({fault.a, fault.b}), compiled->slot(fault.a),
+            compiled->slot(fault.b)};
+  }
+  Scratch scratch() const { return {}; }
+  LaneBlock detect(const BridgingFault& fault, const Site& site, const Batch& batch,
+                   Scratch& scratch) const {
+    const LaneBlock& va = batch.settled[site.slot_a];
+    const LaneBlock& vb = batch.settled[site.slot_b];
+    const LaneBlock wired = fault.wired_and ? va & vb : va | vb;
+    // Both nets take the wired value, so the forced vector is order-agnostic
+    // with respect to cone.source_slots.
+    scratch.forced[0] = wired;
+    scratch.forced[1] = wired;
+    return frame.replay_dirty(site.cone, scratch.forced, batch, batch.good,
+                              scratch.workspace);
+  }
+};
 
 }  // namespace
 
 FaultSimResult bridging_fault_simulate(const CombinationalFrame& frame,
                                        const std::vector<BridgingFault>& faults,
                                        const std::vector<BitVec>& patterns) {
-  FaultSimResult result;
-  result.total_faults = faults.size();
-  result.detected_by.assign(faults.size(), npos);
-  if (faults.empty() || patterns.empty()) {
-    return result;
-  }
-  const auto compiled = frame.netlist().compiled();
-  // Dirty cones are ad hoc (pair sites), so they are built once per fault
-  // here rather than going through the single-net cone cache.
-  std::vector<CombinationalFrame::FaultCone> cones;
-  cones.reserve(faults.size());
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> slots;
-  slots.reserve(faults.size());
-  for (const BridgingFault& fault : faults) {
-    cones.push_back(frame.dirty_cone({fault.a, fault.b}));
-    slots.emplace_back(compiled->slot(fault.a), compiled->slot(fault.b));
-  }
-  CombinationalFrame::Workspace workspace;
-  std::vector<LaneBlock> forced(2);
-  for (std::size_t base = 0; base < patterns.size(); base += kLaneBlockBits) {
-    const std::size_t count =
-        std::min<std::size_t>(kLaneBlockBits, patterns.size() - base);
-    const auto loaded =
-        frame.load_batch({patterns.begin() + base, patterns.begin() + base + count});
-    for (std::size_t fi = 0; fi < faults.size(); ++fi) {
-      if (result.detected_by[fi] != npos) {
-        continue;
-      }
-      const LaneBlock mask = bridging_detect(frame, faults[fi], cones[fi],
-                                             slots[fi].first, slots[fi].second, loaded,
-                                             forced, workspace);
-      if (block_any(mask)) {
-        result.detected_by[fi] = base + block_first_lane(mask);
-        ++result.detected;
-      }
-    }
-  }
-  return result;
+  return detail::simulate_faults(BridgingModel{{frame, patterns}}, faults, nullptr, 0);
 }
 
 FaultSimResult bridging_fault_simulate(const CombinationalFrame& frame,
                                        const std::vector<BridgingFault>& faults,
                                        const std::vector<BitVec>& patterns,
                                        ThreadPool& pool, std::size_t fault_shard) {
-  FaultSimResult result;
-  result.total_faults = faults.size();
-  result.detected_by.assign(faults.size(), npos);
-  if (faults.empty() || patterns.empty()) {
-    return result;
-  }
-  if (fault_shard == 0) {
-    fault_shard = 1;
-  }
-  const auto compiled = frame.netlist().compiled();
-  // Joint cones are independent per fault: build them across the pool.
-  std::vector<CombinationalFrame::FaultCone> cones(faults.size());
-  pool.parallel_for(faults.size(), [&](std::size_t fi) {
-    cones[fi] = frame.dirty_cone({faults[fi].a, faults[fi].b});
-  });
-
-  struct Batch {
-    std::size_t base = 0;
-    CombinationalFrame::LoadedPatternBatch loaded;
-  };
-  std::vector<Batch> batches((patterns.size() + kLaneBlockBits - 1) / kLaneBlockBits);
-  pool.parallel_for(batches.size(), [&](std::size_t b) {
-    const std::size_t base = b * kLaneBlockBits;
-    const std::size_t count =
-        std::min<std::size_t>(kLaneBlockBits, patterns.size() - base);
-    batches[b].base = base;
-    batches[b].loaded =
-        frame.load_batch({patterns.begin() + base, patterns.begin() + base + count});
-  });
-
-  const std::size_t shard_count = (faults.size() + fault_shard - 1) / fault_shard;
-  std::vector<std::size_t> shard_detected(shard_count, 0);
-  pool.parallel_for(shard_count, [&](std::size_t s) {
-    const std::size_t first = s * fault_shard;
-    const std::size_t last = std::min(faults.size(), first + fault_shard);
-    CombinationalFrame::Workspace workspace;
-    std::vector<LaneBlock> forced(2);
-    std::vector<std::size_t> live;
-    live.reserve(last - first);
-    for (std::size_t fi = first; fi < last; ++fi) {
-      live.push_back(fi);
-    }
-    for (const Batch& batch : batches) {
-      if (live.empty()) {
-        break;
-      }
-      std::size_t kept = 0;
-      for (const std::size_t fi : live) {
-        const LaneBlock mask = bridging_detect(
-            frame, faults[fi], cones[fi], compiled->slot(faults[fi].a),
-            compiled->slot(faults[fi].b), batch.loaded, forced, workspace);
-        if (block_any(mask)) {
-          result.detected_by[fi] = batch.base + block_first_lane(mask);
-          ++shard_detected[s];
-        } else {
-          live[kept++] = fi;
-        }
-      }
-      live.resize(kept);
-    }
-  });
-  for (const std::size_t count : shard_detected) {
-    result.detected += count;
-  }
-  return result;
+  return detail::simulate_faults(BridgingModel{{frame, patterns}}, faults, &pool,
+                                 fault_shard);
 }
 
 // --- sequential multi-cycle stuck-at ----------------------------------------
 
 namespace {
 
-/// Shared context of one sequential fault-simulation run: per-block random
-/// primary-input stimulus and the good-machine primary-output trajectory,
-/// both a pure function of (netlist, sequences, cycles, seed) so fault
-/// shards reproduce identical results at any thread count.
-struct SeqContext {
+/// Sequential stuck-at faults on a free-running machine. Lane block b holds
+/// sequences [b * kLaneBlockBits, ...): random primary-input stimulus from
+/// its own derived stream plus the good machine's primary-output trajectory,
+/// both a pure function of (netlist, cycles, seed, b). A fault is a full
+/// faulty-machine re-simulation of the block with its net clamped.
+struct SequentialModel {
+  struct Batch {
+    std::vector<LaneBlock> stimulus;  ///< [t * pi_count + i]: PI i at cycle t
+    std::vector<LaneBlock> good_po;   ///< [t * po_count + p]: good PO p at cycle t
+    std::size_t lanes = 0;
+  };
+  struct Site {
+    CompiledNetlist::Cone cone;
+    std::uint32_t slot = 0;
+  };
+  struct Scratch {
+    std::vector<LaneBlock> values;  ///< slot values; flop Q slots carry state
+    std::vector<LaneBlock> po;
+    std::vector<LaneBlock> d;
+  };
+
   std::shared_ptr<const CompiledNetlist> compiled;
   std::vector<std::uint32_t> pi_slots;
-  std::vector<std::uint32_t> q_slots;   // flop outputs (state)
-  std::vector<std::uint32_t> d_slots;   // flop D inputs (next state)
-  std::vector<std::uint32_t> one_slots; // Const1 sources, forced every cycle
+  std::vector<std::uint32_t> q_slots;    // flop outputs (state)
+  std::vector<std::uint32_t> d_slots;    // flop D inputs (next state)
+  std::vector<std::uint32_t> one_slots;  // Const1 sources, forced every cycle
   std::vector<std::uint32_t> po_slots;
   std::size_t sequences = 0;
   std::size_t cycles = 0;
-  std::size_t block_count = 0;
-  /// stimulus[b][t * pi_count + i]: lane block of PI i at cycle t.
-  std::vector<std::vector<LaneBlock>> stimulus;
-  /// good_po[b][t * po_count + p]: good-machine PO p at cycle t.
-  std::vector<std::vector<LaneBlock>> good_po;
+  std::uint64_t seed = 0;
 
-  std::size_t block_lanes(std::size_t b) const {
-    return std::min<std::size_t>(kLaneBlockBits, sequences - b * kLaneBlockBits);
-  }
-};
-
-/// Advance one machine by one cycle: load the cycle's PIs and constants,
-/// settle, optionally clamp a fault slot and re-propagate its cone, record
-/// the cycle's primary outputs into `po_out`, then latch next state.
-/// POs must be captured before the latch — a PO fed straight by a flop Q
-/// shares that Q's slot, and latching first would overwrite the settled
-/// (possibly faulty) output with the fault-free next state.
-/// `values` carries the state (flop Q slots) across calls.
-void seq_step(const SeqContext& ctx, std::vector<LaneBlock>& values, std::size_t b,
-              std::size_t t, const CompiledNetlist::Cone* clamp_cone,
-              std::uint32_t clamp_slot, const LaneBlock& clamp_value,
-              LaneBlock* po_out, std::vector<LaneBlock>& d_scratch) {
-  const std::vector<LaneBlock>& stim = ctx.stimulus[b];
-  const std::size_t pi_count = ctx.pi_slots.size();
-  for (std::size_t i = 0; i < pi_count; ++i) {
-    values[ctx.pi_slots[i]] = stim[t * pi_count + i];
-  }
-  const LaneBlock ones = block_broadcast(true);
-  for (const std::uint32_t slot : ctx.one_slots) {
-    values[slot] = ones;
-  }
-  if (clamp_cone != nullptr) {
-    values[clamp_slot] = clamp_value;  // source-slot faults must be in before settle
-  }
-  ctx.compiled->eval_full(values.data());
-  if (clamp_cone != nullptr) {
-    // Instruction-driven fault sites were recomputed by the sweep: clamp
-    // again and re-propagate just the fanout cone (topological order).
-    values[clamp_slot] = clamp_value;
-    const auto& instrs = ctx.compiled->instrs();
-    for (const std::uint32_t idx : clamp_cone->instrs) {
-      values[instrs[idx].out] = CompiledNetlist::eval_instr(instrs[idx], values.data());
+  SequentialModel(const Netlist& netlist, std::size_t sequences_, std::size_t cycles_,
+                  std::uint64_t seed_)
+      : compiled(netlist.compiled()), sequences(sequences_), cycles(cycles_), seed(seed_) {
+    for (const CellId id : netlist.inputs()) {
+      pi_slots.push_back(compiled->slot(netlist.cell(id).out));
+    }
+    for (const CellId id : netlist.flops()) {
+      q_slots.push_back(compiled->slot(netlist.cell(id).out));
+      d_slots.push_back(compiled->slot(netlist.cell(id).fanin[0]));
+    }
+    for (CellId id = 0; id < netlist.cell_count(); ++id) {
+      if (netlist.cell(id).type == CellType::Const1) {
+        one_slots.push_back(compiled->slot(netlist.cell(id).out));
+      }
+    }
+    for (const CellId id : netlist.outputs()) {
+      po_slots.push_back(compiled->slot(netlist.cell(id).fanin[0]));
     }
   }
-  for (std::size_t p = 0; p < ctx.po_slots.size(); ++p) {
-    po_out[p] = values[ctx.po_slots[p]];
-  }
-  // Latch: snapshot every D before writing any Q (flop-to-flop paths).
-  for (std::size_t f = 0; f < ctx.d_slots.size(); ++f) {
-    d_scratch[f] = values[ctx.d_slots[f]];
-  }
-  for (std::size_t f = 0; f < ctx.q_slots.size(); ++f) {
-    values[ctx.q_slots[f]] = d_scratch[f];
-  }
-}
 
-SeqContext build_seq_context(const Netlist& netlist, std::size_t sequences,
-                             std::size_t cycles, std::uint64_t seed) {
-  SeqContext ctx;
-  ctx.compiled = netlist.compiled();
-  ctx.sequences = sequences;
-  ctx.cycles = cycles;
-  ctx.block_count = (sequences + kLaneBlockBits - 1) / kLaneBlockBits;
-  for (const CellId id : netlist.inputs()) {
-    ctx.pi_slots.push_back(ctx.compiled->slot(netlist.cell(id).out));
-  }
-  for (const CellId id : netlist.flops()) {
-    ctx.q_slots.push_back(ctx.compiled->slot(netlist.cell(id).out));
-    ctx.d_slots.push_back(ctx.compiled->slot(netlist.cell(id).fanin[0]));
-  }
-  for (CellId id = 0; id < netlist.cell_count(); ++id) {
-    if (netlist.cell(id).type == CellType::Const1) {
-      ctx.one_slots.push_back(ctx.compiled->slot(netlist.cell(id).out));
-    }
-  }
-  for (const CellId id : netlist.outputs()) {
-    ctx.po_slots.push_back(ctx.compiled->slot(netlist.cell(id).fanin[0]));
-  }
+  std::size_t batch_count() const { return cycles == 0 ? 0 : detail::lane_blocks(sequences); }
 
-  // Stimulus is drawn block by block from independent derived streams, so
-  // it is identical however the fault list is later sharded.
-  ctx.stimulus.resize(ctx.block_count);
-  const std::size_t pi_count = ctx.pi_slots.size();
-  for (std::size_t b = 0; b < ctx.block_count; ++b) {
+  Batch load(std::size_t b) const {
+    Batch batch;
+    batch.lanes = detail::lane_block_size(sequences, b);
     Rng rng(Rng::derive_stream(seed, b));
-    ctx.stimulus[b].resize(cycles * pi_count);
-    for (LaneBlock& block : ctx.stimulus[b]) {
+    batch.stimulus.resize(cycles * pi_slots.size());
+    for (LaneBlock& block : batch.stimulus) {
       for (std::size_t w = 0; w < kLaneWords; ++w) {
         block.w[w] = rng.next_u64();
       }
     }
-  }
-
-  // Good-machine trajectory from the all-zero state.
-  ctx.good_po.resize(ctx.block_count);
-  const std::size_t po_count = ctx.po_slots.size();
-  std::vector<LaneBlock> values(ctx.compiled->slot_count());
-  std::vector<LaneBlock> d_scratch(ctx.d_slots.size());
-  for (std::size_t b = 0; b < ctx.block_count; ++b) {
-    values.assign(values.size(), LaneBlock{});
-    ctx.good_po[b].resize(cycles * po_count);
+    // Good-machine trajectory from the all-zero state.
+    const std::size_t po_count = po_slots.size();
+    batch.good_po.resize(cycles * po_count);
+    Scratch s = scratch();
     for (std::size_t t = 0; t < cycles; ++t) {
-      seq_step(ctx, values, b, t, nullptr, 0, LaneBlock{},
-               ctx.good_po[b].data() + t * po_count, d_scratch);
+      step(s, batch, t, nullptr, 0, LaneBlock{}, batch.good_po.data() + t * po_count);
     }
+    return batch;
   }
-  return ctx;
-}
 
-/// Full faulty-machine re-simulation of one fault over one lane block;
-/// returns the per-lane OR of PO differences across all cycles.
-LaneBlock seq_fault_block(const SeqContext& ctx, const Fault& fault,
-                          const CompiledNetlist::Cone& cone, std::size_t b,
-                          std::vector<LaneBlock>& values,
-                          std::vector<LaneBlock>& po_scratch,
-                          std::vector<LaneBlock>& d_scratch) {
-  values.assign(values.size(), LaneBlock{});
-  const LaneBlock clamp = block_broadcast(fault.stuck_at);
-  const std::uint32_t slot = ctx.compiled->slot(fault.net);
-  const std::size_t po_count = ctx.po_slots.size();
-  LaneBlock diff{};
-  for (std::size_t t = 0; t < ctx.cycles; ++t) {
-    seq_step(ctx, values, b, t, &cone, slot, clamp, po_scratch.data(), d_scratch);
-    for (std::size_t p = 0; p < po_count; ++p) {
-      diff = diff | (po_scratch[p] ^ ctx.good_po[b][t * po_count + p]);
+  Site site(const Fault& fault) const {
+    return {compiled->build_cone(fault.net), compiled->slot(fault.net)};
+  }
+
+  Scratch scratch() const {
+    return {std::vector<LaneBlock>(compiled->slot_count()),
+            std::vector<LaneBlock>(po_slots.size()), std::vector<LaneBlock>(d_slots.size())};
+  }
+
+  /// Per-lane OR of PO differences across all cycles.
+  LaneBlock detect(const Fault& fault, const Site& site, const Batch& batch,
+                   Scratch& s) const {
+    s.values.assign(s.values.size(), LaneBlock{});
+    const LaneBlock clamp = block_broadcast(fault.stuck_at);
+    const std::size_t po_count = po_slots.size();
+    LaneBlock diff{};
+    for (std::size_t t = 0; t < cycles; ++t) {
+      step(s, batch, t, &site.cone, site.slot, clamp, s.po.data());
+      for (std::size_t p = 0; p < po_count; ++p) {
+        diff = diff | (s.po[p] ^ batch.good_po[t * po_count + p]);
+      }
+    }
+    return diff & block_lane_mask(batch.lanes);
+  }
+
+  /// Advance one machine by one cycle: load the cycle's PIs and constants,
+  /// settle, optionally clamp a fault slot and re-propagate its cone, record
+  /// the cycle's primary outputs into `po_out`, then latch next state.
+  /// POs must be captured before the latch — a PO fed straight by a flop Q
+  /// shares that Q's slot, and latching first would overwrite the settled
+  /// (possibly faulty) output with the fault-free next state.
+  void step(Scratch& s, const Batch& batch, std::size_t t,
+            const CompiledNetlist::Cone* clamp_cone, std::uint32_t clamp_slot,
+            const LaneBlock& clamp_value, LaneBlock* po_out) const {
+    std::vector<LaneBlock>& values = s.values;
+    const std::size_t pi_count = pi_slots.size();
+    for (std::size_t i = 0; i < pi_count; ++i) {
+      values[pi_slots[i]] = batch.stimulus[t * pi_count + i];
+    }
+    const LaneBlock ones = block_broadcast(true);
+    for (const std::uint32_t slot : one_slots) {
+      values[slot] = ones;
+    }
+    if (clamp_cone != nullptr) {
+      values[clamp_slot] = clamp_value;  // source-slot faults must be in before settle
+    }
+    compiled->eval_full(values.data());
+    if (clamp_cone != nullptr) {
+      // Instruction-driven fault sites were recomputed by the sweep: clamp
+      // again and re-propagate just the fanout cone (topological order).
+      values[clamp_slot] = clamp_value;
+      const auto& instrs = compiled->instrs();
+      for (const std::uint32_t idx : clamp_cone->instrs) {
+        values[instrs[idx].out] = CompiledNetlist::eval_instr(instrs[idx], values.data());
+      }
+    }
+    for (std::size_t p = 0; p < po_slots.size(); ++p) {
+      po_out[p] = values[po_slots[p]];
+    }
+    // Latch: snapshot every D before writing any Q (flop-to-flop paths).
+    for (std::size_t f = 0; f < d_slots.size(); ++f) {
+      s.d[f] = values[d_slots[f]];
+    }
+    for (std::size_t f = 0; f < q_slots.size(); ++f) {
+      values[q_slots[f]] = s.d[f];
     }
   }
-  return diff & block_lane_mask(ctx.block_lanes(b));
-}
+};
 
 }  // namespace
 
@@ -504,29 +333,8 @@ FaultSimResult sequential_fault_simulate(const Netlist& netlist,
                                          const std::vector<Fault>& faults,
                                          std::size_t sequences, std::size_t cycles,
                                          std::uint64_t seed) {
-  FaultSimResult result;
-  result.total_faults = faults.size();
-  result.detected_by.assign(faults.size(), npos);
-  if (faults.empty() || sequences == 0 || cycles == 0) {
-    return result;
-  }
-  const SeqContext ctx = build_seq_context(netlist, sequences, cycles, seed);
-  std::vector<LaneBlock> values(ctx.compiled->slot_count());
-  std::vector<LaneBlock> po_scratch(ctx.po_slots.size());
-  std::vector<LaneBlock> d_scratch(ctx.d_slots.size());
-  for (std::size_t fi = 0; fi < faults.size(); ++fi) {
-    const CompiledNetlist::Cone cone = ctx.compiled->build_cone(faults[fi].net);
-    for (std::size_t b = 0; b < ctx.block_count; ++b) {
-      const LaneBlock diff =
-          seq_fault_block(ctx, faults[fi], cone, b, values, po_scratch, d_scratch);
-      if (block_any(diff)) {
-        result.detected_by[fi] = b * kLaneBlockBits + block_first_lane(diff);
-        ++result.detected;
-        break;
-      }
-    }
-  }
-  return result;
+  return detail::simulate_faults(SequentialModel(netlist, sequences, cycles, seed), faults,
+                                 nullptr, 0);
 }
 
 FaultSimResult sequential_fault_simulate(const Netlist& netlist,
@@ -534,41 +342,8 @@ FaultSimResult sequential_fault_simulate(const Netlist& netlist,
                                          std::size_t sequences, std::size_t cycles,
                                          std::uint64_t seed, ThreadPool& pool,
                                          std::size_t fault_shard) {
-  FaultSimResult result;
-  result.total_faults = faults.size();
-  result.detected_by.assign(faults.size(), npos);
-  if (faults.empty() || sequences == 0 || cycles == 0) {
-    return result;
-  }
-  if (fault_shard == 0) {
-    fault_shard = 1;
-  }
-  const SeqContext ctx = build_seq_context(netlist, sequences, cycles, seed);
-  const std::size_t shard_count = (faults.size() + fault_shard - 1) / fault_shard;
-  std::vector<std::size_t> shard_detected(shard_count, 0);
-  pool.parallel_for(shard_count, [&](std::size_t s) {
-    const std::size_t first = s * fault_shard;
-    const std::size_t last = std::min(faults.size(), first + fault_shard);
-    std::vector<LaneBlock> values(ctx.compiled->slot_count());
-    std::vector<LaneBlock> po_scratch(ctx.po_slots.size());
-    std::vector<LaneBlock> d_scratch(ctx.d_slots.size());
-    for (std::size_t fi = first; fi < last; ++fi) {
-      const CompiledNetlist::Cone cone = ctx.compiled->build_cone(faults[fi].net);
-      for (std::size_t b = 0; b < ctx.block_count; ++b) {
-        const LaneBlock diff =
-            seq_fault_block(ctx, faults[fi], cone, b, values, po_scratch, d_scratch);
-        if (block_any(diff)) {
-          result.detected_by[fi] = b * kLaneBlockBits + block_first_lane(diff);
-          ++shard_detected[s];
-          break;
-        }
-      }
-    }
-  });
-  for (const std::size_t count : shard_detected) {
-    result.detected += count;
-  }
-  return result;
+  return detail::simulate_faults(SequentialModel(netlist, sequences, cycles, seed), faults,
+                                 &pool, fault_shard);
 }
 
 }  // namespace retscan

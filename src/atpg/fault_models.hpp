@@ -35,16 +35,12 @@ std::string transition_fault_name(const Netlist& netlist, const TransitionFault&
 
 /// Launch/capture transition-delay fault simulation with fault dropping.
 /// detected_by[i] is the index of the first detecting pattern *pair*
-/// (patterns.size() - 1 pairs exist). Reuses the packed kernel: per block,
-/// the launch and capture batches are loaded and settled once, then every
-/// live fault is an incremental cone pass over the capture batch masked by
-/// the launch-value condition.
+/// (patterns.size() - 1 pairs exist): a cone pass over the capture pattern
+/// masked by the launch-value condition. Serial and pooled overloads behave
+/// as fault_simulate's.
 FaultSimResult transition_fault_simulate(const CombinationalFrame& frame,
                                          const std::vector<TransitionFault>& faults,
                                          const std::vector<BitVec>& patterns);
-/// Pooled variant: bit-identical to the serial result at any thread count
-/// (fault shards own disjoint result slots; pairs are pure functions of the
-/// pattern list).
 FaultSimResult transition_fault_simulate(const CombinationalFrame& frame,
                                          const std::vector<TransitionFault>& faults,
                                          const std::vector<BitVec>& patterns,

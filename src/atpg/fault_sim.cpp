@@ -4,6 +4,7 @@
 #include <bit>
 #include <limits>
 
+#include "atpg/fault_sim_driver.hpp"
 #include "sim/eval_kernel.hpp"
 #include "util/error.hpp"
 
@@ -343,121 +344,35 @@ std::uint64_t CombinationalFrame::detect_mask_full(
   return mask & lane_mask(patterns.size());
 }
 
+namespace {
+
+/// Stuck-at faults: a forced-value replay of the fault site's cached cone.
+struct StuckAtModel : detail::PatternBlocks {
+  using Site = const CombinationalFrame::FaultCone*;
+  using Scratch = CombinationalFrame::Workspace;
+
+  Site site(const Fault& fault) const { return &frame.fault_cone(fault.net); }
+  Scratch scratch() const { return {}; }
+  LaneBlock detect(const Fault& fault, Site cone, const Batch& batch,
+                   Scratch& workspace) const {
+    return frame.detect_block(fault, *cone, batch, batch.good, workspace);
+  }
+};
+
+}  // namespace
+
 FaultSimResult fault_simulate(const CombinationalFrame& frame,
                               const std::vector<Fault>& faults,
                               const std::vector<BitVec>& patterns) {
-  constexpr std::size_t npos = FaultSimResult::npos;
-  FaultSimResult result;
-  result.total_faults = faults.size();
-  result.detected_by.assign(faults.size(), npos);
-
-  // One load + settle per 64-pattern batch, then an incremental cone
-  // evaluation per live fault. Cones are resolved once per fault so the
-  // cache lock stays out of the batch loop.
-  std::vector<const CombinationalFrame::FaultCone*> cones;
-  cones.reserve(faults.size());
-  for (const Fault& fault : faults) {
-    cones.push_back(&frame.fault_cone(fault.net));
-  }
-  CombinationalFrame::Workspace workspace;
-  for (std::size_t base = 0; base < patterns.size(); base += kLaneBlockBits) {
-    const std::size_t count =
-        std::min<std::size_t>(kLaneBlockBits, patterns.size() - base);
-    const std::vector<BitVec> batch(patterns.begin() + base,
-                                    patterns.begin() + base + count);
-    const CombinationalFrame::LoadedPatternBatch loaded = frame.load_batch(batch);
-    for (std::size_t fi = 0; fi < faults.size(); ++fi) {
-      if (result.detected_by[fi] != npos) {
-        continue;  // fault dropping
-      }
-      const LaneBlock mask =
-          frame.detect_block(faults[fi], *cones[fi], loaded, loaded.good, workspace);
-      if (block_any(mask)) {
-        result.detected_by[fi] = base + block_first_lane(mask);
-        ++result.detected;
-      }
-    }
-  }
-  return result;
+  return detail::simulate_faults(StuckAtModel{{frame, patterns}}, faults, nullptr, 0);
 }
 
 FaultSimResult fault_simulate(const CombinationalFrame& frame,
                               const std::vector<Fault>& faults,
                               const std::vector<BitVec>& patterns,
                               ThreadPool& pool, std::size_t fault_shard) {
-  constexpr std::size_t npos = FaultSimResult::npos;
-  FaultSimResult result;
-  result.total_faults = faults.size();
-  result.detected_by.assign(faults.size(), npos);
-  if (faults.empty()) {
-    return result;
-  }
-  if (fault_shard == 0) {
-    fault_shard = 1;
-  }
-
-  // Build every fault cone on this thread so workers only take cache hits.
-  frame.warm_cones(faults);
-
-  // Load and settle every block-wide batch once, up front, in parallel —
-  // workers then share them read-only.
-  struct Batch {
-    std::size_t base = 0;
-    CombinationalFrame::LoadedPatternBatch loaded;
-  };
-  std::vector<Batch> batches((patterns.size() + kLaneBlockBits - 1) / kLaneBlockBits);
-  pool.parallel_for(batches.size(), [&](std::size_t b) {
-    const std::size_t base = b * kLaneBlockBits;
-    const std::size_t count =
-        std::min<std::size_t>(kLaneBlockBits, patterns.size() - base);
-    const std::vector<BitVec> slice(patterns.begin() + base,
-                                    patterns.begin() + base + count);
-    batches[b].base = base;
-    batches[b].loaded = frame.load_batch(slice);
-  });
-
-  // Shard the fault list. Each worker owns its shard's detected_by slots
-  // (disjoint writes) and a private workspace, and walks its shard
-  // batch-major — the workspace baseline is copied once per batch, and
-  // every live fault is then an incremental cone pass. Dropping a fault at
-  // its first detecting batch gives exactly the serial per-fault result.
-  const std::size_t shard_count = (faults.size() + fault_shard - 1) / fault_shard;
-  std::vector<std::size_t> shard_detected(shard_count, 0);
-  pool.parallel_for(shard_count, [&](std::size_t s) {
-    const std::size_t first = s * fault_shard;
-    const std::size_t last = std::min(faults.size(), first + fault_shard);
-    CombinationalFrame::Workspace workspace;
-    // Resolve the shard's cones once (pure cache hits after warm_cones) so
-    // the cone-cache lock never enters the batch loop.
-    std::vector<std::size_t> live;
-    std::vector<const CombinationalFrame::FaultCone*> cones(last - first, nullptr);
-    live.reserve(last - first);
-    for (std::size_t fi = first; fi < last; ++fi) {
-      live.push_back(fi);
-      cones[fi - first] = &frame.fault_cone(faults[fi].net);
-    }
-    for (const Batch& batch : batches) {
-      if (live.empty()) {
-        break;
-      }
-      std::size_t kept = 0;
-      for (const std::size_t fi : live) {
-        const LaneBlock mask = frame.detect_block(
-            faults[fi], *cones[fi - first], batch.loaded, batch.loaded.good, workspace);
-        if (block_any(mask)) {
-          result.detected_by[fi] = batch.base + block_first_lane(mask);
-          ++shard_detected[s];
-        } else {
-          live[kept++] = fi;
-        }
-      }
-      live.resize(kept);
-    }
-  });
-  for (const std::size_t count : shard_detected) {
-    result.detected += count;
-  }
-  return result;
+  return detail::simulate_faults(StuckAtModel{{frame, patterns}}, faults, &pool,
+                                 fault_shard);
 }
 
 }  // namespace retscan

@@ -28,8 +28,7 @@ namespace retscan {
 /// fanout cone is re-evaluated, only its reachable observation points are
 /// compared, and the touched slots are restored afterwards — so per-fault
 /// cost is O(cone), not O(circuit). Cones are built lazily per fault site
-/// and cached (thread-safe; the pooled fault simulator warms the cache
-/// before fanning out).
+/// and cached (thread-safe).
 class CombinationalFrame {
  public:
   explicit CombinationalFrame(const Netlist& netlist);
@@ -167,9 +166,8 @@ class CombinationalFrame {
   std::uint64_t detect_mask_full(const Fault& fault, const std::vector<BitVec>& patterns,
                                  const std::vector<std::uint64_t>& good_words) const;
 
-  /// Pre-build the cone of every fault site in `faults`. The pooled fault
-  /// simulator calls this on the caller thread so workers only take cache
-  /// hits; optional elsewhere (cones build lazily under a lock).
+  /// Pre-build the cone of every fault site in `faults` (optional: cones
+  /// build lazily under a lock; benches call this to time them apart).
   void warm_cones(const std::vector<Fault>& faults) const;
 
  private:
@@ -199,7 +197,7 @@ class CombinationalFrame {
   mutable std::unordered_map<NetId, std::unique_ptr<FaultCone>> cones_;
 };
 
-/// Fault-simulate a pattern set over a fault list with fault dropping.
+/// Outcome of fault-simulating a stimulus set over a fault list.
 struct FaultSimResult {
   /// Sentinel in detected_by for faults no pattern detected.
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
@@ -214,16 +212,14 @@ struct FaultSimResult {
   }
 };
 
+/// Stuck-at fault simulation with fault dropping. This and the other
+/// *_fault_simulate models (fault_models.hpp) share one driver: the pooled
+/// overload shards the fault list `fault_shard` faults at a time across the
+/// pool, and its result is identical to the serial one at any thread count
+/// and shard size.
 FaultSimResult fault_simulate(const CombinationalFrame& frame,
                               const std::vector<Fault>& faults,
                               const std::vector<BitVec>& patterns);
-
-/// Multi-threaded fault simulation: pattern batches are preloaded once,
-/// then the fault list is sharded across the pool (each worker carries its
-/// own evaluation workspace). Per-fault results — including the index of
-/// the first detecting pattern — are a pure function of (fault, patterns),
-/// so the result is identical to the serial fault_simulate() at any thread
-/// count. `fault_shard` is the fault-list chunk a worker claims at a time.
 FaultSimResult fault_simulate(const CombinationalFrame& frame,
                               const std::vector<Fault>& faults,
                               const std::vector<BitVec>& patterns,

@@ -215,12 +215,27 @@ double ratio(std::uint64_t numerator, std::uint64_t denominator) {
                                 static_cast<double>(denominator);
 }
 
+/// ATPG coverage in percent, over testable faults (AtpgResult::coverage).
+double atpg_coverage(const ResultSummary& s) {
+  return 100.0 * ratio(s.atpg_detected_random + s.atpg_detected_podem,
+                       s.atpg_total_faults - s.atpg_untestable);
+}
+
+/// What atpg_coverage leaves out of its denominator (untestable faults) and
+/// what it counts as undetected without a verdict (PODEM aborts).
+void print_atpg_exclusions(std::ostream& out, const ResultSummary& s) {
+  out << s.atpg_untestable << " untestable excluded, " << s.atpg_aborted << " aborted";
+}
+
+/// "X% (d/t faults)" line ending of a fault-model coverage measurement.
+void print_fault_sim_coverage(std::ostream& out, const ResultSummary& s) {
+  out << 100.0 * ratio(s.faults_detected, s.faults_total) << "% (" << s.faults_detected
+      << "/" << s.faults_total << " faults)\n";
+}
+
 }  // namespace
 
 void print_summary(std::ostream& out, const ResultSummary& s) {
-  // Byte-compatible with tools/retscan_main.cpp print_result: the serve CI
-  // job diffs `^(result|schedule|verdict):` lines between `retscan submit
-  // --wait` and a one-shot `retscan run` of the same spec.
   out << "ran:      " << s.kind << " on " << s.backend << ", " << s.threads
       << " threads x " << s.shard_count << " shards, " << s.seconds << " s\n";
   if (s.shards_resumed != 0) {
@@ -228,6 +243,8 @@ void print_summary(std::ostream& out, const ResultSummary& s) {
         << " shards merged from " << s.checkpoint << "\n";
   }
   if (s.status != "complete") {
+    // Interrupted: the statistics below are partial (completed shards
+    // only) — still exact for those shards, and checkpointed if armed.
     out << "status:   " << s.status << " after " << s.shards_completed
         << " of " << s.shard_count << " shards";
     if (!s.checkpoint.empty()) {
@@ -256,24 +273,26 @@ void print_summary(std::ostream& out, const ResultSummary& s) {
           << "fraction " << dirty << "\n";
     }
   } else if (s.kind == "fault-coverage") {
-    const std::uint64_t testable = s.atpg_total_faults - s.atpg_untestable;
-    out << "result:   " << s.atpg_patterns << " patterns, coverage "
-        << 100.0 * ratio(s.atpg_detected_random + s.atpg_detected_podem,
-                         testable)
-        << "% (" << s.faults_detected << "/" << s.faults_total
-        << " faults via fault-sim)\n";
-  } else if (s.kind == "transition-delay" || s.kind == "bridging" ||
-             s.kind == "sequential-coverage") {
-    out << "result:   " << s.kind << " coverage "
-        << 100.0 * ratio(s.faults_detected, s.faults_total) << "% ("
-        << s.faults_detected << "/" << s.faults_total << " faults)\n";
+    out << "result:   " << s.atpg_patterns << " patterns, coverage " << atpg_coverage(s)
+        << "% (" << s.faults_detected << "/" << s.faults_total << " faults via fault-sim; ";
+    print_atpg_exclusions(out, s);
+    out << ")\n";
+  } else if (s.kind == "transition-delay") {
+    out << "result:   " << s.atpg_patterns << " patterns ("
+        << (s.atpg_patterns == 0 ? 0 : s.atpg_patterns - 1)
+        << " launch/capture pairs), transition coverage ";
+    print_fault_sim_coverage(out, s);
+  } else if (s.kind == "bridging") {
+    out << "result:   " << s.atpg_patterns << " patterns, bridging coverage ";
+    print_fault_sim_coverage(out, s);
+  } else if (s.kind == "sequential-coverage") {
+    out << "result:   sequential coverage ";
+    print_fault_sim_coverage(out, s);
   } else {
-    const std::uint64_t testable = s.atpg_total_faults - s.atpg_untestable;
     out << "result:   " << s.scan_patterns_applied << " patterns delivered, "
-        << s.scan_mismatches << " mismatches (coverage "
-        << 100.0 * ratio(s.atpg_detected_random + s.atpg_detected_podem,
-                         testable)
-        << "%)\n";
+        << s.scan_mismatches << " mismatches (coverage " << atpg_coverage(s) << "%; ";
+    print_atpg_exclusions(out, s);
+    out << ")\n";
   }
   out << "verdict:  " << (s.passed ? "PASS" : "FAIL") << "\n";
 }

@@ -110,11 +110,10 @@ std::uint64_t summary_digest(const ResultSummary& summary);
 Json to_json(const ResultSummary& summary);
 ResultSummary summary_from_json(const Json& json);
 
-/// The exact `ran:`/`resumed:`/`status:`/`result:`/`schedule:`/`verdict:`
-/// block `retscan run` prints (tools/retscan_main.cpp print_result), so
-/// `retscan submit --wait` output diffs cleanly against a one-shot run —
-/// the serve CI job greps `^(result|schedule|verdict):` from both and
-/// requires byte equality.
+/// The `ran:`/`resumed:`/`status:`/`result:`/`schedule:`/`verdict:` block
+/// of a finished campaign — the one renderer behind both `retscan run`
+/// (which prints summarize() of its own result) and `retscan submit
+/// --wait`, so the two print identical lines for every campaign kind.
 void print_summary(std::ostream& out, const ResultSummary& summary);
 
 /// The CLI override flags a submit request may attach to a spec file —

@@ -302,14 +302,25 @@ TEST(FaultCone, DetectMasksMatchFullReferenceOnProtectedFifo) {
 
 /// fault_simulate (cone path, serial and pooled) must report exactly the
 /// coverage and first-detecting-pattern indices of a reference simulator
-/// built on full-circuit interpreted evaluation.
+/// built on full-circuit interpreted evaluation. 600 patterns span three
+/// 256-lane blocks (the last one partial), and the AND chains' faults need
+/// up to 12 ones at once, so some first detections land past the first
+/// block and detected faults must drop across block boundaries.
 TEST(FaultCone, FaultSimulateMatchesReferenceCoverage) {
-  const Netlist nl = make_registered_adder(4);
+  Netlist nl = make_registered_adder(4);
+  for (int c = 0; c < 3; ++c) {
+    const std::string tag = std::to_string(c) + "_";
+    NetId chain = nl.add_input("r" + tag + "0");
+    for (int k = 1; k < 12; ++k) {
+      chain = nl.n_and(chain, nl.add_input("r" + tag + std::to_string(k)));
+      nl.add_output("t" + tag + std::to_string(k), chain);
+    }
+  }
   const CombinationalFrame frame(nl);
   const auto faults = collapse_faults(nl, enumerate_faults(nl));
   Rng rng(66);
   std::vector<BitVec> patterns;
-  for (int p = 0; p < 150; ++p) {  // 3 batches, last one partial
+  for (int p = 0; p < 600; ++p) {
     patterns.push_back(frame.random_pattern(rng));
   }
 
@@ -331,12 +342,24 @@ TEST(FaultCone, FaultSimulateMatchesReferenceCoverage) {
     }
   }
 
+  ASSERT_TRUE(std::any_of(reference.begin(), reference.end(), [](std::size_t index) {
+    return index != npos && index >= kLaneBlockBits;
+  }));
+  const auto detected = static_cast<std::size_t>(
+      std::count_if(reference.begin(), reference.end(),
+                    [](std::size_t index) { return index != npos; }));
+
   const FaultSimResult serial = fault_simulate(frame, faults, patterns);
   EXPECT_EQ(serial.detected_by, reference);
-  ThreadPool pool(3);
-  const FaultSimResult pooled = fault_simulate(frame, faults, patterns, pool, 16);
-  EXPECT_EQ(pooled.detected_by, reference);
-  EXPECT_EQ(pooled.detected, serial.detected);
+  EXPECT_EQ(serial.detected, detected);
+  for (const unsigned threads : {1u, 8u}) {
+    ThreadPool pool(threads);
+    for (const std::size_t shard : {std::size_t{1}, std::size_t{7}}) {
+      const FaultSimResult pooled = fault_simulate(frame, faults, patterns, pool, shard);
+      EXPECT_EQ(pooled.detected_by, reference) << threads << " threads, shard " << shard;
+      EXPECT_EQ(pooled.detected, detected) << threads << " threads, shard " << shard;
+    }
+  }
 }
 
 /// The lane-block kernel must agree with the single-word kernel and the

@@ -1,13 +1,16 @@
 // Transition-delay, bridging and sequential fault models (atpg/fault_models):
 // hand-computed detections on gate-sized circuits, golden coverage
 // regressions on the vendored benchmarks (c17 / s27 + two mid-size designs),
-// serial/pooled bit-identity at 1 and 8 threads, schedule invariance, and
-// the campaign-kind plumbing (routing, validation, spellings).
+// serial/pooled bit-identity at 1 and 8 threads, schedule invariance, every
+// model (stuck-at included) pinned across shard plans and degenerate inputs,
+// and the campaign-kind plumbing (routing, validation, spellings).
 
 #include "atpg/fault_models.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <initializer_list>
 #include <string>
 #include <vector>
@@ -17,6 +20,8 @@
 #include "retscan/campaign.hpp"
 #include "retscan/session.hpp"
 #include "util/error.hpp"
+#include "util/fnv.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 #ifndef RETSCAN_CIRCUITS_DIR
@@ -295,6 +300,164 @@ TEST(Invariance, SequentialThreadsAndSchedule) {
   expect_identical(serial, one);
   expect_identical(serial, eight);
   expect_identical(serial, sweep);
+}
+
+// --- one driver: pinned results across shard plans ------------------------
+
+/// {detected, FNV-1a of detected_by}: a whole FaultSimResult in two numbers.
+struct Pin {
+  std::size_t detected;
+  std::uint64_t digest;
+};
+
+Pin pin_of(const FaultSimResult& result) {
+  Fnv1a h;
+  for (const std::size_t index : result.detected_by) {
+    h.add(index);
+  }
+  return {result.detected, h.hash};
+}
+
+/// `simulate(pooled...)` forwards its trailing (pool[, fault_shard])
+/// arguments to a model's entry point, so one lambda reaches both the
+/// serial and the pooled overload. Every shard plan must give `golden`.
+/// `late_detections`: some first detection lies past the first lane block,
+/// so the pin also guards the block offset of dropped faults.
+template <typename Simulate>
+void expect_pinned(const Simulate& simulate, std::size_t total, const Pin& golden,
+                   bool late_detections = true) {
+  const auto check = [&](const FaultSimResult& result, const std::string& plan) {
+    EXPECT_EQ(result.total_faults, total) << plan;
+    const Pin pin = pin_of(result);
+    EXPECT_EQ(pin.detected, golden.detected) << plan;
+    EXPECT_EQ(pin.digest, golden.digest) << plan;
+  };
+  const FaultSimResult serial = simulate();
+  check(serial, "serial");
+  EXPECT_EQ(std::any_of(serial.detected_by.begin(), serial.detected_by.end(),
+                        [](std::size_t index) {
+                          return index != FaultSimResult::npos && index >= kLaneBlockBits;
+                        }),
+            late_detections);
+  for (const unsigned threads : {1u, 8u}) {
+    ThreadPool pool(threads);
+    const std::string at = " at " + std::to_string(threads) + " threads";
+    for (const std::size_t shard : {std::size_t{0}, std::size_t{1}, std::size_t{7}}) {
+      check(simulate(pool, shard), "fault_shard " + std::to_string(shard) + at);
+    }
+    check(simulate(pool), "default fault_shard" + at);
+  }
+}
+
+/// 600 patterns span three 256-lane blocks (the last one partial), so faults
+/// drop across blocks. The pins were recorded from the per-model simulators
+/// before they shared one driver.
+struct Cmp1908Patterns {
+  Netlist netlist = Netlist::from_verilog(circuit_path("cmp1908.v"));
+  CombinationalFrame frame{netlist};
+  std::vector<BitVec> patterns;
+
+  Cmp1908Patterns() {
+    Rng rng(13);
+    for (int p = 0; p < 600; ++p) {
+      patterns.push_back(frame.random_pattern(rng));
+    }
+  }
+};
+
+TEST(OneDriver, StuckAtPinnedAcrossShardPlans) {
+  const Cmp1908Patterns c;
+  const std::vector<Fault> faults = collapse_faults(c.netlist, enumerate_faults(c.netlist));
+  expect_pinned(
+      [&](auto&&... pooled) { return fault_simulate(c.frame, faults, c.patterns, pooled...); },
+      faults.size(), {1099, 13481544910609953155ull});
+}
+
+TEST(OneDriver, TransitionPinnedAcrossShardPlans) {
+  const Cmp1908Patterns c;
+  const std::vector<TransitionFault> faults = enumerate_transition_faults(c.netlist);
+  expect_pinned(
+      [&](auto&&... pooled) {
+        return transition_fault_simulate(c.frame, faults, c.patterns, pooled...);
+      },
+      faults.size(), {1927, 3839338151312350759ull});
+}
+
+TEST(OneDriver, BridgingPinnedAcrossShardPlans) {
+  const Cmp1908Patterns c;
+  const std::vector<BridgingFault> faults = enumerate_bridging_faults(c.netlist);
+  expect_pinned(
+      [&](auto&&... pooled) {
+        return bridging_fault_simulate(c.frame, faults, c.patterns, pooled...);
+      },
+      faults.size(), {680, 16053096403585326634ull});
+}
+
+TEST(OneDriver, SequentialPinnedAcrossShardPlans) {
+  // Each lane block draws its own stimulus stream, so the sequences (and
+  // with them detected_by) depend on the lane width.
+  if (kLaneWords != 1 && kLaneWords != 4) {
+    GTEST_SKIP() << "pinned at 1 and 4 lane words";
+  }
+  const Netlist nl = Netlist::from_verilog(circuit_path("ctrl344.v"));
+  const std::vector<Fault> faults = collapse_faults(nl, enumerate_faults(nl));
+  expect_pinned(
+      [&](auto&&... pooled) {
+        return sequential_fault_simulate(nl, faults, 600, 16, 5, pooled...);
+      },
+      faults.size(),
+      {141, kLaneWords == 1 ? 4655498241865814603ull : 10512223340127629962ull},
+      // ctrl344's faults fall in the first block or never: the later blocks
+      // run only the survivors.
+      false);
+}
+
+/// Degenerate inputs: every model, serial and pooled, reports every fault
+/// undetected (or no faults at all) rather than indexing past its input.
+TEST(OneDriver, DegenerateInputsDetectNothing) {
+  const Netlist nl = Netlist::from_verilog(circuit_path("c17.v"));
+  const CombinationalFrame frame(nl);
+  const std::vector<Fault> stuck = collapse_faults(nl, enumerate_faults(nl));
+  const std::vector<TransitionFault> transition = enumerate_transition_faults(nl);
+  const std::vector<BridgingFault> bridging = enumerate_bridging_faults(nl);
+  Rng rng(3);
+  const std::vector<BitVec> none;
+  const std::vector<BitVec> one = {frame.random_pattern(rng)};
+  ThreadPool pool(4);
+
+  const auto expect_nothing = [](const FaultSimResult& result, std::size_t total,
+                                 const std::string& what) {
+    EXPECT_EQ(result.total_faults, total) << what;
+    EXPECT_EQ(result.detected, 0u) << what;
+    EXPECT_EQ(result.detected_by, std::vector<std::size_t>(total, FaultSimResult::npos))
+        << what;
+  };
+  const auto both = [&](const auto& simulate, std::size_t total, const std::string& what) {
+    expect_nothing(simulate(), total, what + ", serial");
+    expect_nothing(simulate(pool, std::size_t{3}), total, what + ", pooled");
+  };
+
+  both([&](auto&&... p) { return fault_simulate(frame, {}, one, p...); }, 0,
+       "stuck-at, no faults");
+  both([&](auto&&... p) { return transition_fault_simulate(frame, {}, one, p...); }, 0,
+       "transition, no faults");
+  both([&](auto&&... p) { return bridging_fault_simulate(frame, {}, one, p...); }, 0,
+       "bridging, no faults");
+  both([&](auto&&... p) { return sequential_fault_simulate(nl, {}, 64, 8, 1, p...); }, 0,
+       "sequential, no faults");
+
+  both([&](auto&&... p) { return fault_simulate(frame, stuck, none, p...); }, stuck.size(),
+       "stuck-at, no patterns");
+  both([&](auto&&... p) { return transition_fault_simulate(frame, transition, none, p...); },
+       transition.size(), "transition, no patterns");
+  both([&](auto&&... p) { return bridging_fault_simulate(frame, bridging, none, p...); },
+       bridging.size(), "bridging, no patterns");
+  both([&](auto&&... p) { return transition_fault_simulate(frame, transition, one, p...); },
+       transition.size(), "transition, one pattern (zero pairs)");
+  both([&](auto&&... p) { return sequential_fault_simulate(nl, stuck, 0, 8, 1, p...); },
+       stuck.size(), "sequential, zero sequences");
+  both([&](auto&&... p) { return sequential_fault_simulate(nl, stuck, 64, 0, 1, p...); },
+       stuck.size(), "sequential, zero cycles");
 }
 
 // --- campaign plumbing ----------------------------------------------------

@@ -151,76 +151,6 @@ void print_plan(std::ostream& out, const SpecFile& file, const Netlist* base,
   }
 }
 
-void print_result(std::ostream& out, const CampaignResult& r,
-                  const CampaignSpec& spec) {
-  out << "ran:      " << to_string(r.kind) << " on " << to_string(r.backend) << ", "
-      << r.threads << " threads x " << r.shard_count << " shards, " << r.seconds
-      << " s\n";
-  if (r.shards_resumed != 0) {
-    out << "resumed:  " << r.shards_resumed << " of " << r.shard_count
-        << " shards merged from " << spec.checkpoint << "\n";
-  }
-  if (r.status != CampaignStatus::Complete) {
-    // Interrupted: the statistics below are partial (completed shards
-    // only) — still exact for those shards, and checkpointed if armed.
-    out << "status:   " << to_string(r.status) << " after " << r.shards_completed
-        << " of " << r.shard_count << " shards";
-    if (!spec.checkpoint.empty()) {
-      out << "; journal " << spec.checkpoint << " holds the completed work "
-          << "(rerun with --resume)";
-    }
-    out << "\n";
-  }
-  switch (r.kind) {
-    case CampaignKind::Validation:
-    case CampaignKind::Injection: {
-      const ValidationStats& v = r.validation;
-      out << "result:   " << v.sequences << " sequences, " << v.sequences_with_errors
-          << " with errors, detection " << 100.0 * v.detection_rate()
-          << "%, correction " << 100.0 * v.correction_rate() << "%\n"
-          << "          flagged-uncorrectable " << v.flagged_uncorrectable
-          << ", silent corruptions " << v.silent_corruptions << "\n";
-      if (r.activity.settles() != 0) {
-        out << "schedule: " << to_string(r.schedule) << " — "
-            << r.activity.event_sweeps << " event settles, "
-            << r.activity.full_sweeps << " full sweeps ("
-            << r.activity.full_sweep_fallbacks << " fallbacks), avg dirty "
-            << "fraction " << r.activity.avg_dirty_fraction() << "\n";
-      }
-      break;
-    }
-    case CampaignKind::FaultCoverage:
-      out << "result:   " << r.atpg.patterns.size() << " patterns, coverage "
-          << 100.0 * r.atpg.coverage() << "% (" << r.faults.detected << "/"
-          << r.faults.total_faults << " faults via fault-sim)\n";
-      break;
-    case CampaignKind::TransitionDelay:
-      out << "result:   " << r.atpg.patterns.size() << " patterns ("
-          << (r.atpg.patterns.empty() ? 0 : r.atpg.patterns.size() - 1)
-          << " launch/capture pairs), transition coverage "
-          << 100.0 * r.faults.coverage() << "% (" << r.faults.detected << "/"
-          << r.faults.total_faults << " faults)\n";
-      break;
-    case CampaignKind::Bridging:
-      out << "result:   " << r.atpg.patterns.size() << " patterns, bridging "
-          << "coverage " << 100.0 * r.faults.coverage() << "% ("
-          << r.faults.detected << "/" << r.faults.total_faults << " faults)\n";
-      break;
-    case CampaignKind::SequentialCoverage:
-      out << "result:   " << spec.sequences << " sequences x " << spec.cycles
-          << " cycles, sequential coverage " << 100.0 * r.faults.coverage()
-          << "% (" << r.faults.detected << "/" << r.faults.total_faults
-          << " faults)\n";
-      break;
-    case CampaignKind::ScanTest:
-      out << "result:   " << r.scan_test.patterns_applied << " patterns delivered, "
-          << r.scan_test.mismatches << " mismatches (coverage "
-          << 100.0 * r.atpg.coverage() << "%)\n";
-      break;
-  }
-  out << "verdict:  " << (r.passed() ? "PASS" : "FAIL") << "\n";
-}
-
 int run_command(const std::string& command, int argc, char** argv) {
   if (argc < 1) {
     std::cerr << "retscan " << command << ": missing spec file\n";
@@ -301,7 +231,7 @@ int run_command(const std::string& command, int argc, char** argv) {
   const CampaignResult result = run(session, file.campaign);
   std::signal(SIGINT, SIG_DFL);
   std::signal(SIGTERM, SIG_DFL);
-  print_result(std::cout, result, file.campaign);
+  serve::print_summary(std::cout, serve::summarize(result, file.campaign));
   switch (result.status) {
     case CampaignStatus::Cancelled:
       return 130;  // 128 + SIGINT, the shell convention for "interrupted"
