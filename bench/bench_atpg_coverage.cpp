@@ -1,8 +1,3 @@
-// This file deliberately exercises the pre-v1 delivery entry points
-// (they are the backends the Session facade routes onto), so the
-// deprecation attributes are suppressed here.
-#define RETSCAN_SUPPRESS_DEPRECATED
-
 // Section III evidence: manufacturing test is unaffected by the monitoring
 // architecture. Runs ATPG on the protected FIFO's combinational frame and
 // applies the pattern set through the Fig. 5(b) test-mode concatenation on
@@ -176,18 +171,19 @@ int main() {
 
   // --- test-mode delivery throughput: one lane per pattern vs one load ----
   bench::header("Test-mode delivery throughput (64-lane vs scalar tester)");
+  const ScanPorts ports = ScanPorts::test_mode_of(design);
   timer.restart();
   const ScanTestResult packed_applied =
-      apply_test_mode_scan_test_packed(design, frame, atpg.patterns);
+      deliver_scan_test_packed(ports, frame, atpg.patterns, nullptr);
   const double packed_apply_time = timer.seconds();
   timer.restart();
   const ScanTestResult pooled_applied =
-      apply_test_mode_scan_test_packed(design, frame, atpg.patterns, pool, 128);
+      deliver_scan_test_packed(ports, frame, atpg.patterns, &pool, 128);
   const double pooled_apply_time = timer.seconds();
   RetentionSession session(design);
   timer.restart();
   const ScanTestResult scalar_applied =
-      apply_test_mode_scan_test(session, design, frame, atpg.patterns);
+      deliver_scan_test(session.sim(), ports, frame, atpg.patterns);
   const double scalar_apply_time = timer.seconds();
   const double packed_rate = packed_applied.patterns_applied / packed_apply_time;
   const double pooled_rate = pooled_applied.patterns_applied / pooled_apply_time;

@@ -5,10 +5,12 @@ Checks, in order:
   1. the documentation tree exists and is non-trivial
      (docs/architecture.md, docs/spec-reference.md, docs/verilog-frontend.md);
   2. every public header under include/retscan/ opens with a Doxygen-style
-     file-level doc comment (`///`) near the top — the v1 surface is
+     file-level doc comment (`///`) near the top — the public surface is
      self-describing;
   3. docs/spec-reference.md documents every spec key the parser accepts
-     (extracted from src/api/campaign.cpp), so the reference cannot rot;
+     (extracted from src/api/campaign.cpp), and every key row in its tables
+     (`| `key` |`) is one the parser accepts, so a removed key cannot leave
+     a stale row and the reference cannot rot;
   4. every relative markdown link in README.md and docs/*.md resolves to a
      real file.
 
@@ -27,6 +29,9 @@ REQUIRED_DOCS = {
 }
 
 SPEC_KEY_RE = re.compile(r'key == "([a-z0-9_.+]+)"')
+# A spec-key table row: lowercase key in the first cell (environment
+# variables are upper case and CLI flags start with '-').
+SPEC_ROW_RE = re.compile(r"^\| `([a-z][a-z0-9_.+]*)` \|", re.MULTILINE)
 MD_LINK_RE = re.compile(r"\]\(([^)#]+?)(?:#[^)]*)?\)")
 DOC_COMMENT_WINDOW = 12  # lines to search for the file-level /// block
 
@@ -60,6 +65,9 @@ def check_spec_keys(root):
     for key in keys:
         if f"`{key}`" not in reference and key not in reference:
             yield f"docs/spec-reference.md: spec key '{key}' is undocumented"
+    for key in sorted(set(SPEC_ROW_RE.findall(reference)) - set(keys)):
+        yield (f"docs/spec-reference.md: row for '{key}', which the spec parser "
+               f"does not accept")
 
 
 def check_markdown_links(root):

@@ -42,7 +42,7 @@ int main() {
   // ...then deliver through the tsi/tso concatenation. Backend::Reference is
   // the scalar tester oracle; the default (Auto) is pooled 64-lane delivery.
   const ScanTestResult delivery = session.run_scan_test(
-      atpg.patterns, {.access = ScanAccess::TestMode, .backend = Backend::Reference});
+      atpg.patterns, {.backend = Backend::Reference});
   std::cout << "delivered " << delivery.patterns_applied
             << " patterns through tsi/tso: " << delivery.mismatches
             << " mismatches\n";

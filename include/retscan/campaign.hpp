@@ -1,6 +1,6 @@
 #pragma once
 
-/// retscan v1 public surface — declarative campaigns.
+/// retscan public surface — declarative campaigns.
 ///
 /// One spec describes any of the library's statistical workloads —
 /// validation campaigns, fault-injection campaigns, fault-coverage /
@@ -8,8 +8,9 @@
 /// measurements, and manufacturing scan-test deliveries — with uniform
 /// seed / threads / shard knobs, and `run(Session&, spec)` routes it to
 /// the fastest backend the session can offer (or exactly the backend you
-/// pin). Same seed → bit-identical results, at any thread count, on any
-/// backend that has a legacy equivalent (asserted by tests/test_api.cpp).
+/// pin). Same seed → bit-identical results at any thread count, and on
+/// every backend that computes the same thing (asserted by
+/// tests/test_api.cpp).
 
 #include <cstddef>
 #include <cstdint>
@@ -57,35 +58,23 @@ enum class ValidationTier {
   Structural, ///< gate-level simulated ProtectedDesign (slow, exact)
 };
 
-/// How scan-test patterns reach the design. FullWidth applies only to
-/// plain scanned netlists — in a ProtectedDesign the per-chain si ports
-/// are superseded by the monitor feedback muxes, so Sessions (which always
-/// wrap a ProtectedDesign) reject it with an explanatory error; drive
-/// apply_scan_test on a pre-monitor netlist directly for that flow.
-enum class ScanAccess {
-  TestMode,  ///< narrow tsi/tso ports, Fig. 5(b) concatenation
-  FullWidth, ///< per-chain si/so ports (pre-monitor netlists only)
-};
-
 /// Canonical spellings — exactly the values the spec-file format and the
 /// `retscan` CLI accept ("validation", "packed-parallel", "rush-model", ...).
 const char* to_string(CampaignKind kind);
 const char* to_string(Backend backend);
 const char* to_string(ValidationTier tier);
-const char* to_string(ScanAccess access);
 const char* to_string(InjectionMode mode);
 
 /// Inverse of to_string; returns false (out untouched) on unknown text.
 bool from_string(std::string_view text, CampaignKind& out);
 bool from_string(std::string_view text, Backend& out);
 bool from_string(std::string_view text, ValidationTier& out);
-bool from_string(std::string_view text, ScanAccess& out);
 bool from_string(std::string_view text, InjectionMode& out);
 
-/// Options for Session::run_scan_test — the unified replacement for the
-/// five legacy `apply_*scan_test*` overloads.
+/// Options for Session::run_scan_test. Deliveries always go through the
+/// Fig. 5(b) test-mode ports: a ProtectedDesign's per-chain si ports are
+/// superseded by the monitor feedback muxes.
 struct ScanTestOptions {
-  ScanAccess access = ScanAccess::TestMode;
   Backend backend = Backend::Auto;
   /// PackedParallel: pattern count per pool shard (64-lane aligned).
   std::size_t patterns_per_shard = 256;
@@ -109,7 +98,9 @@ struct CampaignSpec {
   /// Worker threads for PackedParallel backends; 0 → the session's pool
   /// (RETSCAN_THREADS / hardware_concurrency).
   unsigned threads = 0;
-  /// Trials (or fault-list entries) per pool shard; 0 → backend default.
+  /// Trials (validation kinds), fault-list entries (coverage kinds) or
+  /// patterns (scan-test, floored to whole 64-lane batches) per pool shard;
+  /// 0 → the kind's default. PackedParallel / Auto only.
   std::size_t shard_size = 0;
 
   // --- Validation / Injection ------------------------------------------
@@ -136,9 +127,6 @@ struct CampaignSpec {
   /// (pattern k launches, k+1 captures), so N patterns exercise N-1
   /// transitions; Bridging replays the same set per bridge.
   AtpgOptions atpg{};
-  ScanAccess access = ScanAccess::TestMode;
-  /// ScanTest PackedParallel: patterns per pool shard.
-  std::size_t patterns_per_shard = 256;
 
   // --- SequentialCoverage ----------------------------------------------
   /// Clock cycles per random primary-input sequence; `sequences` (above)
@@ -209,7 +197,7 @@ struct CampaignResult {
 
 /// Reject unrunnable specs with an actionable message (thrown as
 /// retscan::Error): zero trial counts, injection with nothing to inject,
-/// backends that don't exist for the tier/access, sessions lacking the
+/// backends that don't exist for the tier, sessions lacking the
 /// golden model a validation campaign needs, bad shard sizes.
 void validate(const CampaignSpec& spec, const Session& session);
 

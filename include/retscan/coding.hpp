@@ -1,6 +1,6 @@
 #pragma once
 
-/// retscan v1 public surface — coding layer.
+/// retscan public surface — coding layer.
 ///
 /// The behavioral codecs behind the state-monitoring blocks: CRC-16
 /// signatures, Hamming / SEC-DED correction, MISR compaction, and the

@@ -1,6 +1,6 @@
 #pragma once
 
-/// retscan v1 public surface — protected-design layer.
+/// retscan public surface — protected-design layer.
 ///
 /// The reliability-aware synthesis step (Fig. 4 of the paper) and its
 /// products: ProtectedDesign (retention scan chains + monitoring /

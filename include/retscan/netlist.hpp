@@ -1,6 +1,6 @@
 #pragma once
 
-/// retscan v1 public surface — netlist layer.
+/// retscan public surface — netlist layer.
 ///
 /// Gate-level netlists, the cell/tech libraries, the case-study circuit
 /// generators, the structural-Verilog frontend for externally-authored

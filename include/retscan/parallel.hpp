@@ -1,6 +1,6 @@
 #pragma once
 
-/// retscan v1 public surface — parallel orchestration layer.
+/// retscan public surface — parallel orchestration layer.
 ///
 /// The work-stealing thread pool and the shard-map-reduce campaign runner
 /// the pooled backends are built on. A Session owns one runner and routes

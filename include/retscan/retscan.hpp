@@ -1,6 +1,6 @@
 #pragma once
 
-/// retscan v1 — umbrella header: the whole public surface in one include.
+/// retscan — umbrella header: the whole public surface in one include.
 ///
 ///   #include "retscan/retscan.hpp"
 ///

@@ -1,6 +1,6 @@
 #pragma once
 
-/// retscan v1 public surface — campaign service tier.
+/// retscan public surface — campaign service tier.
 ///
 /// The `retscan serve` daemon and its client: spec-file jobs over a local
 /// Unix-domain socket (line-delimited JSON), multiplexed onto one shared

@@ -1,6 +1,6 @@
 #pragma once
 
-/// retscan v1 public surface — the Session facade.
+/// retscan public surface — the Session facade.
 ///
 /// A Session owns one protected design and every expensive artifact built
 /// from it — the gate-level ProtectedDesign, the capture-constrained
@@ -112,12 +112,10 @@ class Session {
   /// Run a declarative campaign; equivalent to retscan::run(*this, spec).
   CampaignResult run(const CampaignSpec& spec);
 
-  /// Deliver a pattern set through the manufacturing-test scan fabric and
-  /// check responses — the one entry point replacing the legacy
-  /// apply_*scan_test* overloads. Backend Auto → pooled 64-lane delivery.
-  /// ScanAccess::FullWidth is rejected: a ProtectedDesign's per-chain si
-  /// ports are superseded by the monitor feedback muxes (see
-  /// retscan/campaign.hpp).
+  /// Deliver a pattern set through the design's Fig. 5(b) test-mode ports
+  /// and check responses: Reference runs the scalar delivery, Packed the
+  /// 64-lane delivery inline, PackedParallel (and Auto) shards it across
+  /// pool(). The scan-test campaign kind runs this same delivery.
   ScanTestResult run_scan_test(const std::vector<BitVec>& patterns,
                                const ScanTestOptions& options = {});
 

@@ -1,6 +1,6 @@
 #pragma once
 
-/// retscan v1 public surface — simulation layer.
+/// retscan public surface — simulation layer.
 ///
 /// The compiled simulation core and its two facades: the scalar Simulator
 /// (debug/VCD-friendly) and the 64-lane PackedSim batch engine, plus VCD

@@ -2,17 +2,17 @@
 
 /// retscan public API version. Mirrors the CMake project(VERSION) and the
 /// retscanConfigVersion.cmake compatibility file; bump all three together.
-/// The v1 surface is everything reachable from the include/retscan/ tree —
+/// The public surface is everything reachable from the include/retscan/ tree —
 /// internals under src/ (installed as retscan/detail/) carry no stability
 /// promise.
 
-#define RETSCAN_VERSION_MAJOR 1
+#define RETSCAN_VERSION_MAJOR 2
 #define RETSCAN_VERSION_MINOR 0
 #define RETSCAN_VERSION_PATCH 0
-#define RETSCAN_VERSION_STRING "1.0.0"
+#define RETSCAN_VERSION_STRING "2.0.0"
 
 /// Single comparable number: major * 10000 + minor * 100 + patch, so
-/// `#if RETSCAN_VERSION_NUMBER >= 10100` gates on "1.1.0 or later".
+/// `#if RETSCAN_VERSION_NUMBER >= 20100` gates on "2.1.0 or later".
 #define RETSCAN_VERSION_NUMBER                                  \
   (RETSCAN_VERSION_MAJOR * 10000 + RETSCAN_VERSION_MINOR * 100 + \
    RETSCAN_VERSION_PATCH)
@@ -23,7 +23,7 @@ constexpr int kVersionMajor = RETSCAN_VERSION_MAJOR;
 constexpr int kVersionMinor = RETSCAN_VERSION_MINOR;
 constexpr int kVersionPatch = RETSCAN_VERSION_PATCH;
 
-/// "1.0.0" — the canonical version string (also printed by `retscan
+/// "2.0.0" — the canonical version string (also printed by `retscan
 /// --version`).
 constexpr const char* version_string() noexcept { return RETSCAN_VERSION_STRING; }
 

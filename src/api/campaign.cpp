@@ -1,10 +1,3 @@
-// The campaign router is the one place that dispatches onto the pre-v1
-// entry points (testbenches, CampaignRunner, apply_* deliveries); calling
-// them here must not trip their deprecation attributes.
-#ifndef RETSCAN_SUPPRESS_DEPRECATED
-#define RETSCAN_SUPPRESS_DEPRECATED
-#endif
-
 #include "retscan/campaign.hpp"
 
 #include <unistd.h>
@@ -62,14 +55,6 @@ const char* to_string(ValidationTier tier) {
   return "?";
 }
 
-const char* to_string(ScanAccess access) {
-  switch (access) {
-    case ScanAccess::TestMode:  return "test-mode";
-    case ScanAccess::FullWidth: return "full-width";
-  }
-  return "?";
-}
-
 const char* to_string(InjectionMode mode) {
   switch (mode) {
     case InjectionMode::None:          return "none";
@@ -116,10 +101,6 @@ bool from_string(std::string_view text, ValidationTier& out) {
                           {ValidationTier::Behavioral, ValidationTier::Structural});
 }
 
-bool from_string(std::string_view text, ScanAccess& out) {
-  return enum_from_string(text, out, {ScanAccess::TestMode, ScanAccess::FullWidth});
-}
-
 bool from_string(std::string_view text, InjectionMode& out) {
   return enum_from_string(text, out,
                           {InjectionMode::None, InjectionMode::SingleRandom,
@@ -157,13 +138,6 @@ bool is_validation_kind(CampaignKind kind) {
 bool is_pattern_kind(CampaignKind kind) {
   return kind == CampaignKind::FaultCoverage || kind == CampaignKind::ScanTest ||
          kind == CampaignKind::TransitionDelay || kind == CampaignKind::Bridging;
-}
-
-/// Kinds whose result is a FaultSimResult coverage measurement.
-bool is_coverage_kind(CampaignKind kind) {
-  return kind == CampaignKind::FaultCoverage ||
-         kind == CampaignKind::TransitionDelay || kind == CampaignKind::Bridging ||
-         kind == CampaignKind::SequentialCoverage;
 }
 
 /// The session's geometry + the spec's workload, as the legacy testbenches
@@ -451,26 +425,12 @@ void validate(const CampaignSpec& spec, const Session& session) {
                "circuits)");
       }
     }
-    if (spec.kind == CampaignKind::ScanTest) {
-      if (spec.patterns_per_shard == 0) {
-        reject(spec,
-               "patterns_per_shard must be > 0 (it is floored to whole "
-               "64-lane batches, minimum one batch)");
-      }
-      if (spec.access == ScanAccess::FullWidth) {
-        reject(spec,
-               "full-width scan access only applies to plain scanned netlists — "
-               "in a ProtectedDesign the per-chain si ports are superseded by "
-               "the monitor feedback muxes, so responses would mismatch; use "
-               "ScanAccess::TestMode (the Fig. 5(b) tsi/tso concatenation), or "
-               "drive apply_scan_test on a pre-monitor netlist directly");
-      }
-    } else if (is_coverage_kind(spec.kind) && spec.shard_size != 0 &&
-               (spec.backend == Backend::Reference || spec.backend == Backend::Packed)) {
+    if (spec.shard_size != 0 &&
+        (spec.backend == Backend::Reference || spec.backend == Backend::Packed)) {
       reject(spec,
-             "shard_size only applies to the pooled fault simulator; "
-             "Backend::Reference and Backend::Packed run the serial path — "
-             "drop shard_size or pick Backend::PackedParallel");
+             "shard_size only applies to the pooled fault simulator and scan "
+             "delivery; Backend::Reference and Backend::Packed run the serial "
+             "path — drop shard_size or pick Backend::PackedParallel");
     }
   }
   if (spec.cycles != 0 && spec.kind != CampaignKind::SequentialCoverage) {
@@ -510,7 +470,8 @@ parallel::CampaignRunner& select_runner(
 }
 
 void run_validation(Session& session, const CampaignSpec& spec, Backend backend,
-                    const RunHooks& hooks, CampaignResult& result) {
+                    parallel::CampaignRunner* runner, const RunHooks& hooks,
+                    CampaignResult& result) {
   ValidationConfig config = validation_config(session, spec);
   const bool behavioral = spec.tier == ValidationTier::Behavioral;
   // Reference is the scalar full-sweep oracle the event scheduler is
@@ -521,91 +482,87 @@ void run_validation(Session& session, const CampaignSpec& spec, Backend backend,
     config.schedule = Schedule::Sweep;
   }
   result.schedule = runtime_schedule(config.schedule);
-  switch (backend) {
-    case Backend::Reference:
-      if (behavioral) {
-        result.validation = FastTestbench(config).run(spec.sequences);
-      } else {
-        StructuralTestbench bench(config);
-        result.validation = bench.run(spec.sequences);
-        result.activity = bench.take_telemetry();
-      }
-      result.threads = 1;
-      result.shard_count = 1;
-      result.shards_completed = 1;
-      break;
-    case Backend::Packed: {
+  if (runner == nullptr) {
+    // Reference / Packed: one unsharded pass.
+    if (backend == Backend::Reference && behavioral) {
+      result.validation = FastTestbench(config).run(spec.sequences);
+    } else {
       StructuralTestbench bench(config);
-      result.validation = bench.run_packed(spec.sequences);
+      result.validation = backend == Backend::Reference ? bench.run(spec.sequences)
+                                                        : bench.run_packed(spec.sequences);
       result.activity = bench.take_telemetry();
-      result.threads = 1;
-      result.shard_count = 1;
-      result.shards_completed = 1;
-      break;
     }
-    case Backend::PackedParallel:
-    default: {
-      std::unique_ptr<parallel::CampaignRunner> local;
-      parallel::CampaignRunner& runner = select_runner(session, spec, hooks, local);
-      // Durability hooks: a cancel token (SIGINT via the global flag plus
-      // the spec's deadline budget) and, when armed, the checkpoint
-      // journal. A service passes its own per-job token via RunHooks so it
-      // can cancel this campaign without touching the others; the deadline
-      // is armed on whichever token is in play. validate() has already
-      // vetted the checkpoint path and, for resume, the journal header —
-      // constructing the journal re-checks both anyway (TOCTOU-safe).
-      CancelToken local_cancel;
-      CancelToken* cancel = hooks.cancel != nullptr ? hooks.cancel : &local_cancel;
-      if (spec.deadline_ms) {
-        cancel->set_deadline_ms(*spec.deadline_ms);
-      }
-      parallel::RunControls controls;
-      controls.cancel = cancel;
-      controls.scheduler = hooks.scheduler;
-      controls.progress = hooks.progress;
-      std::unique_ptr<CampaignJournal> journal;
-      if (!spec.checkpoint.empty()) {
-        journal = std::make_unique<CampaignJournal>(
-            spec.checkpoint, campaign_fingerprint(spec, session), spec.seed,
-            spec.resume ? CampaignJournal::Mode::Resume
-                        : CampaignJournal::Mode::Truncate);
-        controls.journal = journal.get();
-      }
-      const parallel::CampaignReport report =
-          behavioral
-              ? runner.run_fast(config, spec.sequences, spec.shard_size, controls)
-              : runner.run_structural_packed(config, spec.sequences,
-                                             spec.shard_size, controls);
-      result.validation = report.stats;
-      result.activity = report.telemetry;
-      result.threads = report.threads;
-      result.shard_count = report.shard_count;
-      result.status = report.status;
-      result.shards_completed = report.shards_completed;
-      result.shards_resumed = report.shards_resumed;
-      break;
-    }
+    result.shard_count = 1;
+    result.shards_completed = 1;
+    return;
   }
+  // Durability hooks: a cancel token (SIGINT via the global flag plus the
+  // spec's deadline budget) and, when armed, the checkpoint journal. A
+  // service passes its own per-job token via RunHooks so it can cancel this
+  // campaign without touching the others; the deadline is armed on
+  // whichever token is in play. validate() has already vetted the
+  // checkpoint path and, for resume, the journal header — constructing the
+  // journal re-checks both anyway (TOCTOU-safe).
+  CancelToken local_cancel;
+  CancelToken* cancel = hooks.cancel != nullptr ? hooks.cancel : &local_cancel;
+  if (spec.deadline_ms) {
+    cancel->set_deadline_ms(*spec.deadline_ms);
+  }
+  parallel::RunControls controls;
+  controls.cancel = cancel;
+  controls.scheduler = hooks.scheduler;
+  controls.progress = hooks.progress;
+  std::unique_ptr<CampaignJournal> journal;
+  if (!spec.checkpoint.empty()) {
+    journal = std::make_unique<CampaignJournal>(
+        spec.checkpoint, campaign_fingerprint(spec, session), spec.seed,
+        spec.resume ? CampaignJournal::Mode::Resume : CampaignJournal::Mode::Truncate);
+    controls.journal = journal.get();
+  }
+  const parallel::CampaignReport report =
+      behavioral ? runner->run_fast(config, spec.sequences, spec.shard_size, controls)
+                 : runner->run_structural_packed(config, spec.sequences, spec.shard_size,
+                                                 controls);
+  result.validation = report.stats;
+  result.activity = report.telemetry;
+  result.shard_count = report.shard_count;
+  result.status = report.status;
+  result.shards_completed = report.shards_completed;
+  result.shards_resumed = report.shards_resumed;
 }
 
-/// The four coverage kinds: ATPG (except sequential), then one fault model
-/// through the shared fault-simulation driver. Reference and Packed
-/// coincide here — both run the driver inline, without a pool.
+/// The one scan-test delivery, behind both Session::run_scan_test and the
+/// scan-test campaign kind: the scalar reference on the session's retention
+/// driver, or the packed delivery — inline without a pool, sharded across
+/// `pool` with one.
+ScanTestResult deliver(Session& session, const std::vector<BitVec>& patterns,
+                       Backend backend, ThreadPool* pool, std::size_t shard_size) {
+  const ScanPorts ports = ScanPorts::test_mode_of(session.design());
+  if (backend == Backend::Reference) {
+    return deliver_scan_test(session.retention().sim(), ports, session.frame(), patterns);
+  }
+  return deliver_scan_test_packed(ports, session.frame(), patterns, pool, shard_size);
+}
+
+/// Every kind but the validation ones: ATPG (except sequential), then the
+/// scan delivery or one fault model through the shared fault-simulation
+/// driver. Without a pool (Reference / Packed) both run inline as one shard;
+/// only scan-test's Reference differs from Packed, as the scalar delivery.
 void run_coverage(Session& session, const CampaignSpec& spec, Backend backend,
-                  const RunHooks& hooks, CampaignResult& result) {
+                  ThreadPool* pool, CampaignResult& result) {
   const bool sequential = spec.kind == CampaignKind::SequentialCoverage;
   if (!sequential) {
     AtpgOptions options = spec.atpg;
     options.seed = spec.seed;
     result.atpg = run_atpg(session.frame(), session.faults(), options);
   }
-  std::unique_ptr<parallel::CampaignRunner> local;
-  ThreadPool* pool = nullptr;
-  result.threads = 1;
-  if (backend == Backend::PackedParallel) {
-    parallel::CampaignRunner& runner = select_runner(session, spec, hooks, local);
-    pool = &runner.pool();
-    result.threads = runner.threads();
+  const std::vector<BitVec>& patterns = result.atpg.patterns;
+  if (spec.kind == CampaignKind::ScanTest) {
+    const std::size_t shard =
+        scan_test_shard_size(spec.shard_size != 0 ? spec.shard_size : 256);
+    result.scan_test = deliver(session, patterns, backend, pool, shard);
+    result.shard_count = pool == nullptr ? 1 : (patterns.size() + shard - 1) / shard;
+    return;
   }
   const std::size_t fault_shard =
       spec.shard_size != 0 ? spec.shard_size : sequential ? 64 : 128;
@@ -615,7 +572,6 @@ void run_coverage(Session& session, const CampaignSpec& spec, Backend backend,
     result.faults = pool == nullptr ? simulate(faults) : simulate(faults, *pool, fault_shard);
     result.shard_count = pool == nullptr ? 1 : (faults.size() + fault_shard - 1) / fault_shard;
   };
-  const std::vector<BitVec>& patterns = result.atpg.patterns;
   switch (spec.kind) {
     case CampaignKind::FaultCoverage:
       run_model(session.faults(), [&](const auto& faults, auto&&... pooled) {
@@ -650,38 +606,35 @@ void run_coverage(Session& session, const CampaignSpec& spec, Backend backend,
   }
 }
 
-void run_scan_test_campaign(Session& session, const CampaignSpec& spec,
-                            Backend backend, const RunHooks& hooks,
-                            CampaignResult& result) {
-  AtpgOptions options = spec.atpg;
-  options.seed = spec.seed;
-  result.atpg = run_atpg(session.frame(), session.faults(), options);
-  if (backend == Backend::PackedParallel) {
-    // Routed directly (not via Session::run_scan_test, which always uses the
-    // session's shared pool) so the spec's threads knob is honored here too.
-    std::unique_ptr<parallel::CampaignRunner> local;
-    parallel::CampaignRunner& runner = select_runner(session, spec, hooks, local);
-    result.scan_test =
-        apply_test_mode_scan_test_packed(session.design(), session.frame(),
-                                         result.atpg.patterns, runner.pool(),
-                                         spec.patterns_per_shard);
-    const std::size_t per_shard =
-        test_mode_patterns_per_shard(spec.patterns_per_shard);
-    result.threads = runner.threads();
-    result.shard_count =
-        (result.atpg.patterns.size() + per_shard - 1) / per_shard;
-  } else {
-    ScanTestOptions delivery;
-    delivery.access = spec.access;
-    delivery.backend = backend;
-    delivery.patterns_per_shard = spec.patterns_per_shard;
-    result.scan_test = session.run_scan_test(result.atpg.patterns, delivery);
-    result.threads = 1;
-    result.shard_count = 1;
-  }
-}
-
 }  // namespace
+
+ScanTestResult Session::run_scan_test(const std::vector<BitVec>& patterns,
+                                      const ScanTestOptions& options) {
+  if (!protected_) {
+    throw Error(
+        "Session::run_scan_test: bare sessions have no scan fabric to deliver "
+        "patterns through — wrap the netlist in a ProtectionConfig (it needs "
+        "flip-flops), or run a fault-coverage campaign instead");
+  }
+  RETSCAN_CHECK(options.patterns_per_shard > 0,
+                "Session::run_scan_test: patterns_per_shard must be > 0 (it is "
+                "floored to whole 64-lane batches, minimum one batch)");
+  CombinationalFrame& test_frame = frame();
+  for (const BitVec& pattern : patterns) {
+    if (pattern.size() != test_frame.pattern_width()) {
+      throw Error("Session::run_scan_test: pattern width " +
+                  std::to_string(pattern.size()) + " does not match the frame's " +
+                  std::to_string(test_frame.pattern_width()) +
+                  " (PIs + scan flops) — generate patterns with run_atpg() or "
+                  "CombinationalFrame::random_pattern()");
+    }
+  }
+  const Backend backend =
+      options.backend == Backend::Auto ? Backend::PackedParallel : options.backend;
+  return deliver(*this, patterns, backend,
+                 backend == Backend::PackedParallel ? &pool() : nullptr,
+                 options.patterns_per_shard);
+}
 
 CampaignResult run(Session& session, const CampaignSpec& spec) {
   return run(session, spec, RunHooks{});
@@ -694,20 +647,17 @@ CampaignResult run(Session& session, const CampaignSpec& spec,
   result.kind = spec.kind;
   result.backend = backend;
   const auto start = std::chrono::steady_clock::now();
-  switch (spec.kind) {
-    case CampaignKind::Validation:
-    case CampaignKind::Injection:
-      run_validation(session, spec, backend, hooks, result);
-      break;
-    case CampaignKind::ScanTest:
-      run_scan_test_campaign(session, spec, backend, hooks, result);
-      break;
-    case CampaignKind::FaultCoverage:
-    case CampaignKind::TransitionDelay:
-    case CampaignKind::Bridging:
-    case CampaignKind::SequentialCoverage:
-      run_coverage(session, spec, backend, hooks, result);
-      break;
+  // Only PackedParallel runs on a pool; every kind gets it from here.
+  std::unique_ptr<parallel::CampaignRunner> local;
+  parallel::CampaignRunner* runner =
+      backend == Backend::PackedParallel ? &select_runner(session, spec, hooks, local)
+                                         : nullptr;
+  result.threads = runner != nullptr ? runner->threads() : 1;
+  if (is_validation_kind(spec.kind)) {
+    run_validation(session, spec, backend, runner, hooks, result);
+  } else {
+    run_coverage(session, spec, backend, runner != nullptr ? &runner->pool() : nullptr,
+                 result);
   }
   result.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
@@ -831,8 +781,6 @@ void apply_spec_key(SpecFile& file, const std::string& key, const std::string& v
   else if (key == "campaign.mode")               c.mode = parse_spec_enum<InjectionMode>(value, line, "none, single-random, multiple-burst, rush-model");
   else if (key == "campaign.burst_size")         c.burst_size = parse_spec_u64(value, line);
   else if (key == "campaign.burst_spread")       c.burst_spread = parse_spec_u64(value, line);
-  else if (key == "campaign.access")             c.access = parse_spec_enum<ScanAccess>(value, line, "test-mode, full-width");
-  else if (key == "campaign.patterns_per_shard") c.patterns_per_shard = parse_spec_u64(value, line);
   else if (key == "campaign.checkpoint" || key == "checkpoint") c.checkpoint = value;
   else if (key == "campaign.resume" || key == "resume")         c.resume = parse_spec_bool(value, line);
   else if (key == "campaign.deadline_ms" || key == "deadline_ms") c.deadline_ms = parse_spec_u64(value, line);

@@ -1,15 +1,8 @@
-// The Session facade's backends route onto the pre-v1 entry points; calling
-// them here must not trip their deprecation attributes.
-#ifndef RETSCAN_SUPPRESS_DEPRECATED
-#define RETSCAN_SUPPRESS_DEPRECATED
-#endif
-
 #include "retscan/session.hpp"
 
 #include <string>
 
 #include "atpg/atpg.hpp"
-#include "atpg/scan_test.hpp"
 #include "circuits/fifo.hpp"
 #include "netlist/lint.hpp"
 #include "netlist/verilog_reader.hpp"
@@ -183,52 +176,8 @@ CampaignResult Session::run(const CampaignSpec& spec) {
   return ::retscan::run(*this, spec);
 }
 
-ScanTestResult Session::run_scan_test(const std::vector<BitVec>& patterns,
-                                      const ScanTestOptions& options) {
-  if (!protected_) {
-    throw Error(
-        "Session::run_scan_test: bare sessions have no scan fabric to deliver "
-        "patterns through — wrap the netlist in a ProtectionConfig (it needs "
-        "flip-flops), or run a fault-coverage campaign instead");
-  }
-  if (options.access == ScanAccess::FullWidth) {
-    throw Error(
-        "Session::run_scan_test: full-width scan access only applies to plain "
-        "scanned netlists — in a ProtectedDesign the per-chain si ports are "
-        "superseded by the monitor feedback muxes, so responses would "
-        "mismatch; use ScanAccess::TestMode (the Fig. 5(b) tsi/tso "
-        "concatenation), or drive apply_scan_test on a pre-monitor netlist "
-        "directly");
-  }
-  Backend backend = options.backend;
-  if (backend == Backend::Auto) {
-    backend = Backend::PackedParallel;
-  }
-  RETSCAN_CHECK(options.patterns_per_shard > 0,
-                "Session::run_scan_test: patterns_per_shard must be > 0 (it is "
-                "floored to whole 64-lane batches, minimum one batch)");
-  CombinationalFrame& test_frame = frame();
-  for (const BitVec& pattern : patterns) {
-    if (pattern.size() != test_frame.pattern_width()) {
-      throw Error("Session::run_scan_test: pattern width " +
-                  std::to_string(pattern.size()) + " does not match the frame's " +
-                  std::to_string(test_frame.pattern_width()) +
-                  " (PIs + scan flops) — generate patterns with run_atpg() or "
-                  "CombinationalFrame::random_pattern()");
-    }
-  }
-
-  switch (backend) {
-    case Backend::Reference:
-      return apply_test_mode_scan_test(retention(), design(), test_frame, patterns);
-    case Backend::Packed:
-      return apply_test_mode_scan_test_packed(design(), test_frame, patterns);
-    case Backend::PackedParallel:
-    default:
-      return apply_test_mode_scan_test_packed(design(), test_frame, patterns,
-                                              pool(), options.patterns_per_shard);
-  }
-}
+// Session::run_scan_test is defined in campaign.cpp, beside the scan-test
+// campaign route that shares its delivery.
 
 AtpgResult Session::run_atpg(const AtpgOptions& options) {
   return ::retscan::run_atpg(frame(), faults(), options);

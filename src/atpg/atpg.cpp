@@ -1,7 +1,5 @@
 #include "atpg/atpg.hpp"
 
-#include <limits>
-
 namespace retscan {
 
 AtpgResult run_atpg(const CombinationalFrame& frame, const std::vector<Fault>& faults,
@@ -10,37 +8,30 @@ AtpgResult run_atpg(const CombinationalFrame& frame, const std::vector<Fault>& f
   result.total_faults = faults.size();
   Rng rng(options.seed);
 
+  // --- Phase 1: the random budget through the fault simulator, with fault
+  // dropping. A pattern is kept iff it is some fault's first detection
+  // (reverse compaction).
+  std::vector<BitVec> random;
+  random.reserve(options.random_patterns);
+  for (std::size_t i = 0; i < options.random_patterns; ++i) {
+    random.push_back(frame.random_pattern(rng));
+  }
+  const FaultSimResult first = fault_simulate(frame, faults, random);
   std::vector<bool> detected(faults.size(), false);
-  std::size_t remaining = faults.size();
-
-  // --- Phase 1: random patterns, 64 at a time, with fault dropping.
-  for (std::size_t base = 0; base < options.random_patterns && remaining > 0; base += 64) {
-    const std::size_t count = std::min<std::size_t>(64, options.random_patterns - base);
-    std::vector<BitVec> batch;
-    batch.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      batch.push_back(frame.random_pattern(rng));
-    }
-    const CombinationalFrame::LoadedPatternBatch loaded = frame.load_batch(batch);
-    std::uint64_t useful = 0;  // patterns that detected something new
-    for (std::size_t fi = 0; fi < faults.size(); ++fi) {
-      if (detected[fi]) {
-        continue;
-      }
-      const std::uint64_t mask = frame.detect_mask(faults[fi], loaded, loaded.good);
-      if (mask != 0) {
-        detected[fi] = true;
-        ++result.detected_random;
-        --remaining;
-        useful |= mask & (~mask + 1);  // credit the first detecting pattern
-      }
-    }
-    for (std::size_t i = 0; i < count; ++i) {
-      if ((useful >> i) & 1u) {
-        result.patterns.push_back(batch[i]);
-      }
+  std::vector<bool> useful(random.size(), false);
+  for (std::size_t fi = 0; fi < faults.size(); ++fi) {
+    if (first.detected_by[fi] != FaultSimResult::npos) {
+      detected[fi] = true;
+      useful[first.detected_by[fi]] = true;
     }
   }
+  for (std::size_t i = 0; i < random.size(); ++i) {
+    if (useful[i]) {
+      result.patterns.push_back(std::move(random[i]));
+    }
+  }
+  result.detected_random = first.detected;
+  std::size_t remaining = faults.size() - first.detected;
 
   // --- Phase 2: PODEM top-up.
   if (options.run_podem && remaining > 0) {
@@ -69,7 +60,7 @@ AtpgResult run_atpg(const CombinationalFrame& frame, const std::vector<Fault>& f
         if (detected[fj]) {
           continue;
         }
-        if (frame.detect_mask(faults[fj], loaded, loaded.good) != 0) {
+        if (block_any(frame.detect_block(faults[fj], loaded, loaded.good))) {
           detected[fj] = true;
           ++result.detected_podem;
           --remaining;

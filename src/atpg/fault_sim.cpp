@@ -244,51 +244,6 @@ LaneBlock CombinationalFrame::replay_span(
   return mask & block_lane_mask(batch.count);
 }
 
-std::uint64_t CombinationalFrame::detect_mask(
-    const Fault& fault, const LoadedPatternBatch& batch,
-    const std::vector<LaneBlock>& good_blocks) const {
-  return detect_mask(fault, batch, good_blocks, scratch_);
-}
-
-std::uint64_t CombinationalFrame::detect_mask(
-    const Fault& fault, const LoadedPatternBatch& batch,
-    const std::vector<LaneBlock>& good_blocks, Workspace& workspace) const {
-  return detect_mask(fault, fault_cone(fault.net), batch, good_blocks, workspace);
-}
-
-std::uint64_t CombinationalFrame::detect_mask(
-    const Fault& fault, const FaultCone& fc, const LoadedPatternBatch& batch,
-    const std::vector<LaneBlock>& good_blocks, Workspace& workspace) const {
-  RETSCAN_CHECK(batch.count <= kLaneCount,
-                "CombinationalFrame::detect_mask: batch wider than one word");
-  return detect_block(fault, fc, batch, good_blocks, workspace).w[0];
-}
-
-std::uint64_t CombinationalFrame::detect_mask(
-    const Fault& fault, const std::vector<BitVec>& patterns,
-    const std::vector<std::uint64_t>& good_words) const {
-  RETSCAN_CHECK(patterns.size() <= kLaneCount,
-                "CombinationalFrame::detect_mask: more than 64 patterns");
-  // Widen the caller's good words (lanes 0..63) into blocks; lanes beyond
-  // the batch count are silenced by the final block mask.
-  std::vector<LaneBlock> good_blocks(good_words.size(), LaneBlock{});
-  for (std::size_t i = 0; i < good_words.size(); ++i) {
-    good_blocks[i].w[0] = good_words[i];
-  }
-  return detect_mask(fault, load_batch(patterns), good_blocks);
-}
-
-std::uint64_t CombinationalFrame::detect_mask(const Fault& fault,
-                                              const std::vector<BitVec>& patterns,
-                                              const std::vector<BitVec>& good) const {
-  RETSCAN_CHECK(patterns.size() == good.size(),
-                "CombinationalFrame::detect_mask: good responses missing");
-  if (patterns.empty()) {
-    return 0;
-  }
-  return detect_mask(fault, patterns, pack_lanes(good));
-}
-
 std::uint64_t CombinationalFrame::detect_mask_full(
     const Fault& fault, const std::vector<BitVec>& patterns,
     const std::vector<std::uint64_t>& good_words) const {

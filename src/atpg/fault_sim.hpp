@@ -101,7 +101,7 @@ class CombinationalFrame {
   /// The cone of a fault site, built on first use and cached (thread-safe,
   /// one lock per call; the returned reference stays valid for the frame's
   /// lifetime). Hot loops resolve this once per fault and pass it to the
-  /// cone-taking detect_mask overload so the cache lock stays out of the
+  /// cone-taking detect_block overload so the cache lock stays out of the
   /// inner loop. The cache holds every queried site's cone — O(sites x
   /// average cone size) words total, the time/space trade that makes
   /// per-fault evaluation O(cone); for circuits where that footprint is too
@@ -141,24 +141,6 @@ class CombinationalFrame {
                          const LoadedPatternBatch& batch,
                          const std::vector<LaneBlock>& good_blocks,
                          Workspace& workspace) const;
-
-  /// Single-word wrappers over detect_block for batches of at most 64
-  /// patterns (the ATPG generation granularity): bit p of the returned word
-  /// is set iff pattern p detects the fault.
-  std::uint64_t detect_mask(const Fault& fault, const LoadedPatternBatch& batch,
-                            const std::vector<LaneBlock>& good_blocks) const;
-  std::uint64_t detect_mask(const Fault& fault, const LoadedPatternBatch& batch,
-                            const std::vector<LaneBlock>& good_blocks,
-                            Workspace& workspace) const;
-  std::uint64_t detect_mask(const Fault& fault, const FaultCone& cone,
-                            const LoadedPatternBatch& batch,
-                            const std::vector<LaneBlock>& good_blocks,
-                            Workspace& workspace) const;
-  std::uint64_t detect_mask(const Fault& fault, const std::vector<BitVec>& patterns,
-                            const std::vector<std::uint64_t>& good_words) const;
-  /// Convenience overload taking per-pattern good responses.
-  std::uint64_t detect_mask(const Fault& fault, const std::vector<BitVec>& patterns,
-                            const std::vector<BitVec>& good) const;
 
   /// Reference full-circuit detection through the retained interpreter path
   /// (per-Cell walk, NetId-indexed values, no cones): the independent oracle

@@ -60,7 +60,9 @@ struct PatternBlocks {
 /// Each shard walks the batches in order and drops a fault at its first
 /// detecting block, so detected_by[i] = b * kLaneBlockBits + first lane is
 /// a pure function of (fault, stimulus) at any shard size and thread count.
-/// Without a pool the same loop runs inline as one shard.
+/// Without a pool the same loop runs inline as one shard, which loads each
+/// block when it reaches it and frees it after: one block is resident, and
+/// blocks past the last live fault are never loaded.
 template <typename Model, typename FaultT>
 FaultSimResult simulate_faults(const Model& model, const std::vector<FaultT>& faults,
                                ThreadPool* pool, std::size_t fault_shard) {
@@ -82,8 +84,11 @@ FaultSimResult simulate_faults(const Model& model, const std::vector<FaultT>& fa
     }
   };
 
+  // Pooled shards share every block, loaded up front; the inline shard
+  // loads its own as it goes.
   std::vector<typename Model::Batch> batches(batch_count);
-  for_each(batch_count, [&](std::size_t b) { batches[b] = model.load(b); });
+  for_each(pool != nullptr ? batch_count : 0,
+           [&](std::size_t b) { batches[b] = model.load(b); });
 
   // Each shard owns its detected_by slots (disjoint writes) and scratch.
   const std::size_t shard =
@@ -103,6 +108,9 @@ FaultSimResult simulate_faults(const Model& model, const std::vector<FaultT>& fa
     }
     typename Model::Scratch scratch = model.scratch();
     for (std::size_t b = 0; b < batch_count && !live.empty(); ++b) {
+      if (pool == nullptr) {
+        batches[b] = model.load(b);
+      }
       std::size_t kept = 0;
       for (const std::size_t fi : live) {
         const LaneBlock mask =
@@ -115,6 +123,9 @@ FaultSimResult simulate_faults(const Model& model, const std::vector<FaultT>& fa
         }
       }
       live.resize(kept);
+      if (pool == nullptr) {
+        batches[b] = {};
+      }
     }
   });
   for (const std::size_t count : shard_detected) {

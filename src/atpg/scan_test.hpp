@@ -10,6 +10,7 @@
 #include "sim/packed_sim.hpp"
 #include "sim/simulator.hpp"
 #include "util/bitvec.hpp"
+#include "util/thread_pool.hpp"
 
 namespace retscan {
 
@@ -19,24 +20,33 @@ namespace retscan {
 /// the Section III claim: the monitoring chain configuration, concatenated
 /// per Fig. 5(b), delivers exactly the same manufacturing test.
 ///
-/// The five apply_* overloads below are the pre-v1 delivery entry points;
-/// new code should route through Session::run_scan_test (retscan/session.hpp
-/// and the migration map in retscan/legacy.hpp), which picks among them
-/// from one options struct. They remain supported as the facade's backends;
-/// the attribute below warns external callers unless
-/// RETSCAN_SUPPRESS_DEPRECATED is defined before any retscan include.
-#if defined(RETSCAN_SUPPRESS_DEPRECATED)
-#define RETSCAN_DEPRECATED_DELIVERY
-#else
-#define RETSCAN_DEPRECATED_DELIVERY \
-  [[deprecated("route deliveries through retscan::Session::run_scan_test")]]
-#endif
+/// There is one delivery procedure and two ways to run it: the scalar
+/// reference (one pattern at a time) and the 64-lane packed delivery. Both
+/// shift through a ScanPorts map; Session::run_scan_test picks between them.
 
-/// Shard geometry of the pooled test-mode delivery: `requested` patterns
-/// per shard, floored to whole 64-lane batches (minimum one batch). The
-/// pooled delivery and CampaignResult::shard_count both derive their shard
-/// plan from this one function.
-inline std::size_t test_mode_patterns_per_shard(std::size_t requested) {
+/// The scan ports a delivery shifts through. Serial input g loads the chains
+/// of groups[g] back to back, so one load takes group size x chain length
+/// clocks. Full-width access is one chain per si port with no test_mode net.
+/// A ProtectedDesign supersedes its si ports with the monitor feedback muxes,
+/// so its only external scan access is the Fig. 5(b) concatenation behind
+/// the tsi ports, shifted with test_mode asserted.
+struct ScanPorts {
+  const ScanChains* chains = nullptr;
+  NetId test_mode = kNullNet;                    ///< held high while shifting
+  std::vector<NetId> inputs;                     ///< one serial input per group
+  std::vector<std::vector<std::size_t>> groups;  ///< chain indices, shift order
+
+  /// Per-chain si access of a plain scanned netlist.
+  static ScanPorts full_width(const ScanChains& chains);
+  /// tsi access of a protected design.
+  static ScanPorts test_mode_of(const ProtectedDesign& design);
+};
+
+/// Shard geometry of the pooled delivery: `requested` patterns per shard,
+/// floored to whole 64-lane batches (minimum one batch), so every shard plan
+/// forms the same batches. The delivery and CampaignResult::shard_count both
+/// derive their shard plan from this one function.
+inline std::size_t scan_test_shard_size(std::size_t requested) {
   const std::size_t lanes = PackedSim::lane_count();
   return std::max<std::size_t>(lanes, requested / lanes * lanes);
 }
@@ -48,47 +58,22 @@ struct ScanTestResult {
   bool all_passed() const { return mismatches == 0; }
 };
 
-/// Apply patterns to a plain scanned design through its per-chain si/so
-/// ports (full-width scan access).
-RETSCAN_DEPRECATED_DELIVERY
-ScanTestResult apply_scan_test(Simulator& sim, const ScanChains& chains,
-                               const CombinationalFrame& frame,
-                               const std::vector<BitVec>& patterns);
+/// The reference delivery: each pattern is shifted in, captured and checked
+/// on a scalar simulator of frame.netlist().
+ScanTestResult deliver_scan_test(Simulator& sim, const ScanPorts& ports,
+                                 const CombinationalFrame& frame,
+                                 const std::vector<BitVec>& patterns);
 
-/// 64-way parallel-pattern variant: each PackedSim lane shifts, captures and
-/// checks a different pattern, so a whole 64-pattern batch costs one scan
-/// load plus one capture cycle. This is the coverage-run workhorse.
-RETSCAN_DEPRECATED_DELIVERY
-ScanTestResult apply_scan_test(PackedSim& sim, const ScanChains& chains,
-                               const CombinationalFrame& frame,
-                               const std::vector<BitVec>& patterns);
-
-/// Apply patterns to a ProtectedDesign through the narrow manufacturing
-/// test ports tsi/tso with test_mode asserted, exercising the Fig. 5(b)
-/// concatenation muxes. Shift depth is (W/T) * l per load/unload.
-RETSCAN_DEPRECATED_DELIVERY
-ScanTestResult apply_test_mode_scan_test(RetentionSession& session,
-                                         const ProtectedDesign& design,
-                                         const CombinationalFrame& frame,
-                                         const std::vector<BitVec>& patterns);
-
-/// 64-way parallel-pattern test-mode delivery: one lane per pattern through
-/// the same tsi/tso concatenation. Builds its own PackedSim over the design.
-RETSCAN_DEPRECATED_DELIVERY
-ScanTestResult apply_test_mode_scan_test_packed(const ProtectedDesign& design,
-                                                const CombinationalFrame& frame,
-                                                const std::vector<BitVec>& patterns);
-
-/// Multi-threaded 64-lane test-mode delivery: the pattern set is sharded
-/// into 64-lane-aligned chunks across the pool and every shard drives its
-/// own PackedSim over the design (scan loading fully overwrites the state
-/// each batch, so shards are independent and the merged result is
-/// identical to the single-threaded packed pass at any thread count).
-RETSCAN_DEPRECATED_DELIVERY
-ScanTestResult apply_test_mode_scan_test_packed(const ProtectedDesign& design,
-                                                const CombinationalFrame& frame,
-                                                const std::vector<BitVec>& patterns,
-                                                ThreadPool& pool,
-                                                std::size_t patterns_per_shard = 256);
+/// 64-way parallel-pattern delivery: each PackedSim lane shifts, captures and
+/// checks a different pattern, so a 64-pattern batch costs one scan load plus
+/// one capture cycle. With a pool, the patterns are cut into shards of
+/// scan_test_shard_size(shard_size), each driving its own PackedSim over
+/// frame.netlist(); without one the same loop runs inline as one shard.
+/// Scan loading overwrites every flop, so the result is the reference
+/// delivery's at any thread count and shard size.
+ScanTestResult deliver_scan_test_packed(const ScanPorts& ports,
+                                        const CombinationalFrame& frame,
+                                        const std::vector<BitVec>& patterns,
+                                        ThreadPool* pool, std::size_t shard_size = 256);
 
 }  // namespace retscan

@@ -133,8 +133,9 @@ struct SubmitOverrides {
 Json to_json(const SubmitOverrides& overrides);
 SubmitOverrides overrides_from_json(const Json& json);
 
-/// Apply overrides onto a parsed spec (same semantics as the `retscan run`
-/// flag loop). Throws retscan::Error on unknown backend/schedule names.
+/// Apply overrides onto a parsed spec: `retscan run` applies its flags
+/// through this, the daemon a submitted job's. Throws retscan::Error on
+/// unknown backend/schedule names.
 void apply_overrides(SpecFile& file, const SubmitOverrides& overrides);
 
 /// Map a terminal job state + summary to the `retscan run` exit-code

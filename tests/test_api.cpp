@@ -1,13 +1,12 @@
-// The retscan v1 public API: Session/CampaignSpec routing must reproduce
-// every legacy entry point bit-identically for the same seed (the facade is
-// a router, not a reimplementation), spec validation must reject unrunnable
+// The retscan public API: Session/CampaignSpec routing must reproduce the
+// engine-level entry points (testbenches, campaign runner, fault simulator,
+// scan deliveries) bit-identically for the same seed (the facade is a
+// router, not a reimplementation), spec validation must reject unrunnable
 // campaigns with actionable messages, and the spec-file parser + runtime
 // env helpers must parse strictly.
 //
 // This TU deliberately includes ONLY the public include/retscan/ surface —
-// it doubles as a compile test that the v1 headers are self-contained.
-
-#define RETSCAN_SUPPRESS_DEPRECATED  // legacy entry points are the oracles here
+// it doubles as a compile test that the public headers are self-contained.
 
 #include <cstdio>
 #include <cstdlib>
@@ -301,41 +300,32 @@ TEST(ApiScanTest, AllBackendsMatchLegacyDeliveries) {
   CombinationalFrame& frame = session.frame();
   const ProtectedDesign& design = session.design();
 
-  // Test-mode access, all three backends vs the three legacy entry points.
-  const ScanTestResult reference = session.run_scan_test(
-      atpg.patterns, {.access = ScanAccess::TestMode, .backend = Backend::Reference});
-  RetentionSession legacy_session(design);
-  const ScanTestResult legacy_reference =
-      apply_test_mode_scan_test(legacy_session, design, frame, atpg.patterns);
-  EXPECT_EQ(reference.patterns_applied, legacy_reference.patterns_applied);
-  EXPECT_EQ(reference.mismatches, legacy_reference.mismatches);
+  // All three backends vs the scalar and packed deliveries driven directly
+  // through the design's test-mode ports.
+  const ScanPorts ports = ScanPorts::test_mode_of(design);
+  const ScanTestResult reference =
+      session.run_scan_test(atpg.patterns, {.backend = Backend::Reference});
+  RetentionSession direct_session(design);
+  const ScanTestResult direct_reference =
+      deliver_scan_test(direct_session.sim(), ports, frame, atpg.patterns);
+  EXPECT_EQ(reference.patterns_applied, direct_reference.patterns_applied);
+  EXPECT_EQ(reference.mismatches, direct_reference.mismatches);
   EXPECT_TRUE(reference.all_passed());
 
-  const ScanTestResult packed = session.run_scan_test(
-      atpg.patterns, {.access = ScanAccess::TestMode, .backend = Backend::Packed});
-  const ScanTestResult legacy_packed =
-      apply_test_mode_scan_test_packed(design, frame, atpg.patterns);
-  EXPECT_EQ(packed.patterns_applied, legacy_packed.patterns_applied);
-  EXPECT_EQ(packed.mismatches, legacy_packed.mismatches);
+  const ScanTestResult packed =
+      session.run_scan_test(atpg.patterns, {.backend = Backend::Packed});
+  const ScanTestResult direct_packed =
+      deliver_scan_test_packed(ports, frame, atpg.patterns, nullptr);
+  EXPECT_EQ(packed.patterns_applied, direct_packed.patterns_applied);
+  EXPECT_EQ(packed.mismatches, direct_packed.mismatches);
 
   const ScanTestResult pooled = session.run_scan_test(
-      atpg.patterns, {.access = ScanAccess::TestMode,
-                      .backend = Backend::PackedParallel,
-                      .patterns_per_shard = 128});
-  const ScanTestResult legacy_pooled = apply_test_mode_scan_test_packed(
-      design, frame, atpg.patterns, session.pool(), 128);
-  EXPECT_EQ(pooled.patterns_applied, legacy_pooled.patterns_applied);
-  EXPECT_EQ(pooled.mismatches, legacy_pooled.mismatches);
+      atpg.patterns, {.backend = Backend::PackedParallel, .patterns_per_shard = 128});
+  const ScanTestResult direct_pooled =
+      deliver_scan_test_packed(ports, frame, atpg.patterns, &session.pool(), 128);
+  EXPECT_EQ(pooled.patterns_applied, direct_pooled.patterns_applied);
+  EXPECT_EQ(pooled.mismatches, direct_pooled.mismatches);
   EXPECT_TRUE(pooled.all_passed());
-
-  // Full-width si/so access is rejected on protected designs: those ports
-  // are superseded by the monitor feedback muxes, so silently delivering
-  // through them would report phantom mismatches.
-  EXPECT_NE(error_message([&] {
-              session.run_scan_test(atpg.patterns,
-                                    {.access = ScanAccess::FullWidth});
-            }).find("monitor feedback muxes"),
-            std::string::npos);
 }
 
 TEST(ApiScanTest, CampaignKindRunsAtpgAndDelivery) {
@@ -359,6 +349,38 @@ TEST(ApiScanTest, CampaignKindRunsAtpgAndDelivery) {
   EXPECT_EQ(two_threads.scan_test.patterns_applied,
             result.scan_test.patterns_applied);
   EXPECT_EQ(two_threads.scan_test.mismatches, result.scan_test.mismatches);
+}
+
+/// shard_size cuts scan-test deliveries into whole 64-lane batches: the
+/// shard plan follows it, the delivery verdict does not. Reference and
+/// Packed run unsharded and reject it.
+TEST(ApiScanTest, ShardSizeSetsTheDeliveryShards) {
+  Session session = gate_session();
+  CampaignSpec spec;
+  spec.kind = CampaignKind::ScanTest;
+  spec.atpg.random_patterns = 2048;
+  spec.atpg.run_podem = false;
+  const CampaignResult by_default = session.run(spec);
+  const std::size_t patterns = by_default.atpg.patterns.size();
+  ASSERT_GT(patterns, 64u);  // more than one shard at 64 patterns each
+  EXPECT_EQ(by_default.shard_count, (patterns + 255) / 256);
+
+  // 100 floors to one 64-lane batch per shard.
+  for (const auto& [shard_size, per_shard] :
+       {std::pair<std::size_t, std::size_t>{64, 64}, {100, 64}, {128, 128}}) {
+    spec.shard_size = shard_size;
+    const CampaignResult sharded = session.run(spec);
+    EXPECT_EQ(sharded.shard_count, (patterns + per_shard - 1) / per_shard) << shard_size;
+    EXPECT_EQ(sharded.scan_test.patterns_applied, by_default.scan_test.patterns_applied);
+    EXPECT_EQ(sharded.scan_test.mismatches, by_default.scan_test.mismatches);
+  }
+
+  for (const Backend serial : {Backend::Reference, Backend::Packed}) {
+    spec.backend = serial;
+    EXPECT_NE(error_message([&] { validate(spec, session); }).find("shard_size"),
+              std::string::npos)
+        << to_string(serial);
+  }
 }
 
 // --- spec validation --------------------------------------------------------
@@ -425,13 +447,6 @@ TEST(ApiValidate, RejectsUnrunnableSpecs) {
   no_patterns.atpg.run_podem = false;
   EXPECT_NE(error_message([&] { validate(no_patterns, session); })
                 .find("empty pattern set"),
-            std::string::npos);
-
-  CampaignSpec full_width;
-  full_width.kind = CampaignKind::ScanTest;
-  full_width.access = ScanAccess::FullWidth;
-  EXPECT_NE(error_message([&] { validate(full_width, session); })
-                .find("monitor feedback muxes"),
             std::string::npos);
 
   // Explicit event scheduling needs a gate-level sweep to schedule:
@@ -628,9 +643,6 @@ TEST(ApiSession, RunScanTestRejectsBadPatternsAndOptions) {
   ScanTestOptions bad_shard;
   bad_shard.patterns_per_shard = 0;
   EXPECT_THROW(session.run_scan_test({}, bad_shard), Error);
-  ScanTestOptions full_width;
-  full_width.access = ScanAccess::FullWidth;
-  EXPECT_THROW(session.run_scan_test({}, full_width), Error);
 }
 
 // --- spec files -------------------------------------------------------------
@@ -821,5 +833,5 @@ TEST(ApiVersion, ConstantsAgree) {
   EXPECT_STREQ(version_string(), RETSCAN_VERSION_STRING);
   EXPECT_EQ(RETSCAN_VERSION_NUMBER,
             kVersionMajor * 10000 + kVersionMinor * 100 + kVersionPatch);
-  EXPECT_EQ(kVersionMajor, 1);
+  EXPECT_EQ(kVersionMajor, 2);
 }

@@ -1,21 +1,24 @@
-// This file deliberately exercises the pre-v1 delivery entry points
-// (they are the backends the Session facade routes onto), so the
-// deprecation attributes are suppressed here.
-#define RETSCAN_SUPPRESS_DEPRECATED
-
 #include "atpg/atpg.hpp"
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <limits>
+#include <string>
 
 #include "atpg/scan_test.hpp"
 #include "scan/scan_insert.hpp"
 #include "circuits/fifo.hpp"
 #include "circuits/generators.hpp"
+#include "netlist/verilog_reader.hpp"
+#include "retscan/session.hpp"
 #include "scan/scan_io.hpp"
 #include "util/error.hpp"
+#include "util/fnv.hpp"
+
+#ifndef RETSCAN_CIRCUITS_DIR
+#define RETSCAN_CIRCUITS_DIR "bench/circuits"
+#endif
 
 namespace retscan {
 namespace {
@@ -98,13 +101,11 @@ TEST(FaultSim, SingleFaultDetection) {
     pat.set(1, (p >> 1) & 1);
     patterns.push_back(pat);
   }
-  std::vector<BitVec> good;
-  for (const auto& p : patterns) {
-    good.push_back(frame.good_response(p));
-  }
-  const std::uint64_t mask = frame.detect_mask(Fault{a, false}, patterns, good);
+  const auto loaded = frame.load_batch(patterns);
+  const std::uint64_t mask = frame.detect_block(Fault{a, false}, loaded, loaded.good).w[0];
   EXPECT_EQ(mask, 0b1000u);  // only pattern 3 (a=1, b=1)
-  const std::uint64_t mask_sa1 = frame.detect_mask(Fault{a, true}, patterns, good);
+  const std::uint64_t mask_sa1 =
+      frame.detect_block(Fault{a, true}, loaded, loaded.good).w[0];
   EXPECT_EQ(mask_sa1, 0b0100u);  // only pattern 2 (a=0, b=1)
 }
 
@@ -178,9 +179,8 @@ TEST(Podem, GeneratesTestsCrossCheckedByFaultSim) {
     if (result.success) {
       ++generated;
       // The generated pattern must actually detect the fault.
-      const std::vector<BitVec> batch{result.pattern};
-      const std::vector<BitVec> good{frame.good_response(result.pattern)};
-      EXPECT_NE(frame.detect_mask(fault, batch, good), 0u)
+      const auto loaded = frame.load_batch({result.pattern});
+      EXPECT_NE(frame.detect_block(fault, loaded, loaded.good).w[0], 0u)
           << fault_name(nl, fault);
     }
   }
@@ -255,7 +255,8 @@ TEST(ScanTest, PatternsPassThroughPlainChains) {
   EXPECT_GT(atpg.coverage(), 0.95);
 
   Simulator sim(nl);
-  const ScanTestResult applied = apply_scan_test(sim, chains, frame, atpg.patterns);
+  const ScanTestResult applied =
+      deliver_scan_test(sim, ScanPorts::full_width(chains), frame, atpg.patterns);
   EXPECT_EQ(applied.patterns_applied, atpg.patterns.size());
   EXPECT_TRUE(applied.all_passed());
 }
@@ -284,8 +285,8 @@ TEST(ScanTest, PatternsPassThroughTestModeConcatenation) {
   EXPECT_GT(atpg.patterns.size(), 0u);
 
   RetentionSession session(design);
-  const ScanTestResult via_test_ports =
-      apply_test_mode_scan_test(session, design, frame, atpg.patterns);
+  const ScanTestResult via_test_ports = deliver_scan_test(
+      session.sim(), ScanPorts::test_mode_of(design), frame, atpg.patterns);
   EXPECT_EQ(via_test_ports.patterns_applied, atpg.patterns.size());
   EXPECT_TRUE(via_test_ports.all_passed());
 
@@ -319,6 +320,102 @@ TEST(ScanTest, PatternsPassThroughTestModeConcatenation) {
     }
   }
   EXPECT_EQ(direct_mismatches, 0u);
+}
+
+// --- run_atpg pinned ---------------------------------------------------------
+
+std::string circuit_path(const char* file) {
+  return std::string(RETSCAN_CIRCUITS_DIR) + "/" + file;
+}
+
+/// A whole AtpgResult in seven numbers: the coverage accounting plus FNV-1a
+/// over every pattern's words, in pattern order.
+struct AtpgPin {
+  std::size_t total, detected_random, detected_podem, untestable, aborted, patterns;
+  std::uint64_t digest;
+};
+
+AtpgPin pin_of(const AtpgResult& result) {
+  Fnv1a h;
+  for (const BitVec& pattern : result.patterns) {
+    for (const std::uint64_t word : pattern.words()) {
+      h.add(word);
+    }
+  }
+  return {result.total_faults, result.detected_random, result.detected_podem,
+          result.untestable,   result.aborted,         result.patterns.size(),
+          h.hash};
+}
+
+/// Random budgets of 100 and 600 patterns (neither a multiple of 64, so the
+/// last random batch is partial), each with PODEM off and on. The pins were
+/// recorded before the random phase moved from 64-pattern batches onto the
+/// fault-simulation driver's lane blocks: a fault's first detecting pattern
+/// does not depend on the batch width, so neither does the pattern set.
+void expect_atpg_pinned(const CombinationalFrame& frame, const std::vector<Fault>& faults,
+                        const std::string& name, const AtpgPin (&golden)[4]) {
+  std::size_t row = 0;
+  for (const std::size_t budget : {std::size_t{100}, std::size_t{600}}) {
+    for (const bool podem : {false, true}) {
+      AtpgOptions options;
+      options.random_patterns = budget;
+      options.run_podem = podem;
+      options.max_backtracks = 50;
+      options.seed = 17;
+      const AtpgPin pin = pin_of(run_atpg(frame, faults, options));
+      const AtpgPin& want = golden[row++];
+      const std::string at = name + " random " + std::to_string(budget) +
+                             (podem ? " + podem" : "");
+      EXPECT_EQ(pin.total, want.total) << at;
+      EXPECT_EQ(pin.detected_random, want.detected_random) << at;
+      EXPECT_EQ(pin.detected_podem, want.detected_podem) << at;
+      EXPECT_EQ(pin.untestable, want.untestable) << at;
+      EXPECT_EQ(pin.aborted, want.aborted) << at;
+      EXPECT_EQ(pin.patterns, want.patterns) << at;
+      EXPECT_EQ(pin.digest, want.digest) << at;
+    }
+  }
+}
+
+void expect_import_pinned(const char* file, const AtpgPin (&golden)[4]) {
+  const Netlist nl = Netlist::from_verilog(circuit_path(file));
+  const CombinationalFrame frame(nl);
+  expect_atpg_pinned(frame, collapse_faults(nl, enumerate_faults(nl)), file, golden);
+}
+
+TEST(AtpgPinned, C17) {
+  // Every fault falls to the first six patterns, so PODEM never runs and the
+  // budget changes nothing.
+  const AtpgPin all_random{22, 22, 0, 0, 0, 6, 15683579272210780213ull};
+  expect_import_pinned("c17.v", {all_random, all_random, all_random, all_random});
+}
+
+TEST(AtpgPinned, Cmp1908) {
+  expect_import_pinned("cmp1908.v",
+                       {{1388, 1055, 0, 0, 0, 26, 13687611401577526870ull},
+                        {1388, 1055, 328, 5, 0, 109, 5908968420237105791ull},
+                        {1388, 1070, 0, 0, 0, 32, 16374895556662486756ull},
+                        {1388, 1070, 313, 5, 0, 110, 15058854446627367743ull}});
+}
+
+TEST(AtpgPinned, Ctrl344) {
+  expect_import_pinned("ctrl344.v", {{244, 239, 0, 0, 0, 14, 1330143841040298789ull},
+                                     {244, 239, 5, 0, 0, 19, 9687073970710593346ull},
+                                     {244, 243, 0, 0, 0, 18, 7586188088714864541ull},
+                                     {244, 243, 1, 0, 0, 19, 1536117444005872300ull}});
+}
+
+TEST(AtpgPinned, ProtectedFifoSlice) {
+  ProtectionConfig protection;
+  protection.kind = CodeKind::HammingPlusCrc;
+  protection.chain_count = 8;
+  protection.test_width = 4;
+  Session session(FifoSpec{32, 2}, protection);
+  expect_atpg_pinned(session.frame(), session.faults(), "fifo32x2",
+                     {{1658, 1269, 0, 0, 0, 59, 4993619901423712619ull},
+                      {1658, 1269, 50, 157, 182, 70, 9686416392427440565ull},
+                      {1658, 1319, 0, 0, 0, 70, 322470271282920412ull},
+                      {1658, 1319, 0, 157, 182, 70, 322470271282920412ull}});
 }
 
 }  // namespace

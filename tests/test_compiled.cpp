@@ -262,7 +262,7 @@ TEST(FaultCone, DetectMasksMatchFullReferenceOnRandomNetlists) {
       // Alternate batches fault-major so the workspace resync path runs.
       for (std::size_t b = 0; b < batches.size(); ++b) {
         const std::uint64_t cone_mask =
-            frame.detect_mask(fault, loaded[b], loaded[b].good, workspace);
+            frame.detect_block(fault, loaded[b], loaded[b].good, workspace).w[0];
         const std::uint64_t full_mask =
             frame.detect_mask_full(fault, batches[b], good_words[b]);
         ASSERT_EQ(cone_mask, full_mask)
@@ -294,7 +294,7 @@ TEST(FaultCone, DetectMasksMatchFullReferenceOnProtectedFifo) {
   const auto good_words = frame.good_response_words(patterns);
   CombinationalFrame::Workspace workspace;
   for (const Fault& fault : faults) {
-    ASSERT_EQ(frame.detect_mask(fault, loaded, loaded.good, workspace),
+    ASSERT_EQ(frame.detect_block(fault, loaded, loaded.good, workspace).w[0],
               frame.detect_mask_full(fault, patterns, good_words))
         << fault_name(design.netlist(), fault);
   }

@@ -1,8 +1,3 @@
-// This file deliberately exercises the pre-v1 delivery entry points
-// (they are the backends the Session facade routes onto), so the
-// deprecation attributes are suppressed here.
-#define RETSCAN_SUPPRESS_DEPRECATED
-
 // Cross-checks of the bit-parallel SimEngine facades: PackedSim lane 0 must
 // match the scalar Simulator bit-exactly over randomized netlists (including
 // power cycles and retention corruption), lanes must be fully independent,
@@ -348,10 +343,10 @@ TEST(PackedScanTest, MatchesScalarFullWidthDelivery) {
   const std::vector<BitVec> patterns = doubled_patterns(atpg.patterns);
   ASSERT_GT(patterns.size(), 64u);
 
+  const ScanPorts ports = ScanPorts::full_width(chains);
   Simulator scalar_sim(nl);
-  const ScanTestResult scalar = apply_scan_test(scalar_sim, chains, frame, patterns);
-  PackedSim packed_sim(nl);
-  const ScanTestResult packed = apply_scan_test(packed_sim, chains, frame, patterns);
+  const ScanTestResult scalar = deliver_scan_test(scalar_sim, ports, frame, patterns);
+  const ScanTestResult packed = deliver_scan_test_packed(ports, frame, patterns, nullptr);
   EXPECT_EQ(packed.patterns_applied, scalar.patterns_applied);
   EXPECT_EQ(packed.mismatches, scalar.mismatches);
   EXPECT_TRUE(scalar.all_passed());
@@ -381,11 +376,10 @@ TEST(PackedScanTest, MatchesScalarTestModeDelivery) {
   const std::vector<BitVec> patterns = doubled_patterns(atpg.patterns);
   ASSERT_GT(patterns.size(), 64u);
 
+  const ScanPorts ports = ScanPorts::test_mode_of(design);
   RetentionSession session(design);
-  const ScanTestResult scalar =
-      apply_test_mode_scan_test(session, design, frame, patterns);
-  const ScanTestResult packed =
-      apply_test_mode_scan_test_packed(design, frame, patterns);
+  const ScanTestResult scalar = deliver_scan_test(session.sim(), ports, frame, patterns);
+  const ScanTestResult packed = deliver_scan_test_packed(ports, frame, patterns, nullptr);
   EXPECT_EQ(packed.patterns_applied, scalar.patterns_applied);
   EXPECT_EQ(packed.mismatches, scalar.mismatches);
   EXPECT_TRUE(scalar.all_passed());

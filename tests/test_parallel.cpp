@@ -1,8 +1,3 @@
-// This file deliberately exercises the pre-v1 delivery entry points
-// (they are the backends the Session facade routes onto), so the
-// deprecation attributes are suppressed here.
-#define RETSCAN_SUPPRESS_DEPRECATED
-
 // The retscan::parallel orchestration layer: work-stealing ThreadPool
 // semantics (completion, exception propagation, clean shutdown),
 // deterministic shard planning/seeding, and — the load-bearing contract —
@@ -363,11 +358,12 @@ TEST(ScanTestParallel, PooledDeliveryMatchesSerialPacked) {
     patterns.push_back(fixture.frame.random_pattern(rng));
   }
 
+  const ScanPorts ports = ScanPorts::test_mode_of(fixture.design);
   const ScanTestResult serial =
-      apply_test_mode_scan_test_packed(fixture.design, fixture.frame, patterns);
+      deliver_scan_test_packed(ports, fixture.frame, patterns, nullptr);
   ThreadPool pool(4);
-  const ScanTestResult pooled = apply_test_mode_scan_test_packed(
-      fixture.design, fixture.frame, patterns, pool, 64);
+  const ScanTestResult pooled =
+      deliver_scan_test_packed(ports, fixture.frame, patterns, &pool, 64);
 
   EXPECT_EQ(pooled.patterns_applied, serial.patterns_applied);
   EXPECT_EQ(pooled.mismatches, serial.mismatches);

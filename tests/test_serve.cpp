@@ -330,7 +330,7 @@ TEST(ServeJobManager, OverridesShapeTheCampaign) {
   ASSERT_EQ(shrunk.state, JobState::Done) << shrunk.error;
   EXPECT_EQ(shrunk.summary->sequences, 500u);
 
-  // apply_overrides mirrors the `retscan run` flag loop exactly.
+  // apply_overrides is how `retscan run` applies its flags too.
   SpecFile file = load_spec_file(spec);
   overrides = {};
   overrides.seed = 404;

@@ -130,9 +130,6 @@ void print_plan(std::ostream& out, const SpecFile& file, const Netlist* base,
   } else {
     out << "workload: atpg " << c.atpg.random_patterns << " random patterns, podem "
         << (c.atpg.run_podem ? "on" : "off");
-    if (c.kind == CampaignKind::ScanTest) {
-      out << ", access " << to_string(c.access);
-    }
     if (c.kind == CampaignKind::TransitionDelay) {
       out << ", launch/capture pairs";
     }
@@ -151,53 +148,65 @@ void print_plan(std::ostream& out, const SpecFile& file, const Netlist* base,
   }
 }
 
+/// The override flags `run` and `submit` share, parsed from argv[1..argc)
+/// into the SubmitOverrides that apply_overrides applies — locally for run,
+/// in the daemon for submit. Only submit passes `wait` (its --wait flag).
+/// Returns 0, or the exit status of a usage error after reporting it as
+/// `who: ...`; backend and schedule names are checked by apply_overrides.
+int parse_overrides(const char* who, int argc, char** argv,
+                    serve::SubmitOverrides& overrides, bool* wait) {
+  for (int i = 1; i < argc;) {
+    const std::string flag = argv[i];
+    // Boolean flags (no value operand) first.
+    if (flag == "--resume") {
+      overrides.resume = true;
+      i += 1;
+      continue;
+    }
+    if (flag == "--wait" && wait != nullptr) {
+      *wait = true;
+      i += 1;
+      continue;
+    }
+    if (i + 1 >= argc) {
+      std::cerr << who << ": " << flag << " needs a value\n";
+      return 2;
+    }
+    const std::string value = argv[i + 1];
+    i += 2;
+    if (flag == "--seed") {
+      overrides.seed = parse_override_u64(flag, value);
+    } else if (flag == "--threads") {
+      overrides.threads = parse_override_u64(flag, value, 4096);
+    } else if (flag == "--sequences") {
+      overrides.sequences = parse_override_u64(flag, value);
+    } else if (flag == "--backend") {
+      overrides.backend = value;
+    } else if (flag == "--schedule") {
+      overrides.schedule = value;
+    } else if (flag == "--checkpoint") {
+      overrides.checkpoint = value;
+    } else if (flag == "--deadline-ms") {
+      overrides.deadline_ms = parse_override_u64(flag, value);
+    } else {
+      std::cerr << who << ": unknown flag '" << flag << "'\n";
+      return usage(std::cerr, 2);
+    }
+  }
+  return 0;
+}
+
 int run_command(const std::string& command, int argc, char** argv) {
   if (argc < 1) {
     std::cerr << "retscan " << command << ": missing spec file\n";
     return usage(std::cerr, 2);
   }
   SpecFile file = load_spec_file(argv[0]);
-  for (int i = 1; i < argc;) {
-    const std::string flag = argv[i];
-    // Boolean flags (no value operand) first.
-    if (flag == "--resume") {
-      file.campaign.resume = true;
-      i += 1;
-      continue;
-    }
-    if (i + 1 >= argc) {
-      std::cerr << "retscan: " << flag << " needs a value\n";
-      return 2;
-    }
-    const std::string value = argv[i + 1];
-    i += 2;
-    if (flag == "--seed") {
-      file.campaign.seed = parse_override_u64(flag, value);
-    } else if (flag == "--threads") {
-      file.campaign.threads =
-          static_cast<unsigned>(parse_override_u64(flag, value, 4096));
-    } else if (flag == "--sequences") {
-      file.campaign.sequences = parse_override_u64(flag, value);
-    } else if (flag == "--backend") {
-      if (!from_string(value, file.campaign.backend)) {
-        std::cerr << "retscan: unknown backend '" << value << "'\n";
-        return 2;
-      }
-    } else if (flag == "--schedule") {
-      if (!from_string(value, file.campaign.schedule)) {
-        std::cerr << "retscan: unknown schedule '" << value
-                  << "' (want auto, sweep or event)\n";
-        return 2;
-      }
-    } else if (flag == "--checkpoint") {
-      file.campaign.checkpoint = value;
-    } else if (flag == "--deadline-ms") {
-      file.campaign.deadline_ms = parse_override_u64(flag, value);
-    } else {
-      std::cerr << "retscan: unknown flag '" << flag << "'\n";
-      return usage(std::cerr, 2);
-    }
+  serve::SubmitOverrides overrides;
+  if (const int status = parse_overrides("retscan", argc, argv, overrides, nullptr)) {
+    return status;
   }
+  serve::apply_overrides(file, overrides);
 
   Session session = make_session(file);
   const Backend resolved = resolve_backend(file.campaign, session);  // validates
@@ -330,42 +339,8 @@ int submit_command(int argc, char** argv) {
   const std::string spec_path = argv[0];
   bool wait = false;
   serve::SubmitOverrides overrides;
-  for (int i = 1; i < argc;) {
-    const std::string flag = argv[i];
-    if (flag == "--wait") {
-      wait = true;
-      i += 1;
-      continue;
-    }
-    if (flag == "--resume") {
-      overrides.resume = true;
-      i += 1;
-      continue;
-    }
-    if (i + 1 >= argc) {
-      std::cerr << "retscan submit: " << flag << " needs a value\n";
-      return 2;
-    }
-    const std::string value = argv[i + 1];
-    i += 2;
-    if (flag == "--seed") {
-      overrides.seed = parse_override_u64(flag, value);
-    } else if (flag == "--threads") {
-      overrides.threads = parse_override_u64(flag, value, 4096);
-    } else if (flag == "--sequences") {
-      overrides.sequences = parse_override_u64(flag, value);
-    } else if (flag == "--backend") {
-      overrides.backend = value;
-    } else if (flag == "--schedule") {
-      overrides.schedule = value;
-    } else if (flag == "--checkpoint") {
-      overrides.checkpoint = value;
-    } else if (flag == "--deadline-ms") {
-      overrides.deadline_ms = parse_override_u64(flag, value);
-    } else {
-      std::cerr << "retscan submit: unknown flag '" << flag << "'\n";
-      return usage(std::cerr, 2);
-    }
+  if (const int status = parse_overrides("retscan submit", argc, argv, overrides, &wait)) {
+    return status;
   }
 
   serve::Client client(socket_path);
