@@ -47,7 +47,9 @@ enum class CampaignKind {
 /// same seed wherever an equivalence is defined (see tests/test_api.cpp).
 enum class Backend {
   Auto,           ///< fastest available (usually PackedParallel)
-  Reference,      ///< scalar oracle: one trial/pattern at a time
+  Reference,      ///< scalar oracle: one trial/pattern at a time; on the
+                  ///< behavioral tier, the data-full loop the syndrome
+                  ///< evaluation is checked against
   Packed,         ///< 64-way bit-parallel lanes, one thread
   PackedParallel, ///< 64-way lanes × work-stealing thread pool
 };

@@ -483,9 +483,10 @@ void run_validation(Session& session, const CampaignSpec& spec, Backend backend,
   }
   result.schedule = runtime_schedule(config.schedule);
   if (runner == nullptr) {
-    // Reference / Packed: one unsharded pass.
+    // Reference / Packed: one unsharded pass. The behavioral Reference is
+    // the data-full oracle of the syndrome evaluation the runner takes.
     if (backend == Backend::Reference && behavioral) {
-      result.validation = FastTestbench(config).run(spec.sequences);
+      result.validation = FastTestbench(config).run_reference(spec.sequences);
     } else {
       StructuralTestbench bench(config);
       result.validation = backend == Backend::Reference ? bench.run(spec.sequences)

@@ -22,12 +22,67 @@ std::size_t chain_length_for(const ValidationConfig& config) {
 std::uint64_t injector_seed(const ValidationConfig& config) {
   return Rng::derive_stream(config.seed, 0x494e4a4543544full);  // "INJECTO"
 }
+
+/// Fold one sequence into the Fig. 8 counters.
+void tally(ValidationStats& stats, std::size_t errors_injected,
+           const SequenceOutcome& outcome) {
+  ++stats.sequences;
+  stats.errors_injected += errors_injected;
+  if (errors_injected != 0) {
+    ++stats.sequences_with_errors;
+    if (outcome.detected) {
+      ++stats.detected;
+    }
+    if (outcome.matches && outcome.recheck_clean) {
+      ++stats.corrected;
+    }
+    if (outcome.detected && !outcome.recheck_clean) {
+      ++stats.flagged_uncorrectable;
+    }
+    if (!outcome.matches) {
+      ++stats.comparator_mismatches;
+      if (!outcome.detected) {
+        ++stats.silent_corruptions;
+      }
+    }
+  } else if (!outcome.matches) {
+    ++stats.comparator_mismatches;
+    ++stats.silent_corruptions;
+  }
+}
+
+/// One sequence's upset set under `config.mode`. Only the rush model draws
+/// from `rng`; the other modes use the LFSR injector.
+std::vector<ErrorLocation> sample_upsets(const ValidationConfig& config,
+                                         std::size_t chain_length,
+                                         ErrorInjector& injector,
+                                         const CorruptionModel* corruption, Rng& rng) {
+  switch (config.mode) {
+    case InjectionMode::None:
+      return {};
+    case InjectionMode::SingleRandom:
+      return {injector.random_single()};
+    case InjectionMode::MultipleBurst:
+      return injector.clustered_burst(config.burst_size, config.burst_spread);
+    case InjectionMode::RushModel:
+      return corruption->sample(config.chain_count, chain_length, rng);
+  }
+  return {};
+}
 }  // namespace
 
 FastTestbench::FastTestbench(const ValidationConfig& config)
-    : config_(config), chain_length_(chain_length_for(config)), rng_(config.seed) {
+    : config_(config),
+      chain_length_(chain_length_for(config)),
+      evaluator_(SequenceShape{config.kind, config.hamming_r, config.chain_count,
+                               chain_length_}),
+      rng_(config.seed) {
   injector_ = std::make_unique<ErrorInjector>(config_.chain_count, chain_length_,
                                               injector_seed(config_));
+  if (config_.mode == InjectionMode::RushModel) {
+    const RushCurrentModel rush(config_.rush);
+    corruption_ = std::make_unique<CorruptionModel>(config_.corruption, rush);
+  }
 }
 
 void FastTestbench::reseed(std::uint64_t seed) {
@@ -38,96 +93,37 @@ void FastTestbench::reseed(std::uint64_t seed) {
 }
 
 ValidationStats FastTestbench::run(std::size_t count) {
+  // The corruption model samples from rng_ after each sequence's chain data
+  // draws in run_reference, C * ceil(L / 64) of them; skip exactly those so
+  // it sees the same stream. No other mode reads rng_.
+  const std::size_t data_draws = config_.mode == InjectionMode::RushModel
+                                     ? config_.chain_count * ((chain_length_ + 63) / 64)
+                                     : 0;
   ValidationStats stats;
-  const bool use_hamming = config_.kind != CodeKind::CrcDetect;
-  const bool use_crc = config_.kind != CodeKind::HammingCorrect;
-  HammingChainProtector hamming(HammingCode(config_.hamming_r), config_.chain_count,
-                                chain_length_);
-  CrcChainProtector crc(Crc16::ccitt(), config_.chain_count, chain_length_,
-                        config_.chain_count);
-
   for (std::size_t seq = 0; seq < count; ++seq) {
-    // Stage 1-2: reset + write identical random data to FIFO_A and FIFO_B.
-    std::vector<BitVec> fifo_a;
-    fifo_a.reserve(config_.chain_count);
+    for (std::size_t draw = 0; draw < data_draws; ++draw) {
+      rng_.next_u64();
+    }
+    const std::vector<ErrorLocation> errors =
+        sample_upsets(config_, chain_length_, *injector_, corruption_.get(), rng_);
+    tally(stats, errors.size(), evaluator_.evaluate(errors));
+  }
+  return stats;
+}
+
+ValidationStats FastTestbench::run_reference(std::size_t count) {
+  ValidationStats stats;
+  DataFullEvaluator oracle(evaluator_.shape());
+  for (std::size_t seq = 0; seq < count; ++seq) {
+    // Stages 1-2: reset + write identical random data to FIFO_A and FIFO_B.
+    std::vector<BitVec> chains;
+    chains.reserve(config_.chain_count);
     for (std::size_t c = 0; c < config_.chain_count; ++c) {
-      fifo_a.push_back(rng_.next_bits(chain_length_));
+      chains.push_back(rng_.next_bits(chain_length_));
     }
-    const std::vector<BitVec> fifo_b = fifo_a;  // golden reference
-
-    // Stage 3: sleep entry — encode.
-    if (use_hamming) {
-      hamming.encode(fifo_a);
-    }
-    if (use_crc) {
-      crc.encode(fifo_a);
-    }
-
-    // Sleep: inject upsets into the retained state.
-    std::vector<ErrorLocation> errors;
-    switch (config_.mode) {
-      case InjectionMode::None:
-        break;
-      case InjectionMode::SingleRandom:
-        errors.push_back(injector_->random_single());
-        break;
-      case InjectionMode::MultipleBurst:
-        errors = injector_->clustered_burst(config_.burst_size, config_.burst_spread);
-        break;
-      case InjectionMode::RushModel: {
-        const RushCurrentModel rush(config_.rush);
-        const CorruptionModel model(config_.corruption, rush);
-        errors = model.sample(config_.chain_count, chain_length_, rng_);
-        break;
-      }
-    }
-    ErrorInjector::flip_chain_data(fifo_a, errors);
-
-    // Stage 4: wake — decode, correct, recheck.
-    bool detected = false;
-    bool recheck_clean = true;
-    if (use_hamming) {
-      const auto decode = hamming.decode_and_correct(fifo_a);
-      detected = detected || decode.any_error();
-      const auto recheck = hamming.decode_and_correct(fifo_a);
-      recheck_clean = recheck_clean && !recheck.any_error();
-    }
-    if (use_crc) {
-      const auto check = crc.check(fifo_a);
-      detected = detected || check.any_error();
-      const auto recheck = crc.check(fifo_a);
-      recheck_clean = recheck_clean && !recheck.any_error();
-    }
-    if (!use_hamming && detected) {
-      recheck_clean = false;  // detection-only: nothing was repaired
-    }
-
-    // Stage 5: Comparator reads FIFO_A and FIFO_B.
-    const bool matches = fifo_a == fifo_b;
-
-    ++stats.sequences;
-    stats.errors_injected += errors.size();
-    if (!errors.empty()) {
-      ++stats.sequences_with_errors;
-      if (detected) {
-        ++stats.detected;
-      }
-      if (matches && recheck_clean) {
-        ++stats.corrected;
-      }
-      if (detected && !recheck_clean) {
-        ++stats.flagged_uncorrectable;
-      }
-      if (!matches) {
-        ++stats.comparator_mismatches;
-        if (!detected) {
-          ++stats.silent_corruptions;
-        }
-      }
-    } else if (!matches) {
-      ++stats.comparator_mismatches;
-      ++stats.silent_corruptions;
-    }
+    const std::vector<ErrorLocation> errors =
+        sample_upsets(config_, chain_length_, *injector_, corruption_.get(), rng_);
+    tally(stats, errors.size(), oracle.evaluate(std::move(chains), errors));
   }
   return stats;
 }
@@ -181,20 +177,6 @@ void StructuralTestbench::reseed(std::uint64_t seed) {
     packed_session_->sim().reset();
     packed_session_->sim().invalidate_schedule_state();
   }
-}
-
-std::vector<ErrorLocation> StructuralTestbench::sample_errors() {
-  switch (config_.mode) {
-    case InjectionMode::None:
-      return {};
-    case InjectionMode::SingleRandom:
-      return {injector_->random_single()};
-    case InjectionMode::MultipleBurst:
-      return injector_->clustered_burst(config_.burst_size, config_.burst_spread);
-    case InjectionMode::RushModel:
-      return corruption_->sample(config_.chain_count, design_->chain_length(), rng_);
-  }
-  return {};
 }
 
 ScheduleTelemetry StructuralTestbench::take_telemetry() {
@@ -255,7 +237,8 @@ ValidationStats StructuralTestbench::run_packed(std::size_t count) {
     // Stages 3-4: one sleep/wake protocol run, 64 corruption trials.
     std::vector<std::vector<ErrorLocation>> upsets(lanes);
     for (auto& lane_upsets : upsets) {
-      lane_upsets = sample_errors();
+      lane_upsets = sample_upsets(config_, design_->chain_length(), *injector_,
+                                  corruption_.get(), rng_);
     }
     const auto outcome = packed_session_->sleep_wake_cycle(upsets, &rng_);
 
@@ -274,32 +257,11 @@ ValidationStats StructuralTestbench::run_packed(std::size_t count) {
     sim.set_input_all(rd_en, false);
 
     for (std::size_t lane = 0; lane < lanes; ++lane) {
-      const bool detected = (outcome.errors_detected >> lane & 1u) != 0;
-      const bool recheck_clean = (outcome.recheck_clean >> lane & 1u) != 0;
-      const bool matches = (mismatch >> lane & 1u) == 0;
-      ++stats.sequences;
-      stats.errors_injected += upsets[lane].size();
-      if (!upsets[lane].empty()) {
-        ++stats.sequences_with_errors;
-        if (detected) {
-          ++stats.detected;
-        }
-        if (matches && recheck_clean) {
-          ++stats.corrected;
-        }
-        if (detected && !recheck_clean) {
-          ++stats.flagged_uncorrectable;
-        }
-        if (!matches) {
-          ++stats.comparator_mismatches;
-          if (!detected) {
-            ++stats.silent_corruptions;
-          }
-        }
-      } else if (!matches) {
-        ++stats.comparator_mismatches;
-        ++stats.silent_corruptions;
-      }
+      SequenceOutcome lane_outcome;
+      lane_outcome.detected = (outcome.errors_detected >> lane & 1u) != 0;
+      lane_outcome.recheck_clean = (outcome.recheck_clean >> lane & 1u) != 0;
+      lane_outcome.matches = (mismatch >> lane & 1u) == 0;
+      tally(stats, upsets[lane].size(), lane_outcome);
     }
   }
   return stats;
@@ -331,7 +293,8 @@ ValidationStats StructuralTestbench::run(std::size_t count) {
     sim.set_input("wr_en", false);
 
     // Stages 3-4: sleep request, wake, decode/correct.
-    const auto errors = sample_errors();
+    const auto errors = sample_upsets(config_, design_->chain_length(), *injector_,
+                                      corruption_.get(), rng_);
     const auto outcome = session_->sleep_wake_cycle(errors, &rng_);
 
     // Stage 5: Comparator reads both FIFOs word by word.

@@ -10,6 +10,7 @@
 #include "core/protected_design.hpp"
 #include "power/corruption.hpp"
 #include "sim/schedule.hpp"
+#include "testbench/sequence.hpp"
 #include "util/rng.hpp"
 
 namespace retscan {
@@ -83,11 +84,12 @@ struct ValidationStats {
   bool operator==(const ValidationStats&) const = default;
 };
 
-/// Behavioral (fast) testbench: runs the full monitoring protocol on chain
-/// data snapshots using the bit-exact behavioral protectors. Equivalent in
-/// outcome to the structural path (proven by the core test suite's
-/// structural-vs-behavioral test) and fast enough for the paper's
-/// million-sequence campaigns.
+/// Behavioral (fast) testbench: the Fig. 8 protocol on the behavioral
+/// protectors, equivalent in outcome to the structural path (proven by the
+/// core test suite's structural-vs-behavioral test). run() evaluates each
+/// sequence from its error pattern alone (SyndromeEvaluator), fast enough
+/// for the paper's 100M-sequence campaign; run_reference() is the data-full
+/// loop it is checked against, and gives bit-identical statistics.
 class FastTestbench {
  public:
   explicit FastTestbench(const ValidationConfig& config);
@@ -98,11 +100,18 @@ class FastTestbench {
   /// Run `count` test sequences and accumulate statistics.
   ValidationStats run(std::size_t count);
 
+  /// The same campaign on data: each sequence draws C chains of random
+  /// data from the stream, encodes, flips, decodes twice and compares
+  /// (DataFullEvaluator). The oracle of run(), and what
+  /// Backend::Reference runs on the behavioral tier.
+  ValidationStats run_reference(std::size_t count);
+
   /// Rewind to the state of a freshly constructed testbench with the same
   /// shape but `seed`. This is what makes persistent per-thread workspaces
   /// possible: a pooled campaign reseeds a warm testbench per shard instead
   /// of rebuilding it, with bit-identical results (asserted by
-  /// test_parallel's persistent-workspace case).
+  /// test_parallel's persistent-workspace case). The per-shape syndrome
+  /// tables are kept.
   void reseed(std::uint64_t seed);
 
   /// Behavioral runs have no gate-level settles; always empty. Kept so the
@@ -112,8 +121,10 @@ class FastTestbench {
  private:
   ValidationConfig config_;
   std::size_t chain_length_;
+  SyndromeEvaluator evaluator_;
   Rng rng_;
   std::unique_ptr<ErrorInjector> injector_;
+  std::unique_ptr<CorruptionModel> corruption_;
 };
 
 /// Structural (cycle-accurate) testbench: FIFO_A is a simulated
@@ -150,8 +161,6 @@ class StructuralTestbench {
   ScheduleTelemetry take_telemetry();
 
  private:
-  std::vector<ErrorLocation> sample_errors();
-
   ValidationConfig config_;
   std::unique_ptr<ProtectedDesign> design_;
   std::unique_ptr<RetentionSession> session_;

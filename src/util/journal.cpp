@@ -1,22 +1,62 @@
 #include "util/journal.hpp"
 
+#include <array>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+
+#include <fcntl.h>
+#include <unistd.h>
 
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
 
 namespace retscan {
 
-std::uint32_t crc32(const void* data, std::size_t size) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i) {
-    crc ^= bytes[i];
+namespace {
+
+/// Slicing-by-8 tables: [0][b] is the CRC32 step of byte b, and [k][b]
+/// carries that step through k more zero bytes, so eight input bytes fold
+/// in with eight independent lookups.
+constexpr std::array<std::array<std::uint32_t, 256>, 8> kCrc32Tables = [] {
+  std::array<std::array<std::uint32_t, 256>, 8> tables{};
+  for (std::uint32_t value = 0; value < 256; ++value) {
+    std::uint32_t crc = value;
     for (int bit = 0; bit < 8; ++bit) {
       crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
     }
+    tables[0][value] = crc;
+  }
+  for (std::size_t k = 1; k < tables.size(); ++k) {
+    for (std::uint32_t value = 0; value < 256; ++value) {
+      const std::uint32_t prior = tables[k - 1][value];
+      tables[k][value] = (prior >> 8) ^ tables[0][prior & 0xFFu];
+    }
+  }
+  return tables;
+}();
+
+std::uint32_t load_le32(const unsigned char* bytes) {
+  return bytes[0] | std::uint32_t{bytes[1]} << 8 | std::uint32_t{bytes[2]} << 16 |
+         std::uint32_t{bytes[3]} << 24;
+}
+
+}  // namespace
+
+std::uint32_t crc32(const void* data, std::size_t size) {
+  const auto& t = kCrc32Tables;
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (; size >= 8; size -= 8, bytes += 8) {
+    const std::uint32_t low = load_le32(bytes) ^ crc;
+    const std::uint32_t high = load_le32(bytes + 4);
+    crc = t[7][low & 0xFFu] ^ t[6][low >> 8 & 0xFFu] ^ t[5][low >> 16 & 0xFFu] ^
+          t[4][low >> 24] ^ t[3][high & 0xFFu] ^ t[2][high >> 8 & 0xFFu] ^
+          t[1][high >> 16 & 0xFFu] ^ t[0][high >> 24];
+  }
+  for (; size > 0; --size, ++bytes) {
+    crc = (crc >> 8) ^ t[0][(crc ^ *bytes) & 0xFFu];
   }
   return crc ^ 0xFFFFFFFFu;
 }
@@ -32,16 +72,11 @@ constexpr std::size_t kHeaderBytes = 4 + 4 + 5 * 8 + 4;
 constexpr std::size_t kRecordBytes =
     8 + (JournalRecord::kStatsWords + JournalRecord::kTelemetryWords) * 8 + 4;
 
-void put_u32(std::vector<unsigned char>& out, std::uint32_t value) {
-  const std::size_t at = out.size();
-  out.resize(at + 4);
-  std::memcpy(out.data() + at, &value, 4);
-}
-
-void put_u64(std::vector<unsigned char>& out, std::uint64_t value) {
-  const std::size_t at = out.size();
-  out.resize(at + 8);
-  std::memcpy(out.data() + at, &value, 8);
+/// Store `value` at `out` in host byte order; returns the byte after it.
+template <typename T>
+unsigned char* put(unsigned char* out, T value) {
+  std::memcpy(out, &value, sizeof value);
+  return out + sizeof value;
 }
 
 std::uint32_t get_u32(const unsigned char* in) {
@@ -56,30 +91,28 @@ std::uint64_t get_u64(const unsigned char* in) {
   return value;
 }
 
-void serialize_header(std::vector<unsigned char>& out,
-                      const CampaignJournal::Header& header) {
-  const std::size_t start = out.size();
-  put_u32(out, kMagic);
-  put_u32(out, kFormat);
-  put_u64(out, header.fingerprint);
-  put_u64(out, header.seed);
-  put_u64(out, header.total);
-  put_u64(out, header.shard_size);
-  put_u64(out, header.shard_count);
-  put_u32(out, crc32(out.data() + start, kHeaderBytes - 4));
+/// Write the kHeaderBytes of `header` at `out`.
+void serialize_header(unsigned char* out, const CampaignJournal::Header& header) {
+  unsigned char* at = put(out, kMagic);
+  at = put(at, kFormat);
+  at = put(at, header.fingerprint);
+  at = put(at, header.seed);
+  at = put(at, header.total);
+  at = put(at, header.shard_size);
+  at = put(at, header.shard_count);
+  put(at, crc32(out, kHeaderBytes - 4));
 }
 
-void serialize_record(std::vector<unsigned char>& out,
-                      const JournalRecord& record) {
-  const std::size_t start = out.size();
-  put_u64(out, record.shard_index);
+/// Write the kRecordBytes of `record` at `out`.
+void serialize_record(unsigned char* out, const JournalRecord& record) {
+  unsigned char* at = put(out, record.shard_index);
   for (const std::uint64_t word : record.stats) {
-    put_u64(out, word);
+    at = put(at, word);
   }
   for (const std::uint64_t word : record.telemetry) {
-    put_u64(out, word);
+    at = put(at, word);
   }
-  put_u32(out, crc32(out.data() + start, kRecordBytes - 4));
+  put(at, crc32(out, kRecordBytes - 4));
 }
 
 /// Header bytes → Header; false on bad magic/format/CRC (torn or foreign
@@ -130,6 +163,12 @@ CampaignJournal::CampaignJournal(std::string path, std::uint64_t fingerprint,
   }
 }
 
+CampaignJournal::~CampaignJournal() {
+  if (fd_ >= 0) {
+    ::close(fd_);
+  }
+}
+
 void CampaignJournal::load_existing() {
   failpoint("journal.load");
   std::vector<unsigned char> bytes;
@@ -163,6 +202,7 @@ void CampaignJournal::load_existing() {
   plan_bound_ = header_.total != 0;
 
   std::size_t offset = kHeaderBytes;
+  durable_ = kHeaderBytes;
   while (offset + kRecordBytes <= bytes.size()) {
     const unsigned char* record_bytes = bytes.data() + offset;
     if (get_u32(record_bytes + kRecordBytes - 4) !=
@@ -180,6 +220,9 @@ void CampaignJournal::load_existing() {
     }
     if (index_.emplace(record.shard_index, records_.size()).second) {
       records_.push_back(record);
+      if (durable_ == offset) {
+        durable_ += kRecordBytes;  // still byte-identical to what we'd write
+      }
     }
     offset += kRecordBytes;
   }
@@ -218,6 +261,7 @@ void CampaignJournal::bind_plan(std::uint64_t total, std::uint64_t shard_size,
   header_.shard_size = shard_size;
   header_.shard_count = shard_count;
   plan_bound_ = true;
+  durable_ = 0;  // the header on disk (if any) lacks the plan
 }
 
 std::optional<JournalRecord> CampaignJournal::find(
@@ -239,32 +283,64 @@ void CampaignJournal::append(const JournalRecord& record) {
 }
 
 void CampaignJournal::flush_locked() {
-  std::vector<unsigned char> bytes;
-  bytes.reserve(kHeaderBytes + records_.size() * kRecordBytes);
-  serialize_header(bytes, header_);
-  for (const JournalRecord& record : records_) {
-    serialize_record(bytes, record);
-  }
-  std::size_t write_bytes = bytes.size();
-  if (failpoint("journal.flush") == FailAction::ShortWrite) {
-    // Simulate a torn write: ship a truncated file through the same atomic
-    // rename, exactly what a crash mid-write leaves behind.
-    write_bytes = kHeaderBytes + (bytes.size() - kHeaderBytes) / 2;
-  }
-
-  const std::string tmp = path_ + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out ||
-        !out.write(reinterpret_cast<const char*>(bytes.data()),
-                   static_cast<std::streamsize>(write_bytes))) {
-      throw Error("checkpoint journal: cannot write '" + tmp +
+  if (fd_ < 0) {
+    const int fd = ::open(path_.c_str(), O_WRONLY | O_CREAT | O_CLOEXEC, 0644);
+    // Drop whatever lies past the bytes this journal already vouches for:
+    // a torn or foreign tail on resume, a file recreated since Truncate.
+    if (fd < 0 || ::ftruncate(fd, static_cast<off_t>(durable_)) != 0) {
+      if (fd >= 0) {
+        ::close(fd);
+      }
+      throw Error("checkpoint journal: cannot open '" + path_ +
                   "' — check the directory exists and is writable");
     }
+    fd_ = fd;
   }
-  if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
-    throw Error("checkpoint journal: cannot rename '" + tmp + "' over '" +
-                path_ + "'");
+
+  // Serialize from the record boundary at or below the durable length;
+  // normally that is just the new record.
+  const std::size_t size = kHeaderBytes + records_.size() * kRecordBytes;
+  std::size_t base = 0;
+  std::size_t first = 0;
+  if (durable_ >= kHeaderBytes) {
+    first = (durable_ - kHeaderBytes) / kRecordBytes;
+    base = kHeaderBytes + first * kRecordBytes;
+  }
+  std::vector<unsigned char>& bytes = scratch_;
+  bytes.resize(size - base);
+  unsigned char* at = bytes.data();
+  if (base == 0) {
+    serialize_header(at, header_);
+    at += kHeaderBytes;
+  }
+  for (std::size_t i = first; i < records_.size(); ++i, at += kRecordBytes) {
+    serialize_record(at, records_[i]);
+  }
+
+  std::size_t end = size;
+  if (failpoint("journal.flush") == FailAction::ShortWrite) {
+    // Simulate a torn write: leave exactly the file a crash halfway through
+    // writing the whole journal would — the next append heals it.
+    end = kHeaderBytes + (size - kHeaderBytes) / 2;
+    if (end < durable_) {
+      if (::ftruncate(fd_, static_cast<off_t>(end)) != 0) {
+        throw Error("checkpoint journal: cannot truncate '" + path_ + "'");
+      }
+      durable_ = end;
+      return;
+    }
+  }
+  while (durable_ < end) {
+    const ssize_t written =
+        ::pwrite(fd_, bytes.data() + (durable_ - base), end - durable_,
+                 static_cast<off_t>(durable_));
+    if (written < 0 && errno == EINTR) {
+      continue;
+    }
+    if (written <= 0) {
+      throw Error("checkpoint journal: cannot write '" + path_ + "'");
+    }
+    durable_ += static_cast<std::size_t>(written);
   }
 }
 

@@ -33,14 +33,15 @@ struct JournalRecord {
 ///              | total u64 | shard_size u64 | shard_count u64 | crc32 u32
 ///     record:  shard_index u64 | 8×u64 stats | 6×u64 telemetry | crc32 u32
 ///
-/// Every append rewrites the whole file to `path.tmp` and atomically
-/// renames it over `path`, so a reader (or a resume after SIGKILL) only
-/// ever sees a complete prefix of records — the worst a torn write can do
-/// is truncate the tail, and the loader tolerates exactly that: records
-/// with a bad or missing CRC are dropped (their shards simply rerun).
-/// Campaigns are minutes-to-hours and shards are seconds, so whole-file
-/// rewrites of a few KiB per shard are noise (gated ≤ 1.05 overhead in
-/// ci/check_bench_json.py).
+/// The journal holds one descriptor from its first append to destruction.
+/// An append writes only the bytes past what is already on disk, in one
+/// positional write: normally just the new record, and after a torn write
+/// the missing tail as well. So an append costs one record however many
+/// shards came before, which keeps checkpointing noise even for
+/// sub-millisecond shards (gated ≤ 1.05 overhead in
+/// ci/check_bench_json.py). A crash mid-write can only leave a torn tail,
+/// and the loader tolerates exactly that: records with a bad or missing CRC
+/// are dropped (their shards simply rerun).
 ///
 /// The fingerprint (spec + design geometry + library version, computed by
 /// the API layer) and seed bind a journal to one exact campaign; Resume
@@ -59,6 +60,8 @@ class CampaignJournal {
   CampaignJournal(std::string path, std::uint64_t fingerprint,
                   std::uint64_t seed, Mode mode);
 
+  ~CampaignJournal();
+
   CampaignJournal(const CampaignJournal&) = delete;
   CampaignJournal& operator=(const CampaignJournal&) = delete;
 
@@ -72,8 +75,8 @@ class CampaignJournal {
   /// has not completed. Thread-safe against concurrent append().
   std::optional<JournalRecord> find(std::uint64_t shard_index) const;
 
-  /// Append one completed shard and flush (write-temp + atomic rename).
-  /// Thread-safe. Throws retscan::Error on I/O failure.
+  /// Append one completed shard and write it through. Thread-safe. Throws
+  /// retscan::Error on I/O failure.
   void append(const JournalRecord& record);
 
   /// Records loaded from disk by Resume (before any append this run).
@@ -107,6 +110,10 @@ class CampaignJournal {
   std::size_t dropped_count_ = 0;
 
   mutable std::mutex mutex_;
+  int fd_ = -1;
+  /// Leading bytes of the file known to equal header_ + records_.
+  std::size_t durable_ = 0;
+  std::vector<unsigned char> scratch_;  ///< serialized bytes of one append
   std::vector<JournalRecord> records_;
   std::unordered_map<std::uint64_t, std::size_t> index_;
 };

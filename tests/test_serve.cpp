@@ -383,10 +383,11 @@ TEST(ServeJobManager, CancelHitsQueuedAndRunningJobs) {
   options.max_active = 1;  // one driver: FIFO order is deterministic
   JobManager manager(options);
 
-  // A long-running head-of-line job (many shards, so a running cancel
-  // takes effect at the next shard boundary almost immediately).
+  // A long-running head-of-line job: 200M sequences last seconds even at
+  // the behavioral kernel's speed, and its many shards let a running
+  // cancel take effect at the next shard boundary almost immediately.
   SubmitOverrides big;
-  big.sequences = 2000000;
+  big.sequences = 200000000;
   const std::uint64_t running = manager.submit(validation_spec(), big);
   const std::uint64_t queued = manager.submit(validation_spec(), {});
 
