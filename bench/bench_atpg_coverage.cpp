@@ -8,7 +8,7 @@
 // paths are timed against scalar baselines (one pattern per pass / one
 // pattern per scan load) and both throughputs land in BENCH_atpg.json,
 // plus the multi-threaded variants (fault list / pattern batches sharded
-// over the work-stealing pool) which must reproduce the serial results
+// over the thread pool) which must reproduce the serial results
 // bit-for-bit.
 
 #include <algorithm>

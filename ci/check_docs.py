@@ -12,7 +12,11 @@ Checks, in order:
      (`| `key` |`) is one the parser accepts, so a removed key cannot leave
      a stale row and the reference cannot rot;
   4. every relative markdown link in README.md and docs/*.md resolves to a
-     real file.
+     real file;
+  5. every backticked repository path in README.md and docs/*.md — one
+     starting src/, include/, tools/, tests/, bench/, examples/ or ci/,
+     globs allowed (`src/util/thread_pool.*`) — matches at least one file,
+     so a deleted or renamed file cannot leave a stale pointer behind.
 
 Usage:  python3 ci/check_docs.py [repo_root]
 """
@@ -33,6 +37,7 @@ SPEC_KEY_RE = re.compile(r'key == "([a-z0-9_.+]+)"')
 # variables are upper case and CLI flags start with '-').
 SPEC_ROW_RE = re.compile(r"^\| `([a-z][a-z0-9_.+]*)` \|", re.MULTILINE)
 MD_LINK_RE = re.compile(r"\]\(([^)#]+?)(?:#[^)]*)?\)")
+REPO_PATH_RE = re.compile(r"`((?:src|include|tools|tests|bench|examples|ci)/[^`\s]*)`")
 DOC_COMMENT_WINDOW = 12  # lines to search for the file-level /// block
 
 
@@ -81,11 +86,22 @@ def check_markdown_links(root):
                 yield f"{page.relative_to(root)}: broken link '{target}'"
 
 
+def check_repo_paths(root):
+    pages = [root / "README.md"] + sorted((root / "docs").glob("*.md"))
+    for page in pages:
+        text = page.read_text()
+        for match in REPO_PATH_RE.finditer(text):
+            path = match.group(1)
+            if not any(root.glob(path.rstrip("/"))):
+                line = text.count("\n", 0, match.start()) + 1
+                yield f"{page.relative_to(root)}:{line}: `{path}` matches no file"
+
+
 def main() -> int:
     root = pathlib.Path(sys.argv[1] if len(sys.argv) > 1 else ".").resolve()
     problems = []
     for check in (check_docs_exist, check_header_comments, check_spec_keys,
-                  check_markdown_links):
+                  check_markdown_links, check_repo_paths):
         problems.extend(check(root))
     for problem in problems:
         print(f"FAIL: {problem}")
@@ -94,7 +110,7 @@ def main() -> int:
         return 1
     headers = len(list((root / "include" / "retscan").glob("*.hpp")))
     print(f"docs lint: {len(REQUIRED_DOCS)} guides present, {headers} public "
-          f"headers documented, spec keys covered, links resolve")
+          f"headers documented, spec keys covered, links and paths resolve")
     return 0
 
 

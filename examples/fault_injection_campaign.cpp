@@ -18,7 +18,7 @@ int main() {
   protection.kind = CodeKind::HammingPlusCrc;
   protection.chain_count = 80;
   Session session(FifoSpec{32, 32}, protection);
-  // Injection campaigns shard across the session's work-stealing pool
+  // Injection campaigns shard across the session's thread pool
   // (RETSCAN_THREADS knob); results are bit-identical at any thread count.
   std::cout << "Rush-current severity sweep (32x32 FIFO, 80 chains, Hamming(7,4)+CRC, "
             << session.threads() << " threads)\n";

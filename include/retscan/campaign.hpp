@@ -51,7 +51,7 @@ enum class Backend {
                   ///< behavioral tier, the data-full loop the syndrome
                   ///< evaluation is checked against
   Packed,         ///< 64-way bit-parallel lanes, one thread
-  PackedParallel, ///< 64-way lanes × work-stealing thread pool
+  PackedParallel, ///< 64-way lanes × the session's thread pool
 };
 
 /// Which model tier a validation campaign runs on.
@@ -213,7 +213,8 @@ CampaignResult run(Session& session, const CampaignSpec& spec);
 
 /// Execution hooks for services embedding the campaign router — the
 /// `retscan serve` daemon runs every job through these so concurrent
-/// campaigns share one pool fairly and stay individually cancellable.
+/// campaigns share one runner (whose pool interleaves their shards fairly)
+/// and stay individually cancellable.
 /// All optional; run(session, spec) is exactly run(session, spec, {}).
 /// None of the hooks can change campaign statistics: same seed → same
 /// results, hooked or not (asserted by tests/test_serve.cpp).
@@ -225,9 +226,6 @@ struct RunHooks {
   /// carries deadline_ms, run() arms it on this token. nullptr → run()
   /// uses a private token (global-cancel + deadline only).
   CancelToken* cancel = nullptr;
-  /// Fair shard dispatcher (parallel/fair_scheduler.hpp) multiplexing this
-  /// campaign with others on the same pool. Must wrap hooks.runner's pool.
-  parallel::FairScheduler* scheduler = nullptr;
   /// Per-shard progress observer, (shards_done, shard_count); called from
   /// pool threads. Sharded validation kinds only.
   std::function<void(std::size_t, std::size_t)> progress;

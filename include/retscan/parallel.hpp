@@ -2,8 +2,9 @@
 
 /// retscan public surface — parallel orchestration layer.
 ///
-/// The work-stealing thread pool and the shard-map-reduce campaign runner
-/// the pooled backends are built on. A Session owns one runner and routes
+/// The thread pool (whose parallel_for serves concurrent callers
+/// round-robin) and the shard-map-reduce campaign runner the pooled
+/// backends are built on. A Session owns one runner and routes
 /// CampaignSpec workloads through it automatically; include this directly
 /// only to drive custom map-reduce workloads by hand. Same seed → same
 /// shard plan → bit-identical merged results at any thread count.

@@ -71,7 +71,7 @@ BuildInfo build_info();
 
 /// The canonical multi-line provenance block:
 ///
-///     retscan:  2.0.0
+///     retscan:  3.0.0
 ///     lanes:    4 x 64 = 256 per block (avx2 kernels)
 ///     threads:  8 (hardware)
 ///     schedule: auto (engine activity probing)

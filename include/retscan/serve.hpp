@@ -13,7 +13,6 @@
 /// Deliberately NOT in the umbrella retscan.hpp: embedding applications
 /// rarely want a daemon, and this header pulls in POSIX socket usage.
 
-#include "parallel/fair_scheduler.hpp"  // FairScheduler shard interleaving
 #include "serve/client.hpp"             // Client (submit/jobs/cancel/shutdown)
 #include "serve/job_manager.hpp"        // JobManager, ServeOptions, JobRecord
 #include "serve/json.hpp"               // wire-format JSON value

@@ -100,8 +100,8 @@ class Session {
   /// Scalar retention-session driver over the shared design (built on
   /// first use) — for hand-driven sleep/wake episodes.
   RetentionSession& retention();
-  /// Campaign orchestrator owning the work-stealing pool (built on first
-  /// use with the session's thread count).
+  /// Campaign orchestrator owning the session's thread pool (built on
+  /// first use with the session's thread count).
   parallel::CampaignRunner& runner();
   ThreadPool& pool() { return runner().pool(); }
   /// Resolved worker count (options.threads, else RETSCAN_THREADS env,

@@ -425,13 +425,13 @@ void validate(const CampaignSpec& spec, const Session& session) {
                "circuits)");
       }
     }
-    if (spec.shard_size != 0 &&
-        (spec.backend == Backend::Reference || spec.backend == Backend::Packed)) {
-      reject(spec,
-             "shard_size only applies to the pooled fault simulator and scan "
-             "delivery; Backend::Reference and Backend::Packed run the serial "
-             "path — drop shard_size or pick Backend::PackedParallel");
-    }
+  }
+  if (spec.shard_size != 0 &&
+      (spec.backend == Backend::Reference || spec.backend == Backend::Packed)) {
+    reject(spec,
+           "shard_size only applies to the pooled backend; Backend::Reference "
+           "and Backend::Packed run one unsharded pass — drop shard_size or "
+           "pick Backend::PackedParallel");
   }
   if (spec.cycles != 0 && spec.kind != CampaignKind::SequentialCoverage) {
     reject(spec, "cycles only applies to sequential-coverage campaigns — no "
@@ -511,7 +511,6 @@ void run_validation(Session& session, const CampaignSpec& spec, Backend backend,
   }
   parallel::RunControls controls;
   controls.cancel = cancel;
-  controls.scheduler = hooks.scheduler;
   controls.progress = hooks.progress;
   std::unique_ptr<CampaignJournal> journal;
   if (!spec.checkpoint.empty()) {

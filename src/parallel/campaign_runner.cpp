@@ -4,7 +4,6 @@
 #include <mutex>
 #include <optional>
 
-#include "parallel/fair_scheduler.hpp"
 #include "sim/packed_sim.hpp"
 #include "util/failpoint.hpp"
 #include "util/journal.hpp"
@@ -35,32 +34,6 @@ std::uint64_t shard_seed(std::uint64_t campaign_seed, std::uint64_t index) {
   return Rng::derive_stream(campaign_seed, index);
 }
 
-namespace {
-
-/// True when two campaign configurations differ only in seed — the
-/// condition under which a warm testbench can be reseeded instead of
-/// rebuilt. Every shape-defining field is compared explicitly; the seed is
-/// deliberately excluded (reseeding per shard is the whole point).
-bool same_campaign_shape(const ValidationConfig& a, const ValidationConfig& b) {
-  return a.fifo.depth == b.fifo.depth && a.fifo.width == b.fifo.width &&
-         a.chain_count == b.chain_count && a.kind == b.kind &&
-         a.schedule == b.schedule &&
-         a.hamming_r == b.hamming_r && a.mode == b.mode &&
-         a.burst_size == b.burst_size && a.burst_spread == b.burst_spread &&
-         a.corruption.noise_margin_volts == b.corruption.noise_margin_volts &&
-         a.corruption.margin_sigma_volts == b.corruption.margin_sigma_volts &&
-         a.corruption.vulnerability == b.corruption.vulnerability &&
-         a.corruption.cluster_spread == b.corruption.cluster_spread &&
-         a.corruption.cluster_fraction == b.corruption.cluster_fraction &&
-         a.rush.vdd_volts == b.rush.vdd_volts &&
-         a.rush.resistance_ohm == b.rush.resistance_ohm &&
-         a.rush.inductance_nh == b.rush.inductance_nh &&
-         a.rush.capacitance_nf == b.rush.capacitance_nf &&
-         a.rush.stagger_stages == b.rush.stagger_stages;
-}
-
-}  // namespace
-
 /// Free-lists of warm testbenches, one tier per campaign kind. acquire()
 /// hands out a reseeded warm instance when the shape matches (the steady
 /// state: one instance per pool thread), otherwise constructs fresh;
@@ -70,18 +43,20 @@ struct CampaignRunner::WorkspacePool {
   template <typename Bench>
   struct Tier {
     std::mutex mutex;
-    bool shaped = false;
-    ValidationConfig shape;
+    /// The configuration the free list was built for, seed zeroed: a warm
+    /// testbench serves any config equal to it up to the seed.
+    std::optional<ValidationConfig> shape;
     std::vector<std::unique_ptr<Bench>> free_list;
 
     std::unique_ptr<Bench> acquire(const ValidationConfig& config) {
+      ValidationConfig key = config;
+      key.seed = 0;
       std::unique_ptr<Bench> warm;
       {
         const std::lock_guard<std::mutex> lock(mutex);
-        if (!shaped || !same_campaign_shape(shape, config)) {
+        if (shape != key) {
           free_list.clear();
-          shape = config;
-          shaped = true;
+          shape = key;
         } else if (!free_list.empty()) {
           warm = std::move(free_list.back());
           free_list.pop_back();
@@ -105,7 +80,7 @@ struct CampaignRunner::WorkspacePool {
 };
 
 CampaignRunner::CampaignRunner(const CampaignOptions& options)
-    : options_(options), pool_(options.threads),
+    : pool_(options.threads),
       workspaces_(std::make_unique<WorkspacePool>()) {}
 
 CampaignRunner::~CampaignRunner() = default;
@@ -229,14 +204,10 @@ CampaignReport run_campaign(CampaignRunner& runner, const ValidationConfig& conf
     partial[s] = outcome;
     note_progress();
   };
-  // The cancel token is deliberately NOT handed to the dispatcher: the body
-  // must still run for every shard so journal-resumed outcomes merge even
-  // under cancellation; the body's own poll skips the actual work.
-  if (controls.scheduler != nullptr) {
-    controls.scheduler->run_job(shards.size(), shard_body);
-  } else {
-    runner.pool().parallel_for(shards.size(), shard_body);
-  }
+  // The cancel token is deliberately NOT handed to the pool: the body must
+  // still run for every shard so journal-resumed outcomes merge even under
+  // cancellation; the body's own poll skips the actual work.
+  runner.pool().parallel_for(shards.size(), shard_body);
 
   ShardOutcome merged;
   std::size_t completed = 0;
@@ -289,7 +260,7 @@ CampaignReport CampaignRunner::run_fast(const ValidationConfig& config,
                                         std::size_t count, std::size_t shard_size,
                                         const RunControls& controls) {
   if (shard_size == 0) {
-    shard_size = options_.shard_size;
+    shard_size = CampaignOptions::shard_size;
   }
   return run_campaign(*this, config, count, shard_size, controls,
                       [this](const ValidationConfig& shard_config, std::size_t n) {
@@ -303,7 +274,7 @@ CampaignReport CampaignRunner::run_structural_packed(const ValidationConfig& con
                                                      std::size_t shard_size,
                                                      const RunControls& controls) {
   if (shard_size == 0) {
-    shard_size = options_.structural_shard_size;
+    shard_size = CampaignOptions::structural_shard_size;
   }
   const std::size_t lanes = PackedSim::lane_count();
   shard_size = (shard_size + lanes - 1) / lanes * lanes;

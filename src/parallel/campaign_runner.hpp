@@ -16,8 +16,6 @@ class CampaignJournal;
 
 namespace retscan::parallel {
 
-class FairScheduler;
-
 /// One contiguous chunk of a campaign: trials [first, first + count).
 struct ShardRange {
   std::size_t index = 0;
@@ -41,17 +39,17 @@ struct CampaignOptions {
   unsigned threads = 0;
   /// Behavioral-tier (FastTestbench) trials per shard. Large enough to
   /// amortize per-shard testbench construction, small enough that the
-  /// work-stealing pool balances tail shards.
-  std::size_t shard_size = 4096;
+  /// pool balances tail shards.
+  static constexpr std::size_t shard_size = 4096;
   /// Gate-level trials per shard; rounded up to whole 64-lane batches so a
   /// shard never runs a partially filled PackedSim batch mid-campaign.
-  std::size_t structural_shard_size = 256;
+  static constexpr std::size_t structural_shard_size = 256;
 };
 
 /// Durability + service hooks threaded through a campaign run. All
 /// optional; the default (nullptrs) reproduces the plain uninterruptible
 /// single-campaign run exactly. None of them can change the statistics —
-/// they reorder, interrupt or observe the shard loop, never reseed it.
+/// they interrupt, resume or observe the shard loop, never reseed it.
 struct RunControls {
   /// Polled before each shard; a cancelled token skips the shards that have
   /// not started (completed shards still merge — partial statistics).
@@ -60,12 +58,6 @@ struct RunControls {
   /// they finish; shards already in the journal are merged from it instead
   /// of rerun. Shard-order determinism makes the merge bit-exact.
   CampaignJournal* journal = nullptr;
-  /// Fair round-robin shard dispatcher shared across concurrent campaigns
-  /// (the serve daemon): shards go through scheduler->run_job instead of
-  /// the runner's own parallel_for, interleaving with every other job on
-  /// the same pool. Must wrap the same pool as the runner. nullptr → the
-  /// runner's pool runs this campaign alone.
-  FairScheduler* scheduler = nullptr;
   /// Progress observer, called after each shard completes (run or resumed
   /// — never for cancel-skipped shards) with (shards_done, shard_count).
   /// Invoked from pool threads — must be thread-safe and cheap; exceptions
@@ -92,8 +84,9 @@ struct CampaignReport {
 };
 
 /// Shard-map-reduce driver for statistical campaigns: shards a trial count
-/// into independent chunks, runs each with its own seed stream on a
-/// work-stealing pool, and merges the per-shard statistics in shard order.
+/// into independent chunks, runs each with its own seed stream on the pool
+/// (which interleaves them fairly with any other caller's shards), and
+/// merges the per-shard statistics in shard order.
 /// `threads == 1` reproduces the serial path (same shards, same seeds), so
 /// the thread count is purely a throughput knob.
 class CampaignRunner {
@@ -102,7 +95,6 @@ class CampaignRunner {
   ~CampaignRunner();
 
   unsigned threads() const { return pool_.size(); }
-  const CampaignOptions& options() const { return options_; }
   ThreadPool& pool() { return pool_; }
 
   /// Generic deterministic map-reduce: fn(shard) → Result, merged with
@@ -121,14 +113,14 @@ class CampaignRunner {
   }
 
   /// Behavioral-tier validation campaign (FastTestbench::run) across the
-  /// pool. shard_size == 0 → options().shard_size.
+  /// pool. shard_size == 0 → CampaignOptions::shard_size.
   CampaignReport run_fast(const ValidationConfig& config, std::size_t count,
                           std::size_t shard_size = 0,
                           const RunControls& controls = {});
 
   /// Gate-level packed campaign (StructuralTestbench::run_packed): each
   /// shard simulates its own design copy with 64 corruption trials per
-  /// batch. shard_size == 0 → options().structural_shard_size.
+  /// batch. shard_size == 0 → CampaignOptions::structural_shard_size.
   CampaignReport run_structural_packed(const ValidationConfig& config,
                                        std::size_t count,
                                        std::size_t shard_size = 0,
@@ -142,7 +134,6 @@ class CampaignRunner {
   // the exact fresh-construction state (see StructuralTestbench::reseed).
   struct WorkspacePool;
 
-  CampaignOptions options_;
   ThreadPool pool_;
   std::unique_ptr<WorkspacePool> workspaces_;
 };

@@ -4,9 +4,9 @@
 ///
 /// Jobs (spec file + overrides) queue in submission order; a small set of
 /// driver threads executes them, every campaign running on ONE shared
-/// CampaignRunner through a FairScheduler, so N concurrent jobs
-/// round-robin the pool shard-by-shard instead of fighting over cores
-/// with N private pools. Sessions come from the SessionCache, compiled
+/// CampaignRunner, whose pool serves concurrent callers round-robin, so N
+/// concurrent jobs interleave shard-by-shard instead of fighting over
+/// cores with N private pools. Sessions come from the SessionCache, compiled
 /// netlists from the process-global CompiledArtifactStore — neither cache
 /// can change a campaign's statistics (same seed → same results, cold or
 /// warm; asserted by tests/test_serve.cpp and the serve CI job).
@@ -28,7 +28,6 @@
 #include <thread>
 #include <vector>
 
-#include "parallel/fair_scheduler.hpp"
 #include "retscan/campaign.hpp"
 #include "serve/protocol.hpp"
 #include "serve/session_cache.hpp"
@@ -126,7 +125,6 @@ class JobManager {
   ServeOptions options_;
   std::shared_ptr<CompiledArtifactStore> artifacts_;  ///< also installed globally
   parallel::CampaignRunner runner_;
-  parallel::FairScheduler scheduler_;
   mutable SessionCache sessions_;
 
   mutable std::mutex mutex_;

@@ -314,29 +314,12 @@ ValidationStats StructuralTestbench::run(std::size_t count) {
     }
     sim.set_input("rd_en", false);
 
-    ++stats.sequences;
-    stats.errors_injected += errors.size();
-    if (!errors.empty()) {
-      ++stats.sequences_with_errors;
-      if (outcome.errors_detected) {
-        ++stats.detected;
-      }
-      if (matches && outcome.recheck_clean) {
-        ++stats.corrected;
-      }
-      if (outcome.final_state == PgState::ErrorFlagged) {
-        ++stats.flagged_uncorrectable;
-      }
-      if (!matches) {
-        ++stats.comparator_mismatches;
-        if (!outcome.errors_detected) {
-          ++stats.silent_corruptions;
-        }
-      }
-    } else if (!matches) {
-      ++stats.comparator_mismatches;
-      ++stats.silent_corruptions;
-    }
+    // The Proposed FSM ends in ErrorFlagged exactly when the decode flagged
+    // and the recheck stayed dirty, which is how tally() counts it.
+    tally(stats, errors.size(),
+          {.detected = outcome.errors_detected,
+           .recheck_clean = outcome.recheck_clean,
+           .matches = matches});
     // Fresh sleep episode next sequence.
     session_->reset_fsm();
   }

@@ -41,6 +41,8 @@ struct ValidationConfig {
   /// Used only with InjectionMode::RushModel.
   CorruptionParameters corruption{};
   RushParameters rush{};
+
+  bool operator==(const ValidationConfig&) const = default;
 };
 
 /// Counter block of Fig. 8: every observable event of the campaign.

@@ -1,5 +1,8 @@
 #include "util/thread_pool.hpp"
 
+#include <algorithm>
+#include <exception>
+
 #include "retscan/runtime.hpp"
 #include "util/cancel.hpp"
 #include "util/failpoint.hpp"
@@ -12,9 +15,28 @@ namespace {
 thread_local const ThreadPool* tl_pool = nullptr;
 }  // namespace
 
-bool ThreadPool::on_worker_thread() const {
-  return tl_pool == this;
-}
+/// One parallel_for call, living on its caller's stack. Every field but
+/// the constants is guarded by the pool's mutex. A job is in the pool's
+/// list exactly while next < count.
+struct ThreadPool::Job {
+  Job(const std::function<void(std::size_t)>& body, const CancelToken* cancel,
+      std::size_t count)
+      : body(body), cancel(cancel), count(count), error_index(count) {}
+
+  bool finished() const { return next == count && running == 0; }
+
+  const std::function<void(std::size_t)>& body;
+  const CancelToken* const cancel;
+  const std::size_t count;
+  std::size_t next = 0;     ///< next body index to hand out
+  std::size_t running = 0;  ///< bodies handed out and not yet finished
+  /// Lowest body index that threw (count while none has), and its
+  /// exception — campaigns report the first failing shard by shard id, not
+  /// whichever worker's throw won the wall-clock race.
+  std::size_t error_index;
+  std::exception_ptr error;
+  std::condition_variable done;
+};
 
 unsigned ThreadPool::default_thread_count() {
   // Env parsing (and its strict-parse warning) lives in retscan::runtime —
@@ -26,94 +48,83 @@ ThreadPool::ThreadPool(unsigned threads) {
   const unsigned count = threads == 0 ? default_thread_count() : threads;
   workers_.reserve(count);
   for (unsigned i = 0; i < count; ++i) {
-    workers_.push_back(std::make_unique<Worker>());
-  }
-  for (unsigned i = 0; i < count; ++i) {
-    workers_[i]->thread = std::thread([this, i] { worker_loop(i); });
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
   {
-    std::lock_guard<std::mutex> lock(idle_mutex_);
-    stop_.store(true, std::memory_order_release);
+    const std::lock_guard<std::mutex> lock(mutex_);
+    stop_ = true;
   }
-  idle_cv_.notify_all();
-  for (auto& worker : workers_) {
-    if (worker->thread.joinable()) {
-      worker->thread.join();
-    }
+  wake_.notify_all();
+  for (std::thread& worker : workers_) {
+    worker.join();
   }
 }
 
-void ThreadPool::enqueue(std::function<void()> task) {
-  failpoint("pool.dispatch");
-  const std::size_t index =
-      next_queue_.fetch_add(1, std::memory_order_relaxed) % workers_.size();
-  // Increment pending_ BEFORE the task becomes stealable, so a concurrent
-  // pop can never drive the counter below zero; holding idle_mutex_ for the
-  // increment pairs with the cv predicate check so the wakeup can't be
-  // missed. A worker waking between the two blocks spins once harmlessly.
-  {
-    std::lock_guard<std::mutex> lock(idle_mutex_);
-    pending_.fetch_add(1, std::memory_order_release);
+/// Stop handing out `job`'s bodies: the ones not yet started are skipped.
+/// Idempotent.
+void ThreadPool::retire_locked(Job& job) {
+  job.next = job.count;
+  const auto at = std::find(jobs_.begin(), jobs_.end(), &job);
+  if (at == jobs_.end()) {
+    return;
   }
-  {
-    std::lock_guard<std::mutex> lock(workers_[index]->mutex);
-    workers_[index]->queue.push_back(std::move(task));
+  if (static_cast<std::size_t>(at - jobs_.begin()) < cursor_) {
+    --cursor_;
   }
-  idle_cv_.notify_one();
+  jobs_.erase(at);
 }
 
-bool ThreadPool::try_pop(std::size_t index, std::function<void()>& task) {
-  Worker& worker = *workers_[index];
-  std::lock_guard<std::mutex> lock(worker.mutex);
-  if (worker.queue.empty()) {
-    return false;
-  }
-  task = std::move(worker.queue.back());
-  worker.queue.pop_back();
-  pending_.fetch_sub(1, std::memory_order_relaxed);
-  return true;
-}
-
-bool ThreadPool::try_steal(std::size_t thief, std::function<void()>& task) {
-  for (std::size_t hop = 1; hop < workers_.size(); ++hop) {
-    Worker& victim = *workers_[(thief + hop) % workers_.size()];
-    std::lock_guard<std::mutex> lock(victim.mutex);
-    if (!victim.queue.empty()) {
-      task = std::move(victim.queue.front());
-      victim.queue.pop_front();
-      pending_.fetch_sub(1, std::memory_order_relaxed);
-      return true;
-    }
-  }
-  return false;
-}
-
-void ThreadPool::worker_loop(std::size_t index) {
+void ThreadPool::worker_loop() {
   tl_pool = this;
-  std::function<void()> task;
+  std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    if (try_pop(index, task) || try_steal(index, task)) {
-      try {
-        task();
-      } catch (...) {
-        // enqueue() tasks are documented non-throwing; submit()/parallel_for()
-        // wrappers capture their own exceptions. Swallow rather than
-        // std::terminate so one misbehaved task cannot take the pool down.
+    wake_.wait(lock, [this] { return stop_ || !jobs_.empty(); });
+    if (jobs_.empty()) {
+      return;  // stopping, and no job has bodies left
+    }
+    if (cursor_ >= jobs_.size()) {
+      cursor_ = 0;
+    }
+    Job& job = *jobs_[cursor_];
+    if (job.cancel != nullptr && job.cancel->cancelled()) {
+      retire_locked(job);
+      if (job.finished()) {
+        job.done.notify_one();
       }
-      task = nullptr;
       continue;
     }
-    std::unique_lock<std::mutex> lock(idle_mutex_);
-    idle_cv_.wait(lock, [this] {
-      return stop_.load(std::memory_order_acquire) ||
-             pending_.load(std::memory_order_acquire) > 0;
-    });
-    if (stop_.load(std::memory_order_acquire) &&
-        pending_.load(std::memory_order_acquire) == 0) {
-      return;
+    const std::size_t index = job.next++;
+    ++job.running;
+    if (job.next == job.count) {
+      retire_locked(job);  // the cursor now names the following job
+    } else {
+      ++cursor_;  // round-robin: the next body comes from the next job
+    }
+
+    lock.unlock();
+    std::exception_ptr error;
+    try {
+      job.body(index);
+    } catch (...) {
+      error = std::current_exception();
+    }
+    lock.lock();
+
+    --job.running;
+    if (error) {
+      retire_locked(job);
+      if (index < job.error_index) {
+        job.error_index = index;
+        job.error = error;
+      }
+    }
+    // Notified under the lock: the caller cannot wake, return and destroy
+    // the job until this worker has let go of it.
+    if (job.finished()) {
+      job.done.notify_one();
     }
   }
 }
@@ -137,66 +148,15 @@ void ThreadPool::parallel_for(std::size_t count,
     return;
   }
 
-  struct State {
-    std::mutex mutex;
-    std::condition_variable done;
-    std::size_t remaining;
-    /// One body threw: bodies that have not started yet are skipped (they
-    /// still drain `remaining`, so the wait below always completes).
-    std::atomic<bool> abandoned{false};
-    /// Lowest body index that threw, and its exception — campaigns report
-    /// the first failing shard deterministically, not whichever worker's
-    /// throw won the wall-clock race.
-    std::size_t error_index;
-    std::exception_ptr error;
-  };
-  auto state = std::make_shared<State>();
-  state->remaining = count;
-  state->error_index = count;
-
-  std::size_t enqueued = 0;
-  std::exception_ptr dispatch_error;
-  for (std::size_t i = 0; i < count; ++i) {
-    auto task = [state, i, &body, cancel] {
-      if (!state->abandoned.load(std::memory_order_relaxed) &&
-          (cancel == nullptr || !cancel->cancelled())) {
-        try {
-          body(i);
-        } catch (...) {
-          std::lock_guard<std::mutex> lock(state->mutex);
-          state->abandoned.store(true, std::memory_order_relaxed);
-          if (i < state->error_index) {
-            state->error_index = i;
-            state->error = std::current_exception();
-          }
-        }
-      }
-      std::lock_guard<std::mutex> lock(state->mutex);
-      if (--state->remaining == 0) {
-        state->done.notify_all();
-      }
-    };
-    try {
-      enqueue(std::move(task));
-    } catch (...) {
-      // Dispatch itself failed (allocation, pool.dispatch failpoint): stop
-      // submitting, settle the count for the tasks that will never run, and
-      // report after the ones already in flight drain — never deadlock.
-      dispatch_error = std::current_exception();
-      state->abandoned.store(true, std::memory_order_relaxed);
-      break;
-    }
-    ++enqueued;
-  }
-
-  std::unique_lock<std::mutex> lock(state->mutex);
-  state->remaining -= count - enqueued;
-  state->done.wait(lock, [&] { return state->remaining == 0; });
-  if (state->error) {
-    std::rethrow_exception(state->error);
-  }
-  if (dispatch_error) {
-    std::rethrow_exception(dispatch_error);
+  failpoint("pool.dispatch");
+  Job job(body, cancel, count);
+  std::unique_lock<std::mutex> lock(mutex_);
+  jobs_.push_back(&job);
+  wake_.notify_all();
+  job.done.wait(lock, [&job] { return job.finished(); });
+  lock.unlock();
+  if (job.error) {
+    std::rethrow_exception(job.error);
   }
 }
 

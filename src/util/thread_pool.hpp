@@ -1,33 +1,28 @@
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
-#include <future>
-#include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 namespace retscan {
 
 class CancelToken;
 
-/// Small work-stealing thread pool: one task deque per worker, owners pop
-/// from the back (LIFO, cache-warm), thieves steal from the front (FIFO,
-/// oldest work first). This is the execution substrate of the
-/// retscan::parallel campaign layer — shards of a statistical campaign are
-/// submitted as independent tasks and idle workers steal from loaded ones,
-/// so uneven shard costs (e.g. fault shards with early drops) still fill
-/// every core.
+/// Fixed set of worker threads serving parallel_for jobs fairly. Each
+/// parallel_for call is one job; an idle worker takes the next body index
+/// of the next job in round-robin order (self-scheduling), so concurrent
+/// callers — the serve daemon's campaigns, a coverage phase beside a
+/// validation campaign — interleave body-for-body instead of queueing
+/// behind each other, and uneven body costs still fill every core. This is
+/// the execution substrate of the retscan::parallel campaign layer.
 ///
 /// Determinism note: the pool schedules; it never sequences results. All
 /// campaign-level reductions happen in shard order outside the pool, so
 /// the same seed produces bit-identical campaign statistics at any thread
-/// count.
+/// count and under any mix of concurrent callers.
 class ThreadPool {
  public:
   /// threads == 0 → default_thread_count() (RETSCAN_THREADS env override,
@@ -40,59 +35,37 @@ class ThreadPool {
 
   unsigned size() const { return static_cast<unsigned>(workers_.size()); }
 
-  /// Fire-and-forget task. Tasks must not throw — wrap throwing work via
-  /// submit() or parallel_for(), which capture and propagate exceptions.
-  void enqueue(std::function<void()> task);
-
-  /// Task with a result (or a propagated exception) via std::future.
-  template <typename F>
-  auto submit(F&& f) -> std::future<std::invoke_result_t<std::decay_t<F>>> {
-    using R = std::invoke_result_t<std::decay_t<F>>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(f));
-    std::future<R> future = task->get_future();
-    enqueue([task] { (*task)(); });
-    return future;
-  }
-
-  /// Run body(0) .. body(count-1) across the pool and block until every
-  /// submitted body has finished or been skipped (the pool is always left
-  /// clean — no deadlock, no orphaned tasks). A throwing body cancels the
-  /// bodies that have not started yet, and of the bodies that did throw,
-  /// the one with the LOWEST index is rethrown here — deterministic by
-  /// shard id, never by wall clock. If `cancel` is non-null, bodies are
+  /// Run body(0) .. body(count-1) on the workers and block until every body
+  /// has finished or been skipped. Thread-safe: concurrent callers are
+  /// separate jobs, served round-robin. A throwing body skips the bodies
+  /// of its job that have not started yet, and of the bodies that did
+  /// throw, the one with the LOWEST index is rethrown here — deterministic
+  /// by shard id, never by wall clock. If `cancel` is non-null, bodies are
   /// likewise skipped once the token reports cancelled (no exception: the
   /// caller owns the token and inspects it). Runs inline when called from a
-  /// pool worker (no nested deadlock) or when the pool is effectively
-  /// serial, with the same skip-after-error/cancel semantics.
+  /// pool worker (no nested deadlock), for a single body, or when the pool
+  /// is effectively serial, with the same skip-after-error/cancel
+  /// semantics. The `pool.dispatch` failpoint fires once per call that
+  /// reaches the workers, before any body runs.
   void parallel_for(std::size_t count, const std::function<void(std::size_t)>& body,
                     const CancelToken* cancel = nullptr);
-
-  /// True when the calling thread is one of this pool's workers — callers
-  /// that would block waiting on pool tasks (parallel_for, FairScheduler)
-  /// must run inline instead, or a worker deadlocks waiting on itself.
-  bool on_worker_thread() const;
 
   /// RETSCAN_THREADS env override (strictly parsed), else
   /// hardware_concurrency(), else 1.
   static unsigned default_thread_count();
 
  private:
-  struct Worker {
-    std::deque<std::function<void()>> queue;
-    std::mutex mutex;
-    std::thread thread;
-  };
+  struct Job;
 
-  bool try_pop(std::size_t index, std::function<void()>& task);
-  bool try_steal(std::size_t thief, std::function<void()>& task);
-  void worker_loop(std::size_t index);
+  void worker_loop();
+  void retire_locked(Job& job);
 
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::mutex idle_mutex_;
-  std::condition_variable idle_cv_;
-  std::atomic<std::size_t> pending_{0};
-  std::atomic<std::size_t> next_queue_{0};
-  std::atomic<bool> stop_{false};
+  std::vector<std::thread> workers_;
+  std::mutex mutex_;
+  std::condition_variable wake_;  ///< a job was posted, or stop_
+  std::vector<Job*> jobs_;        ///< jobs with bodies left to hand out
+  std::size_t cursor_ = 0;        ///< round-robin position in jobs_
+  bool stop_ = false;
 };
 
 }  // namespace retscan

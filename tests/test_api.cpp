@@ -441,6 +441,27 @@ TEST(ApiValidate, RejectsUnrunnableSpecs) {
                 .find("shard_size"),
             std::string::npos);
 
+  // Validation kinds run one unsharded pass on Reference and Packed too, on
+  // both tiers, so they reject shard_size instead of dropping it.
+  CampaignSpec reference_shard;
+  reference_shard.kind = CampaignKind::Validation;
+  reference_shard.backend = Backend::Reference;
+  reference_shard.sequences = 3000;
+  reference_shard.shard_size = 1000;
+  EXPECT_NE(error_message([&] { validate(reference_shard, session); })
+                .find("shard_size"),
+            std::string::npos);
+  for (const Backend serial : {Backend::Reference, Backend::Packed}) {
+    CampaignSpec structural_shard = reference_shard;
+    structural_shard.tier = ValidationTier::Structural;
+    structural_shard.backend = serial;
+    structural_shard.shard_size = 1024;  // whole 64-lane batches
+    EXPECT_NE(error_message([&] { validate(structural_shard, session); })
+                  .find("shard_size"),
+              std::string::npos)
+        << to_string(serial);
+  }
+
   CampaignSpec no_patterns;
   no_patterns.kind = CampaignKind::FaultCoverage;
   no_patterns.atpg.random_patterns = 0;
@@ -833,5 +854,5 @@ TEST(ApiVersion, ConstantsAgree) {
   EXPECT_STREQ(version_string(), RETSCAN_VERSION_STRING);
   EXPECT_EQ(RETSCAN_VERSION_NUMBER,
             kVersionMajor * 10000 + kVersionMinor * 100 + kVersionPatch);
-  EXPECT_EQ(kVersionMajor, 2);
+  EXPECT_EQ(kVersionMajor, 3);
 }

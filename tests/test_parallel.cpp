@@ -1,5 +1,6 @@
-// The retscan::parallel orchestration layer: work-stealing ThreadPool
-// semantics (completion, exception propagation, clean shutdown),
+// The retscan::parallel orchestration layer: ThreadPool semantics
+// (completion, exception propagation, cancellation, concurrent callers,
+// the dispatch failpoint, clean shutdown),
 // deterministic shard planning/seeding, and — the load-bearing contract —
 // thread-count invariance: the same campaign seed must produce
 // bit-identical statistics at 1, 2 and 8 threads.
@@ -7,10 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "atpg/fault.hpp"
@@ -37,14 +40,6 @@ TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
   for (std::size_t i = 0; i < kCount; ++i) {
     EXPECT_EQ(hits[i].load(), 1) << "index " << i;
   }
-}
-
-TEST(ThreadPool, SubmitDeliversResultsAndExceptions) {
-  ThreadPool pool(2);
-  auto value = pool.submit([] { return 41 + 1; });
-  EXPECT_EQ(value.get(), 42);
-  auto boom = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(boom.get(), std::runtime_error);
 }
 
 TEST(ThreadPool, ParallelForPropagatesExceptionAndPoolSurvives) {
@@ -133,6 +128,118 @@ TEST(ThreadPool, SerialAndNestedCallsRunInline) {
     });
   });
   EXPECT_EQ(total.load(), 32u);
+}
+
+// Concurrent callers are separate jobs on one pool; each keeps the whole
+// parallel_for contract while the workers interleave them.
+
+TEST(ThreadPool, ConcurrentCallersEachRunEveryBodyOnce) {
+  ThreadPool pool(4);
+  constexpr std::size_t kBodies = 64;
+  std::vector<std::atomic<int>> a(kBodies), b(kBodies);
+  std::thread other([&] {
+    pool.parallel_for(kBodies, [&](std::size_t i) { b[i].fetch_add(1); });
+  });
+  pool.parallel_for(kBodies, [&](std::size_t i) { a[i].fetch_add(1); });
+  other.join();
+  for (std::size_t i = 0; i < kBodies; ++i) {
+    EXPECT_EQ(a[i].load(), 1) << i;
+    EXPECT_EQ(b[i].load(), 1) << i;
+  }
+}
+
+// Round-robin across callers: a job posted while another still has a long
+// tail is served beside it, not after it.
+TEST(ThreadPool, LaterCallerIsNotQueuedBehindAnEarlierJob) {
+  ThreadPool pool(4);
+  constexpr std::size_t kLong = 2000;
+  std::atomic<std::size_t> long_started{0};
+  std::atomic<bool> short_done{false};
+  std::thread long_caller([&] {
+    pool.parallel_for(kLong, [&](std::size_t) {
+      long_started.fetch_add(1);
+      if (!short_done.load()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
+  });
+  while (long_started.load() == 0) {
+    std::this_thread::yield();
+  }
+  pool.parallel_for(8, [](std::size_t) {});
+  const std::size_t started = long_started.load();
+  short_done.store(true);
+  long_caller.join();
+  // Queued behind the long job, the short one could only return once every
+  // long body had started.
+  EXPECT_LT(started, kLong);
+}
+
+TEST(ThreadPool, ThrowingJobRethrowsLowestIndexBesideAnotherCaller) {
+  ThreadPool pool(2);
+  std::atomic<int> other_ran{0};
+  std::thread other([&] {
+    pool.parallel_for(200, [&](std::size_t) { other_ran.fetch_add(1); });
+  });
+  std::atomic<int> ran{0};
+  try {
+    pool.parallel_for(100, [&](std::size_t i) {
+      if (i == 3 || i == 5) {
+        throw Error("shard " + std::to_string(i) + " exploded");
+      }
+      ran.fetch_add(1);
+    });
+    FAIL() << "expected the body's exception";
+  } catch (const Error& error) {
+    // Bodies are handed out in index order, so 3 always runs; if 5 threw
+    // too, the lower index still wins.
+    EXPECT_STREQ(error.what(), "shard 3 exploded");
+  }
+  // A throw skips the bodies not yet handed out. Two workers cannot reach
+  // 6 before 3 or 5 has thrown, so at most 0-2 and 4 ran.
+  EXPECT_LE(ran.load(), 4);
+  other.join();
+  EXPECT_EQ(other_ran.load(), 200);  // the other caller's job is untouched
+  // The pool remains usable after an abandoned job.
+  std::atomic<int> again{0};
+  pool.parallel_for(10, [&](std::size_t) { again.fetch_add(1); });
+  EXPECT_EQ(again.load(), 10);
+}
+
+TEST(ThreadPool, TokenCancelledMidRunSkipsUnstartedBodies) {
+  ThreadPool pool(2);
+  CancelToken token;
+  std::atomic<int> ran{0};
+  pool.parallel_for(
+      1000,
+      [&](std::size_t) {
+        token.request_cancel();
+        ran.fetch_add(1);
+      },
+      &token);
+  EXPECT_GT(ran.load(), 0);
+  // At most one body per worker starts before the token is seen.
+  EXPECT_LE(ran.load(), 2);
+}
+
+// The pool.dispatch failpoint fires once per pooled call, before any body
+// is handed out: the call throws, nothing runs, and the pool carries on.
+TEST(ThreadPool, DispatchFailpointRunsNoBodyAndPoolSurvives) {
+  ThreadPool pool(4);
+  std::atomic<int> ran{0};
+  ::setenv("RETSCAN_FAILPOINTS", "pool.dispatch=throw", 1);
+  failpoints_refresh();
+  try {
+    pool.parallel_for(64, [&](std::size_t) { ran.fetch_add(1); });
+    ADD_FAILURE() << "the armed dispatch failpoint did not throw";
+  } catch (const Error& error) {
+    EXPECT_STREQ(error.what(), "failpoint pool.dispatch");
+  }
+  ::unsetenv("RETSCAN_FAILPOINTS");
+  failpoints_refresh();
+  EXPECT_EQ(ran.load(), 0);
+  pool.parallel_for(64, [&](std::size_t) { ran.fetch_add(1); });
+  EXPECT_EQ(ran.load(), 64);
 }
 
 TEST(ShardPlan, CoversTotalExactlyOnceIndependentOfThreads) {

@@ -2,27 +2,20 @@
 // the results. A campaign submitted to a JobManager — cold session, cached
 // session, 1 thread or 8 — must digest byte-identically to every other run
 // of the same spec. Around that core equivalence claim: the wire JSON
-// value, the session-cache key and LRU mechanics, the FairScheduler
-// parallel_for contract, job lifecycle (cancel both queued and running,
-// failure isolation, overrides, drain), and a live Server end-to-end over
-// a real Unix socket.
+// value, the session-cache key and LRU mechanics, job lifecycle (cancel
+// both queued and running, failure isolation, overrides, drain), and a
+// live Server end-to-end over a real Unix socket.
 
 #include "retscan/serve.hpp"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
-
-#include "util/cancel.hpp"
-#include "util/thread_pool.hpp"
 
 #ifndef RETSCAN_CIRCUITS_DIR
 #define RETSCAN_CIRCUITS_DIR "bench/circuits"
@@ -194,63 +187,6 @@ TEST(ServeSessionCache, CheckoutIsExclusiveAndEvictionIsLru) {
   none.checkin(9, std::make_unique<Session>(make_session(file)));
   EXPECT_EQ(none.size(), 0u);
   EXPECT_EQ(none.checkout(9), nullptr);
-}
-
-// ---------------------------------------------------------------------------
-// FairScheduler: the parallel_for contract on a shared pool.
-
-TEST(ServeFairScheduler, RunsEveryBodyOnceAcrossConcurrentJobs) {
-  ThreadPool pool(4);
-  parallel::FairScheduler scheduler(pool);
-  constexpr std::size_t kBodies = 64;
-  std::vector<std::atomic<int>> a(kBodies), b(kBodies);
-  std::thread other([&] {
-    scheduler.run_job(kBodies, [&](std::size_t i) { b[i].fetch_add(1); });
-  });
-  scheduler.run_job(kBodies, [&](std::size_t i) { a[i].fetch_add(1); });
-  other.join();
-  for (std::size_t i = 0; i < kBodies; ++i) {
-    EXPECT_EQ(a[i].load(), 1) << i;
-    EXPECT_EQ(b[i].load(), 1) << i;
-  }
-}
-
-TEST(ServeFairScheduler, ThrowingBodyAbandonsRestAndRethrows) {
-  ThreadPool pool(2);
-  parallel::FairScheduler scheduler(pool);
-  std::atomic<int> ran{0};
-  try {
-    scheduler.run_job(100, [&](std::size_t i) {
-      if (i == 3) {
-        throw Error("shard exploded");
-      }
-      ran.fetch_add(1);
-    });
-    FAIL() << "expected the body's exception";
-  } catch (const Error& error) {
-    EXPECT_STREQ(error.what(), "shard exploded");
-  }
-  EXPECT_LT(ran.load(), 100);
-  // The scheduler must remain usable after an abandoned job.
-  std::atomic<int> again{0};
-  scheduler.run_job(10, [&](std::size_t) { again.fetch_add(1); });
-  EXPECT_EQ(again.load(), 10);
-}
-
-TEST(ServeFairScheduler, CancelledTokenSkipsUnstartedBodies) {
-  ThreadPool pool(2);
-  parallel::FairScheduler scheduler(pool);
-  CancelToken token;
-  std::atomic<int> ran{0};
-  scheduler.run_job(
-      1000,
-      [&](std::size_t) {
-        token.request_cancel();
-        ran.fetch_add(1);
-      },
-      &token);
-  EXPECT_GT(ran.load(), 0);
-  EXPECT_LT(ran.load(), 1000);
 }
 
 // ---------------------------------------------------------------------------

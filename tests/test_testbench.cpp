@@ -132,6 +132,23 @@ TEST(StructuralTestbench, BurstsFlaggedAtGateLevel) {
   EXPECT_LT(stats.correction_rate(), 0.75);
 }
 
+/// run()'s full counter block, pinned: every counter, including
+/// flagged_uncorrectable (the FSM's ErrorFlagged verdict), which no other
+/// scalar-path test reads. CRC-only flags every errored sequence; Hamming+CRC
+/// bursts flag the ones its recheck leaves dirty.
+TEST(StructuralTestbench, RunCountersArePinned) {
+  ValidationConfig crc = small_config(InjectionMode::SingleRandom);
+  crc.kind = CodeKind::CrcDetect;
+  EXPECT_EQ(StructuralTestbench(crc).run(64),
+            (ValidationStats{64, 64, 64, 64, 0, 64, 47, 0}));
+
+  ValidationConfig bursts = small_config(InjectionMode::MultipleBurst);
+  bursts.burst_size = 4;
+  bursts.burst_spread = 1;
+  EXPECT_EQ(StructuralTestbench(bursts).run(64),
+            (ValidationStats{64, 256, 64, 64, 19, 45, 35, 0}));
+}
+
 TEST(StructuralTestbench, CleanCyclesNeverMismatch) {
   StructuralTestbench tb(small_config(InjectionMode::None));
   const ValidationStats stats = tb.run(10);
