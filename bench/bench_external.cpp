@@ -4,9 +4,12 @@
 // sequential set and the EPFL-class arithmetic set — is parsed by the
 // structural-Verilog frontend, lint-checked, and driven through packed
 // stuck-at AND transition-delay campaigns via the same Session/CampaignSpec
-// pipeline the CLI uses; the sequential benches additionally run the
-// scan-free sequential-coverage model, and the largest import feeds the
-// compiled-core full-sweep and cone fault-evaluation throughput loops.
+// pipeline the CLI uses. Every stuck-at campaign runs the full two-phase
+// ATPG (random patterns, then PODEM at 300 backtracks on what they leave),
+// so the coverage table is the one a test engineer would sign off on. The
+// sequential benches additionally run the scan-free sequential-coverage
+// model, and the largest import feeds the compiled-core full-sweep and cone
+// fault-evaluation throughput loops.
 //
 // BENCH_external.json records per-circuit and per-suite coverage plus the
 // aggregate metrics; ci/check_bench_json.py gates the coverage floors
@@ -36,9 +39,6 @@ struct Workload {
   const char* file;
   const char* suite;  ///< "iscas85" / "iscas89" / "epfl" class
   std::size_t random_patterns;
-  /// PODEM top-up: affordable on the small imports, random-only on the
-  /// multi-thousand-cell ones (the bench measures throughput, not ATPG).
-  bool run_podem;
   /// 0 = bare import; otherwise the circuit is wrapped in the protection
   /// architecture with this many retention scan chains.
   std::size_t chains;
@@ -50,27 +50,27 @@ struct Workload {
 
 constexpr Workload kWorkloads[] = {
     // ISCAS'85-class combinational: gate-instance style...
-    {"c17.v", "iscas85", 64, true, 0, CodeKind::CrcDetect, 0, false},
-    {"add432.v", "iscas85", 256, true, 0, CodeKind::CrcDetect, 0, false},
-    {"mul880.v", "iscas85", 256, true, 0, CodeKind::CrcDetect, 0, false},
+    {"c17.v", "iscas85", 64, 0, CodeKind::CrcDetect, 0, false},
+    {"add432.v", "iscas85", 256, 0, CodeKind::CrcDetect, 0, false},
+    {"mul880.v", "iscas85", 256, 0, CodeKind::CrcDetect, 0, false},
     // ...and bus + assign expression style (the expression-synthesis path).
-    {"ecc499.v", "iscas85", 256, true, 0, CodeKind::CrcDetect, 0, false},
-    {"par1355.v", "iscas85", 256, false, 0, CodeKind::CrcDetect, 0, false},
-    {"cmp1908.v", "iscas85", 256, false, 0, CodeKind::CrcDetect, 0, false},
-    {"ctl2670.v", "iscas85", 256, false, 0, CodeKind::CrcDetect, 0, false},
-    {"alu3540.v", "iscas85", 128, false, 0, CodeKind::CrcDetect, 0, false},
-    {"bar5315.v", "iscas85", 128, false, 0, CodeKind::CrcDetect, 0, false},
-    {"mul6288.v", "iscas85", 128, false, 0, CodeKind::CrcDetect, 0, false},
-    {"vot7552.v", "iscas85", 128, false, 0, CodeKind::CrcDetect, 0, false},
+    {"ecc499.v", "iscas85", 256, 0, CodeKind::CrcDetect, 0, false},
+    {"par1355.v", "iscas85", 256, 0, CodeKind::CrcDetect, 0, false},
+    {"cmp1908.v", "iscas85", 256, 0, CodeKind::CrcDetect, 0, false},
+    {"ctl2670.v", "iscas85", 256, 0, CodeKind::CrcDetect, 0, false},
+    {"alu3540.v", "iscas85", 128, 0, CodeKind::CrcDetect, 0, false},
+    {"bar5315.v", "iscas85", 128, 0, CodeKind::CrcDetect, 0, false},
+    {"mul6288.v", "iscas85", 128, 0, CodeKind::CrcDetect, 0, false},
+    {"vot7552.v", "iscas85", 128, 0, CodeKind::CrcDetect, 0, false},
     // ISCAS'89-class sequential (protected wrap + sequential model).
-    {"s27.v", "iscas89", 64, true, 3, CodeKind::CrcDetect, 3, true},
-    {"ctrl344.v", "iscas89", 256, true, 4, CodeKind::HammingPlusCrc, 4, true},
-    {"pipe1196.v", "iscas89", 128, false, 4, CodeKind::CrcDetect, 4, true},
-    {"ctrl5378.v", "iscas89", 128, false, 4, CodeKind::CrcDetect, 4, true},
+    {"s27.v", "iscas89", 64, 3, CodeKind::CrcDetect, 3, true},
+    {"ctrl344.v", "iscas89", 256, 4, CodeKind::HammingPlusCrc, 4, true},
+    {"pipe1196.v", "iscas89", 128, 4, CodeKind::CrcDetect, 4, true},
+    {"ctrl5378.v", "iscas89", 128, 4, CodeKind::CrcDetect, 4, true},
     // EPFL-class arithmetic.
-    {"epfl_adder.v", "epfl", 128, false, 0, CodeKind::CrcDetect, 0, false},
-    {"epfl_bar.v", "epfl", 128, false, 0, CodeKind::CrcDetect, 0, false},
-    {"epfl_max.v", "epfl", 128, false, 0, CodeKind::CrcDetect, 0, false},
+    {"epfl_adder.v", "epfl", 128, 0, CodeKind::CrcDetect, 0, false},
+    {"epfl_bar.v", "epfl", 128, 0, CodeKind::CrcDetect, 0, false},
+    {"epfl_max.v", "epfl", 128, 0, CodeKind::CrcDetect, 0, false},
 };
 
 std::string circuit_name(const std::string& file) {
@@ -133,7 +133,6 @@ int main() {
     spec.backend = Backend::PackedParallel;
     spec.seed = 7;
     spec.atpg.random_patterns = work.random_patterns;
-    spec.atpg.run_podem = work.run_podem;
     spec.atpg.max_backtracks = 300;
     const CampaignResult stuck = session.run(spec);
     const double coverage = stuck.atpg.coverage();
@@ -151,7 +150,8 @@ int main() {
               << (work.chains == 0 ? " (bare)" : " (protected)") << " — "
               << stuck.atpg.patterns.size() << " patterns, stuck-at "
               << 100.0 * coverage << "% (" << stuck.faults.detected << "/"
-              << stuck.faults.total_faults << ") in " << stuck.seconds
+              << stuck.faults.total_faults << ", " << stuck.atpg.untestable
+              << " untestable, " << stuck.atpg.aborted << " aborted) in " << stuck.seconds
               << " s, transition " << 100.0 * td_coverage << "% ("
               << transition.faults.detected << "/"
               << transition.faults.total_faults << ") in "

@@ -16,5 +16,5 @@
 #include "atpg/fault.hpp"      // Fault, enumerate_faults, collapse_faults
 #include "atpg/fault_sim.hpp"  // CombinationalFrame, fault_simulate
 #include "atpg/pattern_io.hpp" // pattern save/load
-#include "atpg/podem.hpp"      // podem_generate
+#include "atpg/podem.hpp"      // Podem, PodemResult
 #include "atpg/scan_test.hpp"  // ScanPorts, deliver_scan_test[_packed]

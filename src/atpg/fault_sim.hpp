@@ -34,6 +34,8 @@ class CombinationalFrame {
   explicit CombinationalFrame(const Netlist& netlist);
 
   const Netlist& netlist() const { return *netlist_; }
+  /// The compiled core the frame's value slots and cones index into.
+  const CompiledNetlist& compiled() const { return *compiled_; }
   /// Primary input nets (excludes scan controls only if caller wires them).
   const std::vector<NetId>& pi_nets() const { return pi_nets_; }
   /// Flop cells serving as PPI (Q) / PPO (D capture).

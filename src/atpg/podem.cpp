@@ -1,5 +1,6 @@
 #include "atpg/podem.hpp"
 
+#include <algorithm>
 #include <limits>
 
 #include "util/error.hpp"
@@ -8,207 +9,122 @@ namespace retscan {
 
 namespace {
 constexpr std::size_t kNpos = std::numeric_limits<std::size_t>::max();
-constexpr std::uint8_t kX = 2;
-
-std::uint8_t v_not(std::uint8_t a) { return a == kX ? kX : (a ? 0 : 1); }
-std::uint8_t v_and(std::uint8_t a, std::uint8_t b) {
-  if (a == 0 || b == 0) return 0;
-  if (a == 1 && b == 1) return 1;
-  return kX;
-}
-std::uint8_t v_or(std::uint8_t a, std::uint8_t b) {
-  if (a == 1 || b == 1) return 1;
-  if (a == 0 && b == 0) return 0;
-  return kX;
-}
-std::uint8_t v_xor(std::uint8_t a, std::uint8_t b) {
-  if (a == kX || b == kX) return kX;
-  return a ^ b;
-}
-std::uint8_t v_mux(std::uint8_t s, std::uint8_t lo, std::uint8_t hi) {
-  if (s == 0) return lo;
-  if (s == 1) return hi;
-  // Select unknown: output known only if both branches agree.
-  return (lo != kX && lo == hi) ? lo : kX;
-}
+constexpr std::uint32_t kNoDriver = ~std::uint32_t{0};
 }  // namespace
 
 Podem::Podem(const CombinationalFrame& frame, std::size_t max_backtracks)
     : frame_(&frame),
+      compiled_(&frame.compiled()),
       max_backtracks_(max_backtracks),
-      good_(frame.netlist().net_count(), kX),
-      faulty_(frame.netlist().net_count(), kX),
+      sources_(compiled_->slot_count(), Dual::of(0)),
       input_values_(frame.pattern_width(), kX),
-      input_of_net_(frame.netlist().net_count(), kNpos) {
-  input_nets_.reserve(frame.pattern_width());
+      input_of_slot_(compiled_->slot_count(), kNpos),
+      driver_of_slot_(compiled_->slot_count(), kNoDriver) {
+  const Netlist& nl = frame.netlist();
+  input_slots_.reserve(frame.pattern_width());
   for (const NetId net : frame.pi_nets()) {
-    input_of_net_[net] = input_nets_.size();
-    input_nets_.push_back(net);
+    input_slots_.push_back(compiled_->slot(net));
   }
   for (const CellId flop : frame.flops()) {
-    const NetId q = frame.netlist().cell(flop).out;
-    input_of_net_[q] = input_nets_.size();
-    input_nets_.push_back(q);
+    input_slots_.push_back(compiled_->slot(nl.cell(flop).out));
   }
-}
-
-void Podem::imply(const Fault& fault) {
-  const Netlist& nl = frame_->netlist();
-  std::fill(good_.begin(), good_.end(), kX);
-  std::fill(faulty_.begin(), faulty_.end(), kX);
-  for (std::size_t i = 0; i < input_nets_.size(); ++i) {
-    good_[input_nets_[i]] = input_values_[i];
-    faulty_[input_nets_[i]] = input_values_[i];
+  for (std::size_t i = 0; i < input_slots_.size(); ++i) {
+    input_of_slot_[input_slots_[i]] = i;
+    sources_[input_slots_[i]] = Dual::of(kX);
   }
-  // Constant cells are sources outside the topological order.
   for (CellId id = 0; id < nl.cell_count(); ++id) {
-    const CellType t = nl.cell(id).type;
-    if (t == CellType::Const0 || t == CellType::Const1) {
-      const std::uint8_t v = t == CellType::Const1 ? 1 : 0;
-      good_[nl.cell(id).out] = v;
-      faulty_[nl.cell(id).out] = v;
+    if (nl.cell(id).type == CellType::Const1) {
+      sources_[compiled_->slot(nl.cell(id).out)] = Dual::of(1);
     }
   }
-  const std::uint8_t sa = fault.stuck_at ? 1 : 0;
-  if (faulty_[fault.net] != kX || input_of_net_[fault.net] != kNpos) {
-    faulty_[fault.net] = sa;
-  }
-  // A single forward pass in topological order suffices (no backward
-  // implication — PODEM only assigns at inputs).
-  for (const CellId id : nl.combinational_order()) {
-    const Cell& c = nl.cell(id);
-    if (c.type == CellType::Output) {
-      continue;
-    }
-    auto eval_one = [&](const std::vector<std::uint8_t>& v) -> std::uint8_t {
-      const auto& f = c.fanin;
-      switch (c.type) {
-        case CellType::Buf: return v[f[0]];
-        case CellType::Not: return v_not(v[f[0]]);
-        case CellType::And2: return v_and(v[f[0]], v[f[1]]);
-        case CellType::Or2: return v_or(v[f[0]], v[f[1]]);
-        case CellType::Xor2: return v_xor(v[f[0]], v[f[1]]);
-        case CellType::Nand2: return v_not(v_and(v[f[0]], v[f[1]]));
-        case CellType::Nor2: return v_not(v_or(v[f[0]], v[f[1]]));
-        case CellType::Xnor2: return v_not(v_xor(v[f[0]], v[f[1]]));
-        case CellType::Mux2: return v_mux(v[f[0]], v[f[1]], v[f[2]]);
-        case CellType::Const0: return 0;
-        case CellType::Const1: return 1;
-        default: return kX;
-      }
-    };
-    good_[c.out] = eval_one(good_);
-    faulty_[c.out] = eval_one(faulty_);
-    if (c.out == fault.net) {
-      faulty_[c.out] = sa;
-    }
+  const std::vector<CompiledInstr>& instrs = compiled_->instrs();
+  for (std::uint32_t i = 0; i < instrs.size(); ++i) {
+    driver_of_slot_[instrs[i].out] = i;
   }
 }
 
-bool Podem::detected() const {
-  const Netlist& nl = frame_->netlist();
-  for (const NetId po : frame_->po_nets()) {
-    if (good_[po] != kX && faulty_[po] != kX && good_[po] != faulty_[po]) {
-      return true;
-    }
-  }
-  for (const CellId flop : frame_->flops()) {
-    const NetId d = nl.cell(flop).fanin[0];
-    if (good_[d] != kX && faulty_[d] != kX && good_[d] != faulty_[d]) {
+void Podem::assign(std::size_t input, std::uint8_t value) {
+  input_values_[input] = value;
+  const std::uint32_t slot = input_slots_[input];
+  values_[slot] = slot == fault_slot_ ? force(Dual::of(value)) : Dual::of(value);
+  dirty_.push_back(slot);
+}
+
+void Podem::imply() {
+  compiled_->eval_event(dirty_, events_, std::numeric_limits<std::size_t>::max(),
+                        [this](const CompiledInstr& in) {
+                          Dual v = CompiledNetlist::eval_instr(in, values_.data());
+                          if (in.out == fault_slot_) {
+                            v = force(v);
+                          }
+                          if (v == values_[in.out]) {
+                            return false;
+                          }
+                          values_[in.out] = v;
+                          return true;
+                        });
+  dirty_.clear();
+}
+
+bool Podem::detected(const CombinationalFrame::FaultCone& cone) const {
+  for (const auto& [word, slot] : cone.observables) {
+    if (values_[slot].is_d()) {
       return true;
     }
   }
   return false;
 }
 
-bool Podem::activation_impossible(const Fault& fault) const {
-  const std::uint8_t sa = fault.stuck_at ? 1 : 0;
-  return good_[fault.net] == sa;
-}
-
-bool Podem::propagation_impossible(const Fault& fault) const {
-  // Fault must be activated (good side definite and != sa) for this check.
-  if (good_[fault.net] == kX) {
-    return false;
-  }
-  // D-frontier: any gate with a D input and an X output keeps hope alive.
-  const Netlist& nl = frame_->netlist();
-  for (const CellId id : nl.combinational_order()) {
-    const Cell& c = nl.cell(id);
-    if (c.type == CellType::Output || c.out == kNullNet) {
-      continue;
-    }
-    const bool out_x = good_[c.out] == kX || faulty_[c.out] == kX;
-    if (!out_x) {
-      continue;
-    }
-    for (const NetId in : c.fanin) {
-      if (good_[in] != kX && faulty_[in] != kX && good_[in] != faulty_[in]) {
-        return false;  // live D-frontier gate
-      }
-    }
-  }
-  return !detected();
-}
-
-Podem::Objective Podem::pick_objective(const Fault& fault) const {
+Podem::Objective Podem::pick_objective(const CombinationalFrame::FaultCone& cone) const {
   Objective objective;
-  // Phase 1: activate the fault.
-  if (good_[fault.net] == kX) {
+  // Phase 1: activate the fault; a site the good machine holds at the
+  // stuck value cannot be activated under these decisions.
+  const Dual site = values_[fault_slot_];
+  if ((site.known() & 1) == 0) {
     objective.valid = true;
-    objective.net = fault.net;
-    objective.value = !fault.stuck_at;
+    objective.slot = fault_slot_;
+    objective.value = !stuck_at_;
     return objective;
   }
-  // Phase 2: advance the D-frontier — pick the first frontier gate and set
-  // one of its X inputs to the gate's non-controlling value.
-  const Netlist& nl = frame_->netlist();
-  for (const CellId id : nl.combinational_order()) {
-    const Cell& c = nl.cell(id);
-    if (c.type == CellType::Output || c.out == kNullNet) {
+  if (((stuck_at_ ? site.one : site.zero) & 1) != 0) {
+    return objective;
+  }
+  // Phase 2: advance the D-frontier — the first gate (in evaluation order)
+  // with a D input, an output X in either machine and an input X in both;
+  // that input gets the gate's non-controlling value. Only cone gates can
+  // read a D.
+  const CompiledInstr* instrs = compiled_->instrs().data();
+  for (const std::uint32_t i : cone.cone.instrs) {
+    const CompiledInstr& in = instrs[i];
+    const Dual out = values_[in.out];
+    if (out.known() == 3) {
       continue;
     }
-    if (!(good_[c.out] == kX || faulty_[c.out] == kX)) {
-      continue;
-    }
+    const std::size_t pins = operand_count(in.op);
     bool has_d = false;
-    for (const NetId in : c.fanin) {
-      if (good_[in] != kX && faulty_[in] != kX && good_[in] != faulty_[in]) {
-        has_d = true;
-        break;
-      }
+    for (std::size_t pin = 0; pin < pins && !has_d; ++pin) {
+      has_d = values_[in.operand(pin)].is_d();
     }
     if (!has_d) {
       continue;
     }
-    for (std::size_t pin = 0; pin < c.fanin.size(); ++pin) {
-      const NetId in = c.fanin[pin];
-      if (good_[in] != kX || faulty_[in] != kX) {
+    for (std::size_t pin = 0; pin < pins; ++pin) {
+      if (values_[in.operand(pin)].known() != 0) {
         continue;
       }
       objective.valid = true;
-      objective.net = in;
-      switch (c.type) {
-        case CellType::And2:
-        case CellType::Nand2:
+      objective.slot = in.operand(pin);
+      switch (in.op) {
+        case CompiledOp::And2:
+        case CompiledOp::Nand2:
           objective.value = true;
           break;
-        case CellType::Or2:
-        case CellType::Nor2:
-          objective.value = false;
-          break;
-        case CellType::Mux2:
-          if (pin == 0) {
-            // Select the side carrying the D.
-            const NetId lo = c.fanin[1];
-            objective.value =
-                !(good_[lo] != kX && faulty_[lo] != kX && good_[lo] != faulty_[lo]);
-          } else {
-            objective.value = false;
-          }
+        case CompiledOp::Mux2:
+          // Select the side carrying the D.
+          objective.value = pin == 0 && !values_[in.in1].is_d();
           break;
         default:
-          objective.value = false;  // XOR-family: any definite value
+          objective.value = false;  // OR-family 0; XOR-family any definite value
           break;
       }
       return objective;
@@ -218,65 +134,61 @@ Podem::Objective Podem::pick_objective(const Fault& fault) const {
 }
 
 std::pair<std::size_t, bool> Podem::backtrace(const Objective& objective) const {
-  const Netlist& nl = frame_->netlist();
-  NetId net = objective.net;
+  const CompiledInstr* instrs = compiled_->instrs().data();
+  std::uint32_t slot = objective.slot;
   bool value = objective.value;
   for (;;) {
-    if (input_of_net_[net] != kNpos) {
-      return {input_of_net_[net], value};
+    if (input_of_slot_[slot] != kNpos) {
+      return {input_of_slot_[slot], value};
     }
-    const CellId drv = nl.driver(net);
-    RETSCAN_CHECK(drv != kNullCell, "Podem::backtrace: undriven net");
-    const Cell& c = nl.cell(drv);
-    // Choose the first X input to keep walking through.
-    NetId next = kNullNet;
-    std::size_t next_pin = 0;
-    for (std::size_t pin = 0; pin < c.fanin.size(); ++pin) {
-      if (good_[c.fanin[pin]] == kX) {
-        next = c.fanin[pin];
-        next_pin = pin;
-        break;
-      }
+    RETSCAN_CHECK(driver_of_slot_[slot] != kNoDriver,
+                  "Podem::backtrace: X on a source that is not an input");
+    const CompiledInstr& in = instrs[driver_of_slot_[slot]];
+    // Walk through the first input X in the good machine; a gate whose
+    // good output is X has one.
+    std::size_t pin = 0;
+    while (values_[in.operand(pin)].known() & 1) {
+      ++pin;
+      RETSCAN_CHECK(pin < operand_count(in.op), "Podem::backtrace: no X path to inputs");
     }
-    RETSCAN_CHECK(next != kNullNet, "Podem::backtrace: no X path to inputs");
-    switch (c.type) {
-      case CellType::Not:
-      case CellType::Nand2:
-      case CellType::Nor2:
-        value = !value;
-        break;
-      case CellType::Mux2:
-        if (next_pin == 0) {
-          // Steering the select: aim it at a definite branch... value
-          // heuristic: keep as-is.
-        }
-        break;
-      default:
-        break;  // Buf/And/Or/Xor-family: keep value (heuristic for XOR)
+    if (in.op == CompiledOp::Not || in.op == CompiledOp::Nand2 ||
+        in.op == CompiledOp::Nor2) {
+      value = !value;
     }
-    net = next;
+    slot = in.operand(pin);  // Buf/And/Or/Xor-family/Mux2: keep value
   }
 }
 
 PodemResult Podem::generate(const Fault& fault, Rng& rng) {
   PodemResult result;
+  const CombinationalFrame::FaultCone& cone = frame_->fault_cone(fault.net);
+  fault_slot_ = compiled_->slot(fault.net);
+  stuck_at_ = fault.stuck_at;
+
+  // One full settle of the decision-free frame. Constrained inputs are fixed
+  // before any decision and are never X, so backtrace cannot choose them and
+  // backtracking cannot flip them.
+  values_ = sources_;
   std::fill(input_values_.begin(), input_values_.end(), kX);
-  // Constrained inputs are fixed before any decision and are never X, so
-  // backtrace cannot choose them and backtracking cannot flip them.
   for (const auto& [index, value] : frame_->constraints()) {
-    input_values_[index] = value ? 1 : 0;
+    assign(index, value ? 1 : 0);
   }
+  values_[fault_slot_] = force(values_[fault_slot_]);
+  for (const CompiledInstr& in : compiled_->instrs()) {
+    const Dual v = CompiledNetlist::eval_instr(in, values_.data());
+    values_[in.out] = in.out == fault_slot_ ? force(v) : v;
+  }
+  dirty_.clear();
 
   struct Decision {
     std::size_t input;
     bool flipped;
   };
   std::vector<Decision> stack;
-  imply(fault);
 
   const std::size_t iteration_limit = 20000;
   for (std::size_t iteration = 0; iteration < iteration_limit; ++iteration) {
-    if (detected()) {
+    if (detected(cone)) {
       result.success = true;
       result.pattern = BitVec(frame_->pattern_width());
       for (std::size_t i = 0; i < input_values_.size(); ++i) {
@@ -286,41 +198,37 @@ PodemResult Podem::generate(const Fault& fault, Rng& rng) {
       return result;
     }
 
-    const bool conflict = activation_impossible(fault) || propagation_impossible(fault);
-    Objective objective;
-    if (!conflict) {
-      objective = pick_objective(fault);
-    }
-    if (conflict || !objective.valid) {
-      // Backtrack chronologically.
+    const Objective objective = pick_objective(cone);
+    if (!objective.valid) {
+      // Backtrack chronologically: unassign exhausted decisions and flip the
+      // newest unflipped one; all of it settles as one dirty set.
       for (;;) {
         if (stack.empty()) {
-          result.untestable = result.backtracks <= max_backtracks_;
-          result.aborted = !result.untestable;
+          result.untestable = true;
           return result;
         }
         Decision& top = stack.back();
         if (!top.flipped) {
           top.flipped = true;
-          input_values_[top.input] = input_values_[top.input] == 1 ? 0 : 1;
+          assign(top.input, input_values_[top.input] == 1 ? 0 : 1);
           ++result.backtracks;
           break;
         }
-        input_values_[top.input] = kX;
+        assign(top.input, kX);
         stack.pop_back();
       }
       if (result.backtracks > max_backtracks_) {
         result.aborted = true;
         return result;
       }
-      imply(fault);
+      imply();
       continue;
     }
 
     const auto [input, value] = backtrace(objective);
-    input_values_[input] = value ? 1 : 0;
+    assign(input, value ? 1 : 0);
     stack.push_back(Decision{input, false});
-    imply(fault);
+    imply();
   }
   result.aborted = true;
   return result;

@@ -1,9 +1,13 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "atpg/fault.hpp"
 #include "atpg/fault_sim.hpp"
+#include "sim/compiled_netlist.hpp"
 #include "util/bitvec.hpp"
 #include "util/rng.hpp"
 
@@ -21,12 +25,20 @@ struct PodemResult {
   std::size_t backtracks = 0;
 };
 
-/// Path-Oriented DEcision Making test generator over the combinational
-/// frame. Uses the classic dual-machine three-valued formulation: the good
-/// and faulty circuits are simulated in {0,1,X}; a D (good=1/faulty=0) or
-/// D' at any primary or pseudo-primary output means the pattern detects the
-/// fault. Decisions are made only at (pseudo-)primary inputs, with
-/// objective/backtrace steering and chronological backtracking.
+/// Path-Oriented DEcision Making test generator (Goel 1981) over the
+/// combinational frame's compiled core. The good and faulty machines are
+/// simulated together in {0,1,X} on the frame's value slots; a D (good=1,
+/// faulty=0) or D' at any primary or pseudo-primary output means the pattern
+/// detects the fault. Decisions are made only at (pseudo-)primary inputs,
+/// with objective/backtrace steering and chronological backtracking.
+///
+/// Sources follow the frame's loader: a Const1 output is 1, every other
+/// source that is not a PI or PPI (Const0, latch outputs) is 0, and the
+/// fault is forced at its site whatever drives it. Each generate() call
+/// settles the frame once; after that a decision or a backtrack re-evaluates
+/// only what its changed inputs reach (CompiledNetlist::eval_event). The
+/// D-frontier, the detection test and the backtrace walk only the fault's
+/// fanout cone: outside it the faulty machine equals the good one.
 class Podem {
  public:
   Podem(const CombinationalFrame& frame, std::size_t max_backtracks = 500);
@@ -36,28 +48,86 @@ class Podem {
  private:
   static constexpr std::uint8_t kX = 2;
 
+  /// Both machines' values of one slot in two-rail form: bit 0 of `zero`
+  /// and `one` is the good machine, bit 1 the faulty one; X sets neither.
+  /// The operators are the three-valued gates, so CompiledNetlist's one
+  /// instruction kernel evaluates both machines at once.
+  struct Dual {
+    std::uint8_t zero = 0;
+    std::uint8_t one = 0;
+
+    /// Both machines at `value` (0, 1 or kX).
+    static Dual of(std::uint8_t value) {
+      return {static_cast<std::uint8_t>(value == 0 ? 3 : 0),
+              static_cast<std::uint8_t>(value == 1 ? 3 : 0)};
+    }
+    /// The machines holding a definite value: bit 0 good, bit 1 faulty.
+    std::uint8_t known() const { return zero | one; }
+    /// A D or D': both machines definite and different.
+    bool is_d() const { return ((zero & (one >> 1)) | (one & (zero >> 1))) & 1; }
+
+    friend bool operator==(Dual, Dual) = default;
+    friend Dual operator~(Dual a) { return {a.one, a.zero}; }
+    friend Dual operator&(Dual a, Dual b) {
+      return {static_cast<std::uint8_t>(a.zero | b.zero),
+              static_cast<std::uint8_t>(a.one & b.one)};
+    }
+    friend Dual operator|(Dual a, Dual b) {
+      return {static_cast<std::uint8_t>(a.zero & b.zero),
+              static_cast<std::uint8_t>(a.one | b.one)};
+    }
+    friend Dual operator^(Dual a, Dual b) {
+      return {static_cast<std::uint8_t>((a.zero & b.zero) | (a.one & b.one)),
+              static_cast<std::uint8_t>((a.zero & b.one) | (a.one & b.zero))};
+    }
+    /// sel ? hi : lo, known under an X select when both branches agree.
+    friend Dual lane_mux(Dual sel, Dual lo, Dual hi) {
+      return {static_cast<std::uint8_t>((sel.zero & lo.zero) | (sel.one & hi.zero) |
+                                        (lo.zero & hi.zero)),
+              static_cast<std::uint8_t>((sel.zero & lo.one) | (sel.one & hi.one) |
+                                        (lo.one & hi.one))};
+    }
+  };
+
+  /// `v` with the faulty machine held at the stuck value.
+  Dual force(Dual v) const {
+    return stuck_at_ ? Dual{static_cast<std::uint8_t>(v.zero & 1),
+                            static_cast<std::uint8_t>(v.one | 2)}
+                     : Dual{static_cast<std::uint8_t>(v.zero | 2),
+                            static_cast<std::uint8_t>(v.one & 1)};
+  }
+
   struct Objective {
     bool valid = false;
-    NetId net = kNullNet;
+    std::uint32_t slot = 0;
     bool value = false;
   };
 
-  void imply(const Fault& fault);
-  bool detected() const;
-  bool activation_impossible(const Fault& fault) const;
-  bool propagation_impossible(const Fault& fault) const;
-  Objective pick_objective(const Fault& fault) const;
+  /// Write pattern input `input` (0, 1 or kX) into its slot and mark it dirty.
+  void assign(std::size_t input, std::uint8_t value);
+  /// Settle the dirty input slots' fanout (event-driven).
+  void imply();
+  bool detected(const CombinationalFrame::FaultCone& cone) const;
+  /// Fault activation first, then the first D-frontier gate with an input
+  /// X in both machines; invalid means backtrack.
+  Objective pick_objective(const CombinationalFrame::FaultCone& cone) const;
   /// Walk an objective back to an unassigned (pseudo-)input; returns the
   /// input *index* into the pattern and the value to assign.
   std::pair<std::size_t, bool> backtrace(const Objective& objective) const;
 
   const CombinationalFrame* frame_;
+  const CompiledNetlist* compiled_;
   std::size_t max_backtracks_;
-  std::vector<std::uint8_t> good_;
-  std::vector<std::uint8_t> faulty_;
+  std::vector<Dual> sources_;                // slot values before any decision
+  std::vector<Dual> values_;                 // slot values of the current decisions
   std::vector<std::uint8_t> input_values_;   // per pattern index: 0/1/X
-  std::vector<NetId> input_nets_;            // pattern index -> net
-  std::vector<std::size_t> input_of_net_;    // net -> pattern index or npos
+  std::vector<std::uint32_t> input_slots_;   // pattern index -> slot
+  std::vector<std::size_t> input_of_slot_;   // slot -> pattern index or npos
+  std::vector<std::uint32_t> driver_of_slot_;  // slot -> instruction or none
+  std::vector<std::uint32_t> dirty_;
+  CompiledNetlist::EventWorkspace events_;
+  std::uint32_t fault_slot_ = 0;
+  bool stuck_at_ = false;
 };
 
 }  // namespace retscan

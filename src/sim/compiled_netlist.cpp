@@ -96,12 +96,8 @@ CompiledNetlist::CompiledNetlist(const Netlist& netlist) {
   // Readers CSR over slots, for cone extraction.
   reader_offsets_.assign(net_count + 1, 0);
   auto each_operand = [&](const CompiledInstr& in, auto&& fn) {
-    fn(in.in0);
-    if (in.op != CompiledOp::Buf && in.op != CompiledOp::Not) {
-      fn(in.in1);
-    }
-    if (in.op == CompiledOp::Mux2) {
-      fn(in.in2);
+    for (std::size_t pin = 0; pin < operand_count(in.op); ++pin) {
+      fn(in.operand(pin));
     }
   };
   for (const CompiledInstr& in : instrs_) {

@@ -24,6 +24,17 @@ enum class CompiledOp : std::uint8_t {
   Mux2,
 };
 
+/// Number of value slots an instruction of `op` reads: in0, then in1, then
+/// in2, in the originating cell's fanin order.
+constexpr std::size_t operand_count(CompiledOp op) {
+  switch (op) {
+    case CompiledOp::Buf:
+    case CompiledOp::Not: return 1;
+    case CompiledOp::Mux2: return 3;
+    default: return 2;
+  }
+}
+
 /// One packed gate record of the compiled instruction stream. Operands are
 /// value *slots* (nets renumbered in evaluation order, see CompiledNetlist);
 /// unused operand fields are zero and never read for the instruction's op.
@@ -38,6 +49,11 @@ struct CompiledInstr {
   CellId cell = kNullCell;   // originating cell (activity accounting, faults)
   DomainId domain = kAlwaysOnDomain;
   CompiledOp op = CompiledOp::Buf;
+
+  /// Operand slot `pin` (below operand_count(op)).
+  std::uint32_t operand(std::size_t pin) const {
+    return pin == 0 ? in0 : pin == 1 ? in1 : in2;
+  }
 };
 
 /// Compiled simulation core: the combinational portion of a Netlist lowered

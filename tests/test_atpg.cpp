@@ -206,6 +206,34 @@ TEST(Podem, ProvesRedundantFaultUntestable) {
   EXPECT_TRUE(sa1.success);
 }
 
+TEST(Podem, LatchOutputsAreZeroSources) {
+  // The frame loads a latch output like every source that is not a PI or
+  // PPI: as 0. So y = q AND a is constant 0 — y stuck-at-0 is redundant and
+  // stuck-at-1 is detected — and no backtrace may walk into the latch.
+  const Netlist nl = read_verilog_text(
+      "module latch_and(d, en, a, y);\n"
+      "  input d, en, a;\n"
+      "  output y;\n"
+      "  wire q;\n"
+      "  TLATX1 l0 (.D(d), .EN(en), .Q(q));\n"
+      "  AND2X1 g0 (.A(q), .B(a), .Y(y));\n"
+      "endmodule\n");
+  const CombinationalFrame frame(nl);
+  const NetId y = nl.output_net("y");
+  Podem podem(frame);
+  Rng rng(5);
+  EXPECT_TRUE(podem.generate(Fault{y, false}, rng).untestable);
+  const PodemResult sa1 = podem.generate(Fault{y, true}, rng);
+  ASSERT_TRUE(sa1.success);
+  const auto loaded = frame.load_batch({sa1.pattern});
+  EXPECT_NE(frame.detect_block(Fault{y, true}, loaded, loaded.good).w[0], 0u);
+
+  const AtpgResult result =
+      run_atpg(frame, collapse_faults(nl, enumerate_faults(nl)), AtpgOptions{});
+  EXPECT_EQ(result.aborted, 0u);
+  EXPECT_EQ(result.detected() + result.untestable, result.total_faults);
+}
+
 TEST(Atpg, FullFlowReachesFullCoverageOnAdder) {
   Netlist nl = make_registered_adder(4);
   const CombinationalFrame frame(nl);
@@ -416,6 +444,114 @@ TEST(AtpgPinned, ProtectedFifoSlice) {
                       {1658, 1269, 50, 157, 182, 70, 9686416392427440565ull},
                       {1658, 1319, 0, 0, 0, 70, 322470271282920412ull},
                       {1658, 1319, 0, 157, 182, 70, 322470271282920412ull}});
+}
+
+// --- PODEM per-call pins -----------------------------------------------------
+
+/// Every PODEM call over strided targets among the faults a 128-pattern
+/// random phase leaves undetected, one token per call: S(uccess),
+/// U(ntestable) or A(borted) followed by its backtrack count. `digest` is
+/// FNV-1a over the words of every generated pattern, so it also pins the
+/// X-fill draws. AtpgPinned only sees aggregates; these pin the search.
+struct PodemPin {
+  std::string calls;
+  std::uint64_t digest;
+};
+
+PodemPin podem_pin(const CombinationalFrame& frame, const std::vector<Fault>& faults,
+                   std::size_t stride, std::size_t max_backtracks) {
+  Rng rng(23);
+  std::vector<BitVec> random;
+  for (int i = 0; i < 128; ++i) {
+    random.push_back(frame.random_pattern(rng));
+  }
+  const FaultSimResult first = fault_simulate(frame, faults, random);
+  Podem podem(frame, max_backtracks);
+  PodemPin pin{};
+  Fnv1a h;
+  std::size_t left = 0;
+  for (std::size_t fi = 0; fi < faults.size(); ++fi) {
+    if (first.detected_by[fi] != FaultSimResult::npos || left++ % stride != 0) {
+      continue;
+    }
+    const PodemResult result = podem.generate(faults[fi], rng);
+    pin.calls += std::string(pin.calls.empty() ? "" : " ") +
+                 (result.success ? "S" : result.untestable ? "U" : "A") +
+                 std::to_string(result.backtracks);
+    for (const std::uint64_t word : result.pattern.words()) {
+      h.add(word);
+    }
+  }
+  pin.digest = h.hash;
+  return pin;
+}
+
+/// Pins at 100 and 300 backtracks, recorded on the interpreted PODEM the
+/// compiled one replaced.
+void expect_podem_pinned(const CombinationalFrame& frame, const std::vector<Fault>& faults,
+                         const std::string& name, std::size_t stride,
+                         const PodemPin (&golden)[2]) {
+  const std::size_t budgets[2] = {100, 300};
+  for (std::size_t row = 0; row < 2; ++row) {
+    const PodemPin pin = podem_pin(frame, faults, stride, budgets[row]);
+    const std::string at = name + " at " + std::to_string(budgets[row]) + " backtracks";
+    EXPECT_EQ(pin.calls, golden[row].calls) << at;
+    EXPECT_EQ(pin.digest, golden[row].digest) << at;
+  }
+}
+
+void expect_podem_import_pinned(const char* file, std::size_t stride,
+                                const PodemPin (&golden)[2]) {
+  const Netlist nl = Netlist::from_verilog(circuit_path(file));
+  const CombinationalFrame frame(nl);
+  expect_podem_pinned(frame, collapse_faults(nl, enumerate_faults(nl)), file, stride, golden);
+}
+
+TEST(PodemPinned, Cmp1908) {
+  expect_podem_import_pinned(
+      "cmp1908.v", 20,
+      {{"S0 S0 S0 S0 S1 S0 S0 S1 S0 S0 S0 S0 S0 S0 S0 S0", 8945726784160628955ull},
+       {"S0 S0 S0 S0 S1 S0 S0 S1 S0 S0 S0 S0 S0 S0 S0 S0", 8945726784160628955ull}});
+}
+
+TEST(PodemPinned, EpflMax) {
+  expect_podem_import_pinned(
+      "epfl_max.v", 40,
+      {{"U0 A101 A101 A101 A101 A101 S1 S1 S1 A101 A101 A101 A101 A101 A101 "
+        "A101 A101 A101 A101 A101 A101 A101 A101 A101 A101 A101 A101 S1 S0 "
+        "S0 S1 S0 S0 S1 S0",
+        15969809443690000651ull},
+       {"U0 A301 A301 A301 A301 A301 S1 S1 S1 A301 A301 A301 A301 A301 A301 "
+        "A301 A301 A301 A301 A301 A301 A301 A301 A301 A301 A301 A301 S1 S0 "
+        "S0 S1 S0 S0 S1 S0",
+        15969809443690000651ull}});
+}
+
+TEST(PodemPinned, Bar5315) {
+  expect_podem_import_pinned(
+      "bar5315.v", 20,
+      {{"S0 S28 S18 S8 S14 S4 U0 S30 S0 S24 S20 S0 S14 S10 S0 S4 S16 S0 S10 "
+        "S6 S0 S8 S4 S4 S1 S1 S1 S1 S1 S1 S1 S1 S1 S1 S1 S1",
+        7444551994691915726ull},
+       {"S0 S28 S18 S8 S14 S4 U0 S30 S0 S24 S20 S0 S14 S10 S0 S4 S16 S0 S10 "
+        "S6 S0 S8 S4 S4 S1 S1 S1 S1 S1 S1 S1 S1 S1 S1 S1 S1",
+        7444551994691915726ull}});
+}
+
+TEST(PodemPinned, ProtectedFifoSlice) {
+  ProtectionConfig protection;
+  protection.kind = CodeKind::HammingPlusCrc;
+  protection.chain_count = 8;
+  protection.test_width = 4;
+  Session session(FifoSpec{32, 2}, protection);
+  expect_podem_pinned(
+      session.frame(), session.faults(), "fifo32x2", 20,
+      {{"S1 S1 S1 A101 U11 U0 U55 U11 U55 U1 U23 U65 U65 U11 U17 U31 A101 "
+        "A101 A101 U1",
+        11181108021930453634ull},
+       {"S1 S1 S1 A301 U11 U0 U55 U11 U55 U1 U23 U65 U65 U11 U17 U31 A301 "
+        "A301 A301 U1",
+        11181108021930453634ull}});
 }
 
 }  // namespace

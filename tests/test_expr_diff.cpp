@@ -11,11 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "atpg/fault_sim.hpp"
+#include "fuzz_seeds.hpp"
 #include "netlist/verilog_reader.hpp"
 #include "util/bitvec.hpp"
 #include "util/rng.hpp"
@@ -352,16 +352,6 @@ std::string describe_env(const std::vector<std::uint64_t>& env) {
            std::to_string(env[static_cast<std::size_t>(i)]);
   }
   return out;
-}
-
-std::size_t fuzz_seed_count() {
-  if (const char* env = std::getenv("RETSCAN_FUZZ_SEEDS")) {
-    const long parsed = std::strtol(env, nullptr, 10);
-    if (parsed > 0) {
-      return static_cast<std::size_t>(parsed);
-    }
-  }
-  return 16;
 }
 
 // --- tests ----------------------------------------------------------------
