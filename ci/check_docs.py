@@ -16,7 +16,14 @@ Checks, in order:
   5. every backticked repository path in README.md and docs/*.md — one
      starting src/, include/, tools/, tests/, bench/, examples/ or ci/,
      globs allowed (`src/util/thread_pool.*`) — matches at least one file,
-     so a deleted or renamed file cannot leave a stale pointer behind.
+     so a deleted or renamed file cannot leave a stale pointer behind;
+  6. the environment and the CLI overrides, both ways: every
+     `getenv("RETSCAN_...")` in src/ and tools/ has a row in
+     docs/spec-reference.md's environment table, and every row names a
+     variable some source file reads; every flag `parse_overrides`
+     (tools/retscan_main.cpp) accepts is documented in the "CLI usage"
+     synopsis or its "Overrides applied" paragraph, and every flag in that
+     paragraph is accepted.
 
 Usage:  python3 ci/check_docs.py [repo_root]
 """
@@ -39,6 +46,10 @@ SPEC_ROW_RE = re.compile(r"^\| `([a-z][a-z0-9_.+]*)` \|", re.MULTILINE)
 MD_LINK_RE = re.compile(r"\]\(([^)#]+?)(?:#[^)]*)?\)")
 REPO_PATH_RE = re.compile(r"`((?:src|include|tools|tests|bench|examples|ci)/[^`\s]*)`")
 DOC_COMMENT_WINDOW = 12  # lines to search for the file-level /// block
+GETENV_RE = re.compile(r'getenv\("(RETSCAN_[A-Z0-9_]+)"\)')
+ENV_ROW_RE = re.compile(r"^\| `(RETSCAN_[A-Z0-9_]+)` \|", re.MULTILINE)
+FLAG_RE = re.compile(r"--[a-z][a-z-]*")
+ACCEPTED_FLAG_RE = re.compile(r'flag == "(--[a-z][a-z-]*)"')
 
 
 def check_docs_exist(root):
@@ -97,11 +108,57 @@ def check_repo_paths(root):
                 yield f"{page.relative_to(root)}:{line}: `{path}` matches no file"
 
 
+def read_sources(root, dirs):
+    for top in dirs:
+        for path in sorted((root / top).rglob("*")):
+            if path.suffix in (".cpp", ".hpp"):
+                yield path.read_text()
+
+
+def section(text, heading):
+    """The body of a `## heading` section, up to the next `## `."""
+    start = text.index(f"## {heading}\n")
+    end = text.find("\n## ", start + 1)
+    return text[start:] if end == -1 else text[start:end]
+
+
+def check_env_and_overrides(root):
+    reference = (root / "docs" / "spec-reference.md").read_text()
+    read_here = set()
+    for text in read_sources(root, ("src", "tools")):
+        read_here.update(GETENV_RE.findall(text))
+    read_anywhere = set(read_here)
+    for text in read_sources(root, ("bench", "examples", "tests")):
+        read_anywhere.update(GETENV_RE.findall(text))
+    rows = set(ENV_ROW_RE.findall(section(reference, "Environment knobs")))
+    for var in sorted(read_here - rows):
+        yield f"docs/spec-reference.md: environment variable {var} is read but has no row"
+    for var in sorted(rows - read_anywhere):
+        yield f"docs/spec-reference.md: row for {var}, which nothing reads"
+
+    main = (root / "tools" / "retscan_main.cpp").read_text()
+    start = main.index("int parse_overrides(")
+    body = main[start:main.index("\n}\n", start)]
+    accepted = set(ACCEPTED_FLAG_RE.findall(body))
+    if not accepted:
+        yield "tools/retscan_main.cpp: no parse_overrides flags found (extractor broken?)"
+    usage = section(reference, "CLI usage")
+    synopsis = usage[usage.index("```"):usage.index("```", usage.index("```") + 3)]
+    paragraph = usage[usage.index("Overrides applied"):]
+    paragraph = paragraph[:paragraph.find("\n\n")]
+    documented = set(FLAG_RE.findall(synopsis)) | set(FLAG_RE.findall(paragraph))
+    for flag in sorted(accepted - documented):
+        yield f"docs/spec-reference.md: override flag {flag} is undocumented"
+    for flag in sorted(set(FLAG_RE.findall(paragraph)) - accepted):
+        yield (f"docs/spec-reference.md: override flag {flag} is documented but "
+               f"parse_overrides does not accept it")
+
+
 def main() -> int:
     root = pathlib.Path(sys.argv[1] if len(sys.argv) > 1 else ".").resolve()
     problems = []
     for check in (check_docs_exist, check_header_comments, check_spec_keys,
-                  check_markdown_links, check_repo_paths):
+                  check_markdown_links, check_repo_paths, check_env_and_overrides):
         problems.extend(check(root))
     for problem in problems:
         print(f"FAIL: {problem}")
@@ -110,7 +167,8 @@ def main() -> int:
         return 1
     headers = len(list((root / "include" / "retscan").glob("*.hpp")))
     print(f"docs lint: {len(REQUIRED_DOCS)} guides present, {headers} public "
-          f"headers documented, spec keys covered, links and paths resolve")
+          f"headers documented, spec keys covered, links and paths resolve, "
+          f"environment and override flags documented both ways")
     return 0
 
 

@@ -41,16 +41,19 @@ enum class CampaignKind {
   SequentialCoverage, ///< multi-cycle stuck-at coverage, no scan access
 };
 
-/// Execution strategy. `Auto` lets the session pick the fastest backend
-/// that exists for the kind; the others pin it (useful for oracles and
-/// perf baselines). Every backend produces the same statistics for the
-/// same seed wherever an equivalence is defined (see tests/test_api.cpp).
+/// Execution strategy. `Auto` resolves to PackedParallel; the others pin a
+/// backend that computes something different. Each kind accepts only
+/// those: validation kinds all four, scan-test Auto / Reference /
+/// PackedParallel, the fault-simulation kinds Auto / PackedParallel
+/// (validate() rejects the rest). Every accepted backend produces the same
+/// statistics for the same seed (see tests/test_api.cpp).
 enum class Backend {
-  Auto,           ///< fastest available (usually PackedParallel)
+  Auto,           ///< PackedParallel
   Reference,      ///< scalar oracle: one trial/pattern at a time; on the
                   ///< behavioral tier, the data-full loop the syndrome
-                  ///< evaluation is checked against
-  Packed,         ///< 64-way bit-parallel lanes, one thread
+                  ///< evaluation is checked against; for scan-test, the
+                  ///< scalar delivery
+  Packed,         ///< structural validation: 64-way lanes, one thread
   PackedParallel, ///< 64-way lanes × the session's thread pool
 };
 
@@ -77,6 +80,8 @@ bool from_string(std::string_view text, InjectionMode& out);
 /// Fig. 5(b) test-mode ports: a ProtectedDesign's per-chain si ports are
 /// superseded by the monitor feedback muxes.
 struct ScanTestOptions {
+  /// Auto / PackedParallel (pooled packed delivery) or Reference (scalar);
+  /// Packed is rejected.
   Backend backend = Backend::Auto;
   /// PackedParallel: pattern count per pool shard (64-lane aligned).
   std::size_t patterns_per_shard = 256;
@@ -109,14 +114,6 @@ struct CampaignSpec {
   /// Sleep/wake trial count. Must be > 0 for validation kinds.
   std::size_t sequences = 0;
   ValidationTier tier = ValidationTier::Behavioral;
-  /// Settle schedule for gate-level simulation (sim/schedule.hpp): Sweep
-  /// evaluates the full compiled stream every settle, Event runs the
-  /// dirty-net worklist, Auto defers to RETSCAN_SCHEDULE and then to
-  /// per-engine activity probing. Statistics are bit-identical under every
-  /// schedule; only throughput differs. Explicit Event is rejected where no
-  /// gate-level sweep exists to schedule (behavioral tier, Reference
-  /// backend, non-validation kinds) — use Auto there.
-  Schedule schedule = Schedule::Auto;
   InjectionMode mode = InjectionMode::SingleRandom;
   std::size_t burst_size = 4;
   std::size_t burst_spread = 2;
@@ -162,8 +159,10 @@ struct CampaignSpec {
 struct CampaignResult {
   CampaignKind kind = CampaignKind::Validation;
   Backend backend = Backend::Reference; ///< resolved strategy actually run
-  /// Schedule the gate-level engines were asked to run (Auto means each
-  /// engine probed its own activity; see `activity` for what that chose).
+  /// Settle schedule the gate-level engines ran (sim/schedule.hpp), fixed
+  /// by the route: Auto for Packed / PackedParallel structural validation
+  /// (each engine probes its own activity; see `activity` for what that
+  /// chose), Sweep for everything else. Not settable.
   Schedule schedule = Schedule::Sweep;
   unsigned threads = 1;
   std::size_t shard_count = 1;
@@ -237,7 +236,7 @@ CampaignResult run(Session& session, const CampaignSpec& spec,
 
 /// FNV-1a hash binding a checkpoint journal to one exact campaign: the
 /// library version, the spec's statistics-shaping fields (kind, tier,
-/// resolved schedule, seed, sequences, injection/corruption parameters) and
+/// seed, sequences, injection/corruption parameters) and
 /// the session's design geometry (FIFO shape + protection architecture).
 /// Two specs with equal fingerprints produce bit-identical shard outcomes,
 /// which is what makes merging a journal from one into the other safe.

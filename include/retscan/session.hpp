@@ -113,9 +113,10 @@ class Session {
   CampaignResult run(const CampaignSpec& spec);
 
   /// Deliver a pattern set through the design's Fig. 5(b) test-mode ports
-  /// and check responses: Reference runs the scalar delivery, Packed the
-  /// 64-lane delivery inline, PackedParallel (and Auto) shards it across
-  /// pool(). The scan-test campaign kind runs this same delivery.
+  /// and check responses: Reference runs the scalar delivery,
+  /// PackedParallel (and Auto) shards the 64-lane delivery across pool();
+  /// Packed is rejected. The scan-test campaign kind runs this same
+  /// delivery.
   ScanTestResult run_scan_test(const std::vector<BitVec>& patterns,
                                const ScanTestOptions& options = {});
 

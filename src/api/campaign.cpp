@@ -14,7 +14,6 @@
 #include "atpg/fault_models.hpp"
 #include "atpg/scan_test.hpp"
 #include "circuits/fifo.hpp"
-#include "retscan/runtime.hpp"
 #include "retscan/session.hpp"
 #include "retscan/version.hpp"
 #include "sim/packed_sim.hpp"
@@ -156,7 +155,6 @@ ValidationConfig validation_config(Session& session, const CampaignSpec& spec) {
   config.seed = spec.seed;
   config.corruption = spec.corruption;
   config.rush = spec.rush;
-  config.schedule = spec.schedule;
   return config;
 }
 
@@ -250,6 +248,49 @@ void validate_durability(const CampaignSpec& spec, const Session& session) {
   }
 }
 
+/// The shape checks the testbenches and protection synthesis make, so
+/// validate() (and `retscan describe`) rejects what run() would stop on.
+/// The behavioral tier lays every code kind out in Hamming words; synthesis
+/// (every route but the behavioral tier) builds Hamming monitors over k
+/// chains, CRC blocks over crc_group_width chains and the Fig. 5(b)
+/// concatenation over test_width groups.
+void validate_geometry(const CampaignSpec& spec, const Session& session) {
+  if (!session.is_protected()) {
+    return;  // a bare session synthesizes nothing
+  }
+  const ProtectionConfig& p = session.protection();
+  const std::string chains = std::to_string(p.chain_count);
+  const bool validation = is_validation_kind(spec.kind);
+  const bool behavioral = validation && spec.tier == ValidationTier::Behavioral;
+  if (behavioral || p.kind != CodeKind::CrcDetect) {
+    if (p.hamming_r < 2 || p.hamming_r > 16) {
+      reject(spec, "protection.hamming_r = " + std::to_string(p.hamming_r) +
+                       " is out of range (2..16)");
+    }
+    const std::size_t k = (std::size_t{1} << p.hamming_r) - 1 - p.hamming_r;
+    if (p.chain_count % k != 0) {
+      reject(spec, "protection.chain_count = " + chains + " is not a multiple of k = " +
+                       std::to_string(k) + ", the data bits of a Hamming word at "
+                       "protection.hamming_r = " + std::to_string(p.hamming_r));
+    }
+  }
+  if (behavioral) {
+    return;
+  }
+  if (p.kind != CodeKind::HammingCorrect && p.crc_group_width != 0 &&
+      p.chain_count % p.crc_group_width != 0) {
+    reject(spec, "protection.crc_group_width = " + std::to_string(p.crc_group_width) +
+                     " does not divide protection.chain_count = " + chains);
+  }
+  // The structural testbench synthesizes its own design at test width 4.
+  const std::size_t test_width = validation ? 4 : p.test_width;
+  if (test_width == 0 || p.chain_count % test_width != 0) {
+    reject(spec, (validation ? std::string("the structural tier's test width 4")
+                             : "protection.test_width = " + std::to_string(test_width)) +
+                     " does not divide protection.chain_count = " + chains);
+  }
+}
+
 }  // namespace
 
 std::uint64_t campaign_fingerprint(const CampaignSpec& spec, const Session& session) {
@@ -260,7 +301,6 @@ std::uint64_t campaign_fingerprint(const CampaignSpec& spec, const Session& sess
   // seed also folds in here so one comparison catches everything.
   fp.add(static_cast<std::uint64_t>(spec.kind));
   fp.add(static_cast<std::uint64_t>(spec.tier));
-  fp.add(static_cast<std::uint64_t>(runtime_schedule(spec.schedule)));
   fp.add(spec.seed);
   fp.add(spec.sequences);
   fp.add(spec.cycles);
@@ -355,22 +395,6 @@ void validate(const CampaignSpec& spec, const Session& session) {
              "already word-parallel per trial); use Backend::Reference, "
              "Backend::PackedParallel or Backend::Auto");
     }
-    if (spec.schedule == Schedule::Event) {
-      if (spec.tier == ValidationTier::Behavioral) {
-        reject(spec,
-               "the behavioral tier evaluates closed-form protectors — there "
-               "is no gate-level settle loop for the event scheduler to "
-               "drive; use tier = structural, or Schedule::Auto (the "
-               "default), which resolves to sweep where event cannot apply");
-      }
-      if (spec.backend == Backend::Reference) {
-        reject(spec,
-               "Backend::Reference is the scalar full-sweep oracle the event "
-               "scheduler is checked against, so it always sweeps; use "
-               "Backend::Packed / Backend::PackedParallel for an event-"
-               "scheduled run, or Schedule::Auto to let the backend decide");
-      }
-    }
     if (spec.kind == CampaignKind::Injection && spec.mode != InjectionMode::RushModel) {
       reject(spec,
              std::string("injection campaigns sample upsets from the electrical "
@@ -391,12 +415,15 @@ void validate(const CampaignSpec& spec, const Session& session) {
                  "change the shard plan (and the statistics) behind your back");
     }
   } else {
-    if (spec.schedule == Schedule::Event) {
+    // Only backends that compute something different: the pooled driver,
+    // and scan-test's scalar delivery.
+    if (spec.backend == Backend::Packed ||
+        (spec.backend == Backend::Reference && spec.kind != CampaignKind::ScanTest)) {
       reject(spec,
-             "the schedule knob drives the settle loop of gate-level "
-             "validation campaigns; fault-coverage and scan-test kinds replay "
-             "fault cones / scan patterns, which have no full-sweep settles "
-             "to schedule — leave schedule = auto for these kinds");
+             "only the pooled driver computes this kind (scan-test also has "
+             "the scalar delivery, Backend::Reference); this backend would run "
+             "the same shards on one thread — use Backend::Auto or "
+             "Backend::PackedParallel with threads = 1");
     }
     if (spec.kind == CampaignKind::ScanTest && !session.is_protected()) {
       reject(spec,
@@ -437,6 +464,7 @@ void validate(const CampaignSpec& spec, const Session& session) {
     reject(spec, "cycles only applies to sequential-coverage campaigns — no "
                  "other kind steps a clock; drop campaign.cycles");
   }
+  validate_geometry(spec, session);
   validate_durability(spec, session);
 }
 
@@ -474,14 +502,12 @@ void run_validation(Session& session, const CampaignSpec& spec, Backend backend,
                     CampaignResult& result) {
   ValidationConfig config = validation_config(session, spec);
   const bool behavioral = spec.tier == ValidationTier::Behavioral;
-  // Reference is the scalar full-sweep oracle the event scheduler is
-  // validated against, and behavioral runs have no gate level at all;
-  // both pin sweep here (explicit beats RETSCAN_SCHEDULE downstream).
-  // validate() already rejected explicit Event for these combinations.
-  if (behavioral || backend == Backend::Reference) {
-    config.schedule = Schedule::Sweep;
-  }
-  result.schedule = runtime_schedule(config.schedule);
+  // Packed structural engines probe their own activity. Reference is the
+  // scalar full-sweep oracle the event scheduler is checked against, and
+  // behavioral runs have no gate level at all; both report sweep.
+  config.schedule = behavioral || backend == Backend::Reference ? Schedule::Sweep
+                                                                : Schedule::Auto;
+  result.schedule = config.schedule;
   if (runner == nullptr) {
     // Reference / Packed: one unsharded pass. The behavioral Reference is
     // the data-full oracle of the syndrome evaluation the runner takes.
@@ -532,13 +558,13 @@ void run_validation(Session& session, const CampaignSpec& spec, Backend backend,
 }
 
 /// The one scan-test delivery, behind both Session::run_scan_test and the
-/// scan-test campaign kind: the scalar reference on the session's retention
-/// driver, or the packed delivery — inline without a pool, sharded across
-/// `pool` with one.
+/// scan-test campaign kind: the packed delivery sharded across `pool`, or
+/// without a pool (Backend::Reference) the scalar delivery on the session's
+/// retention driver.
 ScanTestResult deliver(Session& session, const std::vector<BitVec>& patterns,
-                       Backend backend, ThreadPool* pool, std::size_t shard_size) {
+                       ThreadPool* pool, std::size_t shard_size) {
   const ScanPorts ports = ScanPorts::test_mode_of(session.design());
-  if (backend == Backend::Reference) {
+  if (pool == nullptr) {
     return deliver_scan_test(session.retention().sim(), ports, session.frame(), patterns);
   }
   return deliver_scan_test_packed(ports, session.frame(), patterns, pool, shard_size);
@@ -546,10 +572,10 @@ ScanTestResult deliver(Session& session, const std::vector<BitVec>& patterns,
 
 /// Every kind but the validation ones: ATPG (except sequential), then the
 /// scan delivery or one fault model through the shared fault-simulation
-/// driver. Without a pool (Reference / Packed) both run inline as one shard;
-/// only scan-test's Reference differs from Packed, as the scalar delivery.
-void run_coverage(Session& session, const CampaignSpec& spec, Backend backend,
-                  ThreadPool* pool, CampaignResult& result) {
+/// driver, sharded across `pool`. Only scan-test's Reference comes without
+/// a pool, as the scalar delivery.
+void run_coverage(Session& session, const CampaignSpec& spec, ThreadPool* pool,
+                  CampaignResult& result) {
   const bool sequential = spec.kind == CampaignKind::SequentialCoverage;
   if (!sequential) {
     AtpgOptions options = spec.atpg;
@@ -560,50 +586,39 @@ void run_coverage(Session& session, const CampaignSpec& spec, Backend backend,
   if (spec.kind == CampaignKind::ScanTest) {
     const std::size_t shard =
         scan_test_shard_size(spec.shard_size != 0 ? spec.shard_size : 256);
-    result.scan_test = deliver(session, patterns, backend, pool, shard);
+    result.scan_test = deliver(session, patterns, pool, shard);
     result.shard_count = pool == nullptr ? 1 : (patterns.size() + shard - 1) / shard;
     return;
   }
   const std::size_t fault_shard =
       spec.shard_size != 0 ? spec.shard_size : sequential ? 64 : 128;
-  // `simulate(faults, pooled...)` reaches a model's serial overload, or with
-  // (pool, fault_shard) its pooled one.
-  const auto run_model = [&](const auto& faults, const auto& simulate) {
-    result.faults = pool == nullptr ? simulate(faults) : simulate(faults, *pool, fault_shard);
-    result.shard_count = pool == nullptr ? 1 : (faults.size() + fault_shard - 1) / fault_shard;
-  };
   switch (spec.kind) {
     case CampaignKind::FaultCoverage:
-      run_model(session.faults(), [&](const auto& faults, auto&&... pooled) {
-        return fault_simulate(session.frame(), faults, patterns, pooled...);
-      });
+      result.faults =
+          fault_simulate(session.frame(), session.faults(), patterns, *pool, fault_shard);
       break;
     case CampaignKind::TransitionDelay:
-      run_model(enumerate_transition_faults(session.netlist()),
-                [&](const auto& faults, auto&&... pooled) {
-                  return transition_fault_simulate(session.frame(), faults, patterns,
-                                                   pooled...);
-                });
+      result.faults = transition_fault_simulate(
+          session.frame(), enumerate_transition_faults(session.netlist()), patterns, *pool,
+          fault_shard);
       break;
     case CampaignKind::Bridging:
-      run_model(enumerate_bridging_faults(session.netlist()),
-                [&](const auto& faults, auto&&... pooled) {
-                  return bridging_fault_simulate(session.frame(), faults, patterns,
-                                                 pooled...);
-                });
+      result.faults = bridging_fault_simulate(
+          session.frame(), enumerate_bridging_faults(session.netlist()), patterns, *pool,
+          fault_shard);
       break;
     case CampaignKind::SequentialCoverage:
       // Runs on the session's gate-level netlist directly (no scan frame):
       // the same collapsed stuck-at universe as fault-coverage, detected
       // through free-running multi-cycle simulation instead of scan capture.
-      run_model(session.faults(), [&](const auto& faults, auto&&... pooled) {
-        return sequential_fault_simulate(session.netlist(), faults, spec.sequences,
-                                         spec.cycles, spec.seed, pooled...);
-      });
+      result.faults = sequential_fault_simulate(session.netlist(), session.faults(),
+                                                spec.sequences, spec.cycles, spec.seed,
+                                                *pool, fault_shard);
       break;
     default:
       break;
   }
+  result.shard_count = (result.faults.total_faults + fault_shard - 1) / fault_shard;
 }
 
 }  // namespace
@@ -629,10 +644,14 @@ ScanTestResult Session::run_scan_test(const std::vector<BitVec>& patterns,
                   "CombinationalFrame::random_pattern()");
     }
   }
-  const Backend backend =
-      options.backend == Backend::Auto ? Backend::PackedParallel : options.backend;
-  return deliver(*this, patterns, backend,
-                 backend == Backend::PackedParallel ? &pool() : nullptr,
+  if (options.backend == Backend::Packed) {
+    throw Error(
+        "Session::run_scan_test: Backend::Packed computes nothing the pooled "
+        "delivery does not; use Backend::PackedParallel (or Auto) for the "
+        "packed delivery, or Backend::Reference for the scalar one");
+  }
+  return deliver(*this, patterns,
+                 options.backend == Backend::Reference ? nullptr : &pool(),
                  options.patterns_per_shard);
 }
 
@@ -656,8 +675,7 @@ CampaignResult run(Session& session, const CampaignSpec& spec,
   if (is_validation_kind(spec.kind)) {
     run_validation(session, spec, backend, runner, hooks, result);
   } else {
-    run_coverage(session, spec, backend, runner != nullptr ? &runner->pool() : nullptr,
-                 result);
+    run_coverage(session, spec, runner != nullptr ? &runner->pool() : nullptr, result);
   }
   result.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
@@ -777,7 +795,6 @@ void apply_spec_key(SpecFile& file, const std::string& key, const std::string& v
   else if (key == "campaign.sequences")          c.sequences = parse_spec_u64(value, line);
   else if (key == "campaign.cycles")             c.cycles = parse_spec_u64(value, line);
   else if (key == "campaign.tier")               c.tier = parse_spec_enum<ValidationTier>(value, line, "behavioral, structural");
-  else if (key == "campaign.schedule" || key == "schedule") c.schedule = parse_spec_enum<Schedule>(value, line, "auto, sweep, event");
   else if (key == "campaign.mode")               c.mode = parse_spec_enum<InjectionMode>(value, line, "none, single-random, multiple-burst, rush-model");
   else if (key == "campaign.burst_size")         c.burst_size = parse_spec_u64(value, line);
   else if (key == "campaign.burst_spread")       c.burst_spread = parse_spec_u64(value, line);

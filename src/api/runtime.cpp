@@ -66,28 +66,11 @@ std::optional<std::size_t> sequences_override() {
   return std::nullopt;
 }
 
-std::optional<Schedule> schedule_override() {
-  const char* env = std::getenv("RETSCAN_SCHEDULE");
-  if (env == nullptr) {
-    return std::nullopt;
-  }
-  Schedule schedule;
-  if (from_string(env, schedule)) {
-    return schedule;
-  }
-  std::fprintf(stderr,
-               "[retscan] warning: invalid RETSCAN_SCHEDULE='%s' (want "
-               "auto, sweep or event); ignoring\n",
-               env);
-  return std::nullopt;
-}
-
 RuntimeConfig parse_runtime_config() {
   RuntimeConfig config;
   const unsigned override = threads_override();
   config.threads = override != 0 ? override : hardware_fallback();
   config.sequences = sequences_override();
-  config.schedule = schedule_override();
   return config;
 }
 
@@ -126,13 +109,6 @@ std::size_t runtime_sequences(std::size_t default_count) {
   return runtime_config().sequences.value_or(default_count);
 }
 
-Schedule runtime_schedule(Schedule requested) {
-  if (requested != Schedule::Auto) {
-    return requested;
-  }
-  return runtime_config().schedule.value_or(Schedule::Auto);
-}
-
 BuildInfo build_info() {
   const RuntimeConfig config = runtime_config();
   BuildInfo info;
@@ -145,7 +121,6 @@ BuildInfo build_info() {
   info.avx2 = false;
 #endif
   info.threads = config.threads;
-  info.schedule = config.schedule;
   return info;
 }
 
@@ -157,15 +132,7 @@ void print_build_info(std::ostream& out) {
       << "threads:  " << info.threads << " ("
       << (std::getenv("RETSCAN_THREADS") != nullptr ? "RETSCAN_THREADS"
                                                     : "hardware")
-      << ")\n"
-      << "schedule: "
-      << (info.schedule ? to_string(*info.schedule) : "auto");
-  if (!info.schedule) {
-    out << " (engine activity probing)";
-  } else {
-    out << " (RETSCAN_SCHEDULE)";
-  }
-  out << "\n";
+      << ")\n";
 }
 
 }  // namespace retscan

@@ -1,6 +1,7 @@
 #include "inject/injector.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -32,6 +33,22 @@ ErrorInjector::ErrorInjector(std::size_t chain_count, std::size_t chain_length,
   RETSCAN_CHECK(chain_count_ > 0 && chain_length_ > 0, "ErrorInjector: empty fabric");
 }
 
+void ErrorInjector::check_not_cycling(std::uint64_t& fruitless, std::size_t count,
+                                      std::size_t chain_span, std::size_t pos_span) const {
+  // Each draw is a pure function of the (row, column) LFSR states, so once
+  // more consecutive draws than there are state pairs have added no new
+  // location, the states have cycled and no later draw will either.
+  const std::uint64_t pairs = ((std::uint64_t{1} << row_lfsr_.width()) - 1) *
+                              ((std::uint64_t{1} << column_lfsr_.width()) - 1);
+  if (++fruitless > pairs) {
+    throw Error("ErrorInjector: the LFSR draws cycle before reaching " +
+                std::to_string(count) + " distinct locations in a " +
+                std::to_string(chain_span) + "x" + std::to_string(pos_span) +
+                " window of the " + std::to_string(chain_count_) + "x" +
+                std::to_string(chain_length_) + " (chains x positions) fabric");
+  }
+}
+
 std::size_t ErrorInjector::next_index(std::size_t bound) {
   // Draw from whichever LFSR matches the axis; rejection-sample so every
   // index is reachable (an LFSR state is never zero, so we subtract 1).
@@ -54,10 +71,13 @@ std::vector<ErrorLocation> ErrorInjector::random_multiple(std::size_t count) {
                 "ErrorInjector: more errors than flops");
   std::vector<ErrorLocation> errors;
   errors.reserve(count);
-  while (errors.size() < count) {
+  for (std::uint64_t fruitless = 0; errors.size() < count;) {
     const ErrorLocation loc = random_single();
     if (std::find(errors.begin(), errors.end(), loc) == errors.end()) {
       errors.push_back(loc);
+      fruitless = 0;
+    } else {
+      check_not_cycling(fruitless, count, chain_count_, chain_length_);
     }
   }
   return errors;
@@ -74,7 +94,7 @@ std::vector<ErrorLocation> ErrorInjector::clustered_burst(std::size_t count,
                 "ErrorInjector: burst too large for spread window");
   std::vector<ErrorLocation> errors;
   errors.reserve(count);
-  while (errors.size() < count) {
+  for (std::uint64_t fruitless = 0; errors.size() < count;) {
     // Offsets drawn from the LFSRs, folded into the window around centre.
     const std::size_t dc = next_index(chain_count_) % chain_span;
     const std::size_t dp = next_index(chain_length_) % pos_span;
@@ -83,6 +103,9 @@ std::vector<ErrorLocation> ErrorInjector::clustered_burst(std::size_t count,
     loc.position = (centre.position + dp) % chain_length_;
     if (std::find(errors.begin(), errors.end(), loc) == errors.end()) {
       errors.push_back(loc);
+      fruitless = 0;
+    } else {
+      check_not_cycling(fruitless, count, chain_span, pos_span);
     }
   }
   return errors;

@@ -42,11 +42,15 @@ class ErrorInjector {
   /// One LFSR-selected location (Fig. 7(a)).
   ErrorLocation random_single();
 
-  /// `count` distinct LFSR-selected locations scattered uniformly.
+  /// `count` distinct LFSR-selected locations scattered uniformly. Throws
+  /// retscan::Error when the LFSR draws cycle before reaching `count`
+  /// distinct locations (some geometries never reach every flop).
   std::vector<ErrorLocation> random_multiple(std::size_t count);
 
   /// `count` distinct locations clustered around a random centre within a
   /// +/- spread window in both chain and position (Fig. 7(b) burst shape).
+  /// Throws retscan::Error when the draws cycle before reaching `count`
+  /// distinct locations of the window.
   std::vector<ErrorLocation> clustered_burst(std::size_t count, std::size_t spread = 2);
 
   /// Flip the selected retention latches of a simulated design (the
@@ -70,6 +74,9 @@ class ErrorInjector {
 
  private:
   std::size_t next_index(std::size_t bound);
+  /// Count one draw that added no location; throws once the draws cycle.
+  void check_not_cycling(std::uint64_t& fruitless, std::size_t count,
+                         std::size_t chain_span, std::size_t pos_span) const;
 
   std::size_t chain_count_;
   std::size_t chain_length_;

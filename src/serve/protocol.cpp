@@ -303,7 +303,6 @@ Json to_json(const SubmitOverrides& overrides) {
   if (overrides.threads)   json.set("threads", *overrides.threads);
   if (overrides.sequences) json.set("sequences", *overrides.sequences);
   if (overrides.backend)   json.set("backend", *overrides.backend);
-  if (overrides.schedule)  json.set("schedule", *overrides.schedule);
   if (overrides.checkpoint) json.set("checkpoint", *overrides.checkpoint);
   if (overrides.resume)    json.set("resume", true);
   if (overrides.deadline_ms) json.set("deadline_ms", *overrides.deadline_ms);
@@ -312,17 +311,17 @@ Json to_json(const SubmitOverrides& overrides) {
 
 SubmitOverrides overrides_from_json(const Json& json) {
   SubmitOverrides overrides;
-  if (const Json* v = json.find("seed"))      overrides.seed = v->as_u64();
-  if (const Json* v = json.find("threads"))   overrides.threads = v->as_u64();
-  if (const Json* v = json.find("sequences")) overrides.sequences = v->as_u64();
-  if (const Json* v = json.find("backend"))   overrides.backend = v->as_string();
-  if (const Json* v = json.find("schedule"))  overrides.schedule = v->as_string();
-  if (const Json* v = json.find("checkpoint")) {
-    overrides.checkpoint = v->as_string();
-  }
-  if (const Json* v = json.find("resume"))    overrides.resume = v->as_bool();
-  if (const Json* v = json.find("deadline_ms")) {
-    overrides.deadline_ms = v->as_u64();
+  for (const auto& [key, v] : json.as_object()) {
+    // clang-format off
+    if (key == "seed")             overrides.seed = v.as_u64();
+    else if (key == "threads")     overrides.threads = v.as_u64();
+    else if (key == "sequences")   overrides.sequences = v.as_u64();
+    else if (key == "backend")     overrides.backend = v.as_string();
+    else if (key == "checkpoint")  overrides.checkpoint = v.as_string();
+    else if (key == "resume")      overrides.resume = v.as_bool();
+    else if (key == "deadline_ms") overrides.deadline_ms = v.as_u64();
+    else throw Error("unknown override '" + key + "'");
+    // clang-format on
   }
   return overrides;
 }
@@ -344,11 +343,6 @@ void apply_overrides(SpecFile& file, const SubmitOverrides& overrides) {
   if (overrides.backend &&
       !from_string(*overrides.backend, file.campaign.backend)) {
     throw Error("unknown backend '" + *overrides.backend + "'");
-  }
-  if (overrides.schedule &&
-      !from_string(*overrides.schedule, file.campaign.schedule)) {
-    throw Error("unknown schedule '" + *overrides.schedule +
-                "' (want auto, sweep or event)");
   }
   if (overrides.checkpoint) {
     file.campaign.checkpoint = *overrides.checkpoint;

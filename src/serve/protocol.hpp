@@ -55,7 +55,7 @@ bool is_terminal(JobState state);
 struct ResultSummary {
   std::string kind;      ///< to_string(CampaignKind)
   std::string backend;   ///< resolved backend actually run
-  std::string schedule;  ///< schedule the gate-level engines were asked for
+  std::string schedule;  ///< schedule the gate-level engines ran
   std::string status;    ///< to_string(CampaignStatus)
   std::uint64_t threads = 1;
   std::uint64_t shard_count = 1;
@@ -124,18 +124,19 @@ struct SubmitOverrides {
   std::optional<std::uint64_t> threads;
   std::optional<std::uint64_t> sequences;
   std::optional<std::string> backend;
-  std::optional<std::string> schedule;
   std::optional<std::string> checkpoint;
   bool resume = false;
   std::optional<std::uint64_t> deadline_ms;
 };
 
 Json to_json(const SubmitOverrides& overrides);
+/// Throws retscan::Error on a key it does not know (an older client's
+/// "schedule", say), so an override is never silently dropped.
 SubmitOverrides overrides_from_json(const Json& json);
 
 /// Apply overrides onto a parsed spec: `retscan run` applies its flags
 /// through this, the daemon a submitted job's. Throws retscan::Error on
-/// unknown backend/schedule names.
+/// unknown backend names.
 void apply_overrides(SpecFile& file, const SubmitOverrides& overrides);
 
 /// Map a terminal job state + summary to the `retscan run` exit-code

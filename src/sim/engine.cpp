@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 
-#include "retscan/runtime.hpp"
 #include "util/cancel.hpp"
 #include "util/error.hpp"
 
@@ -79,7 +78,6 @@ SimEngine::SimEngine(const Netlist& netlist, LaneWord activity_lanes)
   // the instruction stream, the compare-and-schedule overhead stops paying
   // and one full sweep is cheaper.
   event_budget_ = std::max<std::size_t>(64, compiled_->instrs().size() / 4);
-  schedule_ = runtime_config().schedule.value_or(Schedule::Sweep);
   reset();
 }
 

@@ -62,9 +62,8 @@ class SimEngine {
   void step();
 
   // --- evaluation schedule -------------------------------------------------
-  /// Select how settles run (see sim/schedule.hpp). The constructor default
-  /// comes from runtime_config().schedule (RETSCAN_SCHEDULE), falling back
-  /// to Sweep. Switching re-arms the Auto probe and forces one full resync
+  /// Select how settles run (see sim/schedule.hpp). Engines start on
+  /// Sweep. Switching re-arms the Auto probe and forces one full resync
   /// sweep on the next settle; values are bit-identical under every mode.
   void set_schedule(Schedule schedule);
   Schedule schedule() const { return schedule_; }

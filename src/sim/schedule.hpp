@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 
 namespace retscan {
 
@@ -20,17 +19,18 @@ namespace retscan {
 ///    one whose inputs did not change cannot alter any value.
 ///  * Auto — start on the event path and measure: after a short probe
 ///    window the engine commits to Event or Sweep for the rest of its run,
-///    based on the observed dirty fraction and fallback rate. This is the
-///    per-campaign "pick from measured activity" default of the schedule
-///    API knob.
+///    based on the observed dirty fraction and fallback rate. Packed and
+///    pooled structural validation campaigns run their engines on Auto;
+///    forcing Event or Sweep is an engine-level control
+///    (SimEngine::set_schedule, ValidationConfig::schedule).
 enum class Schedule : std::uint8_t {
   Auto,
   Sweep,
   Event,
 };
 
-/// Canonical spellings, matching the spec-file / CLI / RETSCAN_SCHEDULE
-/// values (same convention as the campaign enums in retscan/campaign.hpp).
+/// The spelling `CampaignResult::schedule` is reported with (the result
+/// block's `schedule:` line and the serve summary).
 inline const char* to_string(Schedule schedule) {
   switch (schedule) {
     case Schedule::Auto:  return "auto";
@@ -38,16 +38,6 @@ inline const char* to_string(Schedule schedule) {
     case Schedule::Event: return "event";
   }
   return "?";
-}
-
-inline bool from_string(std::string_view text, Schedule& out) {
-  for (const Schedule value : {Schedule::Auto, Schedule::Sweep, Schedule::Event}) {
-    if (text == to_string(value)) {
-      out = value;
-      return true;
-    }
-  }
-  return false;
 }
 
 /// Activity telemetry accumulated by a SimEngine across its settles and

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "retscan/runtime.hpp"
 #include "scan/scan_io.hpp"
 #include "util/error.hpp"
 
@@ -137,12 +136,11 @@ StructuralTestbench::StructuralTestbench(const ValidationConfig& config)
   protection.test_width = 4;
   design_ = std::make_unique<ProtectedDesign>(make_fifo(config_.fifo), protection);
   session_ = std::make_unique<RetentionSession>(*design_);
-  // The schedule is resolved once against the environment here; reseed()
-  // keeps it, so pooled reuse matches fresh construction. The session
-  // constructor already ran its reset settle under the engine's default
-  // schedule — drain that so telemetry reports only campaign settles under
-  // the configured schedule.
-  session_->sim().set_schedule(runtime_schedule(config_.schedule));
+  // The schedule is set once here; reseed() keeps it, so pooled reuse
+  // matches fresh construction. The session constructor already ran its
+  // reset settle under the engine's default schedule — drain that so
+  // telemetry reports only campaign settles under the configured schedule.
+  session_->sim().set_schedule(config_.schedule);
   session_->sim().invalidate_schedule_state();
   session_->sim().take_schedule_telemetry();
   injector_ = std::make_unique<ErrorInjector>(
@@ -191,7 +189,7 @@ ValidationStats StructuralTestbench::run_packed(std::size_t count) {
   ValidationStats stats;
   if (!packed_session_) {
     packed_session_ = std::make_unique<PackedRetentionSession>(*design_);
-    packed_session_->sim().set_schedule(runtime_schedule(config_.schedule));
+    packed_session_->sim().set_schedule(config_.schedule);
     packed_session_->sim().invalidate_schedule_state();
     packed_session_->sim().take_schedule_telemetry();  // construction settle
   }

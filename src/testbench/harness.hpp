@@ -33,10 +33,10 @@ struct ValidationConfig {
   std::size_t burst_size = 4;
   std::size_t burst_spread = 2;
   std::uint64_t seed = 1;
-  /// Settle schedule for the structural simulators (resolved against
-  /// RETSCAN_SCHEDULE at construction; Auto lets each engine probe its own
-  /// activity). Campaign statistics are bit-identical under every mode —
-  /// the knob only selects how settles are computed.
+  /// Settle schedule for the structural simulators (Auto lets each engine
+  /// probe its own activity). Campaign statistics are bit-identical under
+  /// every mode; this only selects how settles are computed. Campaigns
+  /// leave it at Auto and pin Sweep for the scalar Reference oracle.
   Schedule schedule = Schedule::Auto;
   /// Used only with InjectionMode::RushModel.
   CorruptionParameters corruption{};

@@ -12,10 +12,12 @@
 #include <cstdlib>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "retscan/retscan.hpp"
+#include "retscan/serve.hpp"
 
 using namespace retscan;
 
@@ -176,52 +178,102 @@ TEST(ApiValidation, StructuralBackendsMatchTestbenches) {
   EXPECT_TRUE(pooled.passed());
 }
 
-// The schedule knob must never change campaign statistics — only how the
-// gate-level settles are computed. Sweep, Event and Auto runs of the same
-// seeded structural campaign must agree counter-for-counter, at one thread
-// and several, and the telemetry must reflect the schedule actually run.
+// The settle schedule must never change campaign statistics — only how the
+// gate-level settles are computed. Structural campaigns run Auto; the
+// engine-level control (ValidationConfig::schedule) forces Sweep and Event
+// on the pooled structural runner, which must agree with the campaign
+// counter-for-counter at one thread and several, with telemetry that
+// reflects the schedule actually run.
 TEST(ApiValidation, ScheduleIsStatisticsInvariant) {
   Session session = gate_session();
   CampaignSpec spec;
   spec.kind = CampaignKind::Validation;
   spec.tier = ValidationTier::Structural;
-  spec.backend = Backend::Packed;
   spec.seed = 23;
   spec.sequences = 128;
-
-  spec.schedule = Schedule::Sweep;
-  const CampaignResult sweep = session.run(spec);
-  EXPECT_EQ(sweep.schedule, Schedule::Sweep);
-  EXPECT_GT(sweep.activity.full_sweeps, 0u);
-  EXPECT_EQ(sweep.activity.event_sweeps, 0u);
-  EXPECT_DOUBLE_EQ(sweep.activity.avg_dirty_fraction(), 1.0);
-
-  spec.schedule = Schedule::Event;
-  const CampaignResult event = session.run(spec);
-  EXPECT_EQ(event.schedule, Schedule::Event);
-  EXPECT_EQ(event.validation, sweep.validation);
-  EXPECT_GT(event.activity.event_sweeps, 0u);
-  EXPECT_LT(event.activity.avg_dirty_fraction(), 1.0);
-
-  spec.schedule = Schedule::Auto;
-  const CampaignResult probed = session.run(spec);
-  EXPECT_EQ(probed.validation, sweep.validation);
-
-  // Pooled at several thread counts: still the same counters, telemetry
-  // merged across shards instead of lost.
-  spec.backend = Backend::PackedParallel;
   spec.shard_size = 64;
-  spec.schedule = Schedule::Sweep;
-  spec.threads = 1;
-  const CampaignResult pooled_sweep = session.run(spec);
-  EXPECT_EQ(pooled_sweep.validation, sweep.validation);
+  const CampaignResult campaign = session.run(spec);
+  ASSERT_EQ(campaign.schedule, Schedule::Auto);
+
+  ValidationConfig config = gate_config(23, InjectionMode::SingleRandom);
   for (const unsigned threads : {1u, 3u}) {
-    spec.threads = threads;
-    spec.schedule = Schedule::Event;
-    const CampaignResult pooled_event = session.run(spec);
-    EXPECT_EQ(pooled_event.validation, sweep.validation) << threads;
-    EXPECT_GT(pooled_event.activity.event_sweeps, 0u) << threads;
+    SCOPED_TRACE(threads);
+    parallel::CampaignRunner runner(parallel::CampaignOptions{.threads = threads});
+    config.schedule = Schedule::Sweep;
+    const parallel::CampaignReport sweep = runner.run_structural_packed(config, 128, 64);
+    EXPECT_EQ(sweep.stats, campaign.validation);
+    EXPECT_GT(sweep.telemetry.full_sweeps, 0u);
+    EXPECT_EQ(sweep.telemetry.event_sweeps, 0u);
+    EXPECT_DOUBLE_EQ(sweep.telemetry.avg_dirty_fraction(), 1.0);
+
+    config.schedule = Schedule::Event;
+    const parallel::CampaignReport event = runner.run_structural_packed(config, 128, 64);
+    EXPECT_EQ(event.stats, campaign.validation);
+    EXPECT_GT(event.telemetry.event_sweeps, 0u);
+    EXPECT_LT(event.telemetry.avg_dirty_fraction(), 1.0);
+
+    // Auto is what the campaign ran: same counters, same telemetry.
+    config.schedule = Schedule::Auto;
+    const parallel::CampaignReport probed = runner.run_structural_packed(config, 128, 64);
+    EXPECT_EQ(probed.stats, campaign.validation);
+    EXPECT_EQ(probed.telemetry, campaign.activity);
   }
+}
+
+// CampaignResult::schedule reports the schedule the route ran: Auto for
+// packed structural validation, Sweep everywhere else. serve's
+// summary_digest hashes this text, so the report is part of the contract.
+TEST(ApiValidation, ScheduleReportFollowsTheRoute) {
+  const auto expect_schedule = [](Session& session, const CampaignSpec& spec,
+                                  Schedule want) {
+    const CampaignResult result = session.run(spec);
+    EXPECT_EQ(result.schedule, want)
+        << to_string(spec.kind) << "/" << to_string(spec.tier) << "/"
+        << to_string(spec.backend);
+    EXPECT_EQ(serve::summarize(result, spec).schedule, to_string(want));
+  };
+
+  Session gate = gate_session();
+  CampaignSpec validation;
+  validation.kind = CampaignKind::Validation;
+  validation.sequences = 128;
+  for (const Backend backend : {Backend::Auto, Backend::Reference, Backend::PackedParallel}) {
+    validation.backend = backend;
+    expect_schedule(gate, validation, Schedule::Sweep);  // behavioral tier
+  }
+  CampaignSpec injection = validation;
+  injection.kind = CampaignKind::Injection;
+  injection.mode = InjectionMode::RushModel;
+  injection.backend = Backend::Auto;
+  expect_schedule(gate, injection, Schedule::Sweep);
+
+  validation.tier = ValidationTier::Structural;
+  for (const Backend backend : {Backend::Auto, Backend::Packed, Backend::PackedParallel}) {
+    validation.backend = backend;
+    expect_schedule(gate, validation, Schedule::Auto);
+  }
+  validation.backend = Backend::Reference;
+  validation.sequences = 2;
+  expect_schedule(gate, validation, Schedule::Sweep);
+
+  CampaignSpec coverage;
+  coverage.atpg.random_patterns = 64;
+  coverage.atpg.run_podem = false;
+  for (const CampaignKind kind : {CampaignKind::FaultCoverage, CampaignKind::ScanTest,
+                                  CampaignKind::TransitionDelay, CampaignKind::Bridging}) {
+    coverage.kind = kind;
+    coverage.backend = Backend::Auto;
+    expect_schedule(gate, coverage, Schedule::Sweep);
+  }
+  coverage.kind = CampaignKind::ScanTest;
+  coverage.backend = Backend::Reference;
+  expect_schedule(gate, coverage, Schedule::Sweep);
+
+  CampaignSpec sequential;
+  sequential.kind = CampaignKind::SequentialCoverage;
+  sequential.sequences = 4;
+  sequential.cycles = 4;
+  expect_schedule(gate, sequential, Schedule::Sweep);
 }
 
 TEST(ApiInjection, RushModelMatchesLegacyRunner) {
@@ -300,7 +352,7 @@ TEST(ApiScanTest, AllBackendsMatchLegacyDeliveries) {
   CombinationalFrame& frame = session.frame();
   const ProtectedDesign& design = session.design();
 
-  // All three backends vs the scalar and packed deliveries driven directly
+  // Both backends vs the scalar and packed deliveries driven directly
   // through the design's test-mode ports.
   const ScanPorts ports = ScanPorts::test_mode_of(design);
   const ScanTestResult reference =
@@ -312,13 +364,6 @@ TEST(ApiScanTest, AllBackendsMatchLegacyDeliveries) {
   EXPECT_EQ(reference.mismatches, direct_reference.mismatches);
   EXPECT_TRUE(reference.all_passed());
 
-  const ScanTestResult packed =
-      session.run_scan_test(atpg.patterns, {.backend = Backend::Packed});
-  const ScanTestResult direct_packed =
-      deliver_scan_test_packed(ports, frame, atpg.patterns, nullptr);
-  EXPECT_EQ(packed.patterns_applied, direct_packed.patterns_applied);
-  EXPECT_EQ(packed.mismatches, direct_packed.mismatches);
-
   const ScanTestResult pooled = session.run_scan_test(
       atpg.patterns, {.backend = Backend::PackedParallel, .patterns_per_shard = 128});
   const ScanTestResult direct_pooled =
@@ -326,6 +371,16 @@ TEST(ApiScanTest, AllBackendsMatchLegacyDeliveries) {
   EXPECT_EQ(pooled.patterns_applied, direct_pooled.patterns_applied);
   EXPECT_EQ(pooled.mismatches, direct_pooled.mismatches);
   EXPECT_TRUE(pooled.all_passed());
+  const ScanTestResult direct_inline =
+      deliver_scan_test_packed(ports, frame, atpg.patterns, nullptr);
+  EXPECT_EQ(pooled.patterns_applied, direct_inline.patterns_applied);
+  EXPECT_EQ(pooled.mismatches, direct_inline.mismatches);
+
+  // Packed would be the same packed delivery on one thread.
+  EXPECT_NE(error_message([&] {
+              session.run_scan_test(atpg.patterns, {.backend = Backend::Packed});
+            }).find("Backend::Packed"),
+            std::string::npos);
 }
 
 TEST(ApiScanTest, CampaignKindRunsAtpgAndDelivery) {
@@ -352,8 +407,8 @@ TEST(ApiScanTest, CampaignKindRunsAtpgAndDelivery) {
 }
 
 /// shard_size cuts scan-test deliveries into whole 64-lane batches: the
-/// shard plan follows it, the delivery verdict does not. Reference and
-/// Packed run unsharded and reject it.
+/// shard plan follows it, the delivery verdict does not. Reference runs
+/// unsharded and rejects it.
 TEST(ApiScanTest, ShardSizeSetsTheDeliveryShards) {
   Session session = gate_session();
   CampaignSpec spec;
@@ -375,12 +430,9 @@ TEST(ApiScanTest, ShardSizeSetsTheDeliveryShards) {
     EXPECT_EQ(sharded.scan_test.mismatches, by_default.scan_test.mismatches);
   }
 
-  for (const Backend serial : {Backend::Reference, Backend::Packed}) {
-    spec.backend = serial;
-    EXPECT_NE(error_message([&] { validate(spec, session); }).find("shard_size"),
-              std::string::npos)
-        << to_string(serial);
-  }
+  spec.backend = Backend::Reference;
+  EXPECT_NE(error_message([&] { validate(spec, session); }).find("shard_size"),
+            std::string::npos);
 }
 
 // --- spec validation --------------------------------------------------------
@@ -433,13 +485,28 @@ TEST(ApiValidate, RejectsUnrunnableSpecs) {
                 .find("SEC-DED"),
             std::string::npos);
 
-  CampaignSpec packed_shard;
-  packed_shard.kind = CampaignKind::FaultCoverage;
-  packed_shard.backend = Backend::Packed;
-  packed_shard.shard_size = 4096;
-  EXPECT_NE(error_message([&] { validate(packed_shard, session); })
-                .find("shard_size"),
-            std::string::npos);
+  // Only backends that compute something different: the fault-simulation
+  // kinds have one pooled driver, scan-test adds the scalar delivery.
+  for (const CampaignKind kind :
+       {CampaignKind::FaultCoverage, CampaignKind::TransitionDelay, CampaignKind::Bridging,
+        CampaignKind::SequentialCoverage, CampaignKind::ScanTest}) {
+    for (const Backend serial : {Backend::Reference, Backend::Packed}) {
+      if (kind == CampaignKind::ScanTest && serial == Backend::Reference) {
+        continue;
+      }
+      CampaignSpec inline_pass;
+      inline_pass.kind = kind;
+      inline_pass.backend = serial;
+      inline_pass.atpg.random_patterns = 16;
+      if (kind == CampaignKind::SequentialCoverage) {
+        inline_pass.sequences = 4;
+        inline_pass.cycles = 4;
+      }
+      const std::string why = error_message([&] { validate(inline_pass, session); });
+      EXPECT_NE(why.find("pooled driver"), std::string::npos)
+          << to_string(kind) << "/" << to_string(serial) << ": " << why;
+    }
+  }
 
   // Validation kinds run one unsharded pass on Reference and Packed too, on
   // both tiers, so they reject shard_size instead of dropping it.
@@ -470,35 +537,76 @@ TEST(ApiValidate, RejectsUnrunnableSpecs) {
                 .find("empty pattern set"),
             std::string::npos);
 
-  // Explicit event scheduling needs a gate-level sweep to schedule:
-  // behavioral tier, the Reference oracle and non-validation kinds reject.
-  CampaignSpec behavioral_event;
-  behavioral_event.kind = CampaignKind::Validation;
-  behavioral_event.sequences = 10;
-  behavioral_event.schedule = Schedule::Event;
-  EXPECT_NE(error_message([&] { validate(behavioral_event, session); })
-                .find("behavioral tier"),
-            std::string::npos);
+  // Geometries the testbenches or protection synthesis cannot build fail
+  // here, naming the key, not at an internal check mid-run.
+  const auto expect_rejected = [](const CampaignSpec& spec, const Session& on,
+                                  const std::vector<std::string>& needles) {
+    const std::string why = error_message([&] { validate(spec, on); });
+    for (const std::string& needle : needles) {
+      EXPECT_NE(why.find(needle), std::string::npos)
+          << to_string(spec.kind) << "/" << to_string(spec.tier) << ": " << why;
+    }
+  };
+  CampaignSpec behavioral;
+  behavioral.kind = CampaignKind::Validation;
+  behavioral.sequences = 64;
+  CampaignSpec structural = behavioral;
+  structural.tier = ValidationTier::Structural;
+  CampaignSpec fault_coverage;
+  fault_coverage.kind = CampaignKind::FaultCoverage;
+  fault_coverage.atpg.random_patterns = 16;
+  CampaignSpec scan_test = fault_coverage;
+  scan_test.kind = CampaignKind::ScanTest;
 
-  CampaignSpec reference_event = behavioral_event;
-  reference_event.tier = ValidationTier::Structural;
-  reference_event.backend = Backend::Reference;
-  EXPECT_NE(error_message([&] { validate(reference_event, session); })
-                .find("full-sweep oracle"),
-            std::string::npos);
+  ProtectionConfig wide_k;  // r = 4 gives k = 11, which does not divide 80
+  wide_k.kind = CodeKind::HammingCorrect;
+  wide_k.hamming_r = 4;
+  wide_k.chain_count = 80;
+  const Session wide_k_session(FifoSpec{32, 32}, wide_k);
+  for (const CampaignSpec& spec : {behavioral, structural, fault_coverage, scan_test}) {
+    expect_rejected(spec, wide_k_session, {"protection.chain_count = 80", "k = 11"});
+  }
+  wide_k.secded = true;
+  expect_rejected(fault_coverage, Session(FifoSpec{32, 32}, wide_k),
+                  {"protection.chain_count = 80", "k = 11"});
 
-  CampaignSpec coverage_event;
-  coverage_event.kind = CampaignKind::FaultCoverage;
-  coverage_event.atpg.random_patterns = 16;
-  coverage_event.schedule = Schedule::Event;
-  EXPECT_NE(error_message([&] { validate(coverage_event, session); })
-                .find("schedule = auto"),
-            std::string::npos);
+  ProtectionConfig crc_groups;
+  crc_groups.kind = CodeKind::HammingPlusCrc;
+  crc_groups.chain_count = 4;
+  crc_groups.crc_group_width = 3;
+  const Session crc_groups_session(FifoSpec{32, 2}, crc_groups);
+  for (const CampaignSpec& spec : {fault_coverage, scan_test}) {
+    expect_rejected(spec, crc_groups_session, {"protection.crc_group_width = 3"});
+  }
 
-  // Auto is always accepted (it resolves to sweep where event can't apply).
-  CampaignSpec auto_schedule = behavioral_event;
-  auto_schedule.schedule = Schedule::Auto;
-  EXPECT_NO_THROW(validate(auto_schedule, session));
+  ProtectionConfig narrow_test;
+  narrow_test.chain_count = 4;
+  narrow_test.test_width = 3;
+  const Session narrow_test_session(FifoSpec{32, 2}, narrow_test);
+  for (const CampaignSpec& spec : {fault_coverage, scan_test}) {
+    expect_rejected(spec, narrow_test_session, {"protection.test_width = 3"});
+  }
+  // Neither validation tier synthesizes the session's test concatenation:
+  // the behavioral tier builds no design, the structural one its own at 4.
+  EXPECT_NO_THROW(validate(behavioral, narrow_test_session));
+  EXPECT_NO_THROW(validate(structural, narrow_test_session));
+
+  ProtectionConfig crc_ten;  // CRC only: no Hamming monitors to synthesize
+  crc_ten.kind = CodeKind::CrcDetect;
+  crc_ten.chain_count = 10;
+  crc_ten.test_width = 5;
+  const Session crc_ten_session(FifoSpec{32, 2}, crc_ten);
+  EXPECT_NO_THROW(validate(fault_coverage, crc_ten_session));
+  // ...but the behavioral tier lays every kind out in Hamming words, and the
+  // structural one synthesizes at test width 4.
+  expect_rejected(behavioral, crc_ten_session, {"protection.chain_count = 10", "k = 4"});
+  expect_rejected(structural, crc_ten_session,
+                  {"protection.chain_count = 10", "structural tier's test width 4"});
+
+  ProtectionConfig r_one;
+  r_one.chain_count = 4;
+  r_one.hamming_r = 1;
+  expect_rejected(behavioral, Session(FifoSpec{32, 2}, r_one), {"protection.hamming_r = 1"});
 
   // Netlist-backed sessions cannot run validation campaigns...
   ProtectionConfig protection;
@@ -684,7 +792,6 @@ campaign.sequences = 200000
 campaign.mode = multiple-burst
 campaign.burst_size = 4
 campaign.burst_spread = 1
-campaign.schedule = event
 )");
   EXPECT_EQ(file.fifo.depth, 32u);
   EXPECT_EQ(file.fifo.width, 32u);
@@ -696,14 +803,14 @@ campaign.schedule = event
   EXPECT_EQ(file.campaign.sequences, 200000u);
   EXPECT_EQ(file.campaign.mode, InjectionMode::MultipleBurst);
   EXPECT_EQ(file.campaign.burst_size, 4u);
-  EXPECT_EQ(file.campaign.schedule, Schedule::Event);
 
-  // `schedule =` is the short spelling of campaign.schedule.
-  EXPECT_EQ(parse_spec_text("schedule = sweep\n").campaign.schedule,
-            Schedule::Sweep);
-  EXPECT_NE(error_message([] { parse_spec_text("schedule = sometimes\n"); })
-                .find("auto, sweep, event"),
-            std::string::npos);
+  // The settle schedule is not a spec key: a spec that sets one fails
+  // loudly instead of running under a schedule it did not ask for.
+  for (const char* text : {"campaign.schedule = event\n", "schedule = sweep\n"}) {
+    EXPECT_NE(error_message([&] { parse_spec_text(text); }).find("unknown key"),
+              std::string::npos)
+        << text;
+  }
 }
 
 TEST(ApiSpecFile, ErrorsNameTheLine) {
@@ -762,15 +869,8 @@ TEST(ApiSpecFile, EnumRoundTrips) {
     EXPECT_TRUE(from_string(to_string(backend), out));
     EXPECT_EQ(out, backend);
   }
-  for (const auto schedule : {Schedule::Auto, Schedule::Sweep, Schedule::Event}) {
-    Schedule out{};
-    EXPECT_TRUE(from_string(to_string(schedule), out));
-    EXPECT_EQ(out, schedule);
-  }
   Backend out{};
   EXPECT_FALSE(from_string("warp-drive", out));
-  Schedule schedule_out{};
-  EXPECT_FALSE(from_string("lazy", schedule_out));
 }
 
 // --- runtime config ---------------------------------------------------------
@@ -815,44 +915,9 @@ TEST(ApiRuntime, ParsesAndRejectsEnvOverrides) {
   EXPECT_EQ(runtime_sequences(42), 42u);
 }
 
-TEST(ApiRuntime, ScheduleEnvKnob) {
-  // Tests inherit the driver's environment; note what we must restore.
-  const char* inherited = std::getenv("RETSCAN_SCHEDULE");
-  const std::string saved = inherited != nullptr ? inherited : "";
-
-  ::unsetenv("RETSCAN_SCHEDULE");
-  EXPECT_FALSE(runtime_config_refresh().schedule.has_value());
-  // Unset env: explicit requests pass through, Auto stays Auto.
-  EXPECT_EQ(runtime_schedule(Schedule::Auto), Schedule::Auto);
-  EXPECT_EQ(runtime_schedule(Schedule::Event), Schedule::Event);
-
-  for (const auto& [text, want] :
-       {std::pair<const char*, Schedule>{"sweep", Schedule::Sweep},
-        {"event", Schedule::Event},
-        {"auto", Schedule::Auto}}) {
-    ::setenv("RETSCAN_SCHEDULE", text, 1);
-    const RuntimeConfig config = runtime_config_refresh();
-    ASSERT_TRUE(config.schedule.has_value()) << text;
-    EXPECT_EQ(*config.schedule, want) << text;
-    // The env knob only fills in Auto; explicit code wins.
-    EXPECT_EQ(runtime_schedule(Schedule::Auto), want) << text;
-    EXPECT_EQ(runtime_schedule(Schedule::Sweep), Schedule::Sweep) << text;
-  }
-
-  ::setenv("RETSCAN_SCHEDULE", "bogus", 1);  // warns on stderr, then ignores
-  EXPECT_FALSE(runtime_config_refresh().schedule.has_value());
-
-  if (saved.empty()) {
-    ::unsetenv("RETSCAN_SCHEDULE");
-  } else {
-    ::setenv("RETSCAN_SCHEDULE", saved.c_str(), 1);
-  }
-  runtime_config_refresh();
-}
-
 TEST(ApiVersion, ConstantsAgree) {
   EXPECT_STREQ(version_string(), RETSCAN_VERSION_STRING);
   EXPECT_EQ(RETSCAN_VERSION_NUMBER,
             kVersionMajor * 10000 + kVersionMinor * 100 + kVersionPatch);
-  EXPECT_EQ(kVersionMajor, 3);
+  EXPECT_EQ(kVersionMajor, 4);
 }

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "inject/injector.hpp"
 #include "power/corruption.hpp"
@@ -54,6 +56,51 @@ TEST(ErrorInjector, RejectsOversizedRequests) {
   ErrorInjector injector(2, 3, 1);
   EXPECT_THROW(injector.random_multiple(7), Error);
   EXPECT_THROW(injector.clustered_burst(7), Error);
+}
+
+// Each draw is a pure function of the (row, column) LFSR states, so some
+// requests that fit the fabric can never be met: the draws cycle first.
+// Those calls throw, naming the count, window and fabric, instead of
+// spinning forever.
+TEST(ErrorInjector, UnreachableSetsThrowInsteadOfSpinning) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    // The whole 4x5 window of a 4x16 fabric.
+    ErrorInjector full_window(4, 16, seed);
+    try {
+      full_window.clustered_burst(20, 2);
+      ADD_FAILURE() << "seed " << seed << ": full-window burst returned";
+    } catch (const Error& error) {
+      EXPECT_NE(std::string(error.what()).find("20 distinct locations in a 4x5 window "
+                                               "of the 4x16"),
+                std::string::npos)
+          << error.what();
+    }
+    // A 4x4 fabric (a 2x6 FIFO on 4 chains) at the default burst 4 / spread
+    // 2: both coordinates come from the row LFSR, which never yields four
+    // distinct cells.
+    ErrorInjector square(4, 4, seed);
+    EXPECT_THROW(square.clustered_burst(4, 2), Error) << seed;
+  }
+}
+
+// Every call that returns draws exactly the locations it always drew: a
+// digest of bursts and scattered sets on three geometries.
+TEST(ErrorInjector, ReturnedLocationsArePinned) {
+  std::uint64_t digest = 1469598103934665603ull;  // FNV-1a 64
+  const auto mix = [&](const std::vector<ErrorLocation>& errors) {
+    for (const ErrorLocation& loc : errors) {
+      for (const std::uint64_t v : {std::uint64_t{loc.chain}, std::uint64_t{loc.position}}) {
+        digest = (digest ^ v) * 1099511628211ull;
+      }
+    }
+  };
+  ErrorInjector burst(80, 13, 9), scattered(8, 13, 7), narrow(4, 16, 3);
+  for (int i = 0; i < 200; ++i) {
+    mix(burst.clustered_burst(4, 2));
+    mix(scattered.random_multiple(6));
+    mix(narrow.clustered_burst(4, 2));
+  }
+  EXPECT_EQ(digest, 0x7d1f0a0169c06a37ull);
 }
 
 TEST(RushCurrent, UnderdampedDefaultsRingAndSettle) {

@@ -272,7 +272,6 @@ TEST(ServeJobManager, OverridesShapeTheCampaign) {
   overrides.seed = 404;
   overrides.threads = 3;
   overrides.backend = "reference";
-  overrides.schedule = "sweep";
   overrides.checkpoint = "x.journal";
   overrides.resume = true;
   overrides.deadline_ms = 5000;
@@ -295,6 +294,11 @@ TEST(ServeJobManager, OverridesShapeTheCampaign) {
   EXPECT_EQ(back.backend, overrides.backend);
   EXPECT_EQ(back.resume, overrides.resume);
   EXPECT_EQ(back.deadline_ms, overrides.deadline_ms);
+
+  // A key the daemon does not know is refused, never dropped: a client
+  // sending "schedule" must not run under a schedule it did not get.
+  EXPECT_THROW(overrides_from_json(Json::parse(R"({"seed":1,"schedule":"event"})")),
+               Error);
 }
 
 TEST(ServeJobManager, BadSpecFailsTheJobNotTheDaemon) {
@@ -383,9 +387,15 @@ TEST(ServeServer, FullProtocolOverAUnixSocket) {
     EXPECT_FALSE(pong.at("version").as_string().empty());
     EXPECT_GT(pong.at("lane_bits").as_u64(), 0u);
 
-    // Unknown commands and malformed ids come back as protocol errors.
+    // Unknown commands and malformed ids come back as protocol errors, and
+    // so does a submit whose overrides carry an unknown key (no job made).
     EXPECT_THROW(
         client.request(Json(Json::Object{}).set("cmd", "frobnicate")), Error);
+    EXPECT_THROW(client.request(Json(Json::Object{})
+                                    .set("cmd", "submit")
+                                    .set("spec", validation_spec())
+                                    .set("overrides", Json::parse(R"({"schedule":"event"})"))),
+                 Error);
   }
 
   // Streamed submit: progress events, then the terminal record.

@@ -8,7 +8,7 @@
 //   retscan --version                         print the library version
 //
 // Overrides (applied after the file is parsed; submit forwards them):
-//   --seed N --threads N --sequences N --backend NAME --schedule NAME
+//   --seed N --threads N --sequences N --backend NAME
 //   --checkpoint PATH --resume --deadline-ms N
 //
 // The spec format is `key = value` lines with '#' comments; see
@@ -51,7 +51,6 @@ int usage(std::ostream& out, int status) {
   out << "usage: retscan run <campaign.spec> [--seed N] [--threads N]\n"
          "                   [--sequences N] [--backend auto|reference|packed|"
          "packed-parallel]\n"
-         "                   [--schedule auto|sweep|event]\n"
          "                   [--checkpoint PATH] [--resume] [--deadline-ms N]\n"
          "       retscan describe <campaign.spec>\n"
          "       retscan serve [--socket PATH] [--cache-dir DIR] [--threads N]\n"
@@ -122,8 +121,7 @@ void print_plan(std::ostream& out, const SpecFile& file, const Netlist* base,
   out << ", " << threads << " threads\n";
   if (c.kind == CampaignKind::Validation || c.kind == CampaignKind::Injection) {
     out << "workload: " << c.sequences << " sequences, tier " << to_string(c.tier)
-        << ", mode " << to_string(c.mode) << ", schedule " << to_string(c.schedule)
-        << "\n";
+        << ", mode " << to_string(c.mode) << "\n";
   } else if (c.kind == CampaignKind::SequentialCoverage) {
     out << "workload: " << c.sequences << " random sequences x " << c.cycles
         << " cycles, no scan access\n";
@@ -152,7 +150,7 @@ void print_plan(std::ostream& out, const SpecFile& file, const Netlist* base,
 /// into the SubmitOverrides that apply_overrides applies — locally for run,
 /// in the daemon for submit. Only submit passes `wait` (its --wait flag).
 /// Returns 0, or the exit status of a usage error after reporting it as
-/// `who: ...`; backend and schedule names are checked by apply_overrides.
+/// `who: ...`; backend names are checked by apply_overrides.
 int parse_overrides(const char* who, int argc, char** argv,
                     serve::SubmitOverrides& overrides, bool* wait) {
   for (int i = 1; i < argc;) {
@@ -182,8 +180,6 @@ int parse_overrides(const char* who, int argc, char** argv,
       overrides.sequences = parse_override_u64(flag, value);
     } else if (flag == "--backend") {
       overrides.backend = value;
-    } else if (flag == "--schedule") {
-      overrides.schedule = value;
     } else if (flag == "--checkpoint") {
       overrides.checkpoint = value;
     } else if (flag == "--deadline-ms") {
@@ -222,9 +218,9 @@ int run_command(const std::string& command, int argc, char** argv) {
     base.emplace(spec_base_netlist(file));
   }
   if (command == "describe") {
-    // Provenance first — version, lane geometry, AVX2, resolved threads and
-    // schedule — so a described plan can be tied to the binary/environment
-    // that would execute it.
+    // Provenance first — version, lane geometry, AVX2, resolved threads —
+    // so a described plan can be tied to the binary/environment that would
+    // execute it.
     print_build_info(std::cout);
   }
   print_plan(std::cout, file, base ? &*base : nullptr, session.is_protected(),
