@@ -41,19 +41,18 @@ enum class CampaignKind {
   SequentialCoverage, ///< multi-cycle stuck-at coverage, no scan access
 };
 
-/// Execution strategy. `Auto` resolves to PackedParallel; the others pin a
-/// backend that computes something different. Each kind accepts only
-/// those: validation kinds all four, scan-test Auto / Reference /
-/// PackedParallel, the fault-simulation kinds Auto / PackedParallel
-/// (validate() rejects the rest). Every accepted backend produces the same
-/// statistics for the same seed (see tests/test_api.cpp).
+/// Execution strategy. `Auto` resolves to PackedParallel; Reference pins
+/// the scalar oracle, which computes something different. Validation kinds
+/// and scan-test accept all three, the fault-simulation kinds Auto /
+/// PackedParallel (validate() rejects Reference there). Each backend
+/// reproduces the engine-level entry point it routes to for the same seed
+/// (see tests/test_api.cpp).
 enum class Backend {
   Auto,           ///< PackedParallel
   Reference,      ///< scalar oracle: one trial/pattern at a time; on the
                   ///< behavioral tier, the data-full loop the syndrome
                   ///< evaluation is checked against; for scan-test, the
                   ///< scalar delivery
-  Packed,         ///< structural validation: 64-way lanes, one thread
   PackedParallel, ///< 64-way lanes × the session's thread pool
 };
 
@@ -80,8 +79,7 @@ bool from_string(std::string_view text, InjectionMode& out);
 /// Fig. 5(b) test-mode ports: a ProtectedDesign's per-chain si ports are
 /// superseded by the monitor feedback muxes.
 struct ScanTestOptions {
-  /// Auto / PackedParallel (pooled packed delivery) or Reference (scalar);
-  /// Packed is rejected.
+  /// Auto / PackedParallel (pooled packed delivery) or Reference (scalar).
   Backend backend = Backend::Auto;
   /// PackedParallel: pattern count per pool shard (64-lane aligned).
   std::size_t patterns_per_shard = 256;
@@ -160,7 +158,7 @@ struct CampaignResult {
   CampaignKind kind = CampaignKind::Validation;
   Backend backend = Backend::Reference; ///< resolved strategy actually run
   /// Settle schedule the gate-level engines ran (sim/schedule.hpp), fixed
-  /// by the route: Auto for Packed / PackedParallel structural validation
+  /// by the route: Auto for PackedParallel structural validation
   /// (each engine probes its own activity; see `activity` for what that
   /// chose), Sweep for everything else. Not settable.
   Schedule schedule = Schedule::Sweep;
@@ -198,8 +196,10 @@ struct CampaignResult {
 
 /// Reject unrunnable specs with an actionable message (thrown as
 /// retscan::Error): zero trial counts, injection with nothing to inject,
-/// backends that don't exist for the tier, sessions lacking the
-/// golden model a validation campaign needs, bad shard sizes.
+/// backends that don't exist for the kind, sessions lacking the golden
+/// model a validation campaign needs, designs the route would not test as
+/// built (a hardware controller on the structural tier or scan-test), bad
+/// shard sizes.
 void validate(const CampaignSpec& spec, const Session& session);
 
 /// The strategy Auto resolves to (after validate()) — exposed so tools can

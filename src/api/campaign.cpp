@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 
@@ -40,7 +41,6 @@ const char* to_string(Backend backend) {
   switch (backend) {
     case Backend::Auto:           return "auto";
     case Backend::Reference:      return "reference";
-    case Backend::Packed:         return "packed";
     case Backend::PackedParallel: return "packed-parallel";
   }
   return "?";
@@ -66,11 +66,25 @@ const char* to_string(InjectionMode mode) {
 
 namespace {
 
-/// Generic inverse over an enum's value list via to_string.
+/// Every value of each spec enum: the one list from_string walks and the
+/// spec parser's "is not one of" message prints.
+constexpr CampaignKind kCampaignKinds[] = {
+    CampaignKind::Validation, CampaignKind::Injection,       CampaignKind::FaultCoverage,
+    CampaignKind::ScanTest,   CampaignKind::TransitionDelay, CampaignKind::Bridging,
+    CampaignKind::SequentialCoverage};
+constexpr Backend kBackends[] = {Backend::Auto, Backend::Reference, Backend::PackedParallel};
+constexpr ValidationTier kTiers[] = {ValidationTier::Behavioral, ValidationTier::Structural};
+constexpr InjectionMode kModes[] = {InjectionMode::None, InjectionMode::SingleRandom,
+                                    InjectionMode::MultipleBurst, InjectionMode::RushModel};
+
+std::span<const CampaignKind> values_of(CampaignKind) { return kCampaignKinds; }
+std::span<const Backend> values_of(Backend) { return kBackends; }
+std::span<const ValidationTier> values_of(ValidationTier) { return kTiers; }
+std::span<const InjectionMode> values_of(InjectionMode) { return kModes; }
+
 template <typename Enum>
-bool enum_from_string(std::string_view text, Enum& out,
-                      std::initializer_list<Enum> values) {
-  for (const Enum value : values) {
+bool enum_from_string(std::string_view text, Enum& out) {
+  for (const Enum value : values_of(out)) {
     if (text == to_string(value)) {
       out = value;
       return true;
@@ -79,31 +93,32 @@ bool enum_from_string(std::string_view text, Enum& out,
   return false;
 }
 
+/// The accepted spellings of `Enum`, comma-separated.
+template <typename Enum>
+std::string spellings() {
+  std::string list;
+  for (const Enum value : values_of(Enum{})) {
+    list += (list.empty() ? "" : ", ") + std::string(to_string(value));
+  }
+  return list;
+}
+
 }  // namespace
 
 bool from_string(std::string_view text, CampaignKind& out) {
-  return enum_from_string(
-      text, out,
-      {CampaignKind::Validation, CampaignKind::Injection, CampaignKind::FaultCoverage,
-       CampaignKind::ScanTest, CampaignKind::TransitionDelay, CampaignKind::Bridging,
-       CampaignKind::SequentialCoverage});
+  return enum_from_string(text, out);
 }
 
 bool from_string(std::string_view text, Backend& out) {
-  return enum_from_string(text, out,
-                          {Backend::Auto, Backend::Reference, Backend::Packed,
-                           Backend::PackedParallel});
+  return enum_from_string(text, out);
 }
 
 bool from_string(std::string_view text, ValidationTier& out) {
-  return enum_from_string(text, out,
-                          {ValidationTier::Behavioral, ValidationTier::Structural});
+  return enum_from_string(text, out);
 }
 
 bool from_string(std::string_view text, InjectionMode& out) {
-  return enum_from_string(text, out,
-                          {InjectionMode::None, InjectionMode::SingleRandom,
-                           InjectionMode::MultipleBurst, InjectionMode::RushModel});
+  return enum_from_string(text, out);
 }
 
 bool CampaignResult::passed() const {
@@ -163,6 +178,15 @@ ValidationConfig validation_config(Session& session, const CampaignSpec& spec) {
               to_string(spec.backend) + "): " + why);
 }
 
+/// Why neither scan delivery can test a design with a generated controller:
+/// ProtectedDesign rewires the se/retain readers to the controller's FSM.
+constexpr const char* kControllerOwnsScanPorts =
+    "protection.hardware_controller = true: the generated controller drives "
+    "se and retain, so a delivery through those ports never reaches the "
+    "chains and every pattern would mismatch — drive the design through "
+    "HardwareRetentionSession (examples/hardware_controller.cpp), or run a "
+    "fault-simulation kind";
+
 /// The campaign fingerprint is a plain FNV-1a 64 over the fields below —
 /// the shared util accumulator, so journal headers and artifact keys hash
 /// identically everywhere.
@@ -198,13 +222,11 @@ void validate_durability(const CampaignSpec& spec, const Session& session) {
            "fault/pattern set in one pass — split the workload and rerun "
            "instead");
   }
-  if (spec.backend == Backend::Reference || spec.backend == Backend::Packed) {
+  if (spec.backend == Backend::Reference) {
     reject(spec,
-           std::string("checkpoint/resume/deadline_ms need the sharded "
-                       "campaign runner, but Backend::") +
-               (spec.backend == Backend::Reference ? "Reference" : "Packed") +
-               " runs one unsharded pass with nothing to checkpoint between "
-               "— use Backend::PackedParallel or Backend::Auto");
+           "checkpoint/resume/deadline_ms need the sharded campaign runner, but "
+           "Backend::Reference runs one unsharded pass with nothing to "
+           "checkpoint between — use Backend::PackedParallel or Backend::Auto");
   }
   if (!spec.checkpoint.empty()) {
     namespace fs = std::filesystem;
@@ -252,8 +274,7 @@ void validate_durability(const CampaignSpec& spec, const Session& session) {
 /// validate() (and `retscan describe`) rejects what run() would stop on.
 /// The behavioral tier lays every code kind out in Hamming words; synthesis
 /// (every route but the behavioral tier) builds Hamming monitors over k
-/// chains, CRC blocks over crc_group_width chains and the Fig. 5(b)
-/// concatenation over test_width groups.
+/// chains and the Fig. 5(b) concatenation over test_width groups.
 void validate_geometry(const CampaignSpec& spec, const Session& session) {
   if (!session.is_protected()) {
     return;  // a bare session synthesizes nothing
@@ -276,11 +297,6 @@ void validate_geometry(const CampaignSpec& spec, const Session& session) {
   }
   if (behavioral) {
     return;
-  }
-  if (p.kind != CodeKind::HammingCorrect && p.crc_group_width != 0 &&
-      p.chain_count % p.crc_group_width != 0) {
-    reject(spec, "protection.crc_group_width = " + std::to_string(p.crc_group_width) +
-                     " does not divide protection.chain_count = " + chains);
   }
   // The structural testbench synthesizes its own design at test width 4.
   const std::size_t test_width = validation ? 4 : p.test_width;
@@ -329,11 +345,8 @@ std::uint64_t campaign_fingerprint(const CampaignSpec& spec, const Session& sess
   fp.add(static_cast<std::uint64_t>(protection.kind));
   fp.add(protection.hamming_r);
   fp.add(protection.secded ? 1 : 0);
-  fp.add(protection.crc_polynomial);
   fp.add(protection.chain_count);
-  fp.add(protection.crc_group_width);
   fp.add(protection.test_width);
-  fp.add(static_cast<std::uint64_t>(protection.assignment));
   fp.add(protection.gated_domain);
   fp.add(protection.hardware_controller ? 1 : 0);
   fp.add(protection.settle_cycles);
@@ -370,30 +383,12 @@ void validate(const CampaignSpec& spec, const Session& session) {
              "statistics; use fault-coverage / scan-test kinds, or the "
              "SEC-DED ablation bench (bench_ablation_secded)");
     }
-    if (protection.crc_group_width != 0) {
+    if (spec.tier == ValidationTier::Structural && protection.hardware_controller) {
       reject(spec,
-             "the validation testbenches model one wide CRC block "
-             "(crc_group_width = 0); per-group CRC statistics would silently "
-             "differ — drop crc_group_width or use fault-coverage kinds");
-    }
-    if (protection.assignment != ChainAssignment::Blocked) {
-      reject(spec,
-             "the validation testbenches assume the blocked flop-to-chain "
-             "assignment; interleaved assignment changes how bursts map onto "
-             "codewords (see bench_ablation_interleave) and would silently "
-             "misreport — use ChainAssignment::Blocked for validation kinds");
-    }
-    if (protection.crc_polynomial != 0x1021) {
-      reject(spec,
-             "the validation testbenches check with the CCITT CRC-16 "
-             "(0x1021); a custom crc_polynomial would silently not be the "
-             "one validated — use the default polynomial for validation kinds");
-    }
-    if (spec.tier == ValidationTier::Behavioral && spec.backend == Backend::Packed) {
-      reject(spec,
-             "the behavioral tier has no single-thread packed backend (it is "
-             "already word-parallel per trial); use Backend::Reference, "
-             "Backend::PackedParallel or Backend::Auto");
+             "protection.hardware_controller = true, but the structural tier "
+             "synthesizes and tests its own controller-less design, not this "
+             "one — drive the controller through HardwareRetentionSession "
+             "(examples/hardware_controller.cpp), or use the behavioral tier");
     }
     if (spec.kind == CampaignKind::Injection && spec.mode != InjectionMode::RushModel) {
       reject(spec,
@@ -417,12 +412,11 @@ void validate(const CampaignSpec& spec, const Session& session) {
   } else {
     // Only backends that compute something different: the pooled driver,
     // and scan-test's scalar delivery.
-    if (spec.backend == Backend::Packed ||
-        (spec.backend == Backend::Reference && spec.kind != CampaignKind::ScanTest)) {
+    if (spec.backend == Backend::Reference && spec.kind != CampaignKind::ScanTest) {
       reject(spec,
              "only the pooled driver computes this kind (scan-test also has "
-             "the scalar delivery, Backend::Reference); this backend would run "
-             "the same shards on one thread — use Backend::Auto or "
+             "the scalar delivery, Backend::Reference); Backend::Reference "
+             "would run the same shards on one thread — use Backend::Auto or "
              "Backend::PackedParallel with threads = 1");
     }
     if (spec.kind == CampaignKind::ScanTest && !session.is_protected()) {
@@ -431,6 +425,9 @@ void validate(const CampaignSpec& spec, const Session& session) {
              "fabric to deliver patterns through — wrap the netlist in a "
              "ProtectionConfig (it needs flip-flops), or run a fault-coverage "
              "campaign instead");
+    }
+    if (spec.kind == CampaignKind::ScanTest && session.protection().hardware_controller) {
+      reject(spec, kControllerOwnsScanPorts);
     }
     if (is_pattern_kind(spec.kind) && spec.atpg.random_patterns == 0 &&
         !spec.atpg.run_podem) {
@@ -453,12 +450,11 @@ void validate(const CampaignSpec& spec, const Session& session) {
       }
     }
   }
-  if (spec.shard_size != 0 &&
-      (spec.backend == Backend::Reference || spec.backend == Backend::Packed)) {
+  if (spec.shard_size != 0 && spec.backend == Backend::Reference) {
     reject(spec,
            "shard_size only applies to the pooled backend; Backend::Reference "
-           "and Backend::Packed run one unsharded pass — drop shard_size or "
-           "pick Backend::PackedParallel");
+           "runs one unsharded pass — drop shard_size or pick "
+           "Backend::PackedParallel");
   }
   if (spec.cycles != 0 && spec.kind != CampaignKind::SequentialCoverage) {
     reject(spec, "cycles only applies to sequential-coverage campaigns — no "
@@ -497,26 +493,26 @@ parallel::CampaignRunner& select_runner(
   return *local;
 }
 
-void run_validation(Session& session, const CampaignSpec& spec, Backend backend,
+void run_validation(Session& session, const CampaignSpec& spec,
                     parallel::CampaignRunner* runner, const RunHooks& hooks,
                     CampaignResult& result) {
   ValidationConfig config = validation_config(session, spec);
   const bool behavioral = spec.tier == ValidationTier::Behavioral;
-  // Packed structural engines probe their own activity. Reference is the
-  // scalar full-sweep oracle the event scheduler is checked against, and
-  // behavioral runs have no gate level at all; both report sweep.
-  config.schedule = behavioral || backend == Backend::Reference ? Schedule::Sweep
-                                                                : Schedule::Auto;
+  // Pooled structural engines probe their own activity. Reference (no
+  // runner) is the scalar full-sweep oracle the event scheduler is checked
+  // against, and behavioral runs have no gate level at all; both report
+  // sweep.
+  config.schedule = behavioral || runner == nullptr ? Schedule::Sweep : Schedule::Auto;
   result.schedule = config.schedule;
   if (runner == nullptr) {
-    // Reference / Packed: one unsharded pass. The behavioral Reference is
-    // the data-full oracle of the syndrome evaluation the runner takes.
-    if (backend == Backend::Reference && behavioral) {
+    // Reference: one unsharded pass through the tier's oracle — the
+    // data-full loop of the syndrome evaluation the runner takes, or the
+    // scalar gate-level testbench.
+    if (behavioral) {
       result.validation = FastTestbench(config).run_reference(spec.sequences);
     } else {
       StructuralTestbench bench(config);
-      result.validation = backend == Backend::Reference ? bench.run(spec.sequences)
-                                                        : bench.run_packed(spec.sequences);
+      result.validation = bench.run(spec.sequences);
       result.activity = bench.take_telemetry();
     }
     result.shard_count = 1;
@@ -631,6 +627,9 @@ ScanTestResult Session::run_scan_test(const std::vector<BitVec>& patterns,
         "patterns through — wrap the netlist in a ProtectionConfig (it needs "
         "flip-flops), or run a fault-coverage campaign instead");
   }
+  if (protection_.hardware_controller) {
+    throw Error(std::string("Session::run_scan_test: ") + kControllerOwnsScanPorts);
+  }
   RETSCAN_CHECK(options.patterns_per_shard > 0,
                 "Session::run_scan_test: patterns_per_shard must be > 0 (it is "
                 "floored to whole 64-lane batches, minimum one batch)");
@@ -643,12 +642,6 @@ ScanTestResult Session::run_scan_test(const std::vector<BitVec>& patterns,
                   " (PIs + scan flops) — generate patterns with run_atpg() or "
                   "CombinationalFrame::random_pattern()");
     }
-  }
-  if (options.backend == Backend::Packed) {
-    throw Error(
-        "Session::run_scan_test: Backend::Packed computes nothing the pooled "
-        "delivery does not; use Backend::PackedParallel (or Auto) for the "
-        "packed delivery, or Backend::Reference for the scalar one");
   }
   return deliver(*this, patterns,
                  options.backend == Backend::Reference ? nullptr : &pool(),
@@ -673,7 +666,7 @@ CampaignResult run(Session& session, const CampaignSpec& spec,
                                          : nullptr;
   result.threads = runner != nullptr ? runner->threads() : 1;
   if (is_validation_kind(spec.kind)) {
-    run_validation(session, spec, backend, runner, hooks, result);
+    run_validation(session, spec, runner, hooks, result);
   } else {
     run_coverage(session, spec, runner != nullptr ? &runner->pool() : nullptr, result);
   }
@@ -743,10 +736,10 @@ bool parse_spec_bool(const std::string& value, int line) {
 }
 
 template <typename Enum>
-Enum parse_spec_enum(const std::string& value, int line, const char* expected) {
+Enum parse_spec_enum(const std::string& value, int line) {
   Enum out{};
   if (!from_string(value, out)) {
-    spec_error(line, "'" + value + "' is not one of: " + expected);
+    spec_error(line, "'" + value + "' is not one of: " + spellings<Enum>());
   }
   return out;
 }
@@ -764,16 +757,6 @@ CodeKind parse_code_kind(const std::string& value, int line) {
   spec_error(line, "'" + value + "' is not one of: crc, hamming, hamming+crc");
 }
 
-ChainAssignment parse_assignment(const std::string& value, int line) {
-  if (value == "blocked") {
-    return ChainAssignment::Blocked;
-  }
-  if (value == "interleaved") {
-    return ChainAssignment::Interleaved;
-  }
-  spec_error(line, "'" + value + "' is not one of: blocked, interleaved");
-}
-
 void apply_spec_key(SpecFile& file, const std::string& key, const std::string& value,
                     int line) {
   CampaignSpec& c = file.campaign;
@@ -784,18 +767,16 @@ void apply_spec_key(SpecFile& file, const std::string& key, const std::string& v
   else if (key == "protection.hamming_r")        file.protection.hamming_r = static_cast<unsigned>(parse_spec_bounded(value, line, 16, "protection.hamming_r"));
   else if (key == "protection.secded")           file.protection.secded = parse_spec_bool(value, line);
   else if (key == "protection.chain_count")      file.protection.chain_count = parse_spec_u64(value, line);
-  else if (key == "protection.crc_group_width")  file.protection.crc_group_width = parse_spec_u64(value, line);
   else if (key == "protection.test_width")       file.protection.test_width = parse_spec_u64(value, line);
-  else if (key == "protection.assignment")       file.protection.assignment = parse_assignment(value, line);
-  else if (key == "campaign.kind")               c.kind = parse_spec_enum<CampaignKind>(value, line, "validation, injection, fault-coverage, scan-test, transition-delay, bridging, sequential-coverage");
-  else if (key == "campaign.backend")            c.backend = parse_spec_enum<Backend>(value, line, "auto, reference, packed, packed-parallel");
+  else if (key == "campaign.kind")               c.kind = parse_spec_enum<CampaignKind>(value, line);
+  else if (key == "campaign.backend")            c.backend = parse_spec_enum<Backend>(value, line);
   else if (key == "campaign.seed")               c.seed = parse_spec_u64(value, line);
   else if (key == "campaign.threads")            c.threads = static_cast<unsigned>(parse_spec_bounded(value, line, 4096, "campaign.threads"));
   else if (key == "campaign.shard_size")         c.shard_size = parse_spec_u64(value, line);
   else if (key == "campaign.sequences")          c.sequences = parse_spec_u64(value, line);
   else if (key == "campaign.cycles")             c.cycles = parse_spec_u64(value, line);
-  else if (key == "campaign.tier")               c.tier = parse_spec_enum<ValidationTier>(value, line, "behavioral, structural");
-  else if (key == "campaign.mode")               c.mode = parse_spec_enum<InjectionMode>(value, line, "none, single-random, multiple-burst, rush-model");
+  else if (key == "campaign.tier")               c.tier = parse_spec_enum<ValidationTier>(value, line);
+  else if (key == "campaign.mode")               c.mode = parse_spec_enum<InjectionMode>(value, line);
   else if (key == "campaign.burst_size")         c.burst_size = parse_spec_u64(value, line);
   else if (key == "campaign.burst_spread")       c.burst_spread = parse_spec_u64(value, line);
   else if (key == "campaign.checkpoint" || key == "checkpoint") c.checkpoint = value;

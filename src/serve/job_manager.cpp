@@ -93,8 +93,8 @@ std::uint64_t JobManager::submit(const std::string& spec_path,
   }
   const std::uint64_t id = next_id_++;
   auto job = std::make_unique<Job>();
-  job->id = id;
-  job->spec_path = spec_path;
+  job->record.id = id;
+  job->record.spec_path = spec_path;
   job->overrides = overrides;
   jobs_.emplace(id, std::move(job));
   queue_.push_back(id);
@@ -109,13 +109,13 @@ bool JobManager::cancel(std::uint64_t id) {
     return false;
   }
   Job& job = *it->second;
-  if (job.state == JobState::Queued) {
+  if (job.record.state == JobState::Queued) {
     // Terminal right here; the driver skips non-queued queue entries.
-    job.state = JobState::Cancelled;
+    job.record.state = JobState::Cancelled;
     done_cv_.notify_all();
     return true;
   }
-  if (job.state == JobState::Running) {
+  if (job.record.state == JobState::Running) {
     // Cooperative: the sharded campaign observes the token at the next
     // shard boundary and returns partial (checkpointed) statistics.
     job.token.request_cancel();
@@ -130,7 +130,7 @@ std::optional<JobRecord> JobManager::status(std::uint64_t id) const {
   if (it == jobs_.end()) {
     return std::nullopt;
   }
-  return snapshot_locked(*it->second);
+  return it->second->record;
 }
 
 std::vector<JobRecord> JobManager::list() const {
@@ -138,7 +138,7 @@ std::vector<JobRecord> JobManager::list() const {
   std::vector<JobRecord> records;
   records.reserve(jobs_.size());
   for (const auto& [id, job] : jobs_) {
-    records.push_back(snapshot_locked(*job));
+    records.push_back(job->record);
   }
   return records;
 }
@@ -150,8 +150,8 @@ std::optional<JobRecord> JobManager::wait(std::uint64_t id) {
     return std::nullopt;
   }
   Job* job = it->second.get();
-  done_cv_.wait(lock, [job] { return is_terminal(job->state); });
-  return snapshot_locked(*job);
+  done_cv_.wait(lock, [job] { return is_terminal(job->record.state); });
+  return job->record;
 }
 
 void JobManager::drain() {
@@ -177,21 +177,6 @@ CompiledArtifactStore::Stats JobManager::artifact_stats() const {
                                : CompiledArtifactStore::Stats{};
 }
 
-JobRecord JobManager::snapshot_locked(const Job& job) const {
-  JobRecord record;
-  record.id = job.id;
-  record.spec_path = job.spec_path;
-  record.state = job.state;
-  record.shards_done = job.shards_done;
-  record.shard_count = job.shard_count;
-  record.session_reused = job.session_reused;
-  record.setup_seconds = job.setup_seconds;
-  record.run_seconds = job.run_seconds;
-  record.error = job.error;
-  record.summary = job.summary;
-  return record;
-}
-
 void JobManager::driver_loop() {
   for (;;) {
     Job* job = nullptr;
@@ -202,8 +187,8 @@ void JobManager::driver_loop() {
         const std::uint64_t id = queue_.front();
         queue_.pop_front();
         Job& candidate = *jobs_.at(id);
-        if (candidate.state == JobState::Queued) {
-          candidate.state = JobState::Running;
+        if (candidate.record.state == JobState::Queued) {
+          candidate.record.state = JobState::Running;
           ++active_;
           job = &candidate;
           break;
@@ -232,7 +217,7 @@ void JobManager::execute(Job& job) {
   std::uint64_t key = 0;
   std::unique_ptr<Session> session;
   try {
-    SpecFile file = load_spec_file(job.spec_path);
+    SpecFile file = load_spec_file(job.record.spec_path);
     apply_overrides(file, job.overrides);
     key = session_key(file);
     session = sessions_.checkout(key);
@@ -253,8 +238,8 @@ void JobManager::execute(Job& job) {
     }
     {
       const std::lock_guard<std::mutex> lock(mutex_);
-      job.session_reused = reused;
-      job.setup_seconds = seconds_since(setup_start);
+      job.record.session_reused = reused;
+      job.record.setup_seconds = seconds_since(setup_start);
     }
 
     RunHooks hooks;
@@ -262,8 +247,8 @@ void JobManager::execute(Job& job) {
     hooks.cancel = &job.token;
     hooks.progress = [this, &job](std::size_t done, std::size_t total) {
       const std::lock_guard<std::mutex> lock(mutex_);
-      job.shards_done = done;
-      job.shard_count = total;
+      job.record.shards_done = done;
+      job.record.shard_count = total;
     };
 
     const auto run_start = std::chrono::steady_clock::now();
@@ -275,17 +260,17 @@ void JobManager::execute(Job& job) {
     sessions_.checkin(key, std::move(session));
 
     const std::lock_guard<std::mutex> lock(mutex_);
-    job.run_seconds = run_seconds;
-    job.summary = summarize(result, file.campaign);
-    job.shards_done = result.shards_completed;
-    job.shard_count = result.shard_count;
-    job.state = state_for(result.status);
+    job.record.run_seconds = run_seconds;
+    job.record.summary = summarize(result, file.campaign);
+    job.record.shards_done = result.shards_completed;
+    job.record.shard_count = result.shard_count;
+    job.record.state = state_for(result.status);
   } catch (const std::exception& error) {
     // Failed: the session (if any) is dropped, not recycled — a campaign
     // that threw may have left it mid-protocol.
     const std::lock_guard<std::mutex> lock(mutex_);
-    job.error = error.what();
-    job.state = JobState::Failed;
+    job.record.error = error.what();
+    job.record.state = JobState::Failed;
   }
 }
 

@@ -104,23 +104,15 @@ class JobManager {
 
  private:
   struct Job {
-    std::uint64_t id = 0;
-    std::string spec_path;
+    /// What status/list/wait return. Guarded by mutex_; id and spec_path
+    /// are fixed at submit.
+    JobRecord record;
     SubmitOverrides overrides;
-    JobState state = JobState::Queued;
     CancelToken token;
-    std::uint64_t shards_done = 0;
-    std::uint64_t shard_count = 0;
-    bool session_reused = false;
-    double setup_seconds = 0.0;
-    double run_seconds = 0.0;
-    std::string error;
-    std::optional<ResultSummary> summary;
   };
 
   void driver_loop();
   void execute(Job& job);
-  JobRecord snapshot_locked(const Job& job) const;
 
   ServeOptions options_;
   std::shared_ptr<CompiledArtifactStore> artifacts_;  ///< also installed globally

@@ -36,11 +36,8 @@ std::uint64_t session_key(const SpecFile& file) {
   key.add(static_cast<std::uint64_t>(p.kind));
   key.add(p.hamming_r);
   key.add(p.secded ? 1 : 0);
-  key.add(p.crc_polynomial);
   key.add(p.chain_count);
-  key.add(p.crc_group_width);
   key.add(p.test_width);
-  key.add(static_cast<std::uint64_t>(p.assignment));
   key.add(p.gated_domain);
   key.add(p.hardware_controller ? 1 : 0);
   key.add(p.settle_cycles);

@@ -19,8 +19,8 @@ namespace retscan {
 ///    one whose inputs did not change cannot alter any value.
 ///  * Auto — start on the event path and measure: after a short probe
 ///    window the engine commits to Event or Sweep for the rest of its run,
-///    based on the observed dirty fraction and fallback rate. Packed and
-///    pooled structural validation campaigns run their engines on Auto;
+///    based on the observed dirty fraction and fallback rate. Pooled
+///    structural validation campaigns run their engines on Auto;
 ///    forcing Event or Sweep is an engine-level control
 ///    (SimEngine::set_schedule, ValidationConfig::schedule).
 enum class Schedule : std::uint8_t {

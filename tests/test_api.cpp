@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -159,13 +160,6 @@ TEST(ApiValidation, StructuralBackendsMatchTestbenches) {
   EXPECT_EQ(reference.validation,
             StructuralTestbench(gate_config(seed, InjectionMode::SingleRandom)).run(6));
 
-  spec.backend = Backend::Packed;
-  spec.sequences = 64;
-  const CampaignResult packed = session.run(spec);
-  EXPECT_EQ(packed.validation,
-            StructuralTestbench(gate_config(seed, InjectionMode::SingleRandom))
-                .run_packed(64));
-
   spec.backend = Backend::PackedParallel;
   spec.sequences = 128;
   spec.shard_size = 64;
@@ -248,7 +242,7 @@ TEST(ApiValidation, ScheduleReportFollowsTheRoute) {
   expect_schedule(gate, injection, Schedule::Sweep);
 
   validation.tier = ValidationTier::Structural;
-  for (const Backend backend : {Backend::Auto, Backend::Packed, Backend::PackedParallel}) {
+  for (const Backend backend : {Backend::Auto, Backend::PackedParallel}) {
     validation.backend = backend;
     expect_schedule(gate, validation, Schedule::Auto);
   }
@@ -375,12 +369,6 @@ TEST(ApiScanTest, AllBackendsMatchLegacyDeliveries) {
       deliver_scan_test_packed(ports, frame, atpg.patterns, nullptr);
   EXPECT_EQ(pooled.patterns_applied, direct_inline.patterns_applied);
   EXPECT_EQ(pooled.mismatches, direct_inline.mismatches);
-
-  // Packed would be the same packed delivery on one thread.
-  EXPECT_NE(error_message([&] {
-              session.run_scan_test(atpg.patterns, {.backend = Backend::Packed});
-            }).find("Backend::Packed"),
-            std::string::npos);
 }
 
 TEST(ApiScanTest, CampaignKindRunsAtpgAndDelivery) {
@@ -446,14 +434,6 @@ TEST(ApiValidate, RejectsUnrunnableSpecs) {
   EXPECT_NE(error_message([&] { validate(zero, session); }).find("sequences must be > 0"),
             std::string::npos);
 
-  CampaignSpec packed_behavioral;
-  packed_behavioral.kind = CampaignKind::Validation;
-  packed_behavioral.sequences = 10;
-  packed_behavioral.backend = Backend::Packed;
-  EXPECT_NE(error_message([&] { validate(packed_behavioral, session); })
-                .find("behavioral tier"),
-            std::string::npos);
-
   CampaignSpec bad_injection;
   bad_injection.kind = CampaignKind::Injection;
   bad_injection.sequences = 10;
@@ -489,27 +469,21 @@ TEST(ApiValidate, RejectsUnrunnableSpecs) {
   // kinds have one pooled driver, scan-test adds the scalar delivery.
   for (const CampaignKind kind :
        {CampaignKind::FaultCoverage, CampaignKind::TransitionDelay, CampaignKind::Bridging,
-        CampaignKind::SequentialCoverage, CampaignKind::ScanTest}) {
-    for (const Backend serial : {Backend::Reference, Backend::Packed}) {
-      if (kind == CampaignKind::ScanTest && serial == Backend::Reference) {
-        continue;
-      }
-      CampaignSpec inline_pass;
-      inline_pass.kind = kind;
-      inline_pass.backend = serial;
-      inline_pass.atpg.random_patterns = 16;
-      if (kind == CampaignKind::SequentialCoverage) {
-        inline_pass.sequences = 4;
-        inline_pass.cycles = 4;
-      }
-      const std::string why = error_message([&] { validate(inline_pass, session); });
-      EXPECT_NE(why.find("pooled driver"), std::string::npos)
-          << to_string(kind) << "/" << to_string(serial) << ": " << why;
+        CampaignKind::SequentialCoverage}) {
+    CampaignSpec inline_pass;
+    inline_pass.kind = kind;
+    inline_pass.backend = Backend::Reference;
+    inline_pass.atpg.random_patterns = 16;
+    if (kind == CampaignKind::SequentialCoverage) {
+      inline_pass.sequences = 4;
+      inline_pass.cycles = 4;
     }
+    const std::string why = error_message([&] { validate(inline_pass, session); });
+    EXPECT_NE(why.find("pooled driver"), std::string::npos) << to_string(kind) << ": " << why;
   }
 
-  // Validation kinds run one unsharded pass on Reference and Packed too, on
-  // both tiers, so they reject shard_size instead of dropping it.
+  // Validation kinds run one unsharded pass on Reference, on both tiers, so
+  // they reject shard_size instead of dropping it.
   CampaignSpec reference_shard;
   reference_shard.kind = CampaignKind::Validation;
   reference_shard.backend = Backend::Reference;
@@ -518,16 +492,12 @@ TEST(ApiValidate, RejectsUnrunnableSpecs) {
   EXPECT_NE(error_message([&] { validate(reference_shard, session); })
                 .find("shard_size"),
             std::string::npos);
-  for (const Backend serial : {Backend::Reference, Backend::Packed}) {
-    CampaignSpec structural_shard = reference_shard;
-    structural_shard.tier = ValidationTier::Structural;
-    structural_shard.backend = serial;
-    structural_shard.shard_size = 1024;  // whole 64-lane batches
-    EXPECT_NE(error_message([&] { validate(structural_shard, session); })
-                  .find("shard_size"),
-              std::string::npos)
-        << to_string(serial);
-  }
+  CampaignSpec structural_shard = reference_shard;
+  structural_shard.tier = ValidationTier::Structural;
+  structural_shard.shard_size = 1024;  // whole 64-lane batches
+  EXPECT_NE(error_message([&] { validate(structural_shard, session); })
+                .find("shard_size"),
+            std::string::npos);
 
   CampaignSpec no_patterns;
   no_patterns.kind = CampaignKind::FaultCoverage;
@@ -570,15 +540,6 @@ TEST(ApiValidate, RejectsUnrunnableSpecs) {
   expect_rejected(fault_coverage, Session(FifoSpec{32, 32}, wide_k),
                   {"protection.chain_count = 80", "k = 11"});
 
-  ProtectionConfig crc_groups;
-  crc_groups.kind = CodeKind::HammingPlusCrc;
-  crc_groups.chain_count = 4;
-  crc_groups.crc_group_width = 3;
-  const Session crc_groups_session(FifoSpec{32, 2}, crc_groups);
-  for (const CampaignSpec& spec : {fault_coverage, scan_test}) {
-    expect_rejected(spec, crc_groups_session, {"protection.crc_group_width = 3"});
-  }
-
   ProtectionConfig narrow_test;
   narrow_test.chain_count = 4;
   narrow_test.test_width = 3;
@@ -607,6 +568,30 @@ TEST(ApiValidate, RejectsUnrunnableSpecs) {
   r_one.chain_count = 4;
   r_one.hamming_r = 1;
   expect_rejected(behavioral, Session(FifoSpec{32, 2}, r_one), {"protection.hamming_r = 1"});
+
+  // A generated controller owns se/retain: the structural tier would test
+  // its own controller-less design instead, and a scan-test delivery would
+  // never reach the chains. The behavioral tier and fault simulation stay.
+  ProtectionConfig controlled;
+  controlled.kind = CodeKind::HammingPlusCrc;
+  controlled.chain_count = 8;
+  controlled.hardware_controller = true;
+  Session controlled_session(FifoSpec{32, 2}, controlled);
+  for (const Backend backend : {Backend::Auto, Backend::Reference, Backend::PackedParallel}) {
+    for (CampaignSpec spec : {structural, scan_test}) {
+      spec.backend = backend;
+      expect_rejected(spec, controlled_session,
+                      {"protection.hardware_controller", "HardwareRetentionSession"});
+    }
+  }
+  EXPECT_NO_THROW(validate(behavioral, controlled_session));
+  EXPECT_NO_THROW(validate(fault_coverage, controlled_session));
+  for (const Backend backend : {Backend::Reference, Backend::PackedParallel}) {
+    const std::string why = error_message([&] {
+      controlled_session.run_scan_test({}, {.backend = backend});
+    });
+    EXPECT_NE(why.find("protection.hardware_controller"), std::string::npos) << why;
+  }
 
   // Netlist-backed sessions cannot run validation campaigns...
   ProtectionConfig protection;
@@ -811,6 +796,14 @@ campaign.burst_spread = 1
               std::string::npos)
         << text;
   }
+  // Nor are the CRC block width and the flop-to-chain map: the protection
+  // architecture is the paper's (one CCITT CRC-16 block, blocked chains).
+  for (const char* text :
+       {"protection.crc_group_width = 4\n", "protection.assignment = interleaved\n"}) {
+    EXPECT_NE(error_message([&] { parse_spec_text(text); }).find("spec line 1: unknown key"),
+              std::string::npos)
+        << text;
+  }
 }
 
 TEST(ApiSpecFile, ErrorsNameTheLine) {
@@ -856,21 +849,36 @@ TEST(ApiSpecFile, ParseU64IsStrict) {
   EXPECT_FALSE(parse_u64("99999999999999999999").has_value());  // overflow
 }
 
+/// Every value of the four spec enums round-trips, and a bad value's spec
+/// error names its line and lists exactly the accepted spellings.
 TEST(ApiSpecFile, EnumRoundTrips) {
-  for (const auto kind : {CampaignKind::Validation, CampaignKind::Injection,
-                          CampaignKind::FaultCoverage, CampaignKind::ScanTest}) {
-    CampaignKind out{};
-    EXPECT_TRUE(from_string(to_string(kind), out));
-    EXPECT_EQ(out, kind);
-  }
-  for (const auto backend : {Backend::Auto, Backend::Reference, Backend::Packed,
-                             Backend::PackedParallel}) {
-    Backend out{};
-    EXPECT_TRUE(from_string(to_string(backend), out));
-    EXPECT_EQ(out, backend);
-  }
-  Backend out{};
-  EXPECT_FALSE(from_string("warp-drive", out));
+  const auto check = []<typename Enum>(const std::string& key,
+                                       std::initializer_list<Enum> values) {
+    std::string spellings;
+    for (const Enum value : values) {
+      Enum out{};
+      EXPECT_TRUE(from_string(to_string(value), out)) << to_string(value);
+      EXPECT_EQ(out, value) << to_string(value);
+      spellings += (spellings.empty() ? "" : ", ") + std::string(to_string(value));
+    }
+    Enum out{};
+    EXPECT_FALSE(from_string("warp-drive", out));
+    const std::string spec = "fifo.depth = 32\n" + key + " = warp-drive\n";
+    EXPECT_EQ(error_message([&] { parse_spec_text(spec); }),
+              "spec line 2: 'warp-drive' is not one of: " + spellings);
+  };
+  check("campaign.kind",
+        {CampaignKind::Validation, CampaignKind::Injection, CampaignKind::FaultCoverage,
+         CampaignKind::ScanTest, CampaignKind::TransitionDelay, CampaignKind::Bridging,
+         CampaignKind::SequentialCoverage});
+  check("campaign.backend", {Backend::Auto, Backend::Reference, Backend::PackedParallel});
+  check("campaign.tier", {ValidationTier::Behavioral, ValidationTier::Structural});
+  check("campaign.mode", {InjectionMode::None, InjectionMode::SingleRandom,
+                          InjectionMode::MultipleBurst, InjectionMode::RushModel});
+
+  // 5.0 removed the one-thread `packed` backend.
+  EXPECT_EQ(error_message([] { parse_spec_text("campaign.backend = packed\n"); }),
+            "spec line 1: 'packed' is not one of: auto, reference, packed-parallel");
 }
 
 // --- runtime config ---------------------------------------------------------
@@ -919,5 +927,5 @@ TEST(ApiVersion, ConstantsAgree) {
   EXPECT_STREQ(version_string(), RETSCAN_VERSION_STRING);
   EXPECT_EQ(RETSCAN_VERSION_NUMBER,
             kVersionMajor * 10000 + kVersionMinor * 100 + kVersionPatch);
-  EXPECT_EQ(kVersionMajor, 4);
+  EXPECT_EQ(kVersionMajor, 5);
 }

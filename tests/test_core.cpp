@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "circuits/fifo.hpp"
 #include "coding/protectors.hpp"
 #include "netlist/techlib.hpp"
 #include "scan/scan_io.hpp"
+#include "sim/artifact_store.hpp"
 #include "util/error.hpp"
+#include "util/fnv.hpp"
 #include "util/rng.hpp"
 
 namespace retscan {
@@ -270,6 +275,64 @@ TEST(ProtectedDesign, ActivityMeasurementProducesSaneNumbers) {
   const double power_mw = enc.average_power_mw(10.0);  // 100 MHz
   EXPECT_GT(power_mw, 0.1);
   EXPECT_LT(power_mw, 100.0);
+}
+
+/// What synthesis builds, pinned on FIFO slices and two imports. Each row
+/// folds the netlist_structure_fingerprint of every variant, in the order
+/// code kind (crc, hamming, hamming+crc) x SEC-DED (off, on) x hardware
+/// controller (off, on), into one digest, recorded at retscan 4.0. CRC
+/// kinds stop at 16 chains: build_crc_monitors shifts a 32-bit symbol mask
+/// by 16 + chain index, which is undefined past 16 chains. s27's 3 chains
+/// hold no Hamming word, so it is pinned with CRC only.
+TEST(ProtectedDesign, SynthesisIsPinned) {
+  const std::vector<CodeKind> all_kinds = {CodeKind::CrcDetect, CodeKind::HammingCorrect,
+                                           CodeKind::HammingPlusCrc};
+  const struct {
+    const char* import;      // bench/circuits file, or nullptr for the FIFO
+    std::size_t fifo_width;  // of a 32-word FIFO slice
+    std::size_t chains;
+    std::size_t test_width;
+    std::vector<CodeKind> kinds;
+    std::uint64_t digest;
+  } rows[] = {
+      {nullptr, 2, 8, 2, all_kinds, 0xfffd2fed1ac89976ull},
+      {nullptr, 2, 8, 4, all_kinds, 0x942ee644ba147ab6ull},
+      {nullptr, 4, 8, 2, all_kinds, 0x8a469a04e55f40e3ull},
+      {nullptr, 4, 8, 4, all_kinds, 0x7da544095a1c964full},
+      {nullptr, 32, 16, 2, all_kinds, 0xa38b559424c192cbull},
+      {nullptr, 32, 16, 4, all_kinds, 0xddd18d0fbe1cd0d3ull},
+      {nullptr, 32, 80, 2, {CodeKind::HammingCorrect}, 0x63f13df28f4434d7ull},
+      {nullptr, 32, 80, 4, {CodeKind::HammingCorrect}, 0xd6447f83b3c8574full},
+      {"ctrl344.v", 0, 4, 2, all_kinds, 0x04229914e43b914cull},
+      {"ctrl344.v", 0, 4, 4, all_kinds, 0x6923bfd8e84da89dull},
+      {"s27.v", 0, 3, 3, {CodeKind::CrcDetect}, 0xe3b1ba24d2690c23ull},
+  };
+  for (const auto& row : rows) {
+    SCOPED_TRACE((row.import != nullptr ? std::string(row.import)
+                                        : "32x" + std::to_string(row.fifo_width)) +
+                 ", " + std::to_string(row.chains) + " chains, test width " +
+                 std::to_string(row.test_width));
+    Fnv1a digest;
+    for (const CodeKind kind : row.kinds) {
+      for (const bool secded : {false, true}) {
+        for (const bool hardware_controller : {false, true}) {
+          ProtectionConfig config;
+          config.kind = kind;
+          config.secded = secded;
+          config.hardware_controller = hardware_controller;
+          config.chain_count = row.chains;
+          config.test_width = row.test_width;
+          Netlist base =
+              row.import != nullptr
+                  ? Netlist::from_verilog(std::string(RETSCAN_CIRCUITS_DIR) + "/" + row.import)
+                  : make_fifo(FifoSpec{32, row.fifo_width});
+          const ProtectedDesign design(std::move(base), config);
+          digest.add(netlist_structure_fingerprint(design.netlist()));
+        }
+      }
+    }
+    EXPECT_EQ(digest.hash, row.digest);
+  }
 }
 
 TEST(ProtectedDesign, RejectsGeometryMismatches) {

@@ -49,8 +49,7 @@ std::uint64_t parse_override_u64(const std::string& flag, const std::string& val
 
 int usage(std::ostream& out, int status) {
   out << "usage: retscan run <campaign.spec> [--seed N] [--threads N]\n"
-         "                   [--sequences N] [--backend auto|reference|packed|"
-         "packed-parallel]\n"
+         "                   [--sequences N] [--backend auto|reference|packed-parallel]\n"
          "                   [--checkpoint PATH] [--resume] [--deadline-ms N]\n"
          "       retscan describe <campaign.spec>\n"
          "       retscan serve [--socket PATH] [--cache-dir DIR] [--threads N]\n"
