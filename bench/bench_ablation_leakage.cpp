@@ -50,9 +50,9 @@ int main() {
 
     const ProtectedDesign design(make_fifo(FifoSpec{32, 32}), pc);
     const double sleep_leak_uw =
-        tech.sleep_leakage_nw(design.netlist(), pc.gated_domain) * 1e-3;
+        tech.sleep_leakage_nw(design.netlist(), kGatedDomain) * 1e-3;
     const double active_leak_uw =
-        (tech.leakage_nw(design.netlist(), pc.gated_domain) +
+        (tech.leakage_nw(design.netlist(), kGatedDomain) +
          tech.leakage_nw(design.netlist(), kAlwaysOnDomain)) *
         1e-3;
     const double monitoring_nj = row.enc_energy_nj + row.dec_energy_nj;

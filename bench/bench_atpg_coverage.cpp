@@ -96,6 +96,8 @@ int main() {
             << "coverage " << 100.0 * atpg.coverage() << "% with "
             << atpg.patterns.size() << " patterns\n";
   json.set("coverage", atpg.coverage());
+  json.set("untestable", static_cast<double>(atpg.untestable));
+  json.set("aborted", static_cast<double>(atpg.aborted));
   json.set("patterns", static_cast<double>(atpg.patterns.size()));
   json.set("collapsed_faults", static_cast<double>(faults.size()));
 

@@ -32,7 +32,7 @@ int main() {
   bool ok = true;
   std::cout << "lane width: " << kLaneWords << " words (" << kLaneBlockBits
             << " lanes/block), AVX2 kernels "
-            << (lane_block_simd_compiled() ? "on" : "off") << "\n";
+            << (build_info().avx2 ? "on" : "off") << "\n";
 
   ProtectionConfig config;
   config.kind = CodeKind::HammingPlusCrc;

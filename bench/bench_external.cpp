@@ -11,8 +11,9 @@
 // model, and the largest import feeds the compiled-core full-sweep and cone
 // fault-evaluation throughput loops.
 //
-// BENCH_external.json records per-circuit and per-suite coverage plus the
-// aggregate metrics; ci/check_bench_json.py gates the coverage floors
+// BENCH_external.json records per-circuit coverage (with the untestable and
+// aborted fault counts behind it), per-suite coverage and the aggregate
+// metrics; ci/check_bench_json.py gates the coverage floors
 // (deterministic for a fixed seed) against bench/baselines/BENCH_external.json.
 
 #include <algorithm>
@@ -157,6 +158,8 @@ int main() {
               << transition.faults.total_faults << ") in "
               << transition.seconds << " s\n";
     json.set("coverage_" + name, coverage);
+    json.set("untestable_" + name, static_cast<double>(stuck.atpg.untestable));
+    json.set("aborted_" + name, static_cast<double>(stuck.atpg.aborted));
     json.set("coverage_td_" + name, td_coverage);
     json.set("cells_" + name, static_cast<double>(cells));
     ok = ok && stuck.passed() && transition.passed();

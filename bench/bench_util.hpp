@@ -10,13 +10,7 @@
 #include <vector>
 
 #include "retscan/runtime.hpp"
-
-// Compiled lane width of the linked retscan library. RETSCAN_LANE_WORDS is a
-// PUBLIC compile definition of the retscan target, so it is visible here; the
-// fallback only guards headers parsed outside the build.
-#ifndef RETSCAN_LANE_WORDS
-#define RETSCAN_LANE_WORDS 4
-#endif
+#include "retscan/sim.hpp"
 
 namespace retscan::bench {
 
@@ -70,8 +64,8 @@ class JsonReport {
     const unsigned hw = std::thread::hardware_concurrency();
     set("threads", static_cast<double>(runtime_threads()));
     set("hardware_concurrency", static_cast<double>(hw == 0 ? 1 : hw));
-    set("lane_words", static_cast<double>(RETSCAN_LANE_WORDS));
-    set("lane_bits", static_cast<double>(RETSCAN_LANE_WORDS) * 64.0);
+    set("lane_words", static_cast<double>(kLaneWords));
+    set("lane_bits", static_cast<double>(kLaneBlockBits));
   }
 
   void set(const std::string& key, double value) {

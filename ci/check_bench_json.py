@@ -24,7 +24,8 @@ import sys
 SHAPE_KEYS = ["threads", "hardware_concurrency", "lane_words", "lane_bits"]
 
 # Keys every report of a given bench must emit (beyond "bench", "pass" and
-# SHAPE_KEYS).
+# SHAPE_KEYS). A key containing "{circuit}" is required once per circuit the
+# report's coverage_<circuit> keys name, and those must number "circuits".
 REQUIRED_KEYS = {
     "validation": [
         "fast_sequences_per_sec",
@@ -48,6 +49,8 @@ REQUIRED_KEYS = {
     + [f"scaling_efficiency_t{n}" for n in (1, 2, 4, 8)],
     "atpg": [
         "coverage",
+        "untestable",
+        "aborted",
         "patterns",
         "faultsim_speedup",
         "delivery_speedup",
@@ -76,8 +79,13 @@ REQUIRED_KEYS = {
         "min_coverage_epfl",
         "compiled_meps",
         "faultsim_evals_per_sec",
+        "untestable_{circuit}",
+        "aborted_{circuit}",
     ],
 }
+
+# Prefixes of per-circuit keys that are not the stuck-at coverage_<circuit>.
+COVERAGE_VARIANTS = ("coverage_td_", "coverage_seq_")
 
 # Ratio metrics gated against bench/baselines/BENCH_<name>.json.
 GATED_KEYS = {
@@ -188,6 +196,15 @@ def check_report(path, baselines_dir, max_regression):
 
     required = SHAPE_KEYS + REQUIRED_KEYS.get(name, []) if name in REQUIRED_KEYS \
         else []
+    if any("{circuit}" in key for key in required):
+        circuits = [key.removeprefix("coverage_") for key in report
+                    if key.startswith("coverage_")
+                    and not key.startswith(COVERAGE_VARIANTS)]
+        if len(circuits) != report.get("circuits"):
+            errors += fail(f"{path}: {len(circuits)} coverage_<circuit> keys, but "
+                           f"circuits = {report.get('circuits')}")
+        required = [key.format(circuit=circuit) for key in required
+                    for circuit in (circuits if "{circuit}" in key else [None])]
     for key in required:
         if key not in report:
             errors += fail(f"{path}: required metric '{key}' missing")

@@ -23,7 +23,10 @@ Checks, in order:
      variable some source file reads; every flag `parse_overrides`
      (tools/retscan_main.cpp) accepts is documented in the "CLI usage"
      synopsis or its "Overrides applied" paragraph, and every flag in that
-     paragraph is accepted.
+     paragraph is accepted;
+  7. every `-D<NAME>` in README.md and docs/*.md names an `option()` or a
+     `CACHE` variable of the top-level CMakeLists.txt, or a standard
+     `CMAKE_*` variable, so a deleted build option cannot stay documented.
 
 Usage:  python3 ci/check_docs.py [repo_root]
 """
@@ -50,6 +53,10 @@ GETENV_RE = re.compile(r'getenv\("(RETSCAN_[A-Z0-9_]+)"\)')
 ENV_ROW_RE = re.compile(r"^\| `(RETSCAN_[A-Z0-9_]+)` \|", re.MULTILINE)
 FLAG_RE = re.compile(r"--[a-z][a-z-]*")
 ACCEPTED_FLAG_RE = re.compile(r'flag == "(--[a-z][a-z-]*)"')
+# A -D<NAME> definition, not the "-DED" of SEC-DED.
+DEFINE_RE = re.compile(r"(?<![\w-])-D([A-Za-z_][A-Za-z0-9_]*)")
+CMAKE_CACHE_RE = re.compile(r"^\s*(?:option\((\w+)|set\((\w+)\s[^)]*\bCACHE\b)",
+                            re.MULTILINE)
 
 
 def check_docs_exist(root):
@@ -154,11 +161,27 @@ def check_env_and_overrides(root):
                f"parse_overrides does not accept it")
 
 
+def check_cmake_defines(root):
+    cmake = (root / "CMakeLists.txt").read_text()
+    known = {option or cache for option, cache in CMAKE_CACHE_RE.findall(cmake)}
+    pages = [root / "README.md"] + sorted((root / "docs").glob("*.md"))
+    for page in pages:
+        text = page.read_text()
+        for match in DEFINE_RE.finditer(text):
+            name = match.group(1)
+            if name.startswith("CMAKE_") or name in known:
+                continue
+            line = text.count("\n", 0, match.start()) + 1
+            yield (f"{page.relative_to(root)}:{line}: -D{name} is not an option or "
+                   f"cache variable of CMakeLists.txt")
+
+
 def main() -> int:
     root = pathlib.Path(sys.argv[1] if len(sys.argv) > 1 else ".").resolve()
     problems = []
     for check in (check_docs_exist, check_header_comments, check_spec_keys,
-                  check_markdown_links, check_repo_paths, check_env_and_overrides):
+                  check_markdown_links, check_repo_paths, check_env_and_overrides,
+                  check_cmake_defines):
         problems.extend(check(root))
     for problem in problems:
         print(f"FAIL: {problem}")
@@ -168,7 +191,7 @@ def main() -> int:
     headers = len(list((root / "include" / "retscan").glob("*.hpp")))
     print(f"docs lint: {len(REQUIRED_DOCS)} guides present, {headers} public "
           f"headers documented, spec keys covered, links and paths resolve, "
-          f"environment and override flags documented both ways")
+          f"environment and override flags documented both ways, -D options exist")
     return 0
 
 

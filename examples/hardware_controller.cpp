@@ -20,7 +20,6 @@ int main() {
   config.chain_count = 8;
   config.test_width = 4;
   config.hardware_controller = true;
-  config.settle_cycles = 4;
   const ProtectedDesign design(make_fifo(FifoSpec{32, 2}), config);
   std::cout << "design with hardware controller: " << design.netlist().cell_count()
             << " cells\n";

@@ -41,15 +41,15 @@ unsigned runtime_threads();
 std::size_t runtime_sequences(std::size_t default_count);
 
 /// Build + runtime provenance in one queryable record: what this binary
-/// was compiled as (version, lane geometry, AVX2 kernels) and what the
-/// current environment resolves to (threads). `retscan describe`
+/// was compiled as (version, lane geometry, AVX2 code generation) and what
+/// the current environment resolves to (threads). `retscan describe`
 /// and the `retscan serve` startup banner print exactly this, so a result
 /// can always be tied back to the configuration that produced it.
 struct BuildInfo {
   const char* version;       ///< RETSCAN_VERSION_STRING
-  unsigned lane_words;       ///< 64-bit words per LaneBlock (RETSCAN_LANE_WORDS)
+  unsigned lane_words;       ///< 64-bit words per LaneBlock (always 4)
   unsigned lane_bits;        ///< lanes per block = 64 * lane_words
-  bool avx2;                 ///< explicit AVX2 LaneBlock kernels compiled in
+  bool avx2;                 ///< library compiled with __AVX2__ (-mavx2)
   unsigned threads;          ///< resolved worker count (RETSCAN_THREADS / hw)
 };
 
@@ -58,9 +58,12 @@ BuildInfo build_info();
 
 /// The canonical multi-line provenance block:
 ///
-///     retscan:  4.0.0
-///     lanes:    4 x 64 = 256 per block (avx2 kernels)
+///     retscan:  6.0.0
+///     lanes:    4 x 64 = 256 per block (portable kernels)
 ///     threads:  8 (hardware)
+///
+/// `avx2 kernels` replaces `portable kernels` in a -mavx2 build, and the
+/// threads label is `RETSCAN_THREADS` only when that override was valid.
 void print_build_info(std::ostream& out);
 
 }  // namespace retscan

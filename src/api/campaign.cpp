@@ -154,9 +154,9 @@ bool is_pattern_kind(CampaignKind kind) {
          kind == CampaignKind::TransitionDelay || kind == CampaignKind::Bridging;
 }
 
-/// The session's geometry + the spec's workload, as the legacy testbenches
-/// expect it. This mapping is what makes Session-routed campaigns
-/// bit-identical to the legacy entry points for the same seed.
+/// The session's geometry + the spec's workload, as the testbenches
+/// (FastTestbench, StructuralTestbench) take it: the one mapping from a
+/// Session-routed campaign to the testbench configuration it runs.
 ValidationConfig validation_config(Session& session, const CampaignSpec& spec) {
   ValidationConfig config;
   config.fifo = session.fifo();
@@ -347,9 +347,7 @@ std::uint64_t campaign_fingerprint(const CampaignSpec& spec, const Session& sess
   fp.add(protection.secded ? 1 : 0);
   fp.add(protection.chain_count);
   fp.add(protection.test_width);
-  fp.add(protection.gated_domain);
   fp.add(protection.hardware_controller ? 1 : 0);
-  fp.add(protection.settle_cycles);
   return fp.hash;
 }
 

@@ -66,12 +66,20 @@ std::optional<std::size_t> sequences_override() {
   return std::nullopt;
 }
 
-RuntimeConfig parse_runtime_config() {
+/// The parsed environment and whether the thread count came from
+/// RETSCAN_THREADS, so the provenance block labels what this parse chose.
+struct ParsedRuntime {
   RuntimeConfig config;
+  bool threads_from_env = false;
+};
+
+ParsedRuntime parse_runtime_config() {
+  ParsedRuntime parsed;
   const unsigned override = threads_override();
-  config.threads = override != 0 ? override : hardware_fallback();
-  config.sequences = sequences_override();
-  return config;
+  parsed.threads_from_env = override != 0;
+  parsed.config.threads = override != 0 ? override : hardware_fallback();
+  parsed.config.sequences = sequences_override();
+  return parsed;
 }
 
 std::mutex& config_mutex() {
@@ -79,26 +87,30 @@ std::mutex& config_mutex() {
   return mutex;
 }
 
-std::optional<RuntimeConfig>& config_cache() {
-  static std::optional<RuntimeConfig> cache;
+std::optional<ParsedRuntime>& config_cache() {
+  static std::optional<ParsedRuntime> cache;
   return cache;
 }
 
-}  // namespace
-
-RuntimeConfig runtime_config() {
+ParsedRuntime cached_runtime() {
   const std::lock_guard<std::mutex> lock(config_mutex());
-  std::optional<RuntimeConfig>& cache = config_cache();
+  std::optional<ParsedRuntime>& cache = config_cache();
   if (!cache) {
     cache = parse_runtime_config();
   }
   return *cache;
 }
 
+}  // namespace
+
+RuntimeConfig runtime_config() {
+  return cached_runtime().config;
+}
+
 RuntimeConfig runtime_config_refresh() {
   const std::lock_guard<std::mutex> lock(config_mutex());
   config_cache() = parse_runtime_config();
-  return *config_cache();
+  return config_cache()->config;
 }
 
 unsigned runtime_threads() {
@@ -115,7 +127,7 @@ BuildInfo build_info() {
   info.version = RETSCAN_VERSION_STRING;
   info.lane_words = kLaneWords;
   info.lane_bits = kLaneBlockBits;
-#if RETSCAN_LANE_BLOCK_AVX2
+#ifdef __AVX2__
   info.avx2 = true;
 #else
   info.avx2 = false;
@@ -126,13 +138,12 @@ BuildInfo build_info() {
 
 void print_build_info(std::ostream& out) {
   const BuildInfo info = build_info();
+  const ParsedRuntime runtime = cached_runtime();
   out << "retscan:  " << info.version << "\n"
       << "lanes:    " << info.lane_words << " x 64 = " << info.lane_bits
       << " per block (" << (info.avx2 ? "avx2" : "portable") << " kernels)\n"
-      << "threads:  " << info.threads << " ("
-      << (std::getenv("RETSCAN_THREADS") != nullptr ? "RETSCAN_THREADS"
-                                                    : "hardware")
-      << ")\n";
+      << "threads:  " << runtime.config.threads << " ("
+      << (runtime.threads_from_env ? "RETSCAN_THREADS" : "hardware") << ")\n";
 }
 
 }  // namespace retscan

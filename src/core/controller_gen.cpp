@@ -9,6 +9,9 @@ namespace retscan {
 
 namespace {
 
+/// Wake-up wait for the rail to settle, in cycles.
+constexpr std::size_t kSettleCycles = 4;
+
 /// One-hot state indices; Active is implicit (all flops zero).
 enum State : std::size_t {
   kClrE = 0,
@@ -49,7 +52,6 @@ PgControllerPorts build_pg_controller(Netlist& nl, const PgControllerSpec& spec,
                                       NetId error_flag, NetId se_net, NetId retain_net,
                                       const MonitorControls& controls) {
   RETSCAN_CHECK(spec.chain_length >= 1, "build_pg_controller: chain_length >= 1");
-  RETSCAN_CHECK(spec.settle_cycles >= 1, "build_pg_controller: settle_cycles >= 1");
 
   PgControllerPorts ports;
   ports.sleep = nl.add_input("sleep");
@@ -65,7 +67,7 @@ PgControllerPorts build_pg_controller(Netlist& nl, const PgControllerSpec& spec,
   const NetId active = nl.n_not(nl.n_or_tree(s));
 
   // --- pass/settle counter ----------------------------------------------
-  const std::size_t span = std::max(spec.chain_length, spec.settle_cycles);
+  const std::size_t span = std::max(spec.chain_length, kSettleCycles);
   const std::size_t cbits = bits_for_count(span + 1);
   std::vector<CellId> cnt_ff(cbits);
   std::vector<NetId> cnt(cbits);
@@ -87,7 +89,7 @@ PgControllerPorts build_pg_controller(Netlist& nl, const PgControllerSpec& spec,
     }
   }
   const NetId pass_done = equals_const(nl, cnt, spec.chain_length - 1);
-  const NetId settle_done = equals_const(nl, cnt, spec.settle_cycles - 1);
+  const NetId settle_done = equals_const(nl, cnt, kSettleCycles - 1);
 
   // --- recheck flag (second decode pass after a correction) --------------
   const NetId recheck_dummy = nl.add_net();

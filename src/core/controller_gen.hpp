@@ -11,10 +11,9 @@ namespace retscan {
 /// power gating controller template" input of the Fig. 4 flow; its control
 /// sequence is Fig. 3(b)).
 struct PgControllerSpec {
-  std::size_t chain_length = 0;   ///< l: cycles per encode/decode pass
-  std::size_t settle_cycles = 4;  ///< wake-up wait for the rail to settle
-  bool has_crc = true;            ///< emit sig_capture/sig_compare strobes
-  bool can_correct = true;        ///< Hamming present: run a recheck pass
+  std::size_t chain_length = 0;  ///< l: cycles per encode/decode pass
+  bool has_crc = true;           ///< emit sig_capture/sig_compare strobes
+  bool can_correct = true;       ///< Hamming present: run a recheck pass
 };
 
 /// Nets produced by the controller for the surrounding system.
@@ -32,8 +31,8 @@ struct PgControllerPorts {
 /// the simulator's all-zero reset starts the controller in Active.
 ///
 /// Sequence: Active -> clear -> encode (l cycles) -> [capture] -> save ->
-/// sleep -> wake (settle) -> restore -> clear -> decode (l cycles) ->
-/// [compare] -> check -> {Active | recheck decode | Error}.
+/// sleep -> wake (settle, 4 cycles) -> restore -> clear -> decode (l
+/// cycles) -> [compare] -> check -> {Active | recheck decode | Error}.
 ///
 /// `se_net`/`retain_net` and the nets inside `controls` must be existing
 /// undriven nets; the controller claims them via bound buffer cells.

@@ -142,26 +142,24 @@ MonitorBuildResult build_crc_monitors(Netlist& nl, const ScanChains& chains,
   // Detection only: the feedback stream is the raw scan-out.
   result.feedback = chains.so;
 
-  // Symbolic derivation of the parallel next-state: each of the 16 next
-  // bits is an XOR over {state bits, the w input bits}. Symbols:
-  // bit i (< 16) = state bit i, bit 16+j = input bit j. Known defect: the
-  // 32-bit masks hold all 16 + w symbols only for w <= 16; past that the
-  // shifts overflow (undefined behaviour) and the network is mis-derived.
-  std::vector<std::uint32_t> state_mask(16);
+  // Symbolic derivation of the parallel next-state: clock the serial LFSR
+  // once per input bit (chain 0 first), tracking each state bit as an XOR
+  // over 16 + w symbols. Symbol i (< 16) = state bit i, 16 + j = input bit j.
+  const std::size_t symbols = 16 + w;
+  std::vector<BitVec> state(16, BitVec(symbols));
   for (unsigned i = 0; i < 16; ++i) {
-    state_mask[i] = 1u << i;
+    state[i].set(i, true);
   }
   for (std::size_t j = 0; j < w; ++j) {
-    const std::uint32_t feedback_mask = state_mask[15] ^ (1u << (16 + j));
-    std::vector<std::uint32_t> next(16);
+    BitVec feedback = state[15];
+    feedback.flip(16 + j);
     for (unsigned i = 15; i >= 1; --i) {
-      next[i] = state_mask[i - 1];
+      state[i] = state[i - 1];
       if ((crc.polynomial() >> i) & 1u) {
-        next[i] ^= feedback_mask;
+        state[i] ^= feedback;
       }
     }
-    next[0] = ((crc.polynomial() >> 0) & 1u) ? feedback_mask : 0u;
-    state_mask = std::move(next);
+    state[0] = (crc.polynomial() & 1u) ? feedback : BitVec(symbols);
   }
 
   // CRC state register.
@@ -176,12 +174,12 @@ MonitorBuildResult build_crc_monitors(Netlist& nl, const ScanChains& chains,
   for (unsigned i = 0; i < 16; ++i) {
     std::vector<NetId> terms;
     for (unsigned s = 0; s < 16; ++s) {
-      if ((state_mask[i] >> s) & 1u) {
+      if (state[i].get(s)) {
         terms.push_back(crc_q[s]);
       }
     }
     for (std::size_t j = 0; j < w; ++j) {
-      if ((state_mask[i] >> (16 + j)) & 1u) {
+      if (state[i].get(16 + j)) {
         terms.push_back(chains.so[j]);
       }
     }

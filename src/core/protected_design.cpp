@@ -13,7 +13,6 @@ ProtectedDesign::ProtectedDesign(Netlist base, const ProtectionConfig& config)
   ScanInsertionOptions scan_options;
   scan_options.chain_count = config_.chain_count;
   scan_options.style = ScanStyle::Retention;
-  scan_options.gated_domain = config_.gated_domain;
   chains_ = insert_scan(netlist_, scan_options);
 
   // Stage 2: monitoring/correction logic generation. With a hardware
@@ -70,7 +69,6 @@ ProtectedDesign::ProtectedDesign(Netlist base, const ProtectionConfig& config)
   if (config_.hardware_controller) {
     PgControllerSpec spec;
     spec.chain_length = chains_.length();
-    spec.settle_cycles = config_.settle_cycles;
     spec.has_crc = config_.kind != CodeKind::HammingCorrect;
     spec.can_correct = config_.kind != CodeKind::CrcDetect;
     const PgControllerPorts ports = build_pg_controller(
@@ -193,19 +191,19 @@ void RetentionSession::enter_sleep(Rng* garbage_rng) {
   set_controls(false, false, false, false);
   sim_.set_input(design_->chains().retain, true);
   sim_.step();  // save edge: balloon latches sample the masters
-  sim_.power_off(design_->config().gated_domain, garbage_rng);
+  sim_.power_off(kGatedDomain, garbage_rng);
   fsm_.on_event(PgEvent::SequenceDone);  // SleepEntry -> Sleep
 }
 
 void RetentionSession::corrupt(const std::vector<ErrorLocation>& upsets) {
-  RETSCAN_CHECK(!sim_.domain_powered(design_->config().gated_domain),
+  RETSCAN_CHECK(!sim_.domain_powered(kGatedDomain),
                 "RetentionSession::corrupt: domain must be asleep");
   ErrorInjector::flip_retention(sim_, design_->chains(), upsets);
 }
 
 void RetentionSession::wake() {
   fsm_.on_event(PgEvent::WakeRequest);
-  sim_.power_on(design_->config().gated_domain);
+  sim_.power_on(kGatedDomain);
   sim_.set_input(design_->chains().retain, false);
   sim_.step();  // restore edge: masters reload from the balloon latches
   fsm_.on_event(PgEvent::SequenceDone);  // WakeUp -> Decoding
@@ -293,18 +291,18 @@ void PackedRetentionSession::enter_sleep(Rng* garbage_rng) {
   set_controls(false, false, false, false);
   sim_.set_input_all(design_->chains().retain, true);
   sim_.step();  // save edge: balloon latches sample the masters
-  sim_.power_off(design_->config().gated_domain, garbage_rng);
+  sim_.power_off(kGatedDomain, garbage_rng);
 }
 
 void PackedRetentionSession::corrupt(
     const std::vector<std::vector<ErrorLocation>>& per_lane) {
-  RETSCAN_CHECK(!sim_.domain_powered(design_->config().gated_domain),
+  RETSCAN_CHECK(!sim_.domain_powered(kGatedDomain),
                 "PackedRetentionSession::corrupt: domain must be asleep");
   ErrorInjector::flip_retention(sim_, design_->chains(), per_lane);
 }
 
 void PackedRetentionSession::wake() {
-  sim_.power_on(design_->config().gated_domain);
+  sim_.power_on(kGatedDomain);
   sim_.set_input_all(design_->chains().retain, false);
   sim_.step();  // restore edge: masters reload from the balloon latches
 }
@@ -359,16 +357,15 @@ void HardwareRetentionSession::set_sleep(bool value) {
 }
 
 void HardwareRetentionSession::step(std::size_t count) {
-  const DomainId domain = design_->config().gated_domain;
   for (std::size_t i = 0; i < count; ++i) {
     sim_.step();
     // Power-switch fabric follower: the controller's pswitch_en output is
     // the gate of the header switches.
     const bool enable = sim_.net_value(design_->pswitch_en_net_);
-    if (!enable && sim_.domain_powered(domain)) {
-      sim_.power_off(domain, &garbage_rng_);
-    } else if (enable && !sim_.domain_powered(domain)) {
-      sim_.power_on(domain);
+    if (!enable && sim_.domain_powered(kGatedDomain)) {
+      sim_.power_off(kGatedDomain, &garbage_rng_);
+    } else if (enable && !sim_.domain_powered(kGatedDomain)) {
+      sim_.power_on(kGatedDomain);
     }
   }
 }

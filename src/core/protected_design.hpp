@@ -40,14 +40,12 @@ struct ProtectionConfig {
   std::size_t chain_count = 4;
   /// Manufacturing-test I/O width T for the Fig. 5(b) concatenation.
   std::size_t test_width = 4;
-  DomainId gated_domain = 1;
   /// Generate the Fig. 3(b) controller as gates inside the design. The
   /// control nets (se/retain/mon_*) are then driven by the controller's
   /// FSM instead of external input ports, and the design is operated
-  /// through HardwareRetentionSession via a single `sleep` input.
+  /// through HardwareRetentionSession via a single `sleep` input. Its
+  /// wake-up settle wait is a fixed 4 cycles.
   bool hardware_controller = false;
-  /// Wake-up settle wait of the generated controller, in cycles.
-  std::size_t settle_cycles = 4;
 
   HammingCode hamming() const { return HammingCode(hamming_r); }
 };

@@ -22,6 +22,9 @@ inline constexpr CellId kNullCell = std::numeric_limits<CellId>::max();
 
 /// The always-on power domain; cells default to it.
 inline constexpr DomainId kAlwaysOnDomain = 0;
+/// The power-gated domain: scan insertion moves the original design into
+/// it, and a sleep/wake cycle switches it off and on.
+inline constexpr DomainId kGatedDomain = 1;
 
 /// One instantiated cell. `fanin` holds the input nets in pin order as
 /// documented on CellType; `out` is the output net (kNullNet for Output).

@@ -42,7 +42,7 @@ ScanChains insert_scan(Netlist& netlist, const ScanInsertionOptions& options) {
   // always-on ports.
   const std::size_t pre_existing = netlist.cell_count();
   for (CellId id = 0; id < pre_existing; ++id) {
-    netlist.set_domain(id, options.gated_domain);
+    netlist.set_domain(id, kGatedDomain);
   }
 
   const std::vector<CellId> flops = netlist.flops();
@@ -53,13 +53,10 @@ ScanChains insert_scan(Netlist& netlist, const ScanInsertionOptions& options) {
   }
   const std::size_t w = options.chain_count;
   RETSCAN_CHECK(w <= flops.size(), "insert_scan: more chains than flops");
-  if (options.require_equal_length) {
-    RETSCAN_CHECK(flops.size() % w == 0,
-                  "insert_scan: flop count not divisible by chain count");
-  }
+  RETSCAN_CHECK(flops.size() % w == 0,
+                "insert_scan: flop count not divisible by chain count");
 
   ScanChains result;
-  result.gated_domain = options.gated_domain;
   result.se = netlist.add_input("se");
   if (options.style == ScanStyle::Retention) {
     result.retain = netlist.add_input("retain");
@@ -67,20 +64,11 @@ ScanChains insert_scan(Netlist& netlist, const ScanInsertionOptions& options) {
 
   // Partition flops into chains.
   result.chains.assign(w, {});
-  const std::size_t base = flops.size() / w;
-  const std::size_t extra = flops.size() % w;
-  if (options.assignment == ChainAssignment::Blocked) {
-    std::size_t next = 0;
-    for (std::size_t c = 0; c < w; ++c) {
-      const std::size_t len = base + (c < extra ? 1 : 0);
-      for (std::size_t p = 0; p < len; ++p) {
-        result.chains[c].push_back(flops[next++]);
-      }
-    }
-  } else {
-    for (std::size_t i = 0; i < flops.size(); ++i) {
-      result.chains[i % w].push_back(flops[i]);
-    }
+  const std::size_t length = flops.size() / w;
+  for (std::size_t i = 0; i < flops.size(); ++i) {
+    const std::size_t chain =
+        options.assignment == ChainAssignment::Blocked ? i / length : i % w;
+    result.chains[chain].push_back(flops[i]);
   }
 
   // Convert flops and stitch. Conversion preserves each flop's output net,
@@ -98,7 +86,7 @@ ScanChains insert_scan(Netlist& netlist, const ScanInsertionOptions& options) {
         extra_pins.push_back(result.retain);
       }
       netlist.convert_flop(flop, new_type, extra_pins);
-      netlist.set_domain(flop, options.gated_domain);
+      netlist.set_domain(flop, kGatedDomain);
       result.position_of[flop] = {c, p};
       prev_q = netlist.output_of(flop);
     }

@@ -28,12 +28,6 @@ struct ScanInsertionOptions {
   std::size_t chain_count = 1;
   ScanStyle style = ScanStyle::Retention;
   ChainAssignment assignment = ChainAssignment::Blocked;
-  /// Every pre-existing cell of the design is moved into this power domain
-  /// (the PGC); newly created scan ports stay always-on.
-  DomainId gated_domain = 1;
-  /// Require all chains to have identical length (the monitor generator
-  /// needs this; 1040 flops over 80 chains gives l = 13 exactly).
-  bool require_equal_length = true;
 };
 
 /// Result of scan insertion: chain membership and the control/port nets.
@@ -45,7 +39,6 @@ struct ScanChains {
   std::vector<NetId> so;  ///< scan-out nets (also primary outputs)
   NetId se = kNullNet;      ///< scan-enable input net
   NetId retain = kNullNet;  ///< retention control net (Retention style only)
-  DomainId gated_domain = 1;
 
   std::size_t chain_count() const { return chains.size(); }
   /// Uniform chain length; throws if chains are unequal.
@@ -61,11 +54,14 @@ struct ScanChains {
 };
 
 /// Replace every plain Dff in `netlist` with a scan (Sdff) or retention
-/// (Rdff) flop, stitch the requested number of chains, and create ports
-/// `se`, `si{c}`, `so{c}` (+ `retain` for Retention style). Output nets of
-/// the original flops are preserved, so the functional behaviour of the
-/// design is untouched when se=0 — the property EDA scan insertion
-/// guarantees, and which the tests verify.
+/// (Rdff) flop, stitch the requested number of equal-length chains (the
+/// monitor generator needs them; 1040 flops over 80 chains gives l = 13
+/// exactly), and create ports `se`, `si{c}`, `so{c}` (+ `retain` for
+/// Retention style). Every pre-existing cell moves into kGatedDomain; the
+/// new ports stay always-on. Throws unless the chain count divides the
+/// flop count. Output nets of the original flops are preserved, so the
+/// functional behaviour of the design is untouched when se=0 — the
+/// property EDA scan insertion guarantees, and which the tests verify.
 ScanChains insert_scan(Netlist& netlist, const ScanInsertionOptions& options);
 
 /// Manufacturing-test chain concatenation (Fig. 5(b)). With W monitoring

@@ -12,7 +12,6 @@
 #include "retscan/runtime.hpp"
 #include "retscan/version.hpp"
 #include "util/error.hpp"
-#include "util/lanes.hpp"
 
 namespace retscan::serve {
 

@@ -6,14 +6,12 @@
 #include "retscan/version.hpp"
 #include "util/error.hpp"
 #include "util/fnv.hpp"
-#include "util/lanes.hpp"
 
 namespace retscan::serve {
 
 std::uint64_t session_key(const SpecFile& file) {
   Fnv1a key;
   key.add_text(RETSCAN_VERSION_STRING);
-  key.add(kLaneWords);
   if (!file.netlist_file.empty()) {
     // Hash the file's bytes, not its name: the same circuit under two
     // paths shares a session, and editing the file invalidates it.
@@ -38,9 +36,7 @@ std::uint64_t session_key(const SpecFile& file) {
   key.add(p.secded ? 1 : 0);
   key.add(p.chain_count);
   key.add(p.test_width);
-  key.add(p.gated_domain);
   key.add(p.hardware_controller ? 1 : 0);
-  key.add(p.settle_cycles);
   return key.hash;
 }
 

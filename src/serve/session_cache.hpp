@@ -6,9 +6,9 @@
 /// synthesis, scan insertion, netlist compilation, workspace warm-up. Two
 /// jobs over the same design should pay it once. The cache keys on a
 /// content hash of everything that shapes the design — the library
-/// version, the lane geometry, the *bytes* of an imported netlist file
-/// (not its path: editing the file must miss), the FIFO geometry and
-/// every protection field. Thread count is deliberately excluded: daemon
+/// version, the *bytes* of an imported netlist file (not its path:
+/// editing the file must miss), the FIFO geometry and every protection
+/// field. Thread count is deliberately excluded: daemon
 /// jobs execute on the shared runner via RunHooks, so the session's own
 /// pool size never shapes results.
 ///

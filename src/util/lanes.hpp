@@ -4,22 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 
-// Lane-width selection. RETSCAN_LANE_WORDS is the number of 64-bit machine
-// words ganged into one LaneBlock (the unit the compiled sweep kernels move
-// per net). It is a PUBLIC compile definition of the retscan target: the
-// LaneBlock layout is part of the installed API, so every consumer must see
-// the same value the library was built with.
-#ifndef RETSCAN_LANE_WORDS
-#define RETSCAN_LANE_WORDS 4
-#endif
-
-#if defined(__AVX2__) && RETSCAN_LANE_WORDS == 4
-#define RETSCAN_LANE_BLOCK_AVX2 1
-#include <immintrin.h>
-#else
-#define RETSCAN_LANE_BLOCK_AVX2 0
-#endif
-
 namespace retscan {
 
 /// One machine word of simulation lanes. Bit b of a LaneWord holds the value
@@ -44,64 +28,24 @@ constexpr LaneWord lane_mux(LaneWord sel, LaneWord a, LaneWord b) {
   return (sel & b) | (~sel & a);
 }
 
-/// Number of LaneWords ganged into one LaneBlock. W=4 (the default) makes a
-/// 256-lane block that maps exactly onto one AVX2 register; W=1 degenerates
-/// to the classic single-word datapath (the portable/no-SIMD build).
-inline constexpr std::size_t kLaneWords = RETSCAN_LANE_WORDS;
-static_assert(kLaneWords >= 1 && kLaneWords <= 8,
-              "RETSCAN_LANE_WORDS must be in [1, 8]");
+/// Number of LaneWords ganged into one LaneBlock: a 256-lane block, the
+/// width of one AVX2 register.
+inline constexpr std::size_t kLaneWords = 4;
 
-/// Lanes carried by one LaneBlock (256 at the default W=4).
+/// Lanes carried by one LaneBlock (256).
 inline constexpr std::size_t kLaneBlockBits = kLaneWords * kLaneCount;
 
-/// A block of W adjacent lane words: the unit the block sweep kernels move
-/// per net. Value storage is lane-major — within a slot's block the W words
-/// are contiguous, so one sweep walks cache lines sequentially. Alignment is
-/// fixed by W alone (32 bytes for W>=4), never by whether AVX2 is enabled,
-/// so objects are ABI-compatible between -mavx2 and portable translation
-/// units.
-struct alignas(kLaneWords >= 4 ? std::size_t{32} : kLaneWords * sizeof(LaneWord)) LaneBlock {
+/// A block of kLaneWords adjacent lane words: the unit the block sweep
+/// kernels move per net. Value storage is lane-major — within a slot's block
+/// the words are contiguous, so one sweep walks cache lines sequentially.
+/// The 32-byte alignment lets a -mavx2 build move a block as one aligned
+/// register.
+struct alignas(32) LaneBlock {
   LaneWord w[kLaneWords];
 };
 
-#if RETSCAN_LANE_BLOCK_AVX2
-
-// AVX2 specialization: one LaneBlock is exactly one 256-bit register, and
-// alignas(32) guarantees aligned loads/stores even from std::vector storage.
-inline __m256i block_load(const LaneBlock& b) {
-  return _mm256_load_si256(reinterpret_cast<const __m256i*>(b.w));
-}
-
-inline LaneBlock block_from(__m256i v) {
-  LaneBlock out;
-  _mm256_store_si256(reinterpret_cast<__m256i*>(out.w), v);
-  return out;
-}
-
-inline LaneBlock operator&(const LaneBlock& a, const LaneBlock& b) {
-  return block_from(_mm256_and_si256(block_load(a), block_load(b)));
-}
-
-inline LaneBlock operator|(const LaneBlock& a, const LaneBlock& b) {
-  return block_from(_mm256_or_si256(block_load(a), block_load(b)));
-}
-
-inline LaneBlock operator^(const LaneBlock& a, const LaneBlock& b) {
-  return block_from(_mm256_xor_si256(block_load(a), block_load(b)));
-}
-
-inline LaneBlock operator~(const LaneBlock& a) {
-  return block_from(_mm256_xor_si256(block_load(a), _mm256_set1_epi64x(-1)));
-}
-
-/// Lane-wise 2:1 select: sel ? b : a (bitwise, via vpandn).
-inline LaneBlock lane_mux(const LaneBlock& sel, const LaneBlock& a, const LaneBlock& b) {
-  const __m256i s = block_load(sel);
-  return block_from(_mm256_or_si256(_mm256_and_si256(s, block_load(b)),
-                                    _mm256_andnot_si256(s, block_load(a))));
-}
-
-#else  // portable fallback: fixed-trip-count loops the compiler auto-vectorizes
+// Fixed-trip-count loops: the compiler vectorizes them to the target ISA
+// (one AVX2 instruction per operator under -mavx2).
 
 inline LaneBlock operator&(const LaneBlock& a, const LaneBlock& b) {
   LaneBlock out;
@@ -135,8 +79,6 @@ inline LaneBlock lane_mux(const LaneBlock& sel, const LaneBlock& a, const LaneBl
   }
   return out;
 }
-
-#endif  // RETSCAN_LANE_BLOCK_AVX2
 
 /// Replicate a scalar boolean across all kLaneBlockBits lanes.
 inline LaneBlock block_broadcast(bool value) {
@@ -191,11 +133,5 @@ inline bool operator==(const LaneBlock& a, const LaneBlock& b) {
 }
 
 inline bool operator!=(const LaneBlock& a, const LaneBlock& b) { return !(a == b); }
-
-/// True when the LaneBlock kernels in the compiled library use the AVX2
-/// intrinsic path (as opposed to the portable auto-vectorized fallback).
-/// Defined in lanes.cpp so the answer reflects the library's own build
-/// flags, not those of the including translation unit.
-bool lane_block_simd_compiled();
 
 }  // namespace retscan

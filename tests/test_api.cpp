@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <functional>
 #include <initializer_list>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -884,10 +885,25 @@ TEST(ApiSpecFile, EnumRoundTrips) {
 // --- runtime config ---------------------------------------------------------
 
 TEST(ApiRuntime, ParsesAndRejectsEnvOverrides) {
+  // The provenance block labels the thread count with the source the parse
+  // chose: a rejected RETSCAN_THREADS falls back to (and reads) hardware.
+  const auto provenance = [] {
+    std::ostringstream out;
+    print_build_info(out);
+    return out.str();
+  };
+  const auto threads_line = [](unsigned threads, const char* source) {
+    return "threads:  " + std::to_string(threads) + " (" + source + ")\n";
+  };
+
   ::setenv("RETSCAN_THREADS", "3", 1);
   ::setenv("RETSCAN_SEQUENCES", "12345", 1);
   RuntimeConfig config = runtime_config_refresh();
   EXPECT_EQ(config.threads, 3u);
+  EXPECT_NE(provenance().find(threads_line(3, "RETSCAN_THREADS")), std::string::npos)
+      << provenance();
+  EXPECT_NE(provenance().find("lanes:    4 x 64 = 256 per block ("), std::string::npos)
+      << provenance();
   ASSERT_TRUE(config.sequences.has_value());
   EXPECT_EQ(*config.sequences, 12345u);
   EXPECT_EQ(runtime_threads(), 3u);
@@ -905,9 +921,15 @@ TEST(ApiRuntime, ParsesAndRejectsEnvOverrides) {
   EXPECT_FALSE(config.sequences.has_value());
   EXPECT_EQ(runtime_sequences(10), 10u);
   EXPECT_GE(runtime_threads(), 1u);
+  EXPECT_NE(provenance().find(threads_line(config.threads, "hardware")),
+            std::string::npos)
+      << provenance();
 
   ::setenv("RETSCAN_THREADS", "5000", 1);  // over the 4096 cap → hardware default
   EXPECT_EQ(runtime_config_refresh().threads, runtime_threads());
+  EXPECT_NE(provenance().find(threads_line(runtime_threads(), "hardware")),
+            std::string::npos)
+      << provenance();
 
   // RETSCAN_THREADS=1 is the explicit serial opt-out.
   ::setenv("RETSCAN_THREADS", "1", 1);
@@ -921,11 +943,14 @@ TEST(ApiRuntime, ParsesAndRejectsEnvOverrides) {
   EXPECT_GE(config.threads, 1u);
   EXPECT_FALSE(config.sequences.has_value());
   EXPECT_EQ(runtime_sequences(42), 42u);
+  EXPECT_NE(provenance().find(threads_line(config.threads, "hardware")),
+            std::string::npos)
+      << provenance();
 }
 
 TEST(ApiVersion, ConstantsAgree) {
   EXPECT_STREQ(version_string(), RETSCAN_VERSION_STRING);
   EXPECT_EQ(RETSCAN_VERSION_NUMBER,
             kVersionMajor * 10000 + kVersionMinor * 100 + kVersionPatch);
-  EXPECT_EQ(kVersionMajor, 5);
+  EXPECT_EQ(kVersionMajor, 6);
 }

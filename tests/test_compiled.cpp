@@ -535,7 +535,7 @@ TEST(LaneBlock, PrimitiveSemantics) {
     EXPECT_EQ(full.w[w], kAllLanes);
   }
   // A partial mask fills whole words then a partial word, then zeros.
-  const std::size_t cut = kLaneCount / 2 + (kLaneWords > 1 ? kLaneCount : 0);
+  const std::size_t cut = kLaneCount + kLaneCount / 2;
   const LaneBlock partial = block_lane_mask(cut);
   for (std::size_t w = 0; w < kLaneWords; ++w) {
     const std::size_t lo = w * kLaneCount;

@@ -21,7 +21,6 @@ ProtectedDesign make_hw_design(CodeKind kind, bool secded = false) {
   config.chain_count = 8;
   config.test_width = 4;
   config.hardware_controller = true;
-  config.settle_cycles = 4;
   return ProtectedDesign(make_fifo(FifoSpec{32, 2}), config);
 }
 

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "circuits/fifo.hpp"
+#include "coding/crc.hpp"
 #include "coding/protectors.hpp"
 #include "netlist/techlib.hpp"
 #include "scan/scan_io.hpp"
@@ -277,16 +280,73 @@ TEST(ProtectedDesign, ActivityMeasurementProducesSaneNumbers) {
   EXPECT_LT(power_mw, 100.0);
 }
 
+/// The CRC monitor's W-input parallel network against the serial CCITT
+/// LFSR it is derived from: with the chains circulating, the structural
+/// register must equal a Crc16 fed the W scan-out bits (chain 0 first) of
+/// every cycle. W = 40 and 80 are past the 16 chains a 32-bit symbol mask
+/// can hold.
+TEST(ProtectedDesign, CrcMonitorMatchesSerialCrc) {
+  for (const std::size_t chains : {std::size_t{16}, std::size_t{40}, std::size_t{80}}) {
+    SCOPED_TRACE(std::to_string(chains) + " chains");
+    ProtectionConfig config;
+    config.kind = CodeKind::CrcDetect;
+    config.chain_count = chains;
+    const ProtectedDesign design(make_fifo(FifoSpec{32, 32}), config);
+    const Netlist& nl = design.netlist();
+    std::vector<CellId> crc_ff(16, kNullCell);
+    for (CellId id = 0; id < nl.cell_count(); ++id) {
+      const std::string& name = nl.cell(id).name;
+      if (name.rfind("crc0_", 0) == 0) {
+        crc_ff[std::stoul(name.substr(5))] = id;
+      }
+    }
+    ASSERT_EQ(std::count(crc_ff.begin(), crc_ff.end(), kNullCell), 0);
+
+    Simulator sim(nl);
+    Rng rng(chains);
+    std::vector<std::pair<CellId, bool>> state;
+    for (const auto& chain : design.chains().chains) {
+      for (const CellId flop : chain) {
+        state.emplace_back(flop, rng.next_bool(0.5));
+      }
+    }
+    sim.set_flop_states(state);
+    sim.set_input(design.chains().se, true);
+    sim.set_input(design.controls().mon_en, true);
+    sim.eval();
+
+    Crc16 serial = Crc16::ccitt();
+    // Two circulations: the second absorbs the state the first restored.
+    for (std::size_t cycle = 0; cycle < 2 * design.chain_length(); ++cycle) {
+      for (const NetId so : design.chains().so) {
+        serial.shift_bit(sim.net_value(so));
+      }
+      sim.step();
+      std::uint16_t structural = 0;
+      for (unsigned i = 0; i < 16; ++i) {
+        if (sim.flop_state(crc_ff[i])) {
+          structural |= static_cast<std::uint16_t>(1u << i);
+        }
+      }
+      EXPECT_EQ(structural, serial.value()) << "cycle " << cycle;
+      if (structural != serial.value()) {
+        break;  // one report per width
+      }
+    }
+  }
+}
+
 /// What synthesis builds, pinned on FIFO slices and two imports. Each row
 /// folds the netlist_structure_fingerprint of every variant, in the order
 /// code kind (crc, hamming, hamming+crc) x SEC-DED (off, on) x hardware
-/// controller (off, on), into one digest, recorded at retscan 4.0. CRC
-/// kinds stop at 16 chains: build_crc_monitors shifts a 32-bit symbol mask
-/// by 16 + chain index, which is undefined past 16 chains. s27's 3 chains
-/// hold no Hamming word, so it is pinned with CRC only.
+/// controller (off, on), into one digest, recorded at retscan 4.0. The
+/// CRC-bearing 80-chain rows were recorded at 6.0, when CRC synthesis past
+/// 16 chains became defined (CrcMonitorMatchesSerialCrc checks it). s27's
+/// 3 chains hold no Hamming word, so it is pinned with CRC only.
 TEST(ProtectedDesign, SynthesisIsPinned) {
   const std::vector<CodeKind> all_kinds = {CodeKind::CrcDetect, CodeKind::HammingCorrect,
                                            CodeKind::HammingPlusCrc};
+  const std::vector<CodeKind> crc_kinds = {CodeKind::CrcDetect, CodeKind::HammingPlusCrc};
   const struct {
     const char* import;      // bench/circuits file, or nullptr for the FIFO
     std::size_t fifo_width;  // of a 32-word FIFO slice
@@ -303,6 +363,8 @@ TEST(ProtectedDesign, SynthesisIsPinned) {
       {nullptr, 32, 16, 4, all_kinds, 0xddd18d0fbe1cd0d3ull},
       {nullptr, 32, 80, 2, {CodeKind::HammingCorrect}, 0x63f13df28f4434d7ull},
       {nullptr, 32, 80, 4, {CodeKind::HammingCorrect}, 0xd6447f83b3c8574full},
+      {nullptr, 32, 80, 2, crc_kinds, 0xabc11bba8b68f23aull},
+      {nullptr, 32, 80, 4, crc_kinds, 0xc5d690593b89cc2full},
       {"ctrl344.v", 0, 4, 2, all_kinds, 0x04229914e43b914cull},
       {"ctrl344.v", 0, 4, 4, all_kinds, 0x6923bfd8e84da89dull},
       {"s27.v", 0, 3, 3, {CodeKind::CrcDetect}, 0xe3b1ba24d2690c23ull},

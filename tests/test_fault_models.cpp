@@ -385,11 +385,6 @@ TEST(OneDriver, BridgingPinnedAcrossShardPlans) {
 }
 
 TEST(OneDriver, SequentialPinnedAcrossShardPlans) {
-  // Each lane block draws its own stimulus stream, so the sequences (and
-  // with them detected_by) depend on the lane width.
-  if (kLaneWords != 1 && kLaneWords != 4) {
-    GTEST_SKIP() << "pinned at 1 and 4 lane words";
-  }
   const Netlist nl = Netlist::from_verilog(circuit_path("ctrl344.v"));
   const std::vector<Fault> faults = collapse_faults(nl, enumerate_faults(nl));
   expect_pinned(
@@ -397,7 +392,7 @@ TEST(OneDriver, SequentialPinnedAcrossShardPlans) {
         return sequential_fault_simulate(nl, faults, 600, 16, 5, pooled...);
       },
       faults.size(),
-      {141, kLaneWords == 1 ? 4655498241865814603ull : 10512223340127629962ull},
+      {141, 10512223340127629962ull},
       // ctrl344's faults fall in the first block or never: the later blocks
       // run only the survivors.
       false);

@@ -24,7 +24,7 @@ TEST(ScanInsert, ChainPartitioning) {
   // Every flop now has a scan variant.
   for (const CellId flop : nl.flops()) {
     EXPECT_EQ(nl.cell(flop).type, CellType::Rdff);
-    EXPECT_EQ(nl.domain(flop), options.gated_domain);
+    EXPECT_EQ(nl.domain(flop), kGatedDomain);
   }
 }
 

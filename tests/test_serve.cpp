@@ -11,11 +11,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "util/failpoint.hpp"
 
 #ifndef RETSCAN_CIRCUITS_DIR
 #define RETSCAN_CIRCUITS_DIR "bench/circuits"
@@ -398,9 +401,18 @@ TEST(ServeServer, FullProtocolOverAUnixSocket) {
                  Error);
   }
 
-  // Streamed submit: progress events, then the terminal record.
+  // Streamed submit: progress events, then the terminal record. The job's
+  // first shard is held 200 ms so the job is still live at the server's
+  // first status poll (a job that ends before that poll streams no event);
+  // an arming already exported (the resilience CI job's) is kept.
   std::uint64_t streamed_digest = 0;
   {
+    const char* armed = std::getenv("RETSCAN_FAILPOINTS");
+    const std::string prior = armed != nullptr ? armed : "";
+    const std::string hold = "shard.run=delay:200@1";
+    ::setenv("RETSCAN_FAILPOINTS", (prior.empty() ? hold : prior + ";" + hold).c_str(),
+             1);
+    failpoints_refresh();
     Client client(socket_path);
     client.send(Json(Json::Object{})
                     .set("cmd", "submit")
@@ -413,6 +425,12 @@ TEST(ServeServer, FullProtocolOverAUnixSocket) {
       ++events;
       line = client.read_line();
     }
+    if (armed != nullptr) {
+      ::setenv("RETSCAN_FAILPOINTS", prior.c_str(), 1);
+    } else {
+      ::unsetenv("RETSCAN_FAILPOINTS");
+    }
+    failpoints_refresh();
     EXPECT_TRUE(line.at("ok").as_bool());
     const JobRecord record = job_from_json(line.at("job"));
     EXPECT_EQ(record.state, JobState::Done) << record.error;

@@ -12,7 +12,8 @@
 //   --checkpoint PATH --resume --deadline-ms N
 //
 // The spec format is `key = value` lines with '#' comments; see
-// examples/validation.spec for the full key reference. Exit status: 0 when
+// docs/spec-reference.md for the full key reference and examples/*.spec for
+// working specs. Exit status: 0 when
 // the campaign's pass verdict holds (no silent corruptions / no delivery
 // mismatches), 1 otherwise, 2 on usage or spec errors, 3 when a deadline_ms
 // budget expired, 130 when interrupted by SIGINT/SIGTERM (partial results —
