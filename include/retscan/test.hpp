@@ -4,7 +4,8 @@
 ///
 /// Stuck-at fault enumeration/collapsing, the combinational scan frame with
 /// its incremental (fanout-cone) fault simulator, two-phase ATPG
-/// (random + PODEM), pattern I/O, and the scan-delivery checkers.
+/// (random + PODEM), and the scan-delivery checkers. Patterns stay in
+/// memory: AtpgResult::patterns feeds the deliveries directly.
 ///
 /// Deliveries normally go through Session::run_scan_test
 /// (retscan/session.hpp), which picks the scalar reference or the 64-lane
@@ -15,6 +16,5 @@
 #include "atpg/atpg.hpp"       // AtpgOptions, AtpgResult, run_atpg
 #include "atpg/fault.hpp"      // Fault, enumerate_faults, collapse_faults
 #include "atpg/fault_sim.hpp"  // CombinationalFrame, fault_simulate
-#include "atpg/pattern_io.hpp" // pattern save/load
 #include "atpg/podem.hpp"      // Podem, PodemResult
 #include "atpg/scan_test.hpp"  // ScanPorts, deliver_scan_test[_packed]

@@ -1,5 +1,6 @@
 #include "circuits/fifo.hpp"
 
+#include <limits>
 #include <string>
 
 #include "util/error.hpp"
@@ -58,13 +59,17 @@ NetId equals_const(Netlist& nl, const std::vector<NetId>& x, std::size_t value) 
 std::size_t FifoSpec::pointer_bits() const { return log2_exact(depth); }
 std::size_t FifoSpec::counter_bits() const { return log2_exact(depth) + 1; }
 std::size_t FifoSpec::flop_count() const {
-  return depth * width + 2 * pointer_bits() + counter_bits();
+  RETSCAN_CHECK(is_power_of_two(depth) && depth >= 2,
+                "fifo.depth must be a power of two >= 2, got " + std::to_string(depth));
+  RETSCAN_CHECK(width >= 1, "fifo.width must be >= 1");
+  const std::size_t control = 2 * pointer_bits() + counter_bits();
+  RETSCAN_CHECK(width <= (std::numeric_limits<std::size_t>::max() - control) / depth,
+                "fifo.depth x fifo.width overflows the flop count");
+  return depth * width + control;
 }
 
 Netlist make_fifo(const FifoSpec& spec) {
-  RETSCAN_CHECK(is_power_of_two(spec.depth) && spec.depth >= 2,
-                "make_fifo: depth must be a power of two >= 2");
-  RETSCAN_CHECK(spec.width >= 1, "make_fifo: width must be >= 1");
+  spec.flop_count();  // rejects a geometry this generator cannot build
 
   Netlist nl("fifo" + std::to_string(spec.depth) + "x" + std::to_string(spec.width));
   const std::size_t pbits = spec.pointer_bits();

@@ -20,6 +20,9 @@ struct FifoSpec {
   std::size_t pointer_bits() const;
   std::size_t counter_bits() const;
   /// Total flip-flop count: depth*width storage + 2 pointers + counter.
+  /// Throws retscan::Error, naming `fifo.depth` / `fifo.width`, unless the
+  /// spec is one make_fifo can build: depth a power of two >= 2, width >= 1
+  /// and a count that fits in std::size_t.
   std::size_t flop_count() const;
 
   bool operator==(const FifoSpec&) const = default;

@@ -80,7 +80,6 @@ class CrcChainProtector {
 
   const Crc16& crc() const { return crc_; }
   std::size_t group_count() const { return group_count_; }
-  std::size_t group_width() const { return group_width_; }
   /// Always-on signature storage in bits: groups * 16.
   std::size_t signature_storage_bits() const { return group_count_ * 16; }
 

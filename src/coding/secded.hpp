@@ -40,7 +40,6 @@ class SecDedCode {
   explicit SecDedCode(unsigned hamming_parity_bits);
 
   static SecDedCode s8_4() { return SecDedCode(3); }
-  static SecDedCode s22_16() { return SecDedCode(5); }  // shortened-family feel
 
   const HammingCode& base() const { return base_; }
   std::size_t k() const { return base_.k(); }

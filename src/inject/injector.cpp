@@ -131,17 +131,6 @@ void ErrorInjector::flip_retention(
   }
 }
 
-void ErrorInjector::flip_flops(Simulator& sim, const ScanChains& chains,
-                               const std::vector<ErrorLocation>& errors) {
-  std::vector<std::pair<CellId, bool>> updates;
-  updates.reserve(errors.size());
-  for (const ErrorLocation& loc : errors) {
-    const CellId flop = chains.at(loc.chain, loc.position);
-    updates.emplace_back(flop, !sim.flop_state(flop));
-  }
-  sim.set_flop_states(updates);  // one settle for the whole burst
-}
-
 void ErrorInjector::flip_chain_data(std::vector<BitVec>& chain_data,
                                     const std::vector<ErrorLocation>& errors) {
   for (const ErrorLocation& loc : errors) {

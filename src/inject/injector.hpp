@@ -63,10 +63,6 @@ class ErrorInjector {
   static void flip_retention(PackedSim& sim, const ScanChains& chains,
                              const std::vector<std::vector<ErrorLocation>>& per_lane);
 
-  /// Flip the selected master flip-flop states directly.
-  static void flip_flops(Simulator& sim, const ScanChains& chains,
-                         const std::vector<ErrorLocation>& errors);
-
   /// Flip bits in per-chain data vectors (offline form used by the
   /// behavioral protectors).
   static void flip_chain_data(std::vector<BitVec>& chain_data,

@@ -90,7 +90,7 @@ constexpr bool cell_is_flop(CellType type) {
 /// True if the cell produces an output net.
 constexpr bool cell_has_output(CellType type) { return type != CellType::Output; }
 
-/// Stable lowercase name for reports and DOT export.
+/// Stable lowercase name for reports and diagnostics.
 std::string_view cell_type_name(CellType type);
 
 }  // namespace retscan

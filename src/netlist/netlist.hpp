@@ -72,9 +72,9 @@ class Netlist {
   CellId add_cell(CellType type, std::vector<NetId> fanin, const std::string& cell_name = {});
 
   /// Add a cell bound to an existing, currently undriven output net
-  /// (kNullNet for Output cells). Used by the deserializer, where net ids
-  /// must be preserved exactly. Port cells are registered like add_input /
-  /// add_output.
+  /// (kNullNet for Output cells): the Verilog reader and controller
+  /// synthesis declare a net before the cell that drives it. Port cells are
+  /// registered like add_input / add_output.
   CellId add_cell_bound(CellType type, std::vector<NetId> fanin, NetId out,
                         const std::string& cell_name = {});
   std::size_t cell_count() const { return cells_.size(); }

@@ -1117,26 +1117,18 @@ class Parser {
 
 }  // namespace
 
-Netlist read_verilog(std::istream& in, const std::string& filename) {
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return Parser(tokenize(buffer.str(), filename), filename).parse();
-}
-
-Netlist read_verilog_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw Error("cannot open Verilog file '" + path + "'");
-  }
-  return read_verilog(in, path);
-}
-
 Netlist read_verilog_text(const std::string& text, const std::string& filename) {
   return Parser(tokenize(text, filename), filename).parse();
 }
 
 Netlist Netlist::from_verilog(const std::string& path) {
-  return read_verilog_file(path);
+  std::ifstream in(path);
+  if (!in) {
+    throw Error("cannot open Verilog file '" + path + "'");
+  }
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return read_verilog_text(buffer.str(), path);
 }
 
 // --- export -----------------------------------------------------------------

@@ -32,13 +32,8 @@ namespace retscan {
 /// Netlist::compiled() and the SimEngine / CombinationalFrame stack.
 ///
 /// All errors are thrown as retscan::Error with messages of the form
-/// `<filename>:<line>: <what went wrong>`.
-Netlist read_verilog(std::istream& in, const std::string& filename = "<verilog>");
-
-/// Parse from a file; the path doubles as the diagnostic filename.
-Netlist read_verilog_file(const std::string& path);
-
-/// Parse from an in-memory string (tests, generated netlists).
+/// `<filename>:<line>: <what went wrong>`. Netlist::from_verilog reads a
+/// file through this parser, with the path as the diagnostic filename.
 Netlist read_verilog_text(const std::string& text,
                           const std::string& filename = "<string>");
 
@@ -46,8 +41,8 @@ Netlist read_verilog_text(const std::string& text,
 /// input/output cells, every other cell as a named-pin techlib
 /// instantiation (netlist/techlib.hpp rows). Nets and instances without a
 /// Verilog-safe name are emitted as n<id> / u<id>. The output reparses via
-/// read_verilog into a simulation-equivalent netlist (round-trip asserted
-/// by tests/test_verilog.cpp).
+/// read_verilog_text into a simulation-equivalent netlist (round-trip
+/// asserted by tests/test_verilog.cpp).
 void write_verilog(std::ostream& os, const Netlist& netlist);
 
 }  // namespace retscan

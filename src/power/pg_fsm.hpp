@@ -42,7 +42,6 @@ class PgControllerFsm {
 
   explicit PgControllerFsm(Flavor flavor) : flavor_(flavor) {}
 
-  Flavor flavor() const { return flavor_; }
   PgState state() const { return state_; }
   const std::vector<PgState>& history() const { return history_; }
 

@@ -66,19 +66,6 @@ double RushCurrentModel::inrush_current(double t_ns) const {
   return c * v * s1 * s2 / (s2 - s1) * (std::exp(s2 * t) - std::exp(s1 * t));
 }
 
-double RushCurrentModel::raw_rail_disturbance(double t_ns) const {
-  // Droop seen by the always-on rail: the inrush current flowing through
-  // the shared package/grid impedance. Proportional-to-current is the
-  // standard ground-bounce engineering model ([7]): more damping (bigger
-  // switch resistance, ref [7]'s gate-voltage control) means a smaller
-  // current peak and a smaller droop.
-  return kSharedImpedanceOhm * inrush_current(t_ns);
-}
-
-double RushCurrentModel::rail_disturbance(double t_ns) const {
-  return raw_rail_disturbance(t_ns) / static_cast<double>(params_.stagger_stages);
-}
-
 double RushCurrentModel::peak_current() const {
   // Sample the first few natural periods densely.
   const double horizon_ns = 8.0 * 2.0 * M_PI / omega0_ * 1e9;
@@ -91,6 +78,11 @@ double RushCurrentModel::peak_current() const {
 }
 
 double RushCurrentModel::peak_droop() const {
+  // Droop seen by the always-on rail: the inrush current flowing through
+  // the shared package/grid impedance. Proportional-to-current is the
+  // standard ground-bounce engineering model ([7]): more damping (bigger
+  // switch resistance, ref [7]'s gate-voltage control) means a smaller
+  // current peak and a smaller droop.
   return kSharedImpedanceOhm * peak_current();
 }
 

@@ -34,8 +34,7 @@ class RushCurrentModel {
 
   const RushParameters& params() const { return params_; }
 
-  /// Natural frequency (rad/s) and damping ratio of the RLC loop.
-  double omega0() const { return omega0_; }
+  /// Damping ratio of the RLC loop.
   double damping_ratio() const { return zeta_; }
   bool underdamped() const { return zeta_ < 1.0; }
 
@@ -43,16 +42,14 @@ class RushCurrentModel {
   double domain_voltage(double t_ns) const;
   /// Inrush current (A) at time t (ns).
   double inrush_current(double t_ns) const;
-  /// Voltage disturbance (V) seen on the always-on rail at time t (ns):
-  /// the inrush current through the shared package/grid impedance (the
-  /// ground-bounce model of ref [7]).
-  double rail_disturbance(double t_ns) const;
 
   /// Peak inrush current (A) over the transient.
   double peak_current() const;
-  /// Peak magnitude of the rail disturbance (V). Divided across stagger
-  /// stages: S sequential partial turn-ons each charge 1/S of the
-  /// capacitance, scaling the peak by ~1/S (refs [7, 8]).
+  /// Peak voltage disturbance (V) seen on the always-on rail: the peak
+  /// inrush current through the shared package/grid impedance (the
+  /// ground-bounce model of ref [7]). Divided across stagger stages: S
+  /// sequential partial turn-ons each charge 1/S of the capacitance,
+  /// scaling the peak by ~1/S (refs [7, 8]).
   double peak_droop() const;
 
   /// Time (ns) for the domain voltage to stay within `tolerance` of Vdd —
@@ -60,8 +57,6 @@ class RushCurrentModel {
   double settle_time_ns(double tolerance = 0.05) const;
 
  private:
-  double raw_rail_disturbance(double t_ns) const;
-
   RushParameters params_;
   double omega0_;  // rad/s
   double zeta_;

@@ -50,9 +50,6 @@ class Server {
   /// Accept/serve until shutdown; drains jobs before returning.
   void run();
 
-  /// Ask run() to begin the graceful drain (thread-safe).
-  void request_shutdown() { shutdown_.store(true); }
-
   /// Async-signal-safe shutdown request for SIGTERM handlers: a relaxed
   /// store on a process-global flag every Server polls.
   static void notify_signal() noexcept;

@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -45,13 +46,12 @@ struct ByteWriter {
   }
 };
 
-/// Bounds-checked little-endian reader over a loaded image.
+/// Little-endian reader over a loaded image whose size the caller checked.
 struct ByteReader {
   const unsigned char* data;
   std::size_t size;
   std::size_t pos = 0;
 
-  bool have(std::size_t count) const { return size - pos >= count; }
   std::uint8_t u8() { return data[pos++]; }
   std::uint16_t u16() {
     std::uint16_t value = 0;
@@ -130,28 +130,44 @@ struct CompiledArtifactCodec {
            + readers * 4;               // reader_instrs
   }
 
-  static const CompiledNetlist& fields(const CompiledNetlist& c) { return c; }
-
+  /// Rebuild an instance from a body whose counts and CRC already passed,
+  /// rejecting every index an engine would dereference out of range: slots
+  /// below `slots`, cells below the netlist's cell count, domains below
+  /// `domains`, levels below `levels`, reader instructions below `instrs`.
   static std::shared_ptr<const CompiledNetlist> read_body(
-      ByteReader& in, std::size_t slots, std::size_t instrs,
-      std::size_t levels, std::size_t domains, std::size_t readers) {
+      ByteReader& in, const Netlist& netlist, std::size_t slots,
+      std::size_t instrs, std::size_t levels, std::size_t domains,
+      std::size_t readers) {
+    const auto below = [&in](const char* field, std::size_t bound,
+                             const char* bound_name) {
+      const std::uint32_t value = in.u32();
+      if (value >= bound) {
+        reject(field, std::to_string(value) + " >= " + bound_name + " " +
+                          std::to_string(bound));
+      }
+      return value;
+    };
     auto compiled = std::shared_ptr<CompiledNetlist>(new CompiledNetlist());
     compiled->slot_of_net_.resize(slots);
     for (std::uint32_t& slot : compiled->slot_of_net_) {
-      slot = in.u32();
+      slot = below("slot_of_net", slots, "slot count");
     }
     compiled->net_of_slot_.resize(slots);
     for (NetId& net : compiled->net_of_slot_) {
-      net = in.u32();
+      net = below("net_of_slot", slots, "net count");
     }
     compiled->instrs_.resize(instrs);
     for (CompiledInstr& instr : compiled->instrs_) {
-      instr.in0 = in.u32();
-      instr.in1 = in.u32();
-      instr.in2 = in.u32();
-      instr.out = in.u32();
-      instr.cell = in.u32();
+      instr.in0 = below("instr in0", slots, "slot count");
+      instr.in1 = below("instr in1", slots, "slot count");
+      instr.in2 = below("instr in2", slots, "slot count");
+      instr.out = below("instr out", slots, "slot count");
+      instr.cell = below("instr cell", netlist.cell_count(), "cell count");
       instr.domain = in.u16();
+      if (instr.domain >= domains) {
+        reject("instr domain", std::to_string(instr.domain) + " >= domain count " +
+                                   std::to_string(domains));
+      }
       const std::uint8_t op = in.u8();
       if (op > static_cast<std::uint8_t>(CompiledOp::Mux2)) {
         reject("instr op", "opcode " + std::to_string(op) + " out of range");
@@ -169,12 +185,21 @@ struct CompiledArtifactCodec {
     compiled->level_count_ = levels;
     compiled->domain_count_ = domains;
     compiled->reader_offsets_.resize(slots + 1);
+    std::uint32_t previous = 0;
     for (std::uint32_t& offset : compiled->reader_offsets_) {
       offset = in.u32();
+      if (offset < previous) {
+        reject("reader_offsets", "offsets decrease");
+      }
+      previous = offset;
+    }
+    if (previous != readers) {
+      reject("reader_offsets", "last offset " + std::to_string(previous) +
+                                   " != reader count " + std::to_string(readers));
     }
     compiled->reader_instrs_.resize(readers);
     for (std::uint32_t& instr : compiled->reader_instrs_) {
-      instr = in.u32();
+      instr = below("reader_instrs", instrs, "instruction count");
     }
     return compiled;
   }
@@ -243,8 +268,11 @@ void write_compiled_artifact(std::ostream& out, const CompiledNetlist& compiled,
   }
 }
 
-std::shared_ptr<const CompiledNetlist> read_compiled_artifact(
-    std::istream& in, std::uint64_t expect_fingerprint) {
+namespace {
+
+std::shared_ptr<const CompiledNetlist> read_artifact(std::istream& in,
+                                                     const Netlist& netlist,
+                                                     std::uint64_t expect_fingerprint) {
   std::vector<unsigned char> image{std::istreambuf_iterator<char>(in),
                                    std::istreambuf_iterator<char>()};
   if (image.size() < kHeaderBytes) {
@@ -285,6 +313,13 @@ std::shared_ptr<const CompiledNetlist> read_compiled_artifact(
     reject("netlist_fingerprint",
            "artifact compiled from a different netlist structure");
   }
+  // Bound every count by the image before multiplying, so no header can
+  // wrap the size arithmetic below or ask read_body for a huge allocation.
+  if (slots > image.size() / 12 || instrs > image.size() / (kInstrBytes + 4) ||
+      readers > image.size() / 4) {
+    reject("body size", "header counts exceed the " + std::to_string(image.size()) +
+                            "-byte file");
+  }
   const std::size_t body =
       CompiledArtifactCodec::body_bytes(slots, instrs, readers);
   if (image.size() != kHeaderBytes + body + 4) {
@@ -297,8 +332,31 @@ std::shared_ptr<const CompiledNetlist> read_compiled_artifact(
   if (tail.u32() != body_crc) {
     reject("body crc", "stored body checksum does not match its contents");
   }
-  return CompiledArtifactCodec::read_body(reader, slots, instrs, levels,
+  if (slots != netlist.net_count()) {
+    reject("slot count", std::to_string(slots) + " slots for a netlist of " +
+                             std::to_string(netlist.net_count()) + " nets");
+  }
+  if (levels > instrs) {
+    reject("level count", std::to_string(levels) + " levels for " +
+                              std::to_string(instrs) + " instructions");
+  }
+  DomainId max_domain = 0;
+  for (CellId id = 0; id < netlist.cell_count(); ++id) {
+    max_domain = std::max(max_domain, netlist.cell(id).domain);
+  }
+  if (domains != std::size_t{max_domain} + 1) {
+    reject("domain count", std::to_string(domains) + " domains for a netlist of " +
+                               std::to_string(std::size_t{max_domain} + 1));
+  }
+  return CompiledArtifactCodec::read_body(reader, netlist, slots, instrs, levels,
                                           domains, readers);
+}
+
+}  // namespace
+
+std::shared_ptr<const CompiledNetlist> read_compiled_artifact(std::istream& in,
+                                                              const Netlist& netlist) {
+  return read_artifact(in, netlist, netlist_structure_fingerprint(netlist));
 }
 
 CompiledArtifactStore::CompiledArtifactStore(std::string dir)
@@ -319,8 +377,12 @@ std::string CompiledArtifactStore::artifact_path(std::uint64_t fingerprint) cons
   return (std::filesystem::path(dir_) / name).string();
 }
 
+std::shared_ptr<const CompiledNetlist> CompiledArtifactStore::load(const Netlist& netlist) {
+  return load(netlist, netlist_structure_fingerprint(netlist));
+}
+
 std::shared_ptr<const CompiledNetlist> CompiledArtifactStore::load(
-    std::uint64_t fingerprint) {
+    const Netlist& netlist, std::uint64_t fingerprint) {
   std::ifstream in(artifact_path(fingerprint), std::ios::binary);
   if (!in) {
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -329,7 +391,7 @@ std::shared_ptr<const CompiledNetlist> CompiledArtifactStore::load(
   }
   try {
     std::shared_ptr<const CompiledNetlist> compiled =
-        read_compiled_artifact(in, fingerprint);
+        read_artifact(in, netlist, fingerprint);
     const std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.hits;
     return compiled;
@@ -371,7 +433,7 @@ void CompiledArtifactStore::store(std::uint64_t fingerprint,
 std::shared_ptr<const CompiledNetlist> CompiledArtifactStore::load_or_compile(
     const Netlist& netlist) {
   const std::uint64_t fingerprint = netlist_structure_fingerprint(netlist);
-  if (std::shared_ptr<const CompiledNetlist> compiled = load(fingerprint)) {
+  if (std::shared_ptr<const CompiledNetlist> compiled = load(netlist, fingerprint)) {
     return compiled;
   }
   auto compiled = std::make_shared<const CompiledNetlist>(netlist);

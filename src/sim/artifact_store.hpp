@@ -26,13 +26,15 @@ std::uint64_t netlist_structure_fingerprint(const Netlist& netlist);
 void write_compiled_artifact(std::ostream& out, const CompiledNetlist& compiled,
                              std::uint64_t fingerprint);
 
-/// Parse and validate an artifact image. Every rejection names the field
-/// that failed (magic, format, lane_words, header crc, netlist_fingerprint,
-/// body size, body crc) so a corrupt or foreign file is diagnosable — and
-/// the caller recompiles instead of trusting it. `expect_fingerprint` is
-/// the structure fingerprint of the netlist the caller wants to simulate.
-std::shared_ptr<const CompiledNetlist> read_compiled_artifact(
-    std::istream& in, std::uint64_t expect_fingerprint);
+/// Parse and validate an artifact image for `netlist`, the design the
+/// caller wants to simulate. Every rejection names the field that failed
+/// (magic, format, lane_words, header crc, netlist_fingerprint, body size,
+/// body crc, then the slot / level / domain counts and each index field of
+/// the body) so a corrupt or foreign file is diagnosable — and the caller
+/// recompiles instead of trusting it. An image whose CRCs match is still
+/// checked: no index an engine dereferences can fall outside its array.
+std::shared_ptr<const CompiledNetlist> read_compiled_artifact(std::istream& in,
+                                                              const Netlist& netlist);
 
 /// On-disk cache of compiled netlists, one artifact file per structure
 /// fingerprint (`<dir>/<hex fingerprint>.rsca`). Writes go through a
@@ -51,9 +53,9 @@ class CompiledArtifactStore {
   /// Path of the artifact file for one fingerprint.
   std::string artifact_path(std::uint64_t fingerprint) const;
 
-  /// Load the artifact for `fingerprint`, or nullptr when missing or
-  /// rejected (rejections are counted in stats().rejected).
-  std::shared_ptr<const CompiledNetlist> load(std::uint64_t fingerprint);
+  /// Load the artifact for `netlist`, or nullptr when missing or rejected
+  /// (rejections are counted in stats().rejected).
+  std::shared_ptr<const CompiledNetlist> load(const Netlist& netlist);
 
   /// Persist a compiled netlist under `fingerprint` (atomic rename;
   /// concurrent writers race benignly — last rename wins, both images are
@@ -75,6 +77,9 @@ class CompiledArtifactStore {
   Stats stats() const;
 
  private:
+  std::shared_ptr<const CompiledNetlist> load(const Netlist& netlist,
+                                              std::uint64_t fingerprint);
+
   std::string dir_;
   mutable std::mutex mutex_;
   Stats stats_;

@@ -47,10 +47,6 @@ bool PackedSim::net_value(NetId net, std::size_t lane) const {
   return (net_lanes(net) >> lane & 1u) != 0;
 }
 
-LaneWord PackedSim::output_lanes(const std::string& port_name) const {
-  return net_lanes(netlist().output_net(port_name));
-}
-
 LaneWord PackedSim::flop_lanes(CellId flop) const {
   RETSCAN_CHECK(flop < netlist().cell_count() && cell_is_flop(netlist().cell(flop).type),
                 "PackedSim::flop_lanes: not a flop");
@@ -88,18 +84,6 @@ void PackedSim::set_flop_states(const std::vector<BitVec>& rows) {
     engine_.set_flop_raw(flops[i], (engine_.flop(flops[i]) & keep) | packed[i]);
   }
   refresh();
-}
-
-LaneWord PackedSim::retention_lanes(CellId flop) const {
-  RETSCAN_CHECK(flop < netlist().cell_count() && netlist().cell(flop).type == CellType::Rdff,
-                "PackedSim::retention_lanes: not an Rdff");
-  return engine_.retention(flop);
-}
-
-void PackedSim::set_retention_lanes(CellId flop, LaneWord lanes) {
-  RETSCAN_CHECK(flop < netlist().cell_count() && netlist().cell(flop).type == CellType::Rdff,
-                "PackedSim::set_retention_lanes: not an Rdff");
-  engine_.set_retention(flop, lanes);
 }
 
 void PackedSim::flip_retention(CellId flop, LaneWord lane_mask) {

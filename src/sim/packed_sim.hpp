@@ -55,8 +55,6 @@ class PackedSim {
   // --- observation --------------------------------------------------------
   LaneWord net_lanes(NetId net) const;
   bool net_value(NetId net, std::size_t lane) const;
-  /// Lane word of a primary output by port name.
-  LaneWord output_lanes(const std::string& port_name) const;
 
   LaneWord flop_lanes(CellId flop) const;
   /// Write a flop's master state (all lanes) WITHOUT re-driving outputs;
@@ -69,8 +67,6 @@ class PackedSim {
   /// refresh().
   void set_flop_states(const std::vector<BitVec>& rows);
 
-  LaneWord retention_lanes(CellId flop) const;
-  void set_retention_lanes(CellId flop, LaneWord lanes);
   /// Flip the balloon latch of `flop` in the lanes selected by `lane_mask`.
   void flip_retention(CellId flop, LaneWord lane_mask);
 

@@ -105,15 +105,6 @@ void Simulator::flip_retention(CellId flop) {
   set_retention_state(flop, !retention_state(flop));
 }
 
-BitVec Simulator::retention_states() const {
-  const auto& rdffs = engine_.rdff_cells();
-  BitVec states(rdffs.size());
-  for (std::size_t i = 0; i < rdffs.size(); ++i) {
-    states.set(i, (engine_.retention(rdffs[i]) & 1u) != 0);
-  }
-  return states;
-}
-
 void Simulator::power_off(DomainId domain, Rng* rng) {
   engine_.power_off(domain, rng, /*per_lane_garbage=*/false);
 }

@@ -95,9 +95,6 @@ class Simulator {
   bool retention_state(CellId flop) const;
   void set_retention_state(CellId flop, bool value);
   void flip_retention(CellId flop);
-  /// Retention latch contents of all Rdff cells, in netlist.flops() order
-  /// restricted to Rdff entries.
-  BitVec retention_states() const;
 
   // --- power domains --------------------------------------------------------
   /// Cut power: master state in `domain` is destroyed (randomized via rng,

@@ -29,8 +29,6 @@ class VcdWriter {
   /// Record the current values at the next timestep.
   void sample();
 
-  std::size_t signal_count() const { return signals_.size(); }
-
  private:
   struct Signal {
     NetId net;

@@ -750,6 +750,41 @@ TEST(ApiSession, ConstructionRejectsBadGeometry) {
   EXPECT_NE(error_message([&] { Session session(FifoSpec{32, 2}, indivisible); })
                 .find("equal scan chains"),
             std::string::npos);
+
+  // FIFO geometries make_fifo refuses. The behavioral tier counts their
+  // flops without building them, so the count itself must refuse them and
+  // name the offending key, for `run` as for the testbench.
+  const struct {
+    const char* spec;
+    const char* names;
+  } fifos[] = {
+      {"fifo.depth = 3\nfifo.width = 4\nprotection.kind = hamming+crc\n"
+       "protection.hamming_r = 2\nprotection.chain_count = 19\n",
+       "fifo.depth"},
+      {"fifo.depth = 32\nfifo.width = 0\nprotection.chain_count = 4\n", "fifo.width"},
+      // depth * width wraps to 0 in 64 bits.
+      {"fifo.depth = 9223372036854775808\nfifo.width = 2\nprotection.hamming_r = 2\n"
+       "protection.chain_count = 10\n",
+       "fifo.depth x fifo.width"},
+  };
+  for (const auto& fifo : fifos) {
+    const SpecFile file =
+        parse_spec_text(std::string(fifo.spec) + "campaign.sequences = 1000\n");
+    EXPECT_NE(error_message([&] {
+                Session session = make_session(file);
+                run(session, file.campaign);
+              }).find(fifo.names),
+              std::string::npos)
+        << fifo.spec;
+    ValidationConfig config;
+    config.fifo = file.fifo;
+    config.chain_count = file.protection.chain_count;
+    config.kind = file.protection.kind;
+    config.hamming_r = file.protection.hamming_r;
+    EXPECT_NE(error_message([&] { FastTestbench bench(config); }).find(fifo.names),
+              std::string::npos)
+        << fifo.spec;
+  }
 }
 
 TEST(ApiSession, RunScanTestRejectsBadPatternsAndOptions) {
@@ -952,5 +987,5 @@ TEST(ApiVersion, ConstantsAgree) {
   EXPECT_STREQ(version_string(), RETSCAN_VERSION_STRING);
   EXPECT_EQ(RETSCAN_VERSION_NUMBER,
             kVersionMajor * 10000 + kVersionMinor * 100 + kVersionPatch);
-  EXPECT_EQ(kVersionMajor, 6);
+  EXPECT_EQ(kVersionMajor, 7);
 }

@@ -56,15 +56,15 @@ std::string serialize(const CompiledNetlist& compiled, std::uint64_t fp) {
 }
 
 std::shared_ptr<const CompiledNetlist> deserialize(const std::string& image,
-                                                   std::uint64_t fp) {
+                                                   const Netlist& netlist) {
   std::istringstream in(image, std::ios::binary);
-  return read_compiled_artifact(in, fp);
+  return read_compiled_artifact(in, netlist);
 }
 
 /// The named field carried by a rejection, for exact-match assertions.
-std::string rejection_field(const std::string& image, std::uint64_t fp) {
+std::string rejection_field(const std::string& image, const Netlist& netlist) {
   try {
-    deserialize(image, fp);
+    deserialize(image, netlist);
   } catch (const Error& error) {
     const std::string what = error.what();
     const std::size_t open = what.find('(');
@@ -105,7 +105,7 @@ TEST(ArtifactRoundTrip, EvalFullBitIdenticalOnVendoredCircuits) {
     const Netlist nl = load_circuit(file);
     const CompiledNetlist compiled(nl);
     const std::uint64_t fp = netlist_structure_fingerprint(nl);
-    const auto loaded = deserialize(serialize(compiled, fp), fp);
+    const auto loaded = deserialize(serialize(compiled, fp), nl);
     ASSERT_NE(loaded, nullptr) << file;
 
     ASSERT_EQ(loaded->slot_count(), compiled.slot_count()) << file;
@@ -142,7 +142,7 @@ TEST(ArtifactRoundTrip, EvalEventBitIdenticalOnVendoredCircuits) {
     const Netlist nl = load_circuit(file);
     const CompiledNetlist compiled(nl);
     const std::uint64_t fp = netlist_structure_fingerprint(nl);
-    const auto loaded = deserialize(serialize(compiled, fp), fp);
+    const auto loaded = deserialize(serialize(compiled, fp), nl);
     ASSERT_NE(loaded, nullptr) << file;
 
     const std::vector<std::uint32_t> sources = source_slots(compiled);
@@ -188,61 +188,95 @@ TEST(ArtifactRoundTrip, EvalEventBitIdenticalOnVendoredCircuits) {
   }
 }
 
+// Image layout, mirrored from sim/artifact_store.cpp: a header of 4 u32 +
+// 6 u64 + its u32 CRC, then the body, then the body's u32 CRC.
+constexpr std::size_t kHeaderBytes = 4 * 4 + 6 * 8 + 4;
+constexpr std::size_t kInstrBytes = 5 * 4 + 2 + 1;
+constexpr std::size_t kSlotCountOffset = 4 * 4 + 8;
+
+void put_u32(std::string& image, std::size_t offset, std::uint32_t value) {
+  for (int i = 0; i < 4; ++i) {
+    image[offset + i] = static_cast<char>(value >> (8 * i));
+  }
+}
+
+/// Recompute both CRCs, so only the structural checks can catch a change.
+void repair_crcs(std::string& image) {
+  const auto* bytes = reinterpret_cast<const unsigned char*>(image.data());
+  put_u32(image, kHeaderBytes - 4, crc32(bytes, kHeaderBytes - 4));
+  put_u32(image, image.size() - 4,
+          crc32(bytes + kHeaderBytes, image.size() - kHeaderBytes - 4));
+}
+
 /// Every corruption class is rejected by its named field: truncation,
-/// garbage, bit flips in each header field, a foreign fingerprint, body
-/// tampering — including tampering that repairs the CRC but produces an
-/// out-of-range opcode.
+/// garbage, bit flips in each header field, a foreign netlist, body
+/// tampering — including tampering that repairs the CRCs but leaves an
+/// out-of-range opcode, slot index or header count.
 TEST(ArtifactRejection, NamesTheFailingField) {
   const Netlist nl = load_circuit("s27.v");
   const CompiledNetlist compiled(nl);
   const std::uint64_t fp = netlist_structure_fingerprint(nl);
   const std::string image = serialize(compiled, fp);
-  ASSERT_EQ(rejection_field(image, fp), "");  // pristine image loads
+  ASSERT_EQ(rejection_field(image, nl), "");  // pristine image loads
 
-  EXPECT_EQ(rejection_field("", fp), "header size");
-  EXPECT_EQ(rejection_field(image.substr(0, 20), fp), "header size");
-  EXPECT_EQ(rejection_field(image.substr(0, image.size() - 5), fp),
+  EXPECT_EQ(rejection_field("", nl), "header size");
+  EXPECT_EQ(rejection_field(image.substr(0, 20), nl), "header size");
+  EXPECT_EQ(rejection_field(image.substr(0, image.size() - 5), nl),
             "body size");
-  EXPECT_EQ(rejection_field(image + "x", fp), "body size");
+  EXPECT_EQ(rejection_field(image + "x", nl), "body size");
 
   std::string bad = image;
   bad[0] ^= 0x40;  // magic
-  EXPECT_EQ(rejection_field(bad, fp), "magic");
+  EXPECT_EQ(rejection_field(bad, nl), "magic");
 
   bad = image;
   bad[4] ^= 0x02;  // format version
-  EXPECT_EQ(rejection_field(bad, fp), "format");
+  EXPECT_EQ(rejection_field(bad, nl), "format");
 
   bad = image;
   bad[8] ^= 0x01;  // lane_words fingerprint of the writing build
-  EXPECT_EQ(rejection_field(bad, fp), "lane_words");
+  EXPECT_EQ(rejection_field(bad, nl), "lane_words");
 
   bad = image;
   bad[12] ^= 0x01;  // reserved word — only the header CRC notices
-  EXPECT_EQ(rejection_field(bad, fp), "header crc");
+  EXPECT_EQ(rejection_field(bad, nl), "header crc");
 
   // A valid artifact for a *different* netlist structure.
-  EXPECT_EQ(rejection_field(image, fp ^ 1), "netlist_fingerprint");
+  const Netlist c17 = load_circuit("c17.v");
+  EXPECT_EQ(rejection_field(image, c17), "netlist_fingerprint");
 
   bad = image;
   bad[bad.size() / 2] ^= 0x10;  // body bit flip
-  EXPECT_EQ(rejection_field(bad, fp), "body crc");
+  EXPECT_EQ(rejection_field(bad, nl), "body crc");
 
   // Adversarial body: flip the first instruction's opcode to garbage and
   // REPAIR the body CRC — structural validation must still reject it.
-  constexpr std::size_t kHeaderBytes = 4 * 4 + 6 * 8 + 4;
   const std::size_t slots = compiled.slot_count();
-  const std::size_t op_offset = kHeaderBytes + slots * 8 + 22;
+  const std::size_t first_instr = kHeaderBytes + slots * 8;
   bad = image;
-  bad[op_offset] = static_cast<char>(0xEE);
-  const std::size_t body_size = bad.size() - kHeaderBytes - 4;
-  const std::uint32_t patched_crc = crc32(
-      reinterpret_cast<const unsigned char*>(bad.data()) + kHeaderBytes,
-      body_size);
-  for (int i = 0; i < 4; ++i) {
-    bad[bad.size() - 4 + i] = static_cast<char>(patched_crc >> (8 * i));
-  }
-  EXPECT_EQ(rejection_field(bad, fp), "instr op");
+  bad[first_instr + 22] = static_cast<char>(0xEE);
+  repair_crcs(bad);
+  EXPECT_EQ(rejection_field(bad, nl), "instr op");
+
+  // An operand slot far outside the value array (eval_full would read out
+  // of bounds).
+  const CompiledNetlist c17_compiled(c17);
+  bad = serialize(c17_compiled, netlist_structure_fingerprint(c17));
+  put_u32(bad, kHeaderBytes + c17_compiled.slot_count() * 8, 0x00F00000);
+  repair_crcs(bad);
+  EXPECT_EQ(rejection_field(bad, c17), "instr in0");
+
+  // A slot count of 2^62 wraps the body size back to the image's size once
+  // the slot arrays (and all but one reader offset) are dropped.
+  bad = image;
+  const std::size_t instrs = compiled.instrs().size();
+  const std::size_t offsets = kHeaderBytes + slots * 8 + instrs * (kInstrBytes + 4);
+  bad.erase(offsets, slots * 4);
+  bad.erase(kHeaderBytes, slots * 8);
+  put_u32(bad, kSlotCountOffset, 0);
+  put_u32(bad, kSlotCountOffset + 4, 1u << 30);
+  repair_crcs(bad);
+  EXPECT_EQ(rejection_field(bad, nl), "body size");
 }
 
 TEST(ArtifactStore, MissStoreHitAndRejectRecompile) {
@@ -251,7 +285,7 @@ TEST(ArtifactStore, MissStoreHitAndRejectRecompile) {
   const Netlist nl = load_circuit("c17.v");
   const std::uint64_t fp = netlist_structure_fingerprint(nl);
 
-  EXPECT_EQ(store.load(fp), nullptr);
+  EXPECT_EQ(store.load(nl), nullptr);
   EXPECT_EQ(store.stats().misses, 1u);
 
   const auto compiled = store.load_or_compile(nl);  // miss → compile → store
@@ -260,7 +294,7 @@ TEST(ArtifactStore, MissStoreHitAndRejectRecompile) {
   EXPECT_EQ(store.stats().stored, 1u);
   EXPECT_TRUE(std::filesystem::exists(store.artifact_path(fp)));
 
-  const auto hit = store.load(fp);
+  const auto hit = store.load(nl);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(store.stats().hits, 1u);
   EXPECT_EQ(hit->instrs().size(), compiled->instrs().size());
@@ -272,14 +306,14 @@ TEST(ArtifactStore, MissStoreHitAndRejectRecompile) {
     std::ofstream out(store.artifact_path(fp), std::ios::binary);
     out << "not an artifact";
   }
-  EXPECT_EQ(store.load(fp), nullptr);
+  EXPECT_EQ(store.load(nl), nullptr);
   EXPECT_EQ(store.stats().rejected, 1u);
   const auto recompiled = store.load_or_compile(nl);
   ASSERT_NE(recompiled, nullptr);
   EXPECT_EQ(recompiled->instrs().size(), compiled->instrs().size());
   EXPECT_EQ(store.stats().rejected, 2u);
   EXPECT_EQ(store.stats().stored, 2u);
-  ASSERT_NE(store.load(fp), nullptr);  // healed
+  ASSERT_NE(store.load(nl), nullptr);  // healed
 }
 
 /// The process-global hook: with a store installed, Netlist::compiled()

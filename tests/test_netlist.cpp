@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
-#include "netlist/dot.hpp"
 #include "netlist/techlib.hpp"
 #include "util/error.hpp"
 
@@ -195,26 +192,18 @@ TEST(TechLibrary, LeakageByDomain) {
   EXPECT_GT(tech.leakage_nw(nl, 1), 0.0);
 }
 
-TEST(Dot, ExportContainsCellsAndEdges) {
-  Netlist nl("demo");
-  const NetId a = nl.add_input("a");
-  nl.add_output("y", nl.n_not(a));
-  const std::string dot = to_dot(nl);
-  EXPECT_NE(dot.find("digraph \"demo\""), std::string::npos);
-  EXPECT_NE(dot.find("not"), std::string::npos);
-  EXPECT_NE(dot.find("->"), std::string::npos);
-}
-
-TEST(Dot, TruncatesHugeNetlists) {
+TEST(Netlist, AddCellBoundEnforcesInvariants) {
   Netlist nl;
   const NetId a = nl.add_input("a");
-  for (int i = 0; i < 100; ++i) {
-    nl.n_not(a);
-  }
-  DotOptions options;
-  options.max_cells = 10;
-  const std::string dot = to_dot(nl, options);
-  EXPECT_NE(dot.find("more cells"), std::string::npos);
+  const NetId fresh = nl.add_net();
+  // Binding to an already driven net must fail.
+  EXPECT_THROW(nl.add_cell_bound(CellType::Not, {a}, a), Error);
+  // Output cells must not claim a net.
+  EXPECT_THROW(nl.add_cell_bound(CellType::Output, {a}, fresh, "y"), Error);
+  // Correct usage works and preserves the net id.
+  const CellId inverter = nl.add_cell_bound(CellType::Not, {a}, fresh);
+  EXPECT_EQ(nl.output_of(inverter), fresh);
+  EXPECT_EQ(nl.driver(fresh), inverter);
 }
 
 }  // namespace

@@ -1,12 +1,10 @@
-// Tests for the supporting tool layer: VCD writer, netlist linter,
-// pattern I/O, and the recovery cost analyzer.
+// Tests for the supporting tool layer: VCD writer, netlist linter and the
+// recovery cost analyzer.
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 
-#include "atpg/atpg.hpp"
-#include "atpg/pattern_io.hpp"
 #include "circuits/fifo.hpp"
 #include "circuits/generators.hpp"
 #include "core/protected_design.hpp"
@@ -108,47 +106,6 @@ TEST(Lint, ProtectedDesignOnlyHasExpectedDanglers) {
   EXPECT_EQ(lint_count(issues, LintKind::FloatingInput), 8u);  // si0..si7
   EXPECT_EQ(lint_count(issues, LintKind::DanglingNet), 0u);
   EXPECT_EQ(lint_count(issues, LintKind::UnreachableCell), 0u);
-}
-
-TEST(PatternIo, RoundTrip) {
-  Netlist nl = make_registered_adder(3);
-  const CombinationalFrame frame(nl);
-  Rng rng(5);
-  std::vector<BitVec> patterns;
-  for (int i = 0; i < 20; ++i) {
-    patterns.push_back(frame.random_pattern(rng));
-  }
-  std::stringstream ss;
-  write_patterns(ss, frame, patterns);
-  const auto loaded = read_patterns(ss, frame);
-  EXPECT_EQ(loaded, patterns);
-}
-
-TEST(PatternIo, RejectsGeometryMismatch) {
-  Netlist nl = make_registered_adder(3);
-  const CombinationalFrame frame(nl);
-  Netlist other = make_registered_adder(4);
-  const CombinationalFrame other_frame(other);
-  std::stringstream ss;
-  write_patterns(ss, frame, {});
-  EXPECT_THROW(read_patterns(ss, other_frame), Error);
-}
-
-TEST(PatternIo, RejectsMalformedContent) {
-  Netlist nl = make_registered_adder(2);
-  const CombinationalFrame frame(nl);
-  {
-    std::stringstream ss("pattern 0101\n");
-    EXPECT_THROW(read_patterns(ss, frame), Error);  // pattern before header
-  }
-  {
-    std::stringstream ss("bogus line\n");
-    EXPECT_THROW(read_patterns(ss, frame), Error);
-  }
-  {
-    std::stringstream ss;
-    EXPECT_THROW(read_patterns(ss, frame), Error);  // empty
-  }
 }
 
 TEST(Recovery, SoftwareIsSlowerButSmaller) {
