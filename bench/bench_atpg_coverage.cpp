@@ -53,7 +53,7 @@ std::size_t fault_dictionary_detects(const CombinationalFrame& frame,
     }
     const CombinationalFrame::LoadedPatternBatch loaded = frame.load_batch(batch);
     for (std::size_t fi = 0; fi < faults.size(); ++fi) {
-      if (block_any(frame.detect_block(faults[fi], loaded, loaded.good, workspace))) {
+      if (block_any(frame.detect_block(faults[fi], loaded, workspace))) {
         hit[fi] = 1;
       }
     }

@@ -7,9 +7,10 @@
 //    datapath (kLaneBlockBits lanes per sweep, AVX2 when compiled in); a
 //    single-word sweep is also timed so laneblock_speedup isolates the
 //    block-vs-word win on the same host and binary;
-//  * fanout-cone incremental fault simulation — per-fault cone passes over
-//    lane-block batches vs full-circuit interpreted passes on the same
-//    fault dictionary, with bit-identical detect masks required.
+//  * incremental fault simulation — per-fault detect_block (detect_site
+//    with its memo cleared: the fault's fanout-free-region chain, then its
+//    stem's cone) over lane-block batches vs full-circuit interpreted passes
+//    on the same fault dictionary, with bit-identical detect masks required.
 //
 // The ratios (compile_speedup, laneblock_speedup, cone_speedup) are
 // same-host comparisons and land in BENCH_engine.json, where
@@ -186,8 +187,7 @@ int main() {
   for (int r = 0; r < kConeRepeats; ++r) {
     for (std::size_t b = 0; b < loaded.size(); ++b) {
       for (std::size_t fi = 0; fi < faults.size(); ++fi) {
-        cone_blocks[b * faults.size() + fi] =
-            frame.detect_block(faults[fi], loaded[b], loaded[b].good, workspace);
+        cone_blocks[b * faults.size() + fi] = frame.detect_block(faults[fi], loaded[b], workspace);
       }
     }
   }

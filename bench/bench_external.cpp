@@ -247,7 +247,7 @@ int main() {
   for (int r = 0; r < kRepeats; ++r) {
     for (const auto& batch : loaded) {
       for (const Fault& fault : faults) {
-        const LaneBlock mask = frame.detect_block(fault, batch, batch.good, workspace);
+        const LaneBlock mask = frame.detect_block(fault, batch, workspace);
         for (std::size_t w = 0; w < kLaneWords; ++w) {
           mask_checksum ^= mask.w[w];
         }

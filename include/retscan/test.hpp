@@ -3,7 +3,7 @@
 /// retscan public surface — manufacturing-test layer.
 ///
 /// Stuck-at fault enumeration/collapsing, the combinational scan frame with
-/// its incremental (fanout-cone) fault simulator, two-phase ATPG
+/// its incremental (fanout-free-region) fault simulator, two-phase ATPG
 /// (random + PODEM), and the scan-delivery checkers. Patterns stay in
 /// memory: AtpgResult::patterns feeds the deliveries directly.
 ///

@@ -46,7 +46,7 @@ struct AtpgResult {
 
 /// Two-phase ATPG over the combinational frame of a (scan) design:
 /// 1. Random phase: the whole random budget through fault_simulate (fault
-///    dropping, one lane block per cone pass); patterns that are no fault's
+///    dropping, one lane block per pass); patterns that are no fault's
 ///    first detection are discarded (reverse compaction).
 /// 2. Deterministic phase: PODEM on each remaining fault; successful
 ///    patterns are fault-simulated to drop collateral detections.

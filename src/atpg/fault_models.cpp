@@ -30,29 +30,21 @@ std::string transition_fault_name(const Netlist& netlist, const TransitionFault&
 
 namespace {
 
-/// The capture-cycle alias of a transition fault: the net frozen at the
-/// transition's initial value.
-Fault capture_alias(const TransitionFault& fault) {
-  return {fault.net, !fault.slow_to_rise};
-}
-
 /// Transition faults over launch/capture pattern pairs: lane k of block b
 /// is pair b * kLaneBlockBits + k. Capture must detect the stuck-at alias
-/// AND the launch pattern must set the net to the initial value.
+/// (the net frozen at the transition's initial value) AND the launch
+/// pattern must set the net to that value; the launch condition is the care
+/// set of the capture detection, so lanes it rules out never cost a replay.
 struct TransitionModel {
   struct Batch {
     CombinationalFrame::LoadedPatternBatch launch;
     CombinationalFrame::LoadedPatternBatch capture;
   };
-  struct Site {
-    const CombinationalFrame::FaultCone* cone = nullptr;
-    std::uint32_t slot = 0;
-  };
+  using Site = CombinationalFrame::FaultSite;
   using Scratch = CombinationalFrame::Workspace;
 
   const CombinationalFrame& frame;
   const std::vector<BitVec>& patterns;
-  std::shared_ptr<const CompiledNetlist> compiled = frame.netlist().compiled();
 
   std::size_t pairs() const { return patterns.empty() ? 0 : patterns.size() - 1; }
   std::size_t batch_count() const { return detail::lane_blocks(pairs()); }
@@ -62,16 +54,13 @@ struct TransitionModel {
     return {detail::load_patterns(frame, patterns, first, count),
             detail::load_patterns(frame, patterns, first + 1, count)};
   }
-  Site site(const TransitionFault& fault) const {
-    return {&frame.fault_cone(fault.net), compiled->slot(fault.net)};
-  }
+  Site site(const TransitionFault& fault) const { return frame.fault_site(fault.net); }
   Scratch scratch() const { return {}; }
   LaneBlock detect(const TransitionFault& fault, const Site& site, const Batch& batch,
                    Scratch& workspace) const {
-    const LaneBlock detect = frame.detect_block(capture_alias(fault), *site.cone,
-                                                batch.capture, batch.capture.good, workspace);
     const LaneBlock& launch_vals = batch.launch.settled[site.slot];
-    return fault.slow_to_rise ? detect & ~launch_vals : detect & launch_vals;
+    const LaneBlock launched = fault.slow_to_rise ? ~launch_vals : launch_vals;
+    return frame.detect_site(site, !fault.slow_to_rise, launched, batch.capture, workspace);
   }
 };
 

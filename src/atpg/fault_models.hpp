@@ -35,9 +35,9 @@ std::string transition_fault_name(const Netlist& netlist, const TransitionFault&
 
 /// Launch/capture transition-delay fault simulation with fault dropping.
 /// detected_by[i] is the index of the first detecting pattern *pair*
-/// (patterns.size() - 1 pairs exist): a cone pass over the capture pattern
-/// masked by the launch-value condition. Serial and pooled overloads behave
-/// as fault_simulate's.
+/// (patterns.size() - 1 pairs exist): the stuck-at alias detected over the
+/// capture pattern in the lanes the launch-value condition allows. Serial
+/// and pooled overloads behave as fault_simulate's.
 FaultSimResult transition_fault_simulate(const CombinationalFrame& frame,
                                          const std::vector<TransitionFault>& faults,
                                          const std::vector<BitVec>& patterns);

@@ -13,12 +13,41 @@ namespace retscan {
 namespace {
 
 inline constexpr std::uint32_t kNoObs = ~std::uint32_t{0};
+inline constexpr std::uint32_t kNoReader = ~std::uint32_t{0};
+inline constexpr std::uint32_t kManyReaders = kNoReader - 1;
 
 /// Batch identity for Workspace sync tracking: unique per load_batch, never
 /// reused, so a stale workspace can never masquerade as settled.
 std::uint64_t next_batch_tag() {
   static std::atomic<std::uint64_t> counter{0};
   return counter.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
+/// In-place transpose of a 64 x 64 bit tile: afterwards bit p of tile[j]
+/// is what bit j of tile[p] was. Six rounds of block swaps (each round
+/// exchanges the off-diagonal quarters of every 2j x 2j sub-tile).
+void transpose64(std::uint64_t* tile) {
+  std::uint64_t mask = 0x0000'0000'FFFF'FFFFull;
+  for (unsigned j = 32; j != 0; j >>= 1, mask ^= mask << j) {
+    for (unsigned k = 0; k < 64; k = ((k | j) + 1) & ~j) {
+      const std::uint64_t t = ((tile[k] >> j) ^ tile[k | j]) & mask;
+      tile[k] ^= t << j;
+      tile[k | j] ^= t;
+    }
+  }
+}
+
+/// The memo entry of `slot` in the workspace's sparse set, or nullptr.
+const LaneBlock* memo_find(const CombinationalFrame::Workspace& ws, std::uint32_t slot) {
+  const std::uint32_t i = ws.memo_index[slot];
+  return i < ws.memo.size() && ws.memo[i].slot == slot ? &ws.memo[i].lanes : nullptr;
+}
+
+const LaneBlock& memo_put(CombinationalFrame::Workspace& ws, std::uint32_t slot,
+                          const LaneBlock& lanes) {
+  ws.memo_index[slot] = static_cast<std::uint32_t>(ws.memo.size());
+  ws.memo.push_back({lanes, slot});
+  return ws.memo.back().lanes;
 }
 
 }  // namespace
@@ -41,10 +70,10 @@ CombinationalFrame::CombinationalFrame(const Netlist& netlist)
     }
   }
   for (const NetId net : pi_nets_) {
-    pi_slots_.push_back(compiled_->slot(net));
+    pattern_slots_.push_back(compiled_->slot(net));
   }
   for (const CellId flop : flops_) {
-    ppi_slots_.push_back(compiled_->slot(netlist.cell(flop).out));
+    pattern_slots_.push_back(compiled_->slot(netlist.cell(flop).out));
   }
   // Observation points: POs first, then flop D captures (functional path,
   // se = 0) — the good_words layout.
@@ -60,6 +89,34 @@ CombinationalFrame::CombinationalFrame(const Netlist& netlist)
     // keeping the first mapping preserves the detect mask.
     if (obs_word_of_slot_[obs_slots_[word]] == kNoObs) {
       obs_word_of_slot_[obs_slots_[word]] = word;
+    }
+  }
+  // Fanout-free regions. Count each slot's distinct reading instructions (a
+  // gate reading one net on two pins is one reader), then walk the slots
+  // downward: a reader's output slot always sits above its operands, so the
+  // stem of a single-reader, unobserved slot is already known when the walk
+  // reaches it.
+  const std::vector<CompiledInstr>& instrs = compiled_->instrs();
+  const std::size_t slots = compiled_->slot_count();
+  reader_of_slot_.assign(slots, kNoReader);
+  for (std::uint32_t i = 0; i < instrs.size(); ++i) {
+    const CompiledInstr& in = instrs[i];
+    for (std::size_t pin = 0; pin < operand_count(in.op); ++pin) {
+      std::uint32_t& reader = reader_of_slot_[in.operand(pin)];
+      reader = reader == kNoReader || reader == i ? i : kManyReaders;
+    }
+  }
+  stem_of_slot_.resize(slots);
+  for (std::uint32_t s = static_cast<std::uint32_t>(slots); s-- > 0;) {
+    std::uint32_t& reader = reader_of_slot_[s];
+    if (reader == kManyReaders || obs_word_of_slot_[s] != kNoObs) {
+      reader = kNoReader;
+    }
+    if (reader == kNoReader) {
+      stem_of_slot_[s] = s;
+    } else {
+      RETSCAN_CHECK(instrs[reader].out > s, "CombinationalFrame: reader below its operand");
+      stem_of_slot_[s] = stem_of_slot_[instrs[reader].out];
     }
   }
 }
@@ -87,25 +144,33 @@ void CombinationalFrame::load(std::vector<LaneBlock>& slot_values,
                               const std::vector<BitVec>& patterns) const {
   RETSCAN_CHECK(patterns.size() <= kLaneBlockBits,
                 "CombinationalFrame: batch larger than kLaneBlockBits");
+  const std::size_t width = pattern_width();
+  for (const BitVec& pattern : patterns) {
+    RETSCAN_CHECK(pattern.size() == width, "CombinationalFrame: pattern width mismatch");
+  }
   std::fill(slot_values.begin(), slot_values.end(), LaneBlock{});
-  for (std::size_t p = 0; p < patterns.size(); ++p) {
-    RETSCAN_CHECK(patterns[p].size() == pattern_width(),
-                  "CombinationalFrame: pattern width mismatch");
-    const std::size_t word = p / kLaneCount;
-    const std::uint64_t bit = std::uint64_t{1} << (p % kLaneCount);
-    for (std::size_t i = 0; i < pi_slots_.size(); ++i) {
-      if (patterns[p].get(i)) {
-        slot_values[pi_slots_[i]].w[word] |= bit;
+  // Lane word w holds patterns [64w, 64w + 64): each 64-bit column of their
+  // storage words is one tile, and its transpose is one lane word per
+  // pattern bit.
+  std::uint64_t tile[kLaneCount];
+  for (std::size_t w = 0; w * kLaneCount < patterns.size(); ++w) {
+    const std::size_t first = w * kLaneCount;
+    const std::size_t rows = std::min(kLaneCount, patterns.size() - first);
+    for (std::size_t column = 0; column * kLaneCount < width; ++column) {
+      for (std::size_t p = 0; p < rows; ++p) {
+        tile[p] = patterns[first + p].words()[column];
       }
-    }
-    for (std::size_t i = 0; i < ppi_slots_.size(); ++i) {
-      if (patterns[p].get(pi_slots_.size() + i)) {
-        slot_values[ppi_slots_[i]].w[word] |= bit;
+      std::fill(tile + rows, tile + kLaneCount, 0);
+      transpose64(tile);
+      const std::size_t base = column * kLaneCount;
+      const std::size_t bits = std::min(kLaneCount, width - base);
+      for (std::size_t j = 0; j < bits; ++j) {
+        slot_values[pattern_slots_[base + j]].w[w] |= tile[j];
       }
     }
   }
   for (const auto& [index, value] : constraints_) {
-    slot_values[pi_slots_[index]] = block_broadcast(value);
+    slot_values[pattern_slots_[index]] = block_broadcast(value);
   }
   for (const std::uint32_t slot : const1_slots_) {
     slot_values[slot] = block_broadcast(true);
@@ -176,29 +241,97 @@ CombinationalFrame::FaultCone CombinationalFrame::dirty_cone(
 
 void CombinationalFrame::warm_cones(const std::vector<Fault>& faults) const {
   for (const Fault& fault : faults) {
-    (void)fault_cone(fault.net);
+    (void)fault_site(fault.net);
   }
 }
 
-LaneBlock CombinationalFrame::detect_block(
-    const Fault& fault, const LoadedPatternBatch& batch,
-    const std::vector<LaneBlock>& good_blocks) const {
-  return detect_block(fault, batch, good_blocks, scratch_);
+CombinationalFrame::FaultSite CombinationalFrame::fault_site(NetId net) const {
+  const std::uint32_t slot = compiled_->slot(net);
+  return {slot, &fault_cone(compiled_->net_of_slot(stem_of_slot_[slot]))};
 }
 
-LaneBlock CombinationalFrame::detect_block(
-    const Fault& fault, const LoadedPatternBatch& batch,
-    const std::vector<LaneBlock>& good_blocks, Workspace& workspace) const {
-  return detect_block(fault, fault_cone(fault.net), batch, good_blocks, workspace);
+void CombinationalFrame::sync(const LoadedPatternBatch& batch, Workspace& workspace) const {
+  RETSCAN_CHECK(batch.settled.size() == compiled_->slot_count() &&
+                    batch.good.size() == response_width(),
+                "CombinationalFrame: batch not loaded by this frame");
+  if (workspace.synced_tag != batch.tag) {
+    workspace.values = batch.settled;
+    workspace.synced_tag = batch.tag;
+    workspace.memo.clear();
+  }
 }
 
-LaneBlock CombinationalFrame::detect_block(
-    const Fault& fault, const FaultCone& fc, const LoadedPatternBatch& batch,
-    const std::vector<LaneBlock>& good_blocks, Workspace& workspace) const {
-  // Single-source specialization of the dirty-set replay; the forced value
-  // lives on the stack so the per-fault hot loop stays allocation-free.
-  const LaneBlock forced = block_broadcast(fault.stuck_at);
-  return replay_span(fc, &forced, 1, batch, good_blocks, workspace);
+LaneBlock CombinationalFrame::flip_sensitivity(std::uint32_t slot,
+                                               LaneBlock* values) const {
+  // The reader re-evaluated with `slot` inverted on every pin that reads it,
+  // against its good output; `values` must mirror the batch's good machine.
+  const CompiledInstr& in = compiled_->instrs()[reader_of_slot_[slot]];
+  values[slot] = ~values[slot];
+  const LaneBlock flipped = CompiledNetlist::eval_instr(in, values);
+  values[slot] = ~values[slot];
+  return flipped ^ values[in.out];
+}
+
+LaneBlock CombinationalFrame::observe_stem(const FaultCone& stem,
+                                           const LoadedPatternBatch& batch,
+                                           Workspace& workspace) const {
+  const std::uint32_t slot = stem.cone.source_slots[0];
+  if (obs_word_of_slot_[slot] != kNoObs) {
+    return block_lane_mask(batch.count);  // the stem itself shows every flip
+  }
+  const LaneBlock flipped = ~batch.settled[slot];
+  return replay_span(stem, &flipped, 1, batch, batch.good, workspace);
+}
+
+LaneBlock CombinationalFrame::detect_block(const Fault& fault, const LoadedPatternBatch& batch,
+                                           Workspace& workspace) const {
+  workspace.memo.clear();
+  return detect_site(fault_site(fault.net), fault.stuck_at, block_broadcast(true), batch,
+                     workspace);
+}
+
+LaneBlock CombinationalFrame::detect_site(const FaultSite& site, bool stuck_at,
+                                          const LaneBlock& care,
+                                          const LoadedPatternBatch& batch,
+                                          Workspace& workspace) const {
+  sync(batch, workspace);
+  if (workspace.memo_index.size() != stem_of_slot_.size()) {
+    workspace.memo_index.assign(stem_of_slot_.size(), 0);
+  }
+  LaneBlock* v = workspace.values.data();
+  LaneBlock reach = care & (v[site.slot] ^ block_broadcast(stuck_at)) &
+                    block_lane_mask(batch.count);
+  if (!block_any(reach)) {
+    return reach;
+  }
+  if (reader_of_slot_[site.slot] != kNoReader) {
+    // Path of the site to its stem: climb the chain to the stem or to the
+    // first slot already memoised, then memoise the climbed slots top-down.
+    const CompiledInstr* instrs = compiled_->instrs().data();
+    std::vector<std::uint32_t>& chain = workspace.chain;
+    chain.clear();
+    const LaneBlock* path = nullptr;
+    for (std::uint32_t s = site.slot;
+         reader_of_slot_[s] != kNoReader && (path = memo_find(workspace, s)) == nullptr;
+         s = instrs[reader_of_slot_[s]].out) {
+      chain.push_back(s);
+    }
+    LaneBlock acc = path != nullptr ? *path : block_broadcast(true);
+    for (std::size_t i = chain.size(); i-- > 0;) {
+      acc = acc & flip_sensitivity(chain[i], v);
+      path = &memo_put(workspace, chain[i], acc);
+    }
+    reach = reach & *path;
+    if (!block_any(reach)) {
+      return reach;
+    }
+  }
+  const std::uint32_t stem = site.stem->cone.source_slots[0];
+  const LaneBlock* observed = memo_find(workspace, stem);
+  if (observed == nullptr) {
+    observed = &memo_put(workspace, stem, observe_stem(*site.stem, batch, workspace));
+  }
+  return reach & *observed;
 }
 
 LaneBlock CombinationalFrame::replay_dirty(
@@ -215,13 +348,10 @@ LaneBlock CombinationalFrame::replay_span(
     const LoadedPatternBatch& batch, const std::vector<LaneBlock>& good_blocks,
     Workspace& workspace) const {
   RETSCAN_CHECK(good_blocks.size() == response_width(),
-                "CombinationalFrame::detect_block: good responses missing");
+                "CombinationalFrame: good responses missing");
   // Sync the workspace to this batch's good machine once; every cone pass
   // below leaves it settled again, so consecutive faults pay no copy.
-  if (workspace.synced_tag != batch.tag) {
-    workspace.values = batch.settled;
-    workspace.synced_tag = batch.tag;
-  }
+  sync(batch, workspace);
   LaneBlock* v = workspace.values.data();
   for (std::size_t s = 0; s < forced_count; ++s) {
     v[fc.cone.source_slots[s]] = forced[s];
@@ -301,16 +431,17 @@ std::uint64_t CombinationalFrame::detect_mask_full(
 
 namespace {
 
-/// Stuck-at faults: a forced-value replay of the fault site's cached cone.
+/// Stuck-at faults: both polarities of every net in a region share the
+/// shard's memoised chain paths and one stem replay per batch.
 struct StuckAtModel : detail::PatternBlocks {
-  using Site = const CombinationalFrame::FaultCone*;
+  using Site = CombinationalFrame::FaultSite;
   using Scratch = CombinationalFrame::Workspace;
 
-  Site site(const Fault& fault) const { return &frame.fault_cone(fault.net); }
+  Site site(const Fault& fault) const { return frame.fault_site(fault.net); }
   Scratch scratch() const { return {}; }
-  LaneBlock detect(const Fault& fault, Site cone, const Batch& batch,
+  LaneBlock detect(const Fault& fault, const Site& site, const Batch& batch,
                    Scratch& workspace) const {
-    return frame.detect_block(fault, *cone, batch, batch.good, workspace);
+    return frame.detect_site(site, fault.stuck_at, block_broadcast(true), batch, workspace);
   }
 };
 

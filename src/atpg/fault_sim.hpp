@@ -24,11 +24,19 @@ namespace retscan {
 ///
 /// Evaluation runs on the compiled simulation core (sim/compiled_netlist):
 /// batches are loaded and settled once into slot-indexed good-machine
-/// values, and each fault is then simulated *incrementally* — only its
-/// fanout cone is re-evaluated, only its reachable observation points are
-/// compared, and the touched slots are restored afterwards — so per-fault
-/// cost is O(cone), not O(circuit). Cones are built lazily per fault site
-/// and cached (thread-safe).
+/// values, and each fault is then simulated *incrementally* through its
+/// fanout-free region (FFR). A net's region ends at its stem: the first net
+/// on its single-reader chain that has no reader, several readers, or is an
+/// observation point. A fault's effect reaches the stem along that chain
+/// only, so it is detected exactly in the lanes where it is activated, every
+/// chain gate passes a flip of its input on, and flipping the stem is
+/// observed. That last term is every lane for an observed stem, else one
+/// replay of the stem's fanout cone — only the cone is re-evaluated, only
+/// its reachable observation points are compared, and the touched slots
+/// are restored afterwards — so per-fault cost is O(chain + stem cone), not
+/// O(circuit), and a memo shares one stem replay per batch among every
+/// fault of the region (detect_site). Cones are built lazily per stem (and
+/// per PODEM target) and cached (thread-safe).
 class CombinationalFrame {
  public:
   explicit CombinationalFrame(const Netlist& netlist);
@@ -64,9 +72,10 @@ class CombinationalFrame {
   /// slot-indexed good-machine values (one lane-major LaneBlock per slot)
   /// after one full compiled block sweep, `good` the observable response
   /// blocks. Loading+settling is the per-batch cost; each fault evaluation
-  /// is then an incremental cone pass over `settled`, so simulating F faults
-  /// costs one settle + F cone evaluations — each now covering 256 patterns
-  /// at the default lane width.
+  /// is then incremental over `settled`, so simulating F faults through
+  /// detect_site costs one settle plus at most one stem-cone replay per
+  /// region touched — each covering 256 patterns. Patterns are loaded whole
+  /// words at a time (64 x 64 bit-tile transposes).
   struct LoadedPatternBatch {
     std::vector<LaneBlock> settled;  // indexed by value slot
     std::vector<LaneBlock> good;     // response_width() observable blocks
@@ -76,44 +85,55 @@ class CombinationalFrame {
   LoadedPatternBatch load_batch(const std::vector<BitVec>& patterns) const;
 
   /// Per-thread evaluation scratch. The frame itself is immutable during
-  /// queries; passing an explicit workspace to the *_ws overloads below
-  /// lets any number of threads share one frame concurrently. The workspace
+  /// queries and every detection below takes a workspace, so any number of
+  /// threads share one frame concurrently, one workspace each. The workspace
   /// remembers which batch it mirrors (cone undo keeps it settled), so
   /// consecutive queries against the same batch skip the baseline copy.
   struct Workspace {
+    /// One memoised FFR term of the synced batch: a non-stem slot's path
+    /// (lanes in which a flip of the slot reaches its stem) or a stem's
+    /// observability (lanes in which a flip of the stem is observed).
+    struct MemoEntry {
+      LaneBlock lanes;
+      std::uint32_t slot = 0;
+    };
+
     std::vector<LaneBlock> values;
     std::uint64_t synced_tag = 0;
+    /// detect_site's memo for the synced batch, cleared whenever the
+    /// workspace syncs to another batch: a sparse set keyed by slot, whose
+    /// dense list holds only the slots the caller's faults touched.
+    /// memo_index[slot] is valid iff it points at an entry for that slot.
+    std::vector<std::uint32_t> memo_index;
+    std::vector<MemoEntry> memo;
+    std::vector<std::uint32_t> chain;  // path-walk scratch
   };
 
   /// Good-machine responses of up to 64 patterns in lane-word form: one word
   /// per observable (POs first, then flop D captures), lane p = pattern p.
-  /// Detection inside the frame is now a block-wide XOR (see detect_block);
+  /// Detection inside the frame is now a block-wide XOR (see detect_site);
   /// this word view remains the currency of the scan-delivery comparators,
   /// which shift 64 chains at a time. For an already-loaded batch it is word
   /// 0 of each LoadedPatternBatch::good block.
   std::vector<std::uint64_t> good_response_words(const std::vector<BitVec>& patterns) const;
 
-  /// Precomputed fanout cone of one fault site within this frame: the
-  /// compiled cone slice plus the (good-word index, value slot) of every
-  /// observation point the fault can reach.
+  /// Precomputed fanout cone of one net within this frame: the compiled
+  /// cone slice plus the (good-word index, value slot) of every observation
+  /// point a change of the net can reach.
   struct FaultCone {
     CompiledNetlist::Cone cone;
     std::vector<std::pair<std::uint32_t, std::uint32_t>> observables;
   };
-  /// The cone of a fault site, built on first use and cached (thread-safe,
-  /// one lock per call; the returned reference stays valid for the frame's
-  /// lifetime). Hot loops resolve this once per fault and pass it to the
-  /// cone-taking detect_block overload so the cache lock stays out of the
-  /// inner loop. The cache holds every queried site's cone — O(sites x
-  /// average cone size) words total, the time/space trade that makes
-  /// per-fault evaluation O(cone); for circuits where that footprint is too
-  /// large, detect_mask_full remains the O(1)-scratch path.
+  /// The cone of a net, built on first use and cached (thread-safe, one
+  /// lock per call; the returned reference stays valid for the frame's
+  /// lifetime). Fault simulation asks only for FFR stems (via fault_site)
+  /// and PODEM for its targets, so the cache holds those cones alone.
   const FaultCone& fault_cone(NetId net) const;
 
   /// Cone of an arbitrary dirty set of nets — the multi-source
   /// generalization the event scheduler shares: the instruction slice any of
   /// `sources` can disturb, plus every observation point it can reach.
-  /// Uncached (dirty sets are ad hoc); single fault sites should keep using
+  /// Uncached (dirty sets are ad hoc); single nets should keep using
   /// fault_cone().
   FaultCone dirty_cone(const std::vector<NetId>& sources) const;
 
@@ -121,44 +141,64 @@ class CombinationalFrame {
   /// `cone.cone.source_slots[i]`, re-evaluate the cone slice, and return the
   /// per-lane OR of observable differences against `good_blocks`. The
   /// workspace is restored to the batch's settled values before returning.
-  /// detect_block is the single-source specialization of this (forced =
-  /// stuck-at broadcast).
+  /// Bridging faults use it, since two nets forced at once do not factor
+  /// through one stem.
   LaneBlock replay_dirty(const FaultCone& cone, const std::vector<LaneBlock>& forced,
                          const LoadedPatternBatch& batch,
                          const std::vector<LaneBlock>& good_blocks,
                          Workspace& workspace) const;
 
+  /// A fault site resolved against the fanout-free regions: the net's value
+  /// slot and the cone of its region's stem.
+  struct FaultSite {
+    std::uint32_t slot = 0;
+    const FaultCone* stem = nullptr;
+  };
+  /// Resolve a site, building and caching its stem's cone on first use (the
+  /// one cone-cache lock of a fault); hot loops resolve every site up front.
+  FaultSite fault_site(NetId net) const;
+
   /// Block-wide parallel-pattern single-fault propagation: lane p of the
-  /// returned LaneBlock is set iff pattern p in the batch detects `fault`,
-  /// given the precomputed good responses. Patterns beyond kLaneBlockBits
-  /// must be batched by the caller. Evaluates only the fault's fanout cone.
+  /// result is set iff pattern p of `batch` (up to kLaneBlockBits patterns)
+  /// detects a fault on the resolved `site` stuck at `stuck_at`, restricted
+  /// to the lanes of `care`. The fault is activated, narrowed along its FFR
+  /// chain and observed at the stem (one replay of the stem's cone, skipped
+  /// when no activated lane reaches the stem). Each chain slot's path and
+  /// each stem's observability is memoised in the workspace for the synced
+  /// batch and shared by every fault that reaches it (both polarities of a
+  /// net, every net of a region). Throws Error when `batch` does not fit
+  /// the frame.
+  LaneBlock detect_site(const FaultSite& site, bool stuck_at, const LaneBlock& care,
+                        const LoadedPatternBatch& batch, Workspace& workspace) const;
+  /// detect_site for one fault over every lane, with the memo cleared first
+  /// so that every call does the whole per-fault work.
   LaneBlock detect_block(const Fault& fault, const LoadedPatternBatch& batch,
-                         const std::vector<LaneBlock>& good_blocks) const;
-  LaneBlock detect_block(const Fault& fault, const LoadedPatternBatch& batch,
-                         const std::vector<LaneBlock>& good_blocks,
-                         Workspace& workspace) const;
-  /// Hot-loop variant: the caller resolved `cone` (= fault_cone(fault.net))
-  /// up front, so no cache lookup or lock is taken here.
-  LaneBlock detect_block(const Fault& fault, const FaultCone& cone,
-                         const LoadedPatternBatch& batch,
-                         const std::vector<LaneBlock>& good_blocks,
                          Workspace& workspace) const;
 
   /// Reference full-circuit detection through the retained interpreter path
   /// (per-Cell walk, NetId-indexed values, no cones): the independent oracle
-  /// the cone path is tested against, and the baseline bench_engine times.
+  /// the FFR path is tested against, and the baseline bench_engine times.
   std::uint64_t detect_mask_full(const Fault& fault, const std::vector<BitVec>& patterns,
                                  const std::vector<std::uint64_t>& good_words) const;
 
-  /// Pre-build the cone of every fault site in `faults` (optional: cones
-  /// build lazily under a lock; benches call this to time them apart).
+  /// Pre-build the stem cone of every fault site in `faults` (optional:
+  /// cones build lazily under a lock; benches call this to time them apart).
   void warm_cones(const std::vector<Fault>& faults) const;
 
  private:
   void load(std::vector<LaneBlock>& slot_values,
             const std::vector<BitVec>& patterns) const;
-  /// Shared cone-replay core of detect_block/replay_dirty; forced values are
-  /// passed as a raw span so the single-fault hot loop never allocates.
+  /// Point the workspace at `batch`: check the batch's shape, copy its
+  /// settled values and drop the memo when it mirrored another batch.
+  void sync(const LoadedPatternBatch& batch, Workspace& workspace) const;
+  /// Lanes in which flipping `slot` flips the output of its single reader;
+  /// `values` (a synced workspace) is restored before returning.
+  LaneBlock flip_sensitivity(std::uint32_t slot, LaneBlock* values) const;
+  /// Lanes in which a flip of the stem whose cone is `stem` is observed.
+  LaneBlock observe_stem(const FaultCone& stem, const LoadedPatternBatch& batch,
+                         Workspace& workspace) const;
+  /// Shared cone-replay core of every detection; forced values are passed
+  /// as a raw span so the single-fault hot loop never allocates.
   LaneBlock replay_span(const FaultCone& cone, const LaneBlock* forced,
                         std::size_t forced_count, const LoadedPatternBatch& batch,
                         const std::vector<LaneBlock>& good_blocks,
@@ -169,14 +209,16 @@ class CombinationalFrame {
   std::vector<NetId> pi_nets_;
   std::vector<CellId> flops_;
   std::vector<NetId> po_nets_;
-  std::vector<std::uint32_t> pi_slots_;   // pi_nets_ as value slots
-  std::vector<std::uint32_t> ppi_slots_;  // flop Q slots (pattern layout order)
+  std::vector<std::uint32_t> pattern_slots_;  // pattern bit -> slot: PIs, then flop Qs
   std::vector<std::uint32_t> obs_slots_;  // PO slots then flop D slots
   std::vector<std::uint32_t> obs_word_of_slot_;  // slot -> good-word index (or kNoObs)
+  // Fanout-free regions: the stem of each slot's region, and the single
+  // instruction reading a non-stem slot (kNoReader at stems).
+  std::vector<std::uint32_t> stem_of_slot_;
+  std::vector<std::uint32_t> reader_of_slot_;
   std::vector<std::uint32_t> const1_slots_;
   std::vector<NetId> const1_nets_;  // for the reference interpreter path
   std::vector<std::pair<std::size_t, bool>> constraints_;
-  mutable Workspace scratch_;  // evaluation workspace (single-thread paths)
   mutable std::mutex cone_mutex_;
   mutable std::unordered_map<NetId, std::unique_ptr<FaultCone>> cones_;
 };

@@ -1,6 +1,7 @@
 #include "sim/compiled_netlist.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "sim/artifact_store.hpp"
 
@@ -166,27 +167,34 @@ CompiledNetlist::Cone CompiledNetlist::build_cone(
   for (const NetId source : sources) {
     cone.source_slots.push_back(slot(source));
   }
-  std::vector<bool> in_cone(instrs_.size(), false);
-  // Worklist BFS over the readers CSR; the stream is topological, so the
-  // collected indices just need one sort to become an evaluation slice.
-  std::vector<std::uint32_t> work;
-  const auto push_readers = [&](std::uint32_t s) {
+  // One ascending scan over a bitmap of instruction indices. A reader always
+  // sits above the instruction writing its operand, so marking the readers
+  // of the instruction being visited only sets bits ahead of the scan: the
+  // cone comes out in evaluation order with no queue and no sort, and words
+  // outside [lo, hi) are never visited.
+  std::vector<std::uint64_t> marked((instrs_.size() + 63) / 64, 0);
+  std::size_t lo = marked.size();
+  std::size_t hi = 0;
+  const auto mark_readers = [&](std::uint32_t s) {
     for (std::uint32_t r = reader_offsets_[s]; r < reader_offsets_[s + 1]; ++r) {
       const std::uint32_t i = reader_instrs_[r];
-      if (!in_cone[i]) {
-        in_cone[i] = true;
-        work.push_back(i);
-      }
+      marked[i / 64] |= std::uint64_t{1} << (i % 64);
+      lo = std::min<std::size_t>(lo, i / 64);
+      hi = std::max<std::size_t>(hi, i / 64 + 1);
     }
   };
   for (const std::uint32_t s : cone.source_slots) {
-    push_readers(s);
+    mark_readers(s);
   }
-  for (std::size_t w = 0; w < work.size(); ++w) {
-    push_readers(instrs_[work[w]].out);
+  for (std::size_t w = lo; w < hi; ++w) {
+    while (marked[w] != 0) {
+      const std::uint32_t i =
+          static_cast<std::uint32_t>(w * 64 + std::countr_zero(marked[w]));
+      marked[w] &= marked[w] - 1;
+      cone.instrs.push_back(i);
+      mark_readers(instrs_[i].out);
+    }
   }
-  std::sort(work.begin(), work.end());
-  cone.instrs = std::move(work);
   cone.touched_slots = cone.source_slots;
   cone.touched_slots.reserve(cone.instrs.size() + cone.source_slots.size());
   for (const std::uint32_t i : cone.instrs) {

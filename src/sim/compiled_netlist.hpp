@@ -233,7 +233,8 @@ class CompiledNetlist {
     /// Source slots in the order the sources were given (one per net; the
     /// caller forces these before replay).
     std::vector<std::uint32_t> source_slots;
-    /// Instruction indices downstream of any source, ascending (topological).
+    /// Instruction indices downstream of any source, ascending (topological),
+    /// collected by one ascending bitmap scan.
     std::vector<std::uint32_t> instrs;
     /// Undo list: the source slots plus every cone output slot — restoring
     /// exactly these returns a workspace to the good-machine values.

@@ -173,8 +173,19 @@ std::uint64_t BitVec::to_uint(std::size_t offset, std::size_t count) const {
 void BitVec::from_uint(std::size_t offset, std::size_t count, std::uint64_t value) {
   RETSCAN_CHECK(count <= 64, "BitVec::from_uint: count > 64");
   RETSCAN_CHECK(offset + count <= size_, "BitVec::from_uint out of range");
-  for (std::size_t i = 0; i < count; ++i) {
-    set(offset + i, (value >> i) & 1u);
+  if (count == 0) {
+    return;
+  }
+  // At most two word writes: the field's low part at `bit` of its first
+  // word and, when it straddles a boundary, the rest at the next word's LSB.
+  const Word mask = count == kWordBits ? ~Word{0} : (Word{1} << count) - 1;
+  value &= mask;
+  const std::size_t word = offset / kWordBits;
+  const std::size_t bit = offset % kWordBits;
+  words_[word] = (words_[word] & ~(mask << bit)) | (value << bit);
+  if (bit + count > kWordBits) {
+    const Word spill = (Word{1} << (bit + count - kWordBits)) - 1;
+    words_[word + 1] = (words_[word + 1] & ~spill) | (value >> (kWordBits - bit));
   }
 }
 

@@ -87,6 +87,69 @@ TEST(CombinationalFrame, GoodResponseMatchesSimulatorSemantics) {
   }
 }
 
+TEST(CombinationalFrame, LoadBatchMatchesPerBitReference) {
+  // The tile-transposing loader against a per-bit reference load of every
+  // pattern source slot (PIs, then flop Qs; constrained PIs broadcast to
+  // every lane; Const1 sources set in every lane; unused lanes zero), at
+  // pattern widths around the 64-bit word and batch sizes around the lane
+  // word and the lane block.
+  Rng rng(31);
+  for (const std::size_t width : {1, 63, 64, 65, 130}) {
+    const std::size_t flops = width / 3;
+    Netlist nl;
+    std::vector<NetId> inputs;
+    for (std::size_t i = 0; i + flops < width; ++i) {
+      inputs.push_back(nl.add_input("i" + std::to_string(i)));
+    }
+    for (std::size_t f = 0; f < flops; ++f) {
+      nl.n_dff(inputs[f % inputs.size()]);
+    }
+    nl.add_output("y", nl.n_and(inputs[0], nl.n_const(true)));
+    nl.add_output("z", nl.n_or(inputs.back(), nl.n_const(false)));
+    CombinationalFrame frame(nl);
+    if (inputs.size() > 2) {
+      frame.constrain("i1", true);
+      frame.constrain("i2", false);
+    }
+    ASSERT_EQ(frame.pattern_width(), width);
+    const CompiledNetlist& compiled = frame.compiled();
+    std::vector<std::uint32_t> sources;
+    for (const NetId net : frame.pi_nets()) {
+      sources.push_back(compiled.slot(net));
+    }
+    for (const CellId flop : frame.flops()) {
+      sources.push_back(compiled.slot(nl.cell(flop).out));
+    }
+    for (const std::size_t count : {1, 63, 64, 65, 255, 256}) {
+      std::vector<BitVec> patterns;
+      for (std::size_t p = 0; p < count; ++p) {
+        patterns.push_back(rng.next_bits(width));  // unconstrained bits too
+      }
+      const auto batch = frame.load_batch(patterns);
+      std::vector<LaneBlock> expected(sources.size());
+      for (std::size_t p = 0; p < count; ++p) {
+        for (std::size_t i = 0; i < width; ++i) {
+          if (patterns[p].get(i)) {
+            expected[i].w[p / kLaneCount] |= std::uint64_t{1} << (p % kLaneCount);
+          }
+        }
+      }
+      for (const auto& [index, value] : frame.constraints()) {
+        expected[index] = block_broadcast(value);
+      }
+      for (std::size_t i = 0; i < width; ++i) {
+        ASSERT_EQ(batch.settled[sources[i]], expected[i])
+            << "width " << width << " count " << count << " bit " << i;
+      }
+      for (CellId id = 0; id < nl.cell_count(); ++id) {
+        if (nl.cell(id).type == CellType::Const1) {
+          ASSERT_EQ(batch.settled[compiled.slot(nl.cell(id).out)], block_broadcast(true));
+        }
+      }
+    }
+  }
+}
+
 TEST(FaultSim, SingleFaultDetection) {
   // y = a AND b; a/SA0 detected by pattern a=1,b=1 only.
   Netlist nl;
@@ -102,11 +165,28 @@ TEST(FaultSim, SingleFaultDetection) {
     patterns.push_back(pat);
   }
   const auto loaded = frame.load_batch(patterns);
-  const std::uint64_t mask = frame.detect_block(Fault{a, false}, loaded, loaded.good).w[0];
+  CombinationalFrame::Workspace workspace;
+  const std::uint64_t mask = frame.detect_block(Fault{a, false}, loaded, workspace).w[0];
   EXPECT_EQ(mask, 0b1000u);  // only pattern 3 (a=1, b=1)
-  const std::uint64_t mask_sa1 =
-      frame.detect_block(Fault{a, true}, loaded, loaded.good).w[0];
+  const std::uint64_t mask_sa1 = frame.detect_block(Fault{a, true}, loaded, workspace).w[0];
   EXPECT_EQ(mask_sa1, 0b0100u);  // only pattern 2 (a=0, b=1)
+}
+
+TEST(FaultSim, RejectsBatchOfAnotherShape) {
+  // Every detection path checks that the batch fits the frame, the early
+  // exits that never read its good responses included.
+  Netlist nl;
+  const NetId a = nl.add_input("a");
+  nl.add_output("y", nl.n_not(a));
+  Netlist wider;
+  const NetId b = wider.add_input("b");
+  wider.add_output("z", wider.n_and(b, wider.add_input("c")));
+  const CombinationalFrame frame(nl);
+  const auto foreign = CombinationalFrame(wider).load_batch({BitVec(2)});
+  CombinationalFrame::Workspace workspace;
+  EXPECT_THROW(frame.detect_block(Fault{a, false}, foreign, workspace), Error);
+  EXPECT_THROW(
+      frame.detect_site(frame.fault_site(a), false, LaneBlock{}, foreign, workspace), Error);
 }
 
 TEST(FaultSim, ConeSimulationMatchesFullSimulationCoverage) {
@@ -172,6 +252,7 @@ TEST(Podem, GeneratesTestsCrossCheckedByFaultSim) {
   const auto faults = collapse_faults(nl, enumerate_faults(nl));
   Podem podem(frame);
   Rng rng(3);
+  CombinationalFrame::Workspace workspace;
   std::size_t generated = 0;
   for (const Fault& fault : faults) {
     const PodemResult result = podem.generate(fault, rng);
@@ -180,7 +261,7 @@ TEST(Podem, GeneratesTestsCrossCheckedByFaultSim) {
       ++generated;
       // The generated pattern must actually detect the fault.
       const auto loaded = frame.load_batch({result.pattern});
-      EXPECT_NE(frame.detect_block(fault, loaded, loaded.good).w[0], 0u)
+      EXPECT_NE(frame.detect_block(fault, loaded, workspace).w[0], 0u)
           << fault_name(nl, fault);
     }
   }
@@ -226,7 +307,8 @@ TEST(Podem, LatchOutputsAreZeroSources) {
   const PodemResult sa1 = podem.generate(Fault{y, true}, rng);
   ASSERT_TRUE(sa1.success);
   const auto loaded = frame.load_batch({sa1.pattern});
-  EXPECT_NE(frame.detect_block(Fault{y, true}, loaded, loaded.good).w[0], 0u);
+  CombinationalFrame::Workspace workspace;
+  EXPECT_NE(frame.detect_block(Fault{y, true}, loaded, workspace).w[0], 0u);
 
   const AtpgResult result =
       run_atpg(frame, collapse_faults(nl, enumerate_faults(nl)), AtpgOptions{});

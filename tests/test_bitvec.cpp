@@ -133,6 +133,33 @@ TEST(BitVec, ToUintFromUint) {
   EXPECT_THROW(v.to_uint(60, 20), Error);
 }
 
+TEST(BitVec, FromUintMatchesBitwiseReference) {
+  // Every field [offset, offset + count) with offset 0..130 and count 0..64
+  // of a random 200-bit vector: straddled word boundaries, whole 64-bit
+  // fields at unaligned offsets, value bits above `count` (which must be
+  // ignored) and the bits around the field (which must not move).
+  Rng rng(11);
+  const BitVec before = rng.next_bits(200);
+  for (std::size_t offset = 0; offset <= 130; ++offset) {
+    for (std::size_t count = 0; count <= 64; ++count) {
+      const std::uint64_t value = rng.next_u64();
+      BitVec reference = before;
+      for (std::size_t i = 0; i < count; ++i) {
+        reference.set(offset + i, ((value >> i) & 1) != 0);
+      }
+      BitVec written = before;
+      written.from_uint(offset, count, value);
+      ASSERT_EQ(written.words(), reference.words())
+          << "offset " << offset << " count " << count;
+      const std::uint64_t field = count == 64 ? value : value & ((std::uint64_t{1} << count) - 1);
+      ASSERT_EQ(written.to_uint(offset, count), field);
+    }
+  }
+  BitVec tail(130);
+  EXPECT_THROW(tail.from_uint(67, 64, 0), Error);
+  EXPECT_THROW(tail.from_uint(0, 65, 0), Error);
+}
+
 TEST(BitVec, ParityMatchesPopcount) {
   Rng rng(7);
   for (int trial = 0; trial < 50; ++trial) {

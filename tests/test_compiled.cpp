@@ -261,8 +261,7 @@ TEST(FaultCone, DetectMasksMatchFullReferenceOnRandomNetlists) {
     for (const Fault& fault : faults) {
       // Alternate batches fault-major so the workspace resync path runs.
       for (std::size_t b = 0; b < batches.size(); ++b) {
-        const std::uint64_t cone_mask =
-            frame.detect_block(fault, loaded[b], loaded[b].good, workspace).w[0];
+        const std::uint64_t cone_mask = frame.detect_block(fault, loaded[b], workspace).w[0];
         const std::uint64_t full_mask =
             frame.detect_mask_full(fault, batches[b], good_words[b]);
         ASSERT_EQ(cone_mask, full_mask)
@@ -294,7 +293,7 @@ TEST(FaultCone, DetectMasksMatchFullReferenceOnProtectedFifo) {
   const auto good_words = frame.good_response_words(patterns);
   CombinationalFrame::Workspace workspace;
   for (const Fault& fault : faults) {
-    ASSERT_EQ(frame.detect_block(fault, loaded, loaded.good, workspace).w[0],
+    ASSERT_EQ(frame.detect_block(fault, loaded, workspace).w[0],
               frame.detect_mask_full(fault, patterns, good_words))
         << fault_name(design.netlist(), fault);
   }
@@ -470,8 +469,7 @@ TEST(LaneBlock, DetectBlockMatchesFullReferenceAtPartialCounts) {
       const auto loaded = frame.load_batch(block_patterns);
       ASSERT_EQ(loaded.count, chunk);
       for (const Fault& fault : faults) {
-        const LaneBlock mask =
-            frame.detect_block(fault, loaded, loaded.good, workspace);
+        const LaneBlock mask = frame.detect_block(fault, loaded, workspace);
         for (std::size_t w = 0; w < kLaneWords; ++w) {
           const std::size_t word_base = w * kLaneCount;
           if (word_base >= chunk) {

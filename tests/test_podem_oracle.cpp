@@ -21,181 +21,13 @@
 
 #include "atpg/podem.hpp"
 #include "fuzz_seeds.hpp"
+#include "random_frame.hpp"
 #include "util/bitvec.hpp"
 #include "util/fnv.hpp"
 #include "util/rng.hpp"
 
 namespace retscan {
 namespace {
-
-struct RandomFrame {
-  Netlist netlist;
-  std::vector<std::pair<std::string, bool>> constraints;
-};
-
-/// A small frame biased toward the hard PODEM cases: operands are drawn
-/// either from the last few nets (depth) or from the whole pool (fanout that
-/// reconverges), and every gate output nothing reads becomes an observation
-/// point, so redundancy comes from reconvergence rather than from dead logic.
-RandomFrame random_frame(Rng& rng, bool with_latches) {
-  RandomFrame out;
-  Netlist& nl = out.netlist;
-  const std::size_t inputs = 3 + rng.next_below(8);  // 3..10, PPIs included
-  const std::size_t ppis = rng.next_below(std::min<std::size_t>(inputs - 1, 4) + 1);
-  std::vector<NetId> pool;
-  for (std::size_t i = 0; i + ppis < inputs; ++i) {
-    const std::string name = "i" + std::to_string(i);
-    pool.push_back(nl.add_input(name));
-    if (rng.next_bool(0.15)) {
-      out.constraints.emplace_back(name, rng.next_bool(0.5));
-    }
-  }
-  // Flops are created with a placeholder D and rewired once logic exists.
-  std::vector<CellId> flops;
-  for (std::size_t i = 0; i < ppis; ++i) {
-    flops.push_back(nl.add_cell(CellType::Dff, {pool[0]}, "q" + std::to_string(i)));
-    pool.push_back(nl.cell(flops.back()).out);
-  }
-  if (rng.next_bool(0.3)) {
-    pool.push_back(nl.n_const(rng.next_bool(0.5)));
-  }
-  const std::size_t first_gate = pool.size();
-  const auto pick = [&]() {
-    const std::size_t recent = std::min<std::size_t>(pool.size(), 3);
-    return rng.next_bool(0.5) ? pool[pool.size() - 1 - rng.next_below(recent)]
-                              : pool[rng.next_below(pool.size())];
-  };
-  const std::size_t gates = 4 + rng.next_below(30);
-  for (std::size_t g = 0; g < gates; ++g) {
-    if (with_latches && rng.next_bool(0.08)) {
-      // A latch output is a frame source the loader holds at 0.
-      const NetId d = pick();
-      const NetId en = pick();
-      pool.push_back(nl.cell(nl.add_cell(CellType::LatchL, {d, en})).out);
-      continue;
-    }
-    // Operands are drawn in sequence, never as call arguments, whose
-    // evaluation order the compiler chooses: the frames must not depend on it.
-    const NetId a = pick();
-    const NetId b = pick();
-    NetId net = kNullNet;
-    switch (rng.next_below(9)) {
-      case 0: net = nl.n_buf(a); break;
-      case 1: net = nl.n_not(a); break;
-      case 2: net = nl.n_and(a, b); break;
-      case 3: net = nl.n_or(a, b); break;
-      case 4: net = nl.n_xor(a, b); break;
-      case 5: net = nl.n_nand(a, b); break;
-      case 6: net = nl.n_nor(a, b); break;
-      case 7: net = nl.n_xnor(a, b); break;
-      default: {
-        const NetId c = pick();
-        net = nl.n_mux(a, b, c);
-        break;
-      }
-    }
-    pool.push_back(net);
-  }
-  // Observe every gate output no gate reads: flop D pins first, then POs.
-  std::vector<NetId> unread;
-  for (std::size_t i = first_gate; i < pool.size(); ++i) {
-    const auto gate_reads = [&](CellId reader) {
-      return !cell_is_sequential(nl.cell(reader).type);
-    };
-    if (nl.cell(nl.driver(pool[i])).type != CellType::LatchL &&
-        std::none_of(nl.fanouts()[pool[i]].begin(), nl.fanouts()[pool[i]].end(),
-                     gate_reads)) {
-      unread.push_back(pool[i]);
-    }
-  }
-  for (const CellId flop : flops) {
-    NetId d = kNullNet;
-    if (!unread.empty()) {
-      d = unread.back();
-      unread.pop_back();
-    } else {
-      d = pool[first_gate + rng.next_below(pool.size() - first_gate)];
-    }
-    nl.rewire_fanin(flop, 0, d);
-  }
-  if (unread.empty() && flops.empty()) {
-    unread.push_back(pool.back());
-  }
-  for (std::size_t i = 0; i < unread.size(); ++i) {
-    nl.add_output("y" + std::to_string(i), unread[i]);
-  }
-  return out;
-}
-
-std::string net_label(const Netlist& nl, NetId net) {
-  const std::string& name = nl.net_name(net);
-  return name.empty() ? "n" + std::to_string(net) : name;
-}
-
-/// The frame reduced to the failing fault: every cell between the frame's
-/// sources and the observation points the fault site can reach.
-std::string reduced_dump(const RandomFrame& rf, const Fault& fault) {
-  const Netlist& nl = rf.netlist;
-  std::vector<bool> reached(nl.net_count(), false);
-  reached[fault.net] = true;
-  for (const CellId id : nl.combinational_order()) {
-    const Cell& c = nl.cell(id);
-    if (c.type == CellType::Output) {
-      continue;
-    }
-    for (const NetId in : c.fanin) {
-      reached[c.out] = reached[c.out] || reached[in];
-    }
-  }
-  std::vector<std::string> observed;
-  std::vector<NetId> work;
-  for (const CellId id : nl.outputs()) {
-    const NetId net = nl.cell(id).fanin[0];
-    if (reached[net]) {
-      observed.push_back("  output " + net_label(nl, net));
-      work.push_back(net);
-    }
-  }
-  for (const CellId id : nl.flops()) {
-    const NetId net = nl.cell(id).fanin[0];
-    if (reached[net]) {
-      observed.push_back("  ppo " + nl.cell(id).name + ".D <- " + net_label(nl, net));
-      work.push_back(net);
-    }
-  }
-  std::vector<bool> needed(nl.net_count(), false);
-  while (!work.empty()) {
-    const NetId net = work.back();
-    work.pop_back();
-    if (needed[net]) {
-      continue;
-    }
-    needed[net] = true;
-    const Cell& c = nl.cell(nl.driver(net));
-    if (!cell_is_sequential(c.type)) {
-      work.insert(work.end(), c.fanin.begin(), c.fanin.end());
-    }
-  }
-  std::string text = "fault " + fault_name(nl, fault) + "\n";
-  for (const auto& [name, value] : rf.constraints) {
-    text += "  constrain " + name + " = " + (value ? "1" : "0") + "\n";
-  }
-  for (CellId id = 0; id < nl.cell_count(); ++id) {
-    const Cell& c = nl.cell(id);
-    if (c.type == CellType::Output || !needed[c.out]) {
-      continue;
-    }
-    text += "  " + net_label(nl, c.out) + " = " + std::string(cell_type_name(c.type)) + "(";
-    for (std::size_t pin = 0; pin < c.fanin.size(); ++pin) {
-      text += (pin ? ", " : "") + net_label(nl, c.fanin[pin]);
-    }
-    text += ")\n";
-  }
-  for (const std::string& line : observed) {
-    text += line + "\n";
-  }
-  return text;
-}
 
 /// Every constraint-consistent pattern of the frame, in 64-pattern batches
 /// with their good-machine responses.
@@ -286,7 +118,7 @@ bool run_oracle(std::uint64_t stream, bool with_latches, std::size_t seeds,
   for (std::size_t seed = 0; seed < seeds; ++seed) {
     for (std::size_t f = 0; f < kFramesPerSeed; ++f) {
       Rng rng(Rng::derive_stream(stream + seed, f));
-      const RandomFrame rf = random_frame(rng, with_latches);
+      const RandomFrame rf = random_frame(rng, {.latches = with_latches});
       CombinationalFrame frame(rf.netlist);
       for (const auto& [name, value] : rf.constraints) {
         frame.constrain(name, value);

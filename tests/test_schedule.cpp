@@ -467,8 +467,7 @@ TEST(DirtyCone, ReplayDirtyMatchesForcedFullSweep) {
         fault.stuck_at ? block_lane_mask(kLaneBlockBits) : LaneBlock{};
     const LaneBlock via_dirty =
         frame.replay_dirty(fc, {forced_value}, batch, batch.good, workspace);
-    const LaneBlock via_fault =
-        frame.detect_block(fault, batch, batch.good, workspace);
+    const LaneBlock via_fault = frame.detect_block(fault, batch, workspace);
     for (std::size_t w = 0; w < kLaneWords; ++w) {
       ASSERT_EQ(via_dirty.w[w], via_fault.w[w])
           << "fault " << fault_name(nl, fault) << " word " << w;
