@@ -58,7 +58,7 @@ BuildInfo build_info();
 
 /// The canonical multi-line provenance block:
 ///
-///     retscan:  8.0.0
+///     retscan:  9.0.0
 ///     lanes:    4 x 64 = 256 per block (portable kernels)
 ///     threads:  8 (hardware)
 ///

@@ -120,37 +120,42 @@ std::string bridging_fault_name(const Netlist& netlist, const BridgingFault& fau
 
 namespace {
 
-/// Bridging faults: both nets forced to the wired value, replayed through
-/// their joint dirty cone (built per shard, not cached on the frame).
+/// Bridging faults as two conditional stuck-ats. In any lane the bridge
+/// flips at most one net: a wired-AND pulls a net from 1 to 0 where the
+/// other net is 0, a wired-OR from 0 to 1 where it is 1. A net the other one
+/// reaches is recomputed from the flipped net rather than held, so its own
+/// term drops out. Both terms share the shard's memoised chain paths and
+/// stem replays with every other fault of the shard.
 struct BridgingModel : detail::PatternBlocks {
   struct Site {
-    CombinationalFrame::FaultCone cone;
-    std::uint32_t slot_a = 0;
-    std::uint32_t slot_b = 0;
+    CombinationalFrame::FaultSite a;
+    CombinationalFrame::FaultSite b;
+    bool a_reaches_b = false;
+    bool b_reaches_a = false;
   };
-  struct Scratch {
-    CombinationalFrame::Workspace workspace;
-    std::vector<LaneBlock> forced = std::vector<LaneBlock>(2);
-  };
-
-  std::shared_ptr<const CompiledNetlist> compiled = frame.netlist().compiled();
+  using Scratch = CombinationalFrame::Workspace;
 
   Site site(const BridgingFault& fault) const {
-    return {frame.dirty_cone({fault.a, fault.b}), compiled->slot(fault.a),
-            compiled->slot(fault.b)};
+    const CombinationalFrame::FaultSite a = frame.fault_site(fault.a);
+    const CombinationalFrame::FaultSite b = frame.fault_site(fault.b);
+    return {a, b, frame.reaches(a, fault.b), frame.reaches(b, fault.a)};
   }
   Scratch scratch() const { return {}; }
   LaneBlock detect(const BridgingFault& fault, const Site& site, const Batch& batch,
-                   Scratch& scratch) const {
-    const LaneBlock& va = batch.settled[site.slot_a];
-    const LaneBlock& vb = batch.settled[site.slot_b];
-    const LaneBlock wired = fault.wired_and ? va & vb : va | vb;
-    // Both nets take the wired value, so the forced vector is order-agnostic
-    // with respect to cone.source_slots.
-    scratch.forced[0] = wired;
-    scratch.forced[1] = wired;
-    return frame.replay_dirty(site.cone, scratch.forced, batch, batch.good,
-                              scratch.workspace);
+                   Scratch& workspace) const {
+    const LaneBlock& va = batch.settled[site.a.slot];
+    const LaneBlock& vb = batch.settled[site.b.slot];
+    const bool pulled_to = !fault.wired_and;
+    LaneBlock lanes{};
+    if (!site.b_reaches_a) {
+      lanes = frame.detect_site(site.a, pulled_to, fault.wired_and ? ~vb : vb, batch,
+                                workspace);
+    }
+    if (!site.a_reaches_b) {
+      lanes = lanes | frame.detect_site(site.b, pulled_to, fault.wired_and ? ~va : va,
+                                        batch, workspace);
+    }
+    return lanes;
   }
 };
 

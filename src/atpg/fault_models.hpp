@@ -47,9 +47,13 @@ FaultSimResult transition_fault_simulate(const CombinationalFrame& frame,
                                          ThreadPool& pool, std::size_t fault_shard = 128);
 
 /// Bridging fault between two nets with wired-AND or wired-OR dominance:
-/// both nets take a OP b whenever the pattern drives them apart. Simulated
-/// with the multi-source dirty-cone machinery: force both nets to the wired
-/// value and replay the joint fanout cone.
+/// where a pattern drives them apart, the net at the dominated value (1
+/// under wired-AND, 0 under wired-OR) takes the other's value. When one net
+/// reaches the other through logic (a feedback bridge), only the upstream
+/// net is held at the wired value: the downstream net is recomputed from
+/// it, so it changes only through the upstream flip. Simulated as at most
+/// two conditional stuck-at faults through the frame's fanout-free regions
+/// (detect_site), one per held net.
 struct BridgingFault {
   NetId a = kNullNet;
   NetId b = kNullNet;

@@ -1,5 +1,6 @@
 #include "atpg/fault_sim.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <limits>
@@ -226,19 +227,6 @@ const CombinationalFrame::FaultCone& CombinationalFrame::fault_cone(NetId net) c
   return *it->second;
 }
 
-CombinationalFrame::FaultCone CombinationalFrame::dirty_cone(
-    const std::vector<NetId>& sources) const {
-  FaultCone fc;
-  fc.cone = compiled_->build_cone(sources);
-  for (const std::uint32_t slot : fc.cone.touched_slots) {
-    const std::uint32_t word = obs_word_of_slot_[slot];
-    if (word != kNoObs) {
-      fc.observables.emplace_back(word, slot);
-    }
-  }
-  return fc;
-}
-
 void CombinationalFrame::warm_cones(const std::vector<Fault>& faults) const {
   for (const Fault& fault : faults) {
     (void)fault_site(fault.net);
@@ -248,6 +236,24 @@ void CombinationalFrame::warm_cones(const std::vector<Fault>& faults) const {
 CombinationalFrame::FaultSite CombinationalFrame::fault_site(NetId net) const {
   const std::uint32_t slot = compiled_->slot(net);
   return {slot, &fault_cone(compiled_->net_of_slot(stem_of_slot_[slot]))};
+}
+
+bool CombinationalFrame::reaches(const FaultSite& from, NetId to) const {
+  const std::uint32_t target = compiled_->slot(to);
+  if (target <= from.slot) {
+    return false;  // every reader sits above its operands
+  }
+  // The chain's slots ascend to the stem, and the stem cone's outputs all
+  // sit above the stem.
+  std::uint32_t s = from.slot;
+  while (s < target && reader_of_slot_[s] != kNoReader) {
+    s = compiled_->instrs()[reader_of_slot_[s]].out;
+  }
+  if (s >= target) {
+    return s == target;
+  }
+  const std::vector<std::uint32_t>& touched = from.stem->cone.touched_slots;
+  return std::binary_search(touched.begin() + 1, touched.end(), target);
 }
 
 void CombinationalFrame::sync(const LoadedPatternBatch& batch, Workspace& workspace) const {
@@ -275,12 +281,29 @@ LaneBlock CombinationalFrame::flip_sensitivity(std::uint32_t slot,
 LaneBlock CombinationalFrame::observe_stem(const FaultCone& stem,
                                            const LoadedPatternBatch& batch,
                                            Workspace& workspace) const {
-  const std::uint32_t slot = stem.cone.source_slots[0];
+  const std::uint32_t slot = stem.cone.source_slot;
   if (obs_word_of_slot_[slot] != kNoObs) {
     return block_lane_mask(batch.count);  // the stem itself shows every flip
   }
-  const LaneBlock flipped = ~batch.settled[slot];
-  return replay_span(stem, &flipped, 1, batch, batch.good, workspace);
+  LaneBlock* v = workspace.values.data();
+  v[slot] = ~v[slot];
+  const CompiledInstr* instrs = compiled_->instrs().data();
+  for (const std::uint32_t i : stem.cone.instrs) {
+    const CompiledInstr& in = instrs[i];
+    v[in.out] = CompiledNetlist::eval_instr(in, v);
+  }
+  // Block-wide good/faulty XOR over the reachable observables only: lane p
+  // of the result is set iff pattern p sees a difference somewhere.
+  LaneBlock mask{};
+  for (const auto& [word, obs] : stem.observables) {
+    mask = mask | (v[obs] ^ batch.good[word]);
+  }
+  // Undo: restore exactly the touched slots, so the workspace stays synced
+  // and consecutive faults pay no copy.
+  for (const std::uint32_t touched : stem.cone.touched_slots) {
+    v[touched] = batch.settled[touched];
+  }
+  return mask & block_lane_mask(batch.count);
 }
 
 LaneBlock CombinationalFrame::detect_block(const Fault& fault, const LoadedPatternBatch& batch,
@@ -326,52 +349,12 @@ LaneBlock CombinationalFrame::detect_site(const FaultSite& site, bool stuck_at,
       return reach;
     }
   }
-  const std::uint32_t stem = site.stem->cone.source_slots[0];
+  const std::uint32_t stem = site.stem->cone.source_slot;
   const LaneBlock* observed = memo_find(workspace, stem);
   if (observed == nullptr) {
     observed = &memo_put(workspace, stem, observe_stem(*site.stem, batch, workspace));
   }
   return reach & *observed;
-}
-
-LaneBlock CombinationalFrame::replay_dirty(
-    const FaultCone& fc, const std::vector<LaneBlock>& forced,
-    const LoadedPatternBatch& batch, const std::vector<LaneBlock>& good_blocks,
-    Workspace& workspace) const {
-  RETSCAN_CHECK(forced.size() == fc.cone.source_slots.size(),
-                "CombinationalFrame::replay_dirty: one forced value per source");
-  return replay_span(fc, forced.data(), forced.size(), batch, good_blocks, workspace);
-}
-
-LaneBlock CombinationalFrame::replay_span(
-    const FaultCone& fc, const LaneBlock* forced, std::size_t forced_count,
-    const LoadedPatternBatch& batch, const std::vector<LaneBlock>& good_blocks,
-    Workspace& workspace) const {
-  RETSCAN_CHECK(good_blocks.size() == response_width(),
-                "CombinationalFrame: good responses missing");
-  // Sync the workspace to this batch's good machine once; every cone pass
-  // below leaves it settled again, so consecutive faults pay no copy.
-  sync(batch, workspace);
-  LaneBlock* v = workspace.values.data();
-  for (std::size_t s = 0; s < forced_count; ++s) {
-    v[fc.cone.source_slots[s]] = forced[s];
-  }
-  const CompiledInstr* instrs = compiled_->instrs().data();
-  for (const std::uint32_t i : fc.cone.instrs) {
-    const CompiledInstr& in = instrs[i];
-    v[in.out] = CompiledNetlist::eval_instr(in, v);
-  }
-  // Block-wide good/faulty XOR over the reachable observables only: lane p
-  // of the result is set iff pattern p sees a difference somewhere.
-  LaneBlock mask{};
-  for (const auto& [word, slot] : fc.observables) {
-    mask = mask | (v[slot] ^ good_blocks[word]);
-  }
-  // Undo: restore exactly the touched slots to the good-machine values.
-  for (const std::uint32_t slot : fc.cone.touched_slots) {
-    v[slot] = batch.settled[slot];
-  }
-  return mask & block_lane_mask(batch.count);
 }
 
 std::uint64_t CombinationalFrame::detect_mask_full(

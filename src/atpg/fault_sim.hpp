@@ -130,24 +130,6 @@ class CombinationalFrame {
   /// and PODEM for its targets, so the cache holds those cones alone.
   const FaultCone& fault_cone(NetId net) const;
 
-  /// Cone of an arbitrary dirty set of nets — the multi-source
-  /// generalization the event scheduler shares: the instruction slice any of
-  /// `sources` can disturb, plus every observation point it can reach.
-  /// Uncached (dirty sets are ad hoc); single nets should keep using
-  /// fault_cone().
-  FaultCone dirty_cone(const std::vector<NetId>& sources) const;
-
-  /// Replay a dirty set over a loaded batch: force `forced[i]` into
-  /// `cone.cone.source_slots[i]`, re-evaluate the cone slice, and return the
-  /// per-lane OR of observable differences against `good_blocks`. The
-  /// workspace is restored to the batch's settled values before returning.
-  /// Bridging faults use it, since two nets forced at once do not factor
-  /// through one stem.
-  LaneBlock replay_dirty(const FaultCone& cone, const std::vector<LaneBlock>& forced,
-                         const LoadedPatternBatch& batch,
-                         const std::vector<LaneBlock>& good_blocks,
-                         Workspace& workspace) const;
-
   /// A fault site resolved against the fanout-free regions: the net's value
   /// slot and the cone of its region's stem.
   struct FaultSite {
@@ -157,6 +139,10 @@ class CombinationalFrame {
   /// Resolve a site, building and caching its stem's cone on first use (the
   /// one cone-cache lock of a fault); hot loops resolve every site up front.
   FaultSite fault_site(NetId net) const;
+  /// Whether a change of the site's net can reach net `to`: `to` lies on the
+  /// site's chain to its stem, is the stem, or is driven inside the stem's
+  /// cone. A walk of the chain plus one binary search, no cone built.
+  bool reaches(const FaultSite& from, NetId to) const;
 
   /// Block-wide parallel-pattern single-fault propagation: lane p of the
   /// result is set iff pattern p of `batch` (up to kLaneBlockBits patterns)
@@ -194,15 +180,11 @@ class CombinationalFrame {
   /// Lanes in which flipping `slot` flips the output of its single reader;
   /// `values` (a synced workspace) is restored before returning.
   LaneBlock flip_sensitivity(std::uint32_t slot, LaneBlock* values) const;
-  /// Lanes in which a flip of the stem whose cone is `stem` is observed.
+  /// Lanes in which a flip of the stem whose cone is `stem` is observed:
+  /// every lane at an observed stem, else one replay of the stem's cone in
+  /// the workspace (synced to `batch`), which is restored before returning.
   LaneBlock observe_stem(const FaultCone& stem, const LoadedPatternBatch& batch,
                          Workspace& workspace) const;
-  /// Shared cone-replay core of every detection; forced values are passed
-  /// as a raw span so the single-fault hot loop never allocates.
-  LaneBlock replay_span(const FaultCone& cone, const LaneBlock* forced,
-                        std::size_t forced_count, const LoadedPatternBatch& batch,
-                        const std::vector<LaneBlock>& good_blocks,
-                        Workspace& workspace) const;
 
   const Netlist* netlist_;
   std::shared_ptr<const CompiledNetlist> compiled_;

@@ -51,12 +51,12 @@ struct PatternBlocks {
 /// supplies:
 ///   - `Batch`, `batch_count()`, `load(b)`: lane block b of the stimulus,
 ///     loaded once and shared read-only by every shard;
-///   - `Site`, `site(fault)`: per-fault state (FFR site, cone, slots),
+///   - `Site`, `site(fault)`: per-fault state (FFR sites, a cone),
 ///     resolved once per shard before its batch loop, so the frame's
 ///     cone-cache lock stays out of it;
 ///   - `Scratch`, `scratch()`: a shard's private evaluation state (for the
-///     stuck-at and transition models, a workspace whose memo shares FFR
-///     terms among the shard's faults within a batch);
+///     combinational models, a workspace whose memo shares FFR terms among
+///     the shard's faults within a batch);
 ///   - `detect(fault, site, batch, scratch)`: lane p set iff stimulus entry
 ///     p of the batch detects the fault.
 /// The fault list is cut into `fault_shard`-sized shards (0 counts as 1).

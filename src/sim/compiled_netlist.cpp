@@ -157,16 +157,8 @@ void CompiledNetlist::eval_full_clamped(LaneBlock* values,
 }
 
 CompiledNetlist::Cone CompiledNetlist::build_cone(NetId source) const {
-  return build_cone(std::vector<NetId>{source});
-}
-
-CompiledNetlist::Cone CompiledNetlist::build_cone(
-    const std::vector<NetId>& sources) const {
   Cone cone;
-  cone.source_slots.reserve(sources.size());
-  for (const NetId source : sources) {
-    cone.source_slots.push_back(slot(source));
-  }
+  cone.source_slot = slot(source);
   // One ascending scan over a bitmap of instruction indices. A reader always
   // sits above the instruction writing its operand, so marking the readers
   // of the instruction being visited only sets bits ahead of the scan: the
@@ -183,9 +175,7 @@ CompiledNetlist::Cone CompiledNetlist::build_cone(
       hi = std::max<std::size_t>(hi, i / 64 + 1);
     }
   };
-  for (const std::uint32_t s : cone.source_slots) {
-    mark_readers(s);
-  }
+  mark_readers(cone.source_slot);
   for (std::size_t w = lo; w < hi; ++w) {
     while (marked[w] != 0) {
       const std::uint32_t i =
@@ -195,8 +185,8 @@ CompiledNetlist::Cone CompiledNetlist::build_cone(
       mark_readers(instrs_[i].out);
     }
   }
-  cone.touched_slots = cone.source_slots;
-  cone.touched_slots.reserve(cone.instrs.size() + cone.source_slots.size());
+  cone.touched_slots.reserve(cone.instrs.size() + 1);
+  cone.touched_slots.push_back(cone.source_slot);
   for (const std::uint32_t i : cone.instrs) {
     cone.touched_slots.push_back(instrs_[i].out);
   }

@@ -72,10 +72,9 @@ struct CompiledInstr {
 ///    propagating. Bit-identical to `eval_full` because instructions are
 ///    pure functions of their operands — an instruction with no changed
 ///    operand recomputes its current output, so skipping it is exact.
-///  * `build_cone` extracts the fanout cone of one net — or of any dirty
-///    set of nets — as the instruction slice it can disturb plus the
-///    touched-slot undo list, which is what makes incremental per-fault
-///    simulation O(cone) instead of O(circuit).
+///  * `build_cone` extracts the fanout cone of one net as the instruction
+///    slice it can disturb plus the touched-slot undo list, which is what
+///    makes incremental per-fault simulation O(cone) instead of O(circuit).
 ///
 /// A CompiledNetlist is self-contained (no back-pointer into the Netlist),
 /// so the shared instance cached by Netlist::compiled() stays valid across
@@ -226,22 +225,21 @@ class CompiledNetlist {
     return result;
   }
 
-  /// Fanout cone of a dirty set: everything the given source nets can
-  /// disturb within the combinational frame. The single-net form is the
-  /// stuck-at fault cone of PR 3.
+  /// Fanout cone of one net: everything a change of the net can disturb
+  /// within the combinational frame (the stuck-at fault cone).
   struct Cone {
-    /// Source slots in the order the sources were given (one per net; the
-    /// caller forces these before replay).
-    std::vector<std::uint32_t> source_slots;
-    /// Instruction indices downstream of any source, ascending (topological),
+    /// The net's slot (the caller forces it before replay).
+    std::uint32_t source_slot = 0;
+    /// Instruction indices downstream of the source, ascending (topological),
     /// collected by one ascending bitmap scan.
     std::vector<std::uint32_t> instrs;
-    /// Undo list: the source slots plus every cone output slot — restoring
+    /// Undo list: the source slot, then every cone output slot — restoring
     /// exactly these returns a workspace to the good-machine values.
+    /// Instruction i writes the slot after every source slot plus i, so the
+    /// output slots ascend like `instrs`.
     std::vector<std::uint32_t> touched_slots;
   };
   Cone build_cone(NetId source) const;
-  Cone build_cone(const std::vector<NetId>& sources) const;
 
   /// The retained reference interpreter: the seed's per-`Cell` evaluation
   /// walk (combinational_order + eval_comb_word over NetId-indexed values,

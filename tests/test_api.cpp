@@ -987,5 +987,5 @@ TEST(ApiVersion, ConstantsAgree) {
   EXPECT_STREQ(version_string(), RETSCAN_VERSION_STRING);
   EXPECT_EQ(RETSCAN_VERSION_NUMBER,
             kVersionMajor * 10000 + kVersionMinor * 100 + kVersionPatch);
-  EXPECT_EQ(kVersionMajor, 8);
+  EXPECT_EQ(kVersionMajor, 9);
 }

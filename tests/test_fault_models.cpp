@@ -146,6 +146,59 @@ TEST(Bridging, GateInputPairHandComputed) {
   EXPECT_NE(name.find("/AND"), std::string::npos);
 }
 
+// b is driven from a: bridging a and b is a feedback bridge.
+constexpr const char* kFeedbackBridgeModule =
+    "module t(a, c, b, y);\n"
+    "  input a;\n"
+    "  input c;\n"
+    "  output b;\n"
+    "  output y;\n"
+    "  assign b = a ^ c;\n"
+    "  assign y = a & b;\n"
+    "endmodule\n";
+
+TEST(Bridging, FeedbackBridgeRecomputesTheDownstreamNet) {
+  const Netlist nl = read_verilog_text(kFeedbackBridgeModule, "feedback.v");
+  const CombinationalFrame frame(nl);
+  const NetId a = nl.find_net("a");
+  const NetId b = nl.find_net("b");
+  // The a/b pair is a gate-input bridge of y's AND gate.
+  const std::vector<BridgingFault> universe = enumerate_bridging_faults(nl);
+  EXPECT_NE(std::find(universe.begin(), universe.end(), BridgingFault{a, b, true}),
+            universe.end());
+
+  // Only a, the upstream net, is held at the wired value; b = a ^ c is
+  // recomputed from it. Patterns are (a, c); good (b, y) is (1, 0) at (0, 1)
+  // and (0, 0) at (1, 1), the two patterns that drive a and b apart.
+  //   wired-AND at (1, 1): a drops to 0, so b = 0 ^ 1 = 1: b differs.
+  //   wired-AND at (0, 1): a is already 0 and b = 0 ^ 1 stays 1: no
+  //     difference (holding b at 0 too would show at b).
+  //   wired-OR at (0, 1): a rises to 1, so b = 1 ^ 1 = 0 and y = 1 & 0 = 0:
+  //     b differs.
+  //   wired-OR at (1, 1): a is already 1 and b stays 0: no difference
+  //     (holding b at 1 too would show at b and y).
+  const std::vector<BitVec> patterns = {make_pattern({0, 0}), make_pattern({0, 1}),
+                                        make_pattern({1, 0}), make_pattern({1, 1})};
+  for (const bool a_first : {true, false}) {
+    const NetId first = a_first ? a : b;
+    const NetId second = a_first ? b : a;
+    const std::vector<BridgingFault> faults = {{first, second, true},
+                                               {first, second, false}};
+    const FaultSimResult result = bridging_fault_simulate(frame, faults, patterns);
+    EXPECT_EQ(result.detected, 2u);
+    EXPECT_EQ(result.detected_by[0], 3u) << "wired-AND, a first: " << a_first;
+    EXPECT_EQ(result.detected_by[1], 1u) << "wired-OR, a first: " << a_first;
+    const FaultSimResult at_01 =
+        bridging_fault_simulate(frame, faults, {make_pattern({0, 1})});
+    EXPECT_EQ(at_01.detected_by[0], FaultSimResult::npos);
+    EXPECT_EQ(at_01.detected_by[1], 0u);
+    const FaultSimResult at_11 =
+        bridging_fault_simulate(frame, faults, {make_pattern({1, 1})});
+    EXPECT_EQ(at_11.detected_by[0], 0u);
+    EXPECT_EQ(at_11.detected_by[1], FaultSimResult::npos);
+  }
+}
+
 // --- sequential: hand-checked ---------------------------------------------
 
 constexpr const char* kFlopModule =

@@ -11,7 +11,12 @@
 //     workspace alternating between the two batches so a memo entry that
 //     outlives its batch shows;
 //   - the stuck-at and transition drivers must report the reference's first
-//     detections serially and at fault_shard 0, 1, 7 and 128 on a pool.
+//     detections serially and at fault_shard 0, 1, 7 and 128 on a pool;
+//   - so must the bridging driver, over the gate-input bridges plus random
+//     net pairs (feedback bridges among them), against a per-Cell sweep
+//     that holds each bridged net at the wired value unless the other net
+//     reaches it; and CombinationalFrame::reaches must agree with a walk
+//     of the cell fanouts for every pair of nets.
 // Seeds are deterministic; RETSCAN_FUZZ_SEEDS widens the sweep (default 16
 // seeds x 32 frames). A failure prints the seed, the frame and the netlist
 // reduced to the failing fault's logic.
@@ -29,6 +34,7 @@
 #include "fuzz_seeds.hpp"
 #include "random_frame.hpp"
 #include "sim/compiled_netlist.hpp"
+#include "sim/eval_kernel.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -98,32 +104,39 @@ LaneBlock reference_block(const Case& c, const Fault& fault, std::size_t b,
   return mask;
 }
 
+/// NetId-indexed source values of patterns [first, first + count), count
+/// at most 64: inputs, PPIs, constraints and Const1 nets, nothing evaluated.
+std::vector<LaneWord> reference_sources(const Case& c, std::size_t first, std::size_t count) {
+  const Netlist& nl = c.rf.netlist;
+  std::vector<LaneWord> by_net(nl.net_count(), 0);
+  for (std::size_t p = 0; p < count; ++p) {
+    const BitVec& pattern = c.patterns[first + p];
+    for (std::size_t i = 0; i < c.frame.pattern_width(); ++i) {
+      const NetId source = i < c.frame.pi_nets().size()
+                               ? c.frame.pi_nets()[i]
+                               : nl.cell(c.frame.flops()[i - c.frame.pi_nets().size()]).out;
+      by_net[source] |= LaneWord{pattern.get(i)} << p;
+    }
+  }
+  for (const auto& [index, value] : c.frame.constraints()) {
+    by_net[c.frame.pi_nets()[index]] = lane_broadcast(value);
+  }
+  for (CellId id = 0; id < nl.cell_count(); ++id) {
+    if (nl.cell(id).type == CellType::Const1) {
+      by_net[nl.cell(id).out] = kAllLanes;
+    }
+  }
+  return by_net;
+}
+
 /// Good value of `net` under every pattern, through the reference
 /// interpreter over NetId-indexed values (the transition launch condition).
 std::vector<bool> reference_values(const Case& c, NetId net) {
-  const Netlist& nl = c.rf.netlist;
   std::vector<bool> values;
   for (std::size_t first = 0; first < c.patterns.size(); first += kLaneCount) {
     const std::size_t count = std::min(kLaneCount, c.patterns.size() - first);
-    std::vector<LaneWord> by_net(nl.net_count(), 0);
-    for (std::size_t p = 0; p < count; ++p) {
-      const BitVec& pattern = c.patterns[first + p];
-      for (std::size_t i = 0; i < c.frame.pattern_width(); ++i) {
-        const NetId source = i < c.frame.pi_nets().size()
-                                 ? c.frame.pi_nets()[i]
-                                 : nl.cell(c.frame.flops()[i - c.frame.pi_nets().size()]).out;
-        by_net[source] |= LaneWord{pattern.get(i)} << p;
-      }
-    }
-    for (const auto& [index, value] : c.frame.constraints()) {
-      by_net[c.frame.pi_nets()[index]] = lane_broadcast(value);
-    }
-    for (CellId id = 0; id < nl.cell_count(); ++id) {
-      if (nl.cell(id).type == CellType::Const1) {
-        by_net[nl.cell(id).out] = kAllLanes;
-      }
-    }
-    CompiledNetlist::reference_eval(nl, by_net);
+    std::vector<LaneWord> by_net = reference_sources(c, first, count);
+    CompiledNetlist::reference_eval(c.rf.netlist, by_net);
     for (std::size_t p = 0; p < count; ++p) {
       values.push_back(((by_net[net] >> p) & 1) != 0);
     }
@@ -281,6 +294,149 @@ TEST(FfrOracle, DriversMatchReferenceAtEveryShardPlan) {
     }
     return !::testing::Test::HasFailure();
   });
+}
+
+/// Nets a change of `from` reaches, by a breadth-first walk over cell
+/// fanouts: Output cells drive nothing and sequential cells end a path.
+std::vector<bool> reached_from(const Netlist& nl, NetId from) {
+  std::vector<bool> reached(nl.net_count(), false);
+  std::vector<NetId> queue = {from};
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    for (const CellId reader : nl.fanouts()[queue[head]]) {
+      const Cell& cell = nl.cell(reader);
+      if (cell.type != CellType::Output && !cell_is_sequential(cell.type) &&
+          !reached[cell.out]) {
+        reached[cell.out] = true;
+        queue.push_back(cell.out);
+      }
+    }
+  }
+  return reached;
+}
+
+/// The reference's first detection of a bridge: a per-Cell sweep per
+/// 64-pattern word, like detect_mask_full, holding each bridged net at the
+/// wired value of the good values unless the other net reaches it (then the
+/// net's own driver recomputes it).
+std::size_t reference_bridge(const Case& c, const BridgingFault& fault, bool a_held,
+                             bool b_held) {
+  const Netlist& nl = c.rf.netlist;
+  std::vector<NetId> observed = c.frame.po_nets();
+  for (const CellId flop : c.frame.flops()) {
+    observed.push_back(nl.cell(flop).fanin[0]);
+  }
+  for (std::size_t first = 0; first < c.patterns.size(); first += kLaneCount) {
+    const std::size_t count = std::min(kLaneCount, c.patterns.size() - first);
+    const std::vector<LaneWord> sources = reference_sources(c, first, count);
+    std::vector<LaneWord> good = sources;
+    CompiledNetlist::reference_eval(nl, good);
+    const LaneWord wired =
+        fault.wired_and ? good[fault.a] & good[fault.b] : good[fault.a] | good[fault.b];
+    std::vector<LaneWord> values = sources;
+    const auto hold = [&](NetId net) {
+      if ((net == fault.a && a_held) || (net == fault.b && b_held)) {
+        values[net] = wired;
+      }
+    };
+    hold(fault.a);  // a source net keeps the held value through the sweep
+    hold(fault.b);
+    for (const CellId id : nl.combinational_order()) {
+      const Cell& cell = nl.cell(id);
+      if (cell.type != CellType::Output) {
+        values[cell.out] = eval_comb_word(cell, values);
+        hold(cell.out);
+      }
+    }
+    LaneWord mask = 0;
+    for (const NetId net : observed) {
+      mask |= values[net] ^ good[net];
+    }
+    mask &= lane_mask(count);
+    if (mask != 0) {
+      return first + static_cast<std::size_t>(std::countr_zero(mask));
+    }
+  }
+  return FaultSimResult::npos;
+}
+
+TEST(FfrOracle, BridgingMatchesReferenceOnRandomFrames) {
+  ThreadPool pool(3);
+  const std::size_t shards[] = {0, 1, 7, 128};
+  std::vector<std::size_t> feedback(fuzz_seed_count(), 0);
+  std::size_t total = 0;
+  std::size_t detected = 0;
+  for_each_case(kFramesPerSeed / 2, [&](std::size_t seed, std::size_t f, const Case& c,
+                                        Rng& rng) {
+    const std::string at = "seed " + std::to_string(seed) + ", frame " + std::to_string(f);
+    const Netlist& nl = c.rf.netlist;
+    std::vector<std::vector<bool>> reached;
+    for (NetId net = 0; net < nl.net_count(); ++net) {
+      reached.push_back(reached_from(nl, net));
+    }
+    for (NetId from = 0; from < nl.net_count(); ++from) {
+      const CombinationalFrame::FaultSite site = c.frame.fault_site(from);
+      for (NetId to = 0; to < nl.net_count(); ++to) {
+        if (to != from && c.frame.reaches(site, to) != reached[from][to]) {
+          ADD_FAILURE() << "reaches(" << net_label(nl, from) << ", " << net_label(nl, to)
+                        << ") differs from the fanout walk at " << at;
+          return false;
+        }
+      }
+    }
+    // The gate-input universe plus random pairs of distinct nets, in drawn
+    // order, so that one net often reaches the other.
+    std::vector<BridgingFault> faults = enumerate_bridging_faults(nl);
+    for (std::size_t k = 0; k < 16; ++k) {
+      const NetId a = static_cast<NetId>(rng.next_below(nl.net_count()));
+      const NetId b = static_cast<NetId>(rng.next_below(nl.net_count()));
+      if (a != b) {
+        faults.push_back({a, b, true});
+        faults.push_back({a, b, false});
+      }
+    }
+    std::vector<std::size_t> want;
+    for (const BridgingFault& fault : faults) {
+      const bool a_reaches_b = reached[fault.a][fault.b];
+      const bool b_reaches_a = reached[fault.b][fault.a];
+      feedback[seed] += a_reaches_b || b_reaches_a ? 1 : 0;
+      want.push_back(reference_bridge(c, fault, !b_reaches_a, !a_reaches_b));
+      detected += want.back() != FaultSimResult::npos ? 1 : 0;
+    }
+    total += faults.size();
+    const auto matches = [&](const FaultSimResult& got, const std::string& plan) {
+      for (std::size_t i = 0; i < faults.size(); ++i) {
+        if (got.detected_by[i] != want[i]) {
+          ADD_FAILURE() << "bridging, " << plan << ", " << at << ", fault "
+                        << bridging_fault_name(nl, faults[i]) << ": detected_by "
+                        << got.detected_by[i] << ", reference " << want[i]
+                        << "\nthe frame reduced to each net's logic:\n"
+                        << reduced_dump(c.rf, Fault{faults[i].a, false})
+                        << reduced_dump(c.rf, Fault{faults[i].b, false});
+          return false;
+        }
+      }
+      return true;
+    };
+    if (!matches(bridging_fault_simulate(c.frame, faults, c.patterns), "serial")) {
+      return false;
+    }
+    for (const std::size_t shard : shards) {
+      if (!matches(bridging_fault_simulate(c.frame, faults, c.patterns, pool, shard),
+                   "fault_shard " + std::to_string(shard))) {
+        return false;
+      }
+    }
+    return true;
+  });
+  if (::testing::Test::HasFailure()) {
+    return;  // the sweep stopped at the first mismatch
+  }
+  // The sweep must keep exercising detection, and every seed the feedback
+  // rule, not only independent nets.
+  EXPECT_GT(detected, total / 4);
+  for (std::size_t seed = 0; seed < feedback.size(); ++seed) {
+    EXPECT_GT(feedback[seed], 0u) << "no feedback bridge at seed " << seed;
+  }
 }
 
 }  // namespace

@@ -3,23 +3,18 @@
 // full-sweep reference: the kernel-level worklist must match eval_full at
 // word and block lane widths (including budget fallbacks), event-scheduled
 // engines must match sweep-scheduled engines net-for-net through power
-// cycles and on the vendored ISCAS benches, multi-source dirty-cone replay
-// must match a forced full re-evaluation, and campaign statistics must be
+// cycles and on the vendored ISCAS benches, and campaign statistics must be
 // schedule-invariant.
 
 #include "sim/schedule.hpp"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "atpg/fault.hpp"
-#include "atpg/fault_sim.hpp"
 #include "circuits/fifo.hpp"
-#include "core/protected_design.hpp"
 #include "netlist/netlist.hpp"
 #include "sim/compiled_netlist.hpp"
 #include "sim/packed_sim.hpp"
@@ -376,102 +371,6 @@ TEST(EventSchedule, IscasBenchesMatchSweep) {
       }
     }
     EXPECT_GT(event.take_schedule_telemetry().settles(), 0u);
-  }
-}
-
-/// Multi-source dirty-cone replay against an exhaustive oracle: force the
-/// same values into a copy of the settled batch, run one full block sweep,
-/// and OR the observable differences by hand. Also pins the singleton case
-/// to the existing fault path.
-TEST(DirtyCone, ReplayDirtyMatchesForcedFullSweep) {
-  ProtectionConfig config;
-  config.kind = CodeKind::HammingPlusCrc;
-  config.chain_count = 8;
-  config.test_width = 4;
-  const ProtectedDesign design(make_fifo(FifoSpec{32, 2}), config);
-  const Netlist& nl = design.netlist();
-  CombinationalFrame frame(nl);
-  for (const char* name : {"se", "retain", "mon_en", "mon_decode", "mon_clear",
-                           "sig_capture", "sig_compare", "test_mode"}) {
-    frame.constrain(name, false);
-  }
-  const auto compiled = nl.compiled();
-
-  Rng rng(88);
-  std::vector<BitVec> patterns;
-  for (int p = 0; p < 100; ++p) {  // partial block: lanes past 100 stay 0
-    patterns.push_back(frame.random_pattern(rng));
-  }
-  const auto batch = frame.load_batch(patterns);
-
-  // Dirty sources are frame sources (PIs and flop outputs) — the slots the
-  // event scheduler actually reseeds between settles.
-  std::vector<NetId> source_nets = frame.pi_nets();
-  for (const CellId flop : frame.flops()) {
-    source_nets.push_back(nl.cell(flop).out);
-  }
-
-  auto random_block = [&rng]() {
-    LaneBlock block;
-    for (std::size_t w = 0; w < kLaneWords; ++w) {
-      block.w[w] = rng.next_u64();
-    }
-    return block;
-  };
-
-  CombinationalFrame::Workspace workspace;
-  for (int round = 0; round < 30; ++round) {
-    std::vector<NetId> sources;
-    const std::size_t count = 1 + rng.next_below(4);
-    for (std::size_t s = 0; s < count; ++s) {
-      const NetId net = source_nets[rng.next_below(source_nets.size())];
-      if (std::find(sources.begin(), sources.end(), net) == sources.end()) {
-        sources.push_back(net);
-      }
-    }
-    const CombinationalFrame::FaultCone fc = frame.dirty_cone(sources);
-    ASSERT_EQ(fc.cone.source_slots.size(), sources.size());
-
-    std::vector<LaneBlock> forced;
-    for (std::size_t s = 0; s < sources.size(); ++s) {
-      forced.push_back(random_block());
-    }
-    const LaneBlock got =
-        frame.replay_dirty(fc, forced, batch, batch.good, workspace);
-
-    // Oracle: full copy, force, one whole-stream sweep, manual observable OR.
-    std::vector<LaneBlock> values = batch.settled;
-    for (std::size_t s = 0; s < sources.size(); ++s) {
-      values[fc.cone.source_slots[s]] = forced[s];
-    }
-    compiled->eval_full(values.data());
-    LaneBlock want{};
-    for (const auto& [word, slot] : fc.observables) {
-      for (std::size_t w = 0; w < kLaneWords; ++w) {
-        want.w[w] |= values[slot].w[w] ^ batch.good[word].w[w];
-      }
-    }
-    const LaneBlock live = block_lane_mask(batch.count);
-    for (std::size_t w = 0; w < kLaneWords; ++w) {
-      ASSERT_EQ(got.w[w], want.w[w] & live.w[w]) << "round " << round
-                                                 << " word " << w;
-    }
-  }
-
-  // Singleton dirty sets coincide with the stuck-at fault path.
-  const auto faults = collapse_faults(nl, enumerate_faults(nl));
-  for (std::size_t f = 0; f < faults.size(); f += 37) {
-    const Fault& fault = faults[f];
-    const CombinationalFrame::FaultCone fc = frame.dirty_cone({fault.net});
-    const LaneBlock forced_value =
-        fault.stuck_at ? block_lane_mask(kLaneBlockBits) : LaneBlock{};
-    const LaneBlock via_dirty =
-        frame.replay_dirty(fc, {forced_value}, batch, batch.good, workspace);
-    const LaneBlock via_fault = frame.detect_block(fault, batch, workspace);
-    for (std::size_t w = 0; w < kLaneWords; ++w) {
-      ASSERT_EQ(via_dirty.w[w], via_fault.w[w])
-          << "fault " << fault_name(nl, fault) << " word " << w;
-    }
   }
 }
 
