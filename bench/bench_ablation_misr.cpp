@@ -24,31 +24,35 @@ template <typename MakeProtector>
 double escape_rate(parallel::CampaignRunner& runner, MakeProtector make,
                    std::size_t chains, std::size_t length, std::size_t trials,
                    std::uint64_t seed) {
-  const std::size_t escapes = runner.map_reduce<std::size_t>(
-      trials, 16384, [&](const parallel::ShardRange& shard) {
-        Rng rng(parallel::shard_seed(seed, shard.index));
-        std::size_t shard_escapes = 0;
-        auto protector = make();
-        std::vector<BitVec> state;
-        for (std::size_t c = 0; c < chains; ++c) {
-          state.push_back(rng.next_bits(length));
-        }
-        protector.encode(state);
-        for (std::size_t t = 0; t < shard.count; ++t) {
-          auto corrupted = state;
-          const std::size_t errors = 2 + rng.next_below(4);
-          for (std::size_t e = 0; e < errors; ++e) {
-            corrupted[rng.next_below(chains)].flip(rng.next_below(length));
-          }
-          if (corrupted == state) {
-            continue;  // error pattern cancelled itself
-          }
-          if (!protector.check(corrupted).any_error()) {
-            ++shard_escapes;
-          }
-        }
-        return shard_escapes;
-      });
+  const std::vector<parallel::ShardRange> shards = parallel::plan_shards(trials, 16384);
+  std::vector<std::size_t> shard_escapes(shards.size(), 0);
+  runner.pool().parallel_for(shards.size(), [&](std::size_t s) {
+    const parallel::ShardRange& shard = shards[s];
+    Rng rng(parallel::shard_seed(seed, shard.index));
+    auto protector = make();
+    std::vector<BitVec> state;
+    for (std::size_t c = 0; c < chains; ++c) {
+      state.push_back(rng.next_bits(length));
+    }
+    protector.encode(state);
+    for (std::size_t t = 0; t < shard.count; ++t) {
+      auto corrupted = state;
+      const std::size_t errors = 2 + rng.next_below(4);
+      for (std::size_t e = 0; e < errors; ++e) {
+        corrupted[rng.next_below(chains)].flip(rng.next_below(length));
+      }
+      if (corrupted == state) {
+        continue;  // error pattern cancelled itself
+      }
+      if (!protector.check(corrupted).any_error()) {
+        ++shard_escapes[s];
+      }
+    }
+  });
+  std::size_t escapes = 0;
+  for (const std::size_t count : shard_escapes) {
+    escapes += count;
+  }
   return static_cast<double>(escapes) / static_cast<double>(trials);
 }
 }  // namespace

@@ -18,7 +18,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -406,20 +405,18 @@ int main() {
     ok = ok && sweep_activity.event_sweeps == 0 && sweep_activity.full_sweeps > 0;
   }
 
-  bench::header("Campaign service — warm-start speedup (session + artifact caches)");
+  bench::header("Campaign service — warm-start speedup (session cache)");
   {
-    // artifact_warm_speedup is the serve-daemon warm-start metric (gated
-    // >= 1.2 in ci/check_bench_json.py): job setup wall clock — spec parse,
-    // protected synthesis, netlist compile, workspace warm-up — for a cold
-    // submission over the identical warm resubmission through the daemon's
-    // JobManager, whose caches (in-memory sessions, on-disk compiled
-    // artifacts) are exactly what `retscan submit` hits twice in the serve
-    // CI job. Same binary, same host: a pure ratio. The gate below also
-    // re-asserts the contract that makes warm starts admissible at all —
-    // cold and warm runs digest-identically.
-    const std::string dir = "bench_artifacts";
+    // artifact_warm_speedup (its name predates 10.0) is the serve-daemon
+    // warm-start metric, gated >= 1.2 in ci/check_bench_json.py: job setup
+    // wall clock — spec parse, protected synthesis, netlist compile,
+    // workspace warm-up — for a cold submission over the identical
+    // resubmission that the daemon's JobManager serves from its in-memory
+    // session cache, as `retscan submit` does twice in the serve CI job. Same
+    // binary, same host: a pure ratio. The checks below also re-assert the
+    // contract that makes warm starts admissible at all — cold, warm and
+    // restarted-daemon runs digest identically.
     const std::string spec_path = "bench_serve.spec";
-    std::filesystem::remove_all(dir);
     {
       std::ofstream spec(spec_path);
       spec << "fifo.depth = 32\nfifo.width = 2\n"
@@ -431,7 +428,6 @@ int main() {
     }
 
     serve::ServeOptions options;
-    options.cache_dir = dir;
     options.threads = 1;
     options.max_active = 1;
     serve::JobManager manager(options);
@@ -444,13 +440,13 @@ int main() {
          serve::summary_digest(*cold.summary) ==
              serve::summary_digest(*warm.summary);
 
-    // Daemon restart: a fresh JobManager over the same artifact directory
-    // starts with an empty session cache but a warm compiled-netlist store.
+    // Daemon restart: a fresh JobManager starts with an empty session cache
+    // and compiles again.
     serve::JobManager restarted(options);
     const serve::JobRecord relaunch =
         *restarted.wait(restarted.submit(spec_path, {}));
     ok = ok && relaunch.state == serve::JobState::Done &&
-         !relaunch.session_reused && restarted.artifact_stats().hits >= 1 &&
+         !relaunch.session_reused &&
          serve::summary_digest(*cold.summary) ==
              serve::summary_digest(*relaunch.summary);
 
@@ -458,7 +454,7 @@ int main() {
         cold.setup_seconds / std::max(warm.setup_seconds, 1e-9);
     std::cout << "serve: cold setup " << cold.setup_seconds << " s, warm setup "
               << warm.setup_seconds << " s (" << artifact_warm_speedup
-              << "x), restart-with-artifacts setup " << relaunch.setup_seconds
+              << "x), restart setup " << relaunch.setup_seconds
               << " s\n  cold/warm/restart digests "
               << (serve::summary_digest(*cold.summary) ==
                           serve::summary_digest(*relaunch.summary)
@@ -469,8 +465,6 @@ int main() {
     json.set("artifact_cold_setup_sec", cold.setup_seconds);
     json.set("artifact_warm_setup_sec", warm.setup_seconds);
     json.set("artifact_restart_setup_sec", relaunch.setup_seconds);
-    install_artifact_store(nullptr);  // JobManager installed it globally
-    std::filesystem::remove_all(dir);
     std::remove(spec_path.c_str());
   }
 

@@ -18,8 +18,9 @@ int main() {
   protection.kind = CodeKind::HammingPlusCrc;
   protection.chain_count = 80;
   Session session(FifoSpec{32, 32}, protection);
-  // Injection campaigns shard across the session's thread pool
+  // Validation campaigns shard across the session's thread pool
   // (RETSCAN_THREADS knob); results are bit-identical at any thread count.
+  // Rush-model mode draws each wake-up's upsets from the electrical model.
   std::cout << "Rush-current severity sweep (32x32 FIFO, 80 chains, Hamming(7,4)+CRC, "
             << session.threads() << " threads)\n";
   std::cout << "# R_switch  droop_V  p_upset      corrupted-wakes  corrected  flagged\n"
@@ -27,7 +28,7 @@ int main() {
 
   for (const double r : {2.0, 0.8, 0.4, 0.2, 0.1, 0.05}) {
     CampaignSpec spec;
-    spec.kind = CampaignKind::Injection;
+    spec.kind = CampaignKind::Validation;
     spec.mode = InjectionMode::RushModel;
     spec.rush.resistance_ohm = r;
     spec.corruption.vulnerability = 0.02;

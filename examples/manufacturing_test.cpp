@@ -40,7 +40,7 @@ int main() {
             << " patterns\n";
 
   // ...then deliver through the tsi/tso concatenation. Backend::Reference is
-  // the scalar tester oracle; the default (Auto) is pooled 64-lane delivery.
+  // the scalar tester oracle; the default (PackedParallel) is pooled 64-lane delivery.
   const ScanTestResult delivery = session.run_scan_test(
       atpg.patterns, {.backend = Backend::Reference});
   std::cout << "delivered " << delivery.patterns_applied

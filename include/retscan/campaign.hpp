@@ -3,13 +3,13 @@
 /// retscan public surface — declarative campaigns.
 ///
 /// One spec describes any of the library's statistical workloads —
-/// validation campaigns, fault-injection campaigns, fault-coverage /
+/// validation campaigns (LFSR or electrical fault injection), fault-coverage /
 /// ATPG runs, transition-delay / bridging / sequential coverage
 /// measurements, and manufacturing scan-test deliveries — with uniform
 /// seed / threads / shard knobs, and `run(Session&, spec)` routes it to
-/// the fastest backend the session can offer (or exactly the backend you
-/// pin). Same seed → bit-identical results at any thread count, and on
-/// every backend that computes the same thing (asserted by
+/// the backend the spec names (the pooled one unless it pins the scalar
+/// reference). Same seed → bit-identical results at any thread count, and
+/// on every backend that computes the same thing (asserted by
 /// tests/test_api.cpp).
 
 #include <cstddef>
@@ -33,7 +33,7 @@ class Session;
 /// What the campaign measures.
 enum class CampaignKind {
   Validation,    ///< Fig. 8 testbench: inject → detect/correct statistics
-  Injection,     ///< validation driven by an electrical corruption model
+                 ///< (mode = RushModel draws upsets from the electrical model)
   FaultCoverage, ///< ATPG + stuck-at fault simulation over the scan frame
   ScanTest,      ///< pattern delivery through the scan fabric, checked
   TransitionDelay,    ///< launch/capture pattern-pair transition-fault coverage
@@ -41,14 +41,13 @@ enum class CampaignKind {
   SequentialCoverage, ///< multi-cycle stuck-at coverage, no scan access
 };
 
-/// Execution strategy. `Auto` resolves to PackedParallel; Reference pins
-/// the scalar oracle, which computes something different. Validation kinds
-/// and scan-test accept all three, the fault-simulation kinds Auto /
-/// PackedParallel (validate() rejects Reference there). Each backend
-/// reproduces the engine-level entry point it routes to for the same seed
-/// (see tests/test_api.cpp).
+/// Execution strategy. PackedParallel is the default; Reference pins the
+/// scalar oracle, which computes something different. Validation and
+/// scan-test accept both, the fault-simulation kinds only PackedParallel
+/// (validate() rejects Reference there). Each backend reproduces the
+/// engine-level entry point it routes to for the same seed (see
+/// tests/test_api.cpp).
 enum class Backend {
-  Auto,           ///< PackedParallel
   Reference,      ///< scalar oracle: one trial/pattern at a time; on the
                   ///< behavioral tier, the data-full loop the syndrome
                   ///< evaluation is checked against; for scan-test, the
@@ -79,8 +78,8 @@ bool from_string(std::string_view text, InjectionMode& out);
 /// Fig. 5(b) test-mode ports: a ProtectedDesign's per-chain si ports are
 /// superseded by the monitor feedback muxes.
 struct ScanTestOptions {
-  /// Auto / PackedParallel (pooled packed delivery) or Reference (scalar).
-  Backend backend = Backend::Auto;
+  /// PackedParallel (pooled packed delivery) or Reference (scalar).
+  Backend backend = Backend::PackedParallel;
   /// PackedParallel: pattern count per pool shard (64-lane aligned).
   std::size_t patterns_per_shard = 256;
 };
@@ -95,7 +94,7 @@ struct ScanTestOptions {
 ///   CampaignResult result = run(session, spec);
 struct CampaignSpec {
   CampaignKind kind = CampaignKind::Validation;
-  Backend backend = Backend::Auto;
+  Backend backend = Backend::PackedParallel;
   /// Campaign master seed. Every backend derives its per-shard / injector
   /// streams from this one value (for FaultCoverage/ScanTest it overrides
   /// atpg.seed so one knob controls the whole run).
@@ -105,10 +104,10 @@ struct CampaignSpec {
   unsigned threads = 0;
   /// Trials (validation kinds), fault-list entries (coverage kinds) or
   /// patterns (scan-test, floored to whole 64-lane batches) per pool shard;
-  /// 0 → the kind's default. PackedParallel / Auto only.
+  /// 0 → the kind's default. PackedParallel only.
   std::size_t shard_size = 0;
 
-  // --- Validation / Injection ------------------------------------------
+  // --- Validation ------------------------------------------------------
   /// Sleep/wake trial count. Must be > 0 for validation kinds.
   std::size_t sequences = 0;
   ValidationTier tier = ValidationTier::Behavioral;
@@ -136,7 +135,7 @@ struct CampaignSpec {
   /// completed shards are appended as fixed-format CRC'd records via
   /// write-temp-then-atomic-rename, so an interrupted campaign loses at
   /// most the shards in flight. Empty = no checkpointing. Validation
-  /// kinds on the sharded (Auto/PackedParallel) backends only.
+  /// kinds on the sharded (PackedParallel) backend only.
   std::string checkpoint;
   /// Resume from `checkpoint` (`resume =` / `--resume`): the journal
   /// header is validated against the current spec/design/version
@@ -156,7 +155,7 @@ struct CampaignSpec {
 /// populated; the execution-shape fields are always filled.
 struct CampaignResult {
   CampaignKind kind = CampaignKind::Validation;
-  Backend backend = Backend::Reference; ///< resolved strategy actually run
+  Backend backend = Backend::Reference; ///< the strategy that ran
   /// Settle schedule the gate-level engines ran (sim/schedule.hpp), fixed
   /// by the route: Auto for PackedParallel structural validation
   /// (each engine probes its own activity; see `activity` for what that
@@ -180,7 +179,7 @@ struct CampaignResult {
   /// chose. All-zero for behavioral campaigns and non-validation kinds.
   ScheduleTelemetry activity{};
 
-  ValidationStats validation{}; ///< Validation / Injection
+  ValidationStats validation{}; ///< Validation
   AtpgResult atpg{};            ///< FaultCoverage / ScanTest / TransitionDelay / Bridging
   /// FaultCoverage / TransitionDelay / Bridging / SequentialCoverage —
   /// detected_by indexes patterns, pattern *pairs*, patterns, and random
@@ -201,10 +200,6 @@ struct CampaignResult {
 /// built (a hardware controller on the structural tier or scan-test), bad
 /// shard sizes.
 void validate(const CampaignSpec& spec, const Session& session);
-
-/// The strategy Auto resolves to (after validate()) — exposed so tools can
-/// report what would run without running it.
-Backend resolve_backend(const CampaignSpec& spec, const Session& session);
 
 /// Run the campaign on the session's design. Validates first; throws
 /// retscan::Error on a bad spec.

@@ -114,7 +114,7 @@ class Session {
 
   /// Deliver a pattern set through the design's Fig. 5(b) test-mode ports
   /// and check responses: Reference runs the scalar delivery,
-  /// PackedParallel (and Auto) shards the 64-lane delivery across pool().
+  /// PackedParallel shards the 64-lane delivery across pool().
   /// The scan-test campaign kind runs this same delivery. Rejects bare
   /// sessions and designs with a hardware controller, whose se/retain
   /// ports no longer reach the chains.

@@ -8,7 +8,6 @@
 /// A Session (retscan/session.hpp) picks among these automatically; include
 /// this directly only to drive a simulator by hand.
 
-#include "sim/artifact_store.hpp"   // CompiledArtifactStore (warm starts)
 #include "sim/compiled_netlist.hpp" // CompiledNetlist (shared compiled core)
 #include "sim/packed_sim.hpp"       // PackedSim, LaneWord, lane helpers
 #include "sim/simulator.hpp"        // Simulator

@@ -27,7 +27,6 @@ namespace retscan {
 const char* to_string(CampaignKind kind) {
   switch (kind) {
     case CampaignKind::Validation:         return "validation";
-    case CampaignKind::Injection:          return "injection";
     case CampaignKind::FaultCoverage:      return "fault-coverage";
     case CampaignKind::ScanTest:           return "scan-test";
     case CampaignKind::TransitionDelay:    return "transition-delay";
@@ -39,7 +38,6 @@ const char* to_string(CampaignKind kind) {
 
 const char* to_string(Backend backend) {
   switch (backend) {
-    case Backend::Auto:           return "auto";
     case Backend::Reference:      return "reference";
     case Backend::PackedParallel: return "packed-parallel";
   }
@@ -69,10 +67,9 @@ namespace {
 /// Every value of each spec enum: the one list from_string walks and the
 /// spec parser's "is not one of" message prints.
 constexpr CampaignKind kCampaignKinds[] = {
-    CampaignKind::Validation, CampaignKind::Injection,       CampaignKind::FaultCoverage,
-    CampaignKind::ScanTest,   CampaignKind::TransitionDelay, CampaignKind::Bridging,
-    CampaignKind::SequentialCoverage};
-constexpr Backend kBackends[] = {Backend::Auto, Backend::Reference, Backend::PackedParallel};
+    CampaignKind::Validation,      CampaignKind::FaultCoverage, CampaignKind::ScanTest,
+    CampaignKind::TransitionDelay, CampaignKind::Bridging,      CampaignKind::SequentialCoverage};
+constexpr Backend kBackends[] = {Backend::Reference, Backend::PackedParallel};
 constexpr ValidationTier kTiers[] = {ValidationTier::Behavioral, ValidationTier::Structural};
 constexpr InjectionMode kModes[] = {InjectionMode::None, InjectionMode::SingleRandom,
                                     InjectionMode::MultipleBurst, InjectionMode::RushModel};
@@ -129,7 +126,6 @@ bool CampaignResult::passed() const {
   }
   switch (kind) {
     case CampaignKind::Validation:
-    case CampaignKind::Injection:
       return validation.silent_corruptions == 0;
     case CampaignKind::FaultCoverage:
     case CampaignKind::TransitionDelay:
@@ -143,10 +139,6 @@ bool CampaignResult::passed() const {
 }
 
 namespace {
-
-bool is_validation_kind(CampaignKind kind) {
-  return kind == CampaignKind::Validation || kind == CampaignKind::Injection;
-}
 
 /// Kinds that run ATPG to build the pattern set they replay.
 bool is_pattern_kind(CampaignKind kind) {
@@ -163,8 +155,7 @@ ValidationConfig validation_config(Session& session, const CampaignSpec& spec) {
   config.chain_count = session.protection().chain_count;
   config.kind = session.protection().kind;
   config.hamming_r = session.protection().hamming_r;
-  config.mode = spec.kind == CampaignKind::Injection ? InjectionMode::RushModel
-                                                     : spec.mode;
+  config.mode = spec.mode;
   config.burst_size = spec.burst_size;
   config.burst_spread = spec.burst_spread;
   config.seed = spec.seed;
@@ -188,8 +179,8 @@ constexpr const char* kControllerOwnsScanPorts =
     "fault-simulation kind";
 
 /// The campaign fingerprint is a plain FNV-1a 64 over the fields below —
-/// the shared util accumulator, so journal headers and artifact keys hash
-/// identically everywhere.
+/// the shared util accumulator, so journal headers and structure
+/// fingerprints hash identically everywhere.
 using Fingerprint = Fnv1a;
 
 /// True when the spec carries any of the durability knobs this PR routes
@@ -215,7 +206,7 @@ void validate_durability(const CampaignSpec& spec, const Session& session) {
   }
   // Checkpoint/resume/deadline all ride the shard loop of the pooled
   // campaign runner — the only place with a resumable unit of work.
-  if (!is_validation_kind(spec.kind)) {
+  if (spec.kind != CampaignKind::Validation) {
     reject(spec,
            "checkpoint/resume/deadline_ms ride the sharded validation "
            "campaign runner; coverage and scan-test kinds replay a "
@@ -226,7 +217,7 @@ void validate_durability(const CampaignSpec& spec, const Session& session) {
     reject(spec,
            "checkpoint/resume/deadline_ms need the sharded campaign runner, but "
            "Backend::Reference runs one unsharded pass with nothing to "
-           "checkpoint between — use Backend::PackedParallel or Backend::Auto");
+           "checkpoint between — use Backend::PackedParallel");
   }
   if (!spec.checkpoint.empty()) {
     namespace fs = std::filesystem;
@@ -281,7 +272,7 @@ void validate_geometry(const CampaignSpec& spec, const Session& session) {
   }
   const ProtectionConfig& p = session.protection();
   const std::string chains = std::to_string(p.chain_count);
-  const bool validation = is_validation_kind(spec.kind);
+  const bool validation = spec.kind == CampaignKind::Validation;
   const bool behavioral = validation && spec.tier == ValidationTier::Behavioral;
   if (behavioral || p.kind != CodeKind::CrcDetect) {
     if (p.hamming_r < 2 || p.hamming_r > 16) {
@@ -357,7 +348,7 @@ void validate(const CampaignSpec& spec, const Session& session) {
                      " is past any plausible machine; use 1..4096 (0 = the "
                      "session's pool)");
   }
-  if (is_validation_kind(spec.kind)) {
+  if (spec.kind == CampaignKind::Validation) {
     if (spec.sequences == 0) {
       reject(spec,
              "sequences must be > 0 — a validation campaign with no sleep/wake "
@@ -388,14 +379,6 @@ void validate(const CampaignSpec& spec, const Session& session) {
              "one — drive the controller through HardwareRetentionSession "
              "(examples/hardware_controller.cpp), or use the behavioral tier");
     }
-    if (spec.kind == CampaignKind::Injection && spec.mode != InjectionMode::RushModel) {
-      reject(spec,
-             std::string("injection campaigns sample upsets from the electrical "
-                         "corruption model; spec.mode must be "
-                         "InjectionMode::RushModel (got ") +
-                 to_string(spec.mode) +
-                 ") — for LFSR injection modes use CampaignKind::Validation");
-    }
     if (spec.mode == InjectionMode::MultipleBurst && spec.burst_size == 0) {
       reject(spec, "burst_size must be > 0 for InjectionMode::MultipleBurst");
     }
@@ -414,7 +397,7 @@ void validate(const CampaignSpec& spec, const Session& session) {
       reject(spec,
              "only the pooled driver computes this kind (scan-test also has "
              "the scalar delivery, Backend::Reference); Backend::Reference "
-             "would run the same shards on one thread — use Backend::Auto or "
+             "would run the same shards on one thread — use "
              "Backend::PackedParallel with threads = 1");
     }
     if (spec.kind == CampaignKind::ScanTest && !session.is_protected()) {
@@ -460,14 +443,6 @@ void validate(const CampaignSpec& spec, const Session& session) {
   }
   validate_geometry(spec, session);
   validate_durability(spec, session);
-}
-
-Backend resolve_backend(const CampaignSpec& spec, const Session& session) {
-  validate(spec, session);
-  if (spec.backend != Backend::Auto) {
-    return spec.backend;
-  }
-  return Backend::PackedParallel;
 }
 
 namespace {
@@ -652,18 +627,18 @@ CampaignResult run(Session& session, const CampaignSpec& spec) {
 
 CampaignResult run(Session& session, const CampaignSpec& spec,
                    const RunHooks& hooks) {
-  const Backend backend = resolve_backend(spec, session);
+  validate(spec, session);
   CampaignResult result;
   result.kind = spec.kind;
-  result.backend = backend;
+  result.backend = spec.backend;
   const auto start = std::chrono::steady_clock::now();
   // Only PackedParallel runs on a pool; every kind gets it from here.
   std::unique_ptr<parallel::CampaignRunner> local;
   parallel::CampaignRunner* runner =
-      backend == Backend::PackedParallel ? &select_runner(session, spec, hooks, local)
-                                         : nullptr;
+      spec.backend == Backend::PackedParallel ? &select_runner(session, spec, hooks, local)
+                                              : nullptr;
   result.threads = runner != nullptr ? runner->threads() : 1;
-  if (is_validation_kind(spec.kind)) {
+  if (spec.kind == CampaignKind::Validation) {
     run_validation(session, spec, runner, hooks, result);
   } else {
     run_coverage(session, spec, runner != nullptr ? &runner->pool() : nullptr, result);

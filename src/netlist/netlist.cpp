@@ -4,6 +4,7 @@
 #include <deque>
 
 #include "util/error.hpp"
+#include "util/fnv.hpp"
 
 namespace retscan {
 
@@ -368,6 +369,30 @@ std::unordered_map<CellType, std::size_t> Netlist::type_histogram() const {
     ++histogram[c.type];
   }
   return histogram;
+}
+
+std::uint64_t netlist_structure_fingerprint(const Netlist& netlist) {
+  Fnv1a fp;
+  fp.add_text(netlist.name());
+  fp.add(netlist.net_count());
+  fp.add(netlist.cell_count());
+  for (CellId id = 0; id < netlist.cell_count(); ++id) {
+    const Cell& cell = netlist.cell(id);
+    fp.add(static_cast<std::uint64_t>(cell.type));
+    fp.add(cell.domain);
+    fp.add(cell.out);
+    fp.add(cell.fanin.size());
+    for (const NetId net : cell.fanin) {
+      fp.add(net);
+    }
+  }
+  for (const CellId id : netlist.inputs()) {
+    fp.add(id);
+  }
+  for (const CellId id : netlist.outputs()) {
+    fp.add(id);
+  }
+  return fp.hash;
 }
 
 }  // namespace retscan

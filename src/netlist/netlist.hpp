@@ -172,4 +172,11 @@ class Netlist {
   mutable std::shared_ptr<const CompiledNetlist> compiled_;
 };
 
+/// FNV-1a 64 over everything a CompiledNetlist is a pure function of: the
+/// module name, net count, port lists and every cell's (type, domain,
+/// fanin, out) in declaration order. Two netlists with equal fingerprints
+/// lower to byte-identical instruction streams, so a digest of fingerprints
+/// pins what synthesis builds (ProtectedDesign.SynthesisIsPinned).
+std::uint64_t netlist_structure_fingerprint(const Netlist& netlist);
+
 }  // namespace retscan

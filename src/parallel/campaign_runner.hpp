@@ -97,21 +97,6 @@ class CampaignRunner {
   unsigned threads() const { return pool_.size(); }
   ThreadPool& pool() { return pool_; }
 
-  /// Generic deterministic map-reduce: fn(shard) → Result, merged with
-  /// operator+= in shard index order. Result must be value-initializable.
-  template <typename Result, typename ShardFn>
-  Result map_reduce(std::size_t total, std::size_t shard_size, ShardFn&& fn) {
-    const std::vector<ShardRange> shards = plan_shards(total, shard_size);
-    std::vector<Result> partial(shards.size());
-    pool_.parallel_for(shards.size(),
-                       [&](std::size_t s) { partial[s] = fn(shards[s]); });
-    Result merged{};
-    for (const Result& p : partial) {
-      merged += p;
-    }
-    return merged;
-  }
-
   /// Behavioral-tier validation campaign (FastTestbench::run) across the
   /// pool. shard_size == 0 → CampaignOptions::shard_size.
   CampaignReport run_fast(const ValidationConfig& config, std::size_t count,

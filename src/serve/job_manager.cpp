@@ -70,10 +70,6 @@ JobManager::JobManager(const ServeOptions& options)
     : options_(options),
       runner_(parallel::CampaignOptions{.threads = options.threads}),
       sessions_(options.session_capacity) {
-  if (!options_.cache_dir.empty()) {
-    artifacts_ = std::make_shared<CompiledArtifactStore>(options_.cache_dir);
-    install_artifact_store(artifacts_);
-  }
   const std::size_t drivers = options_.max_active == 0 ? 1 : options_.max_active;
   drivers_.reserve(drivers);
   for (std::size_t i = 0; i < drivers; ++i) {
@@ -172,11 +168,6 @@ void JobManager::drain() {
   drivers_.clear();
 }
 
-CompiledArtifactStore::Stats JobManager::artifact_stats() const {
-  return artifacts_ != nullptr ? artifacts_->stats()
-                               : CompiledArtifactStore::Stats{};
-}
-
 void JobManager::driver_loop() {
   for (;;) {
     Job* job = nullptr;
@@ -227,13 +218,10 @@ void JobManager::execute(Job& job) {
     }
     const CampaignSpec& spec = file.campaign;
     const bool gate_level =
-        !(spec.kind == CampaignKind::Validation ||
-          spec.kind == CampaignKind::Injection) ||
-        spec.tier == ValidationTier::Structural;
+        spec.kind != CampaignKind::Validation || spec.tier == ValidationTier::Structural;
     if (gate_level) {
-      // Force the compile now so setup_seconds captures it — this is the
-      // cost the artifact store amortizes, and what the serve CI job
-      // compares cold vs warm.
+      // Force the compile now so setup_seconds captures it — the cost a
+      // session-cache hit skips.
       session->frame();
     }
     {

@@ -6,10 +6,10 @@
 /// driver threads executes them, every campaign running on ONE shared
 /// CampaignRunner, whose pool serves concurrent callers round-robin, so N
 /// concurrent jobs interleave shard-by-shard instead of fighting over
-/// cores with N private pools. Sessions come from the SessionCache, compiled
-/// netlists from the process-global CompiledArtifactStore — neither cache
-/// can change a campaign's statistics (same seed → same results, cold or
-/// warm; asserted by tests/test_serve.cpp and the serve CI job).
+/// cores with N private pools. Sessions come from the SessionCache, which
+/// cannot change a campaign's statistics (same seed → same results, cold or
+/// warm; asserted by tests/test_serve.cpp and the serve CI job). A session
+/// compiles its netlist in-process on first use.
 ///
 /// Each job owns a CancelToken: cancel() stops a queued job immediately
 /// and interrupts a running sharded campaign at the next shard boundary,
@@ -18,6 +18,7 @@
 /// is the SIGTERM path: stop accepting, finish everything queued, join.
 
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -31,13 +32,20 @@
 #include "retscan/campaign.hpp"
 #include "serve/protocol.hpp"
 #include "serve/session_cache.hpp"
-#include "sim/artifact_store.hpp"
+
+namespace retscan {
+
+/// Transitional (10.0): does nothing. Kept until the benchmark harness,
+/// which still calls it after each daemon, drops the call; then it goes.
+inline void install_artifact_store(std::nullptr_t) {}
+
+}  // namespace retscan
 
 namespace retscan::serve {
 
 struct ServeOptions {
-  /// On-disk compiled-netlist artifact directory; empty disables the
-  /// store (sessions still cache in memory).
+  /// Transitional (10.0): no code reads it. Kept until the benchmark
+  /// harness, which still sets it, drops it; then it goes.
   std::string cache_dir;
   /// Idle sessions kept warm (LRU).
   std::size_t session_capacity = 8;
@@ -99,8 +107,6 @@ class JobManager {
   const ServeOptions& options() const { return options_; }
   unsigned threads() { return runner_.threads(); }
   SessionCache::Stats session_stats() const { return sessions_.stats(); }
-  /// Stats of the daemon's artifact store; zeros when cache_dir is empty.
-  CompiledArtifactStore::Stats artifact_stats() const;
 
  private:
   struct Job {
@@ -115,7 +121,6 @@ class JobManager {
   void execute(Job& job);
 
   ServeOptions options_;
-  std::shared_ptr<CompiledArtifactStore> artifacts_;  ///< also installed globally
   parallel::CampaignRunner runner_;
   mutable SessionCache sessions_;
 

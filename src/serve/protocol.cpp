@@ -253,7 +253,7 @@ void print_summary(std::ostream& out, const ResultSummary& s) {
     }
     out << "\n";
   }
-  if (s.kind == "validation" || s.kind == "injection") {
+  if (s.kind == "validation") {
     out << "result:   " << s.sequences << " sequences, "
         << s.sequences_with_errors << " with errors, detection "
         << 100.0 * ratio(s.detected, s.sequences_with_errors)

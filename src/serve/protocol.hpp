@@ -14,8 +14,8 @@
 /// budgets must survive the round trip bit-for-bit), plus the resolved
 /// execution shape. summary_digest() hashes only the statistics-bearing
 /// fields, so two runs of the same spec compare equal across thread
-/// counts, sessions and daemon restarts — the serve CI job asserts cold
-/// vs artifact-warm submissions digest-identically.
+/// counts, sessions and daemon restarts — the serve CI job asserts cold,
+/// session-warm and restarted-daemon submissions digest-identically.
 
 #include <cstdint>
 #include <iosfwd>

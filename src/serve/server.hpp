@@ -16,7 +16,7 @@
 ///   {"cmd":"result","id":N}                → blocks until terminal
 ///   {"cmd":"cancel","id":N}                → cooperative cancel
 ///   {"cmd":"list"}                         → every job record
-///   {"cmd":"stats"}                        → session/artifact cache stats
+///   {"cmd":"stats"}                        → session-cache stats, pool size
 ///   {"cmd":"shutdown"}                     → graceful drain, then exit
 ///
 /// Shutdown (the `shutdown` command or SIGTERM via notify_signal()) is a

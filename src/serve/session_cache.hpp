@@ -54,7 +54,6 @@ class SessionCache {
   };
   Stats stats() const;
   std::size_t size() const;
-  std::size_t capacity() const { return capacity_; }
 
  private:
   struct Entry {

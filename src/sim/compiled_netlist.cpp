@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <bit>
 
-#include "sim/artifact_store.hpp"
-
 namespace retscan {
 
 namespace {
@@ -136,23 +134,9 @@ void CompiledNetlist::eval_full(LaneWord* values) const {
   }
 }
 
-void CompiledNetlist::eval_full_clamped(LaneWord* values,
-                                        const LaneWord* domain_clamps) const {
-  for (const CompiledInstr& in : instrs_) {
-    values[in.out] = eval_instr(in, values) & domain_clamps[in.domain];
-  }
-}
-
 void CompiledNetlist::eval_full(LaneBlock* values) const {
   for (const CompiledInstr& in : instrs_) {
     values[in.out] = eval_instr(in, values);
-  }
-}
-
-void CompiledNetlist::eval_full_clamped(LaneBlock* values,
-                                        const LaneWord* domain_clamps) const {
-  for (const CompiledInstr& in : instrs_) {
-    values[in.out] = eval_instr(in, values) & block_fill(domain_clamps[in.domain]);
   }
 }
 
@@ -211,16 +195,7 @@ void CompiledNetlist::reference_eval(const Netlist& netlist,
 // cache accessor the netlist declares.
 std::shared_ptr<const CompiledNetlist> Netlist::compiled() const {
   if (!compiled_) {
-    // Artifact-store fast path (sim/artifact_store.hpp): when a store is
-    // installed — `retscan serve --cache-dir`, RETSCAN_ARTIFACT_DIR — a
-    // prior process's lowering is deserialized instead of recompiled. The
-    // loaded stream is keyed by the structure fingerprint, so it is
-    // byte-identical to what the constructor would produce.
-    if (std::shared_ptr<CompiledArtifactStore> store = installed_artifact_store()) {
-      compiled_ = store->load_or_compile(*this);
-    } else {
-      compiled_ = std::make_shared<const CompiledNetlist>(*this);
-    }
+    compiled_ = std::make_shared<const CompiledNetlist>(*this);
   }
   return compiled_;
 }

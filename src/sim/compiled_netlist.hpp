@@ -64,8 +64,10 @@ struct CompiledInstr {
 ///    then each compiled gate's output in topological order. Every
 ///    instruction therefore only reads slots below the one it writes, and a
 ///    full sweep walks the value array almost monotonically.
-///  * `eval_full` / `eval_full_clamped` evaluate the whole stream (the
-///    SimEngine settle and the fault-frame good machine).
+///  * `eval_full` evaluates the whole stream (the fault-frame good machine
+///    and the sequential fault model). SimEngine runs its own sweeps over
+///    `eval_instr`, masking each output with its domain's isolation clamp
+///    and counting toggles.
 ///  * `eval_event` evaluates only the dirty set: a worklist seeded from
 ///    changed source slots and propagated level-by-level through the
 ///    readers CSR, with caller-side change detection deciding what keeps
@@ -134,12 +136,6 @@ class CompiledNetlist {
   /// Block-wide full sweep: values holds slot_count() LaneBlocks, lane-major
   /// and contiguous, so one sweep walks kLaneBlockBits lanes per slot.
   void eval_full(LaneBlock* values) const;
-  /// Full-sweep settle with power-domain clamping: `domain_clamps` holds one
-  /// word per domain (~0 = powered, 0 = isolation-clamped to 0).
-  void eval_full_clamped(LaneWord* values, const LaneWord* domain_clamps) const;
-  /// Block-wide clamped sweep; the per-domain clamp word applies uniformly
-  /// to every word of each block.
-  void eval_full_clamped(LaneBlock* values, const LaneWord* domain_clamps) const;
 
   /// Reusable scratch state for `eval_event`: per-level instruction buckets
   /// plus a scheduled flag per instruction. Both are left empty/zero between
@@ -249,12 +245,6 @@ class CompiledNetlist {
   static void reference_eval(const Netlist& netlist, std::vector<LaneWord>& values_by_net);
 
  private:
-  /// Artifact deserialization (sim/artifact_store.cpp) reconstructs an
-  /// instance field by field from a validated on-disk image — the one
-  /// component allowed to bypass the lowering constructor.
-  CompiledNetlist() = default;
-  friend struct CompiledArtifactCodec;
-
   std::vector<std::uint32_t> slot_of_net_;
   std::vector<NetId> net_of_slot_;
   std::vector<CompiledInstr> instrs_;

@@ -27,9 +27,6 @@ SimEngine::SimEngine(const Netlist& netlist, LaneWord activity_lanes)
     if (cell_is_flop(c.type)) {
       flop_cells_.push_back(id);
     }
-    if (c.type == CellType::Rdff) {
-      rdff_cells_.push_back(id);
-    }
     if (!cell_is_sequential(c.type)) {
       continue;
     }

@@ -136,8 +136,6 @@ class SimEngine {
   // --- precomputed structure ---------------------------------------------
   /// Flop cells (Dff/Sdff/Rdff) in netlist order, cached at construction.
   const std::vector<CellId>& flop_cells() const { return flop_cells_; }
-  /// Rdff cells in netlist order, cached at construction.
-  const std::vector<CellId>& rdff_cells() const { return rdff_cells_; }
 
   // --- activity accounting -------------------------------------------------
   void reset_activity();
@@ -189,7 +187,6 @@ class SimEngine {
   std::vector<SeqCell> seq_cells_;  // flops + latches in id order
   std::vector<std::pair<std::uint32_t, CellId>> const1_slots_;
   std::vector<CellId> flop_cells_;
-  std::vector<CellId> rdff_cells_;
   std::vector<std::vector<CellId>> domain_seq_cells_;  // seq cells per domain
 
   std::vector<LaneWord> net_values_;       // indexed by value slot

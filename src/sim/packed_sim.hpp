@@ -80,9 +80,8 @@ class PackedSim {
   void power_on(DomainId domain);
   bool domain_powered(DomainId domain) const;
 
-  /// Flop cells (netlist.flops() order) and Rdff cells, precomputed.
+  /// Flop cells (netlist.flops() order), precomputed.
   const std::vector<CellId>& flop_cells() const { return engine_.flop_cells(); }
-  const std::vector<CellId>& rdff_cells() const { return engine_.rdff_cells(); }
 
   // --- evaluation schedule ------------------------------------------------
   /// Settle scheduling (sweep vs dirty-net worklist, see sim/schedule.hpp);

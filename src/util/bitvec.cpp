@@ -220,39 +220,4 @@ std::vector<BitVec> unpack_lanes(const std::vector<std::uint64_t>& words,
   return rows;
 }
 
-std::vector<LaneBlock> pack_lane_blocks(const std::vector<BitVec>& rows) {
-  RETSCAN_CHECK(rows.size() <= kLaneBlockBits,
-                "pack_lane_blocks: more than kLaneBlockBits lanes");
-  const std::size_t width = rows.empty() ? 0 : rows[0].size();
-  std::vector<LaneBlock> blocks(width, LaneBlock{});
-  for (std::size_t lane = 0; lane < rows.size(); ++lane) {
-    RETSCAN_CHECK(rows[lane].size() == width, "pack_lane_blocks: row size mismatch");
-    const std::size_t word = lane / kLaneCount;
-    const std::uint64_t bit = std::uint64_t{1} << (lane % kLaneCount);
-    for (std::size_t i = 0; i < width; ++i) {
-      if (rows[lane].get(i)) {
-        blocks[i].w[word] |= bit;
-      }
-    }
-  }
-  return blocks;
-}
-
-std::vector<BitVec> unpack_lane_blocks(const std::vector<LaneBlock>& blocks,
-                                       std::size_t lane_count) {
-  RETSCAN_CHECK(lane_count <= kLaneBlockBits,
-                "unpack_lane_blocks: more than kLaneBlockBits lanes");
-  std::vector<BitVec> rows(lane_count, BitVec(blocks.size()));
-  for (std::size_t lane = 0; lane < lane_count; ++lane) {
-    const std::size_t word = lane / kLaneCount;
-    const std::uint64_t bit = std::uint64_t{1} << (lane % kLaneCount);
-    for (std::size_t i = 0; i < blocks.size(); ++i) {
-      if (blocks[i].w[word] & bit) {
-        rows[lane].set(i, true);
-      }
-    }
-  }
-  return rows;
-}
-
 }  // namespace retscan

@@ -5,8 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "util/lanes.hpp"
-
 namespace retscan {
 
 /// Dynamically sized bit vector with word-level storage.
@@ -102,12 +100,5 @@ class BitVec {
 std::vector<std::uint64_t> pack_lanes(const std::vector<BitVec>& rows);
 std::vector<BitVec> unpack_lanes(const std::vector<std::uint64_t>& words,
                                  std::size_t lane_count);
-
-/// Block-wide transposition: up to kLaneBlockBits equal-sized BitVecs (one
-/// per lane) become one LaneBlock per bit position — the load path of the
-/// wide compiled sweep. Lane L of a block lives in word L / 64, bit L % 64.
-std::vector<LaneBlock> pack_lane_blocks(const std::vector<BitVec>& rows);
-std::vector<BitVec> unpack_lane_blocks(const std::vector<LaneBlock>& blocks,
-                                       std::size_t lane_count);
 
 }  // namespace retscan

@@ -7,7 +7,7 @@
 namespace retscan {
 
 /// FNV-1a 64 accumulator — the repo-wide content-fingerprint primitive
-/// (campaign fingerprints, compiled-netlist artifact keys, session-cache
+/// (campaign fingerprints, netlist structure fingerprints, session-cache
 /// keys). Every field is hashed through a fixed-width integer
 /// representation so a fingerprint is stable across platforms with the same
 /// integer model; it is an identity check, not a cryptographic hash.

@@ -42,8 +42,8 @@ std::uint32_t load_le32(const unsigned char* bytes) {
          std::uint32_t{bytes[3]} << 24;
 }
 
-}  // namespace
-
+/// CRC32 (reflected 0xEDB88320, the zlib polynomial) over `size` bytes —
+/// the integrity check on every journal header and record.
 std::uint32_t crc32(const void* data, std::size_t size) {
   const auto& t = kCrc32Tables;
   const auto* bytes = static_cast<const unsigned char*>(data);
@@ -60,8 +60,6 @@ std::uint32_t crc32(const void* data, std::size_t size) {
   }
   return crc ^ 0xFFFFFFFFu;
 }
-
-namespace {
 
 constexpr std::uint32_t kMagic = 0x4A435352u;  // "RSCJ"
 constexpr std::uint32_t kFormat = 1;

@@ -118,8 +118,4 @@ class CampaignJournal {
   std::unordered_map<std::uint64_t, std::size_t> index_;
 };
 
-/// CRC32 (reflected 0xEDB88320, the zlib polynomial) over `size` bytes —
-/// the integrity check on every journal header and record.
-std::uint32_t crc32(const void* data, std::size_t size);
-
 }  // namespace retscan

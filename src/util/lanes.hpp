@@ -87,14 +87,6 @@ inline LaneBlock block_broadcast(bool value) {
   return out;
 }
 
-/// Replicate one 64-lane word into every word of the block. Used to apply a
-/// per-domain clamp word (which is lane-agnostic) to a whole block.
-inline LaneBlock block_fill(LaneWord word) {
-  LaneBlock out;
-  for (std::size_t i = 0; i < kLaneWords; ++i) out.w[i] = word;
-  return out;
-}
-
 /// Mask selecting block lanes [0, count). count may be any value up to
 /// kLaneBlockBits; partial last blocks use this to silence unused lanes.
 inline LaneBlock block_lane_mask(std::size_t count) {

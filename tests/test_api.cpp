@@ -119,18 +119,15 @@ TEST(ApiValidation, BehavioralPooledMatchesCampaignRunner) {
   EXPECT_EQ(result.threads, legacy.threads);
 }
 
-TEST(ApiValidation, AutoResolvesToPackedParallelAndMatchesExplicit) {
+TEST(ApiValidation, DefaultBackendIsPackedParallel) {
+  EXPECT_EQ(ScanTestOptions{}.backend, Backend::PackedParallel);
   Session session = paper_session();
   CampaignSpec spec;
   spec.kind = CampaignKind::Validation;
   spec.seed = 7;
   spec.sequences = 4000;
-  EXPECT_EQ(resolve_backend(spec, session), Backend::PackedParallel);
-  const CampaignResult auto_run = session.run(spec);
-  spec.backend = Backend::PackedParallel;
-  const CampaignResult pinned = session.run(spec);
-  EXPECT_EQ(auto_run.validation, pinned.validation);
-  EXPECT_EQ(auto_run.backend, Backend::PackedParallel);
+  EXPECT_EQ(spec.backend, Backend::PackedParallel);
+  EXPECT_EQ(session.run(spec).backend, Backend::PackedParallel);
 }
 
 TEST(ApiValidation, ThreadCountInvariance) {
@@ -232,21 +229,17 @@ TEST(ApiValidation, ScheduleReportFollowsTheRoute) {
   CampaignSpec validation;
   validation.kind = CampaignKind::Validation;
   validation.sequences = 128;
-  for (const Backend backend : {Backend::Auto, Backend::Reference, Backend::PackedParallel}) {
+  for (const Backend backend : {Backend::Reference, Backend::PackedParallel}) {
     validation.backend = backend;
     expect_schedule(gate, validation, Schedule::Sweep);  // behavioral tier
   }
-  CampaignSpec injection = validation;
-  injection.kind = CampaignKind::Injection;
-  injection.mode = InjectionMode::RushModel;
-  injection.backend = Backend::Auto;
-  expect_schedule(gate, injection, Schedule::Sweep);
+  CampaignSpec rush = validation;
+  rush.mode = InjectionMode::RushModel;
+  expect_schedule(gate, rush, Schedule::Sweep);
 
   validation.tier = ValidationTier::Structural;
-  for (const Backend backend : {Backend::Auto, Backend::PackedParallel}) {
-    validation.backend = backend;
-    expect_schedule(gate, validation, Schedule::Auto);
-  }
+  validation.backend = Backend::PackedParallel;
+  expect_schedule(gate, validation, Schedule::Auto);
   validation.backend = Backend::Reference;
   validation.sequences = 2;
   expect_schedule(gate, validation, Schedule::Sweep);
@@ -257,7 +250,6 @@ TEST(ApiValidation, ScheduleReportFollowsTheRoute) {
   for (const CampaignKind kind : {CampaignKind::FaultCoverage, CampaignKind::ScanTest,
                                   CampaignKind::TransitionDelay, CampaignKind::Bridging}) {
     coverage.kind = kind;
-    coverage.backend = Backend::Auto;
     expect_schedule(gate, coverage, Schedule::Sweep);
   }
   coverage.kind = CampaignKind::ScanTest;
@@ -279,7 +271,7 @@ TEST(ApiInjection, RushModelMatchesLegacyRunner) {
 
   Session session = paper_session();
   CampaignSpec spec;
-  spec.kind = CampaignKind::Injection;
+  spec.kind = CampaignKind::Validation;
   spec.mode = InjectionMode::RushModel;
   spec.seed = 201;
   spec.sequences = 8000;
@@ -435,14 +427,6 @@ TEST(ApiValidate, RejectsUnrunnableSpecs) {
   EXPECT_NE(error_message([&] { validate(zero, session); }).find("sequences must be > 0"),
             std::string::npos);
 
-  CampaignSpec bad_injection;
-  bad_injection.kind = CampaignKind::Injection;
-  bad_injection.sequences = 10;
-  bad_injection.mode = InjectionMode::SingleRandom;
-  EXPECT_NE(error_message([&] { validate(bad_injection, session); })
-                .find("RushModel"),
-            std::string::npos);
-
   CampaignSpec bad_shard;
   bad_shard.kind = CampaignKind::Validation;
   bad_shard.tier = ValidationTier::Structural;
@@ -578,7 +562,7 @@ TEST(ApiValidate, RejectsUnrunnableSpecs) {
   controlled.chain_count = 8;
   controlled.hardware_controller = true;
   Session controlled_session(FifoSpec{32, 2}, controlled);
-  for (const Backend backend : {Backend::Auto, Backend::Reference, Backend::PackedParallel}) {
+  for (const Backend backend : {Backend::Reference, Backend::PackedParallel}) {
     for (CampaignSpec spec : {structural, scan_test}) {
       spec.backend = backend;
       expect_rejected(spec, controlled_session,
@@ -904,17 +888,28 @@ TEST(ApiSpecFile, EnumRoundTrips) {
               "spec line 2: 'warp-drive' is not one of: " + spellings);
   };
   check("campaign.kind",
-        {CampaignKind::Validation, CampaignKind::Injection, CampaignKind::FaultCoverage,
-         CampaignKind::ScanTest, CampaignKind::TransitionDelay, CampaignKind::Bridging,
+        {CampaignKind::Validation, CampaignKind::FaultCoverage, CampaignKind::ScanTest,
+         CampaignKind::TransitionDelay, CampaignKind::Bridging,
          CampaignKind::SequentialCoverage});
-  check("campaign.backend", {Backend::Auto, Backend::Reference, Backend::PackedParallel});
+  check("campaign.backend", {Backend::Reference, Backend::PackedParallel});
   check("campaign.tier", {ValidationTier::Behavioral, ValidationTier::Structural});
   check("campaign.mode", {InjectionMode::None, InjectionMode::SingleRandom,
                           InjectionMode::MultipleBurst, InjectionMode::RushModel});
 
   // 5.0 removed the one-thread `packed` backend.
   EXPECT_EQ(error_message([] { parse_spec_text("campaign.backend = packed\n"); }),
-            "spec line 1: 'packed' is not one of: auto, reference, packed-parallel");
+            "spec line 1: 'packed' is not one of: reference, packed-parallel");
+}
+
+/// 10.0 removed two spellings that could not change a result: `auto` (it
+/// always ran packed-parallel) and `injection` (a validation campaign with
+/// mode = rush-model). Each is a spec error naming its line.
+TEST(ApiSpecFile, AutoBackendAndInjectionKindAreSpecErrors) {
+  EXPECT_EQ(error_message([] { parse_spec_text("campaign.backend = auto\n"); }),
+            "spec line 1: 'auto' is not one of: reference, packed-parallel");
+  EXPECT_EQ(error_message([] { parse_spec_text("campaign.kind = injection\n"); }),
+            "spec line 1: 'injection' is not one of: validation, fault-coverage, "
+            "scan-test, transition-delay, bridging, sequential-coverage");
 }
 
 // --- runtime config ---------------------------------------------------------
@@ -987,5 +982,5 @@ TEST(ApiVersion, ConstantsAgree) {
   EXPECT_STREQ(version_string(), RETSCAN_VERSION_STRING);
   EXPECT_EQ(RETSCAN_VERSION_NUMBER,
             kVersionMajor * 10000 + kVersionMinor * 100 + kVersionPatch);
-  EXPECT_EQ(kVersionMajor, 9);
+  EXPECT_EQ(kVersionMajor, 10);
 }

@@ -405,43 +405,6 @@ TEST(LaneBlock, BlockSweepMatchesWordSweepAndReference) {
   }
 }
 
-/// Same agreement through the clamped sweep: every word of a block sees the
-/// identical per-domain isolation clamp the word kernel applies.
-TEST(LaneBlock, ClampedBlockSweepMatchesWordSweep) {
-  Rng rng(78);
-  for (int trial = 0; trial < 3; ++trial) {
-    const RandomDesign d = random_design(rng);
-    const auto compiled = d.nl.compiled();
-    // Random designs place cells in domains 0 and 1; exercise powered,
-    // clamped and per-lane-mixed clamp words.
-    for (const LaneWord clamp1 : {kAllLanes, LaneWord{0}, rng.next_u64()}) {
-      const LaneWord clamps[2] = {kAllLanes, clamp1};
-      std::vector<LaneBlock> blocks(compiled->slot_count(), LaneBlock{});
-      for (LaneBlock& block : blocks) {
-        for (std::size_t w = 0; w < kLaneWords; ++w) {
-          block.w[w] = rng.next_u64();
-        }
-      }
-      std::vector<std::vector<LaneWord>> by_slot(
-          kLaneWords, std::vector<LaneWord>(compiled->slot_count()));
-      for (std::size_t w = 0; w < kLaneWords; ++w) {
-        for (std::uint32_t slot = 0; slot < compiled->slot_count(); ++slot) {
-          by_slot[w][slot] = blocks[slot].w[w];
-        }
-      }
-      compiled->eval_full_clamped(blocks.data(), clamps);
-      for (std::size_t w = 0; w < kLaneWords; ++w) {
-        compiled->eval_full_clamped(by_slot[w].data(), clamps);
-        for (std::uint32_t slot = 0; slot < compiled->slot_count(); ++slot) {
-          ASSERT_EQ(blocks[slot].w[w], by_slot[w][slot])
-              << "trial " << trial << " clamp " << clamp1 << " word " << w
-              << " slot " << slot;
-        }
-      }
-    }
-  }
-}
-
 /// detect_block over kLaneBlockBits-wide batches (shared workspace, cone
 /// replay + undo) must reproduce the full-circuit reference word-for-word,
 /// including partial last blocks at pattern counts that are not multiples
@@ -489,37 +452,6 @@ TEST(LaneBlock, DetectBlockMatchesFullReferenceAtPartialCounts) {
               << " fault " << fault_name(d.nl, fault);
         }
       }
-    }
-  }
-}
-
-/// pack_lane_blocks/unpack_lane_blocks round-trip losslessly at full and
-/// partial lane counts, and word 0 agrees with the single-word packer.
-TEST(LaneBlock, PackLaneBlocksRoundTripsAndAgreesWithPackLanes) {
-  Rng rng(80);
-  const std::size_t width = 23;
-  for (const std::size_t lanes :
-       {kLaneBlockBits, kLaneBlockBits / 2 + 3, std::size_t{1}}) {
-    std::vector<BitVec> rows;
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      BitVec row(width);
-      for (std::size_t i = 0; i < width; ++i) {
-        row.set(i, rng.next_bool(0.5));
-      }
-      rows.push_back(row);
-    }
-    const std::vector<LaneBlock> blocks = pack_lane_blocks(rows);
-    ASSERT_EQ(blocks.size(), width);
-    const std::vector<BitVec> back = unpack_lane_blocks(blocks, lanes);
-    ASSERT_EQ(back.size(), rows.size());
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      EXPECT_EQ(back[lane], rows[lane]) << "lanes " << lanes << " lane " << lane;
-    }
-    const std::vector<BitVec> head(
-        rows.begin(), rows.begin() + std::min<std::size_t>(lanes, kLaneCount));
-    const std::vector<std::uint64_t> words = pack_lanes(head);
-    for (std::size_t i = 0; i < width; ++i) {
-      EXPECT_EQ(blocks[i].w[0], words[i]) << "lanes " << lanes << " bit " << i;
     }
   }
 }

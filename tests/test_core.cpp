@@ -10,9 +10,9 @@
 #include "circuits/fifo.hpp"
 #include "coding/crc.hpp"
 #include "coding/protectors.hpp"
+#include "netlist/netlist.hpp"
 #include "netlist/techlib.hpp"
 #include "scan/scan_io.hpp"
-#include "sim/artifact_store.hpp"
 #include "util/error.hpp"
 #include "util/fnv.hpp"
 #include "util/rng.hpp"

@@ -10,8 +10,11 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <string>
+#include <vector>
 
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -310,8 +313,44 @@ TEST(Journal, TornTailIsDroppedAndIntactPrefixKept) {
   EXPECT_FALSE(resumed.find(2).has_value());
 }
 
+/// The header and record checksums are zlib's CRC32: a bitwise reference,
+/// itself held to the CRC-32 check value, reproduces the stored words of a
+/// written journal.
 TEST(Journal, Crc32MatchesTheZlibCheckValue) {
-  EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
+  const auto reference_crc32 = [](const unsigned char* bytes, std::size_t size) {
+    std::uint32_t crc = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < size; ++i) {
+      crc ^= bytes[i];
+      for (int bit = 0; bit < 8; ++bit) {
+        crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+      }
+    }
+    return crc ^ 0xFFFFFFFFu;
+  };
+  const auto stored_u32 = [](const unsigned char* bytes) {
+    std::uint32_t value;
+    std::memcpy(&value, bytes, sizeof value);
+    return value;
+  };
+  ASSERT_EQ(reference_crc32(reinterpret_cast<const unsigned char*>("123456789"), 9),
+            0xCBF43926u);
+
+  ScopedJournalPath path("test_durability_crc.journal");
+  {
+    CampaignJournal journal(path.str(), kFingerprint, 42,
+                            CampaignJournal::Mode::Truncate);
+    journal.bind_plan(1000, 256, 4);
+    journal.append(make_record(3));
+  }
+  std::ifstream in(path.str(), std::ios::binary);
+  const std::vector<unsigned char> file{std::istreambuf_iterator<char>(in),
+                                        std::istreambuf_iterator<char>()};
+  constexpr std::size_t kHeader = 52;
+  constexpr std::size_t kRecord = 124;
+  ASSERT_EQ(file.size(), kHeader + kRecord);
+  EXPECT_EQ(stored_u32(&file[kHeader - 4]), reference_crc32(file.data(), kHeader - 4));
+  EXPECT_EQ(stored_u32(&file[kHeader + kRecord - 4]),
+            reference_crc32(&file[kHeader], kRecord - 4));
 }
 
 /// Appends write only what the disk lacks: after a torn write the next

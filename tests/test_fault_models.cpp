@@ -268,13 +268,13 @@ void expect_golden(const CampaignResult& result, const Golden& golden) {
 
 TEST(GoldenCoverage, C17AllCombinationalModels) {
   Session session = Session::from_verilog(circuit_path("c17.v"));
-  expect_golden(run_kind(session, CampaignKind::FaultCoverage, Backend::Auto),
+  expect_golden(run_kind(session, CampaignKind::FaultCoverage, Backend::PackedParallel),
                 {22, 22});
   // Transition totals come from the *uncollapsed* stem universe (a buffered
   // stem still delays independently), so they can exceed the stuck-at total.
-  expect_golden(run_kind(session, CampaignKind::TransitionDelay, Backend::Auto),
+  expect_golden(run_kind(session, CampaignKind::TransitionDelay, Backend::PackedParallel),
                 {17, 22});
-  expect_golden(run_kind(session, CampaignKind::Bridging, Backend::Auto),
+  expect_golden(run_kind(session, CampaignKind::Bridging, Backend::PackedParallel),
                 {10, 12});
 }
 
@@ -282,17 +282,17 @@ TEST(GoldenCoverage, S27Sequential) {
   Session session =
       Session::unprotected(Netlist::from_verilog(circuit_path("s27.v")));
   expect_golden(
-      run_kind(session, CampaignKind::SequentialCoverage, Backend::Auto),
+      run_kind(session, CampaignKind::SequentialCoverage, Backend::PackedParallel),
       {30, 30});
 }
 
 TEST(GoldenCoverage, Cmp1908MidSizeCombinational) {
   Session session = Session::from_verilog(circuit_path("cmp1908.v"));
-  expect_golden(run_kind(session, CampaignKind::FaultCoverage, Backend::Auto),
+  expect_golden(run_kind(session, CampaignKind::FaultCoverage, Backend::PackedParallel),
                 {1383, 1388});
-  expect_golden(run_kind(session, CampaignKind::TransitionDelay, Backend::Auto),
+  expect_golden(run_kind(session, CampaignKind::TransitionDelay, Backend::PackedParallel),
                 {2229, 2368});
-  expect_golden(run_kind(session, CampaignKind::Bridging, Backend::Auto),
+  expect_golden(run_kind(session, CampaignKind::Bridging, Backend::PackedParallel),
                 {750, 940});
 }
 
@@ -300,7 +300,7 @@ TEST(GoldenCoverage, Ctrl344MidSizeSequential) {
   Session session =
       Session::unprotected(Netlist::from_verilog(circuit_path("ctrl344.v")));
   expect_golden(
-      run_kind(session, CampaignKind::SequentialCoverage, Backend::Auto),
+      run_kind(session, CampaignKind::SequentialCoverage, Backend::PackedParallel),
       {147, 244});
 }
 
@@ -544,7 +544,7 @@ TEST(CampaignKinds, ValidationRejectsCyclesMisuse) {
 TEST(CampaignKinds, TransitionDelayRunShape) {
   Session session = Session::from_verilog(circuit_path("c17.v"));
   const CampaignResult result =
-      run_kind(session, CampaignKind::TransitionDelay, Backend::Auto);
+      run_kind(session, CampaignKind::TransitionDelay, Backend::PackedParallel);
   EXPECT_EQ(result.kind, CampaignKind::TransitionDelay);
   EXPECT_EQ(result.backend, Backend::PackedParallel);
   EXPECT_FALSE(result.atpg.patterns.empty());

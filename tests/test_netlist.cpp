@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "netlist/techlib.hpp"
 #include "util/error.hpp"
+
+#ifndef RETSCAN_CIRCUITS_DIR
+#define RETSCAN_CIRCUITS_DIR "bench/circuits"
+#endif
 
 namespace retscan {
 namespace {
@@ -204,6 +210,23 @@ TEST(Netlist, AddCellBoundEnforcesInvariants) {
   const CellId inverter = nl.add_cell_bound(CellType::Not, {a}, fresh);
   EXPECT_EQ(nl.output_of(inverter), fresh);
   EXPECT_EQ(nl.driver(fresh), inverter);
+}
+
+/// netlist_structure_fingerprint hashes structure only: two parses of one
+/// file agree, and different circuits differ.
+TEST(StructureFingerprint, IsAPureFunctionOfStructure) {
+  const auto load = [](const std::string& file) {
+    return Netlist::from_verilog(std::string(RETSCAN_CIRCUITS_DIR) + "/" + file);
+  };
+  for (const char* file : {"c17.v", "s27.v", "mul880.v"}) {
+    EXPECT_EQ(netlist_structure_fingerprint(load(file)),
+              netlist_structure_fingerprint(load(file)))
+        << file;
+  }
+  EXPECT_NE(netlist_structure_fingerprint(load("c17.v")),
+            netlist_structure_fingerprint(load("s27.v")));
+  EXPECT_NE(netlist_structure_fingerprint(load("s27.v")),
+            netlist_structure_fingerprint(load("mul880.v")));
 }
 
 }  // namespace

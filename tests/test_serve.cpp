@@ -483,5 +483,46 @@ TEST(ServeServer, FullProtocolOverAUnixSocket) {
   again.join();
 }
 
+/// ServeOptions::cache_dir and the stats verb's `artifacts` object are
+/// transitional (10.0): a daemon given a cache directory runs a gate-level
+/// job without creating it, reports two zero counts, and a restarted daemon
+/// reproduces the cold digest.
+TEST(ServeServer, CacheDirIsInertAndArtifactStatsStayZero) {
+  const std::filesystem::path temp_dir(::testing::TempDir());
+  const std::string socket_path = (temp_dir / "serve_cache_dir.sock").string();
+  ServeOptions options;
+  options.cache_dir = (temp_dir / "serve_cache_dir_unused").string();
+  options.max_active = 1;
+  std::filesystem::remove_all(options.cache_dir);
+
+  std::uint64_t digests[2] = {0, 0};
+  for (std::uint64_t& digest : digests) {
+    Server server(socket_path, options);
+    std::thread daemon([&] { server.run(); });
+    {
+      Client client(socket_path);
+      const Json submitted = client.request(
+          Json(Json::Object{}).set("cmd", "submit").set("spec", scan_spec()));
+      const Json done = client.request(Json(Json::Object{})
+                                           .set("cmd", "result")
+                                           .set("id", submitted.at("id").as_u64()));
+      const JobRecord record = job_from_json(done.at("job"));
+      EXPECT_EQ(record.state, JobState::Done) << record.error;
+      ASSERT_TRUE(record.summary.has_value());
+      digest = summary_digest(*record.summary);
+
+      const Json stats = client.request(Json(Json::Object{}).set("cmd", "stats"));
+      const Json& artifacts = stats.at("artifacts");
+      EXPECT_EQ(artifacts.as_object().size(), 2u) << artifacts.dump();
+      EXPECT_EQ(artifacts.at("hits").as_u64(), 0u);
+      EXPECT_EQ(artifacts.at("misses").as_u64(), 0u);
+      client.request(Json(Json::Object{}).set("cmd", "shutdown"));
+    }
+    daemon.join();
+    EXPECT_FALSE(std::filesystem::exists(options.cache_dir));
+  }
+  EXPECT_EQ(digests[0], digests[1]);
+}
+
 }  // namespace
 }  // namespace retscan::serve

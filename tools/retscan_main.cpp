@@ -50,11 +50,11 @@ std::uint64_t parse_override_u64(const std::string& flag, const std::string& val
 
 int usage(std::ostream& out, int status) {
   out << "usage: retscan run <campaign.spec> [--seed N] [--threads N]\n"
-         "                   [--sequences N] [--backend auto|reference|packed-parallel]\n"
+         "                   [--sequences N] [--backend reference|packed-parallel]\n"
          "                   [--checkpoint PATH] [--resume] [--deadline-ms N]\n"
          "       retscan describe <campaign.spec>\n"
-         "       retscan serve [--socket PATH] [--cache-dir DIR] [--threads N]\n"
-         "                     [--active N] [--session-cache N]\n"
+         "       retscan serve [--socket PATH] [--threads N] [--active N]\n"
+         "                     [--session-cache N]\n"
          "       retscan submit <campaign.spec> [--socket PATH] [--wait]\n"
          "                      [run overrides as above]\n"
          "       retscan jobs [--socket PATH]\n"
@@ -98,7 +98,7 @@ void print_netlist_line(std::ostream& out, const SpecFile& file, const Netlist* 
 }
 
 void print_plan(std::ostream& out, const SpecFile& file, const Netlist* base,
-                bool is_protected, Backend resolved, unsigned threads) {
+                bool is_protected, unsigned threads) {
   const CampaignSpec& c = file.campaign;
   print_netlist_line(out, file, base);
   if (!is_protected) {
@@ -114,12 +114,8 @@ void print_plan(std::ostream& out, const SpecFile& file, const Netlist* base,
     out << (file.protection.secded ? " secded" : "") << "\n";
   }
   out << "campaign: " << to_string(c.kind) << ", seed " << c.seed << ", backend "
-      << to_string(c.backend);
-  if (c.backend == Backend::Auto) {
-    out << " -> " << to_string(resolved);
-  }
-  out << ", " << threads << " threads\n";
-  if (c.kind == CampaignKind::Validation || c.kind == CampaignKind::Injection) {
+      << to_string(c.backend) << ", " << threads << " threads\n";
+  if (c.kind == CampaignKind::Validation) {
     out << "workload: " << c.sequences << " sequences, tier " << to_string(c.tier)
         << ", mode " << to_string(c.mode) << "\n";
   } else if (c.kind == CampaignKind::SequentialCoverage) {
@@ -205,7 +201,7 @@ int run_command(const std::string& command, int argc, char** argv) {
   serve::apply_overrides(file, overrides);
 
   Session session = make_session(file);
-  const Backend resolved = resolve_backend(file.campaign, session);  // validates
+  validate(file.campaign, session);
   // describe always reports the base netlist's provenance and size; runs
   // over imported circuits get it too. This re-parses the Verilog file the
   // session already consumed — deliberate: the session only exposes the
@@ -224,7 +220,7 @@ int run_command(const std::string& command, int argc, char** argv) {
     print_build_info(std::cout);
   }
   print_plan(std::cout, file, base ? &*base : nullptr, session.is_protected(),
-             resolved, session.threads());
+             session.threads());
   if (command == "describe") {
     std::cout << "spec OK (describe only, nothing run)\n";
     return 0;
@@ -272,8 +268,6 @@ int serve_command(int argc, char** argv) {
     i += 2;
     if (flag == "--socket") {
       socket_path = value;
-    } else if (flag == "--cache-dir") {
-      options.cache_dir = value;
     } else if (flag == "--threads") {
       options.threads =
           static_cast<unsigned>(parse_override_u64(flag, value, 4096));
@@ -293,10 +287,7 @@ int serve_command(int argc, char** argv) {
   // plus where the daemon is listening and what it caches.
   print_build_info(std::cout);
   std::cout << "socket:   " << server.socket_path() << "\n"
-            << "cache:    "
-            << (options.cache_dir.empty() ? std::string("(no artifact dir)")
-                                          : options.cache_dir)
-            << ", " << options.session_capacity << " warm sessions, "
+            << "cache:    " << options.session_capacity << " warm sessions, "
             << options.max_active << " active jobs\n"
             << "serving\n"
             << std::flush;
