@@ -131,7 +131,6 @@ int main() {
 
     CampaignSpec spec;
     spec.kind = CampaignKind::FaultCoverage;
-    spec.backend = Backend::PackedParallel;
     spec.seed = 7;
     spec.atpg.random_patterns = work.random_patterns;
     spec.atpg.max_backtracks = 300;
@@ -170,7 +169,6 @@ int main() {
       Session bare = Session::unprotected(Netlist::from_verilog(path));
       CampaignSpec seq;
       seq.kind = CampaignKind::SequentialCoverage;
-      seq.backend = Backend::PackedParallel;
       seq.seed = 7;
       seq.sequences = 64;
       seq.cycles = 32;

@@ -22,8 +22,8 @@ int main() {
   const CampaignResult result = session.run(spec);
 
   std::cout << "retscan " << version_string() << ": delivered "
-            << result.scan_test.patterns_applied << " patterns via "
-            << to_string(result.backend) << ", " << result.scan_test.mismatches
+            << result.scan_test.patterns_applied << " patterns on " << result.threads
+            << " threads, " << result.scan_test.mismatches
             << " mismatches\n";
   return result.passed() && result.scan_test.patterns_applied > 0 ? 0 : 1;
 }

@@ -53,9 +53,8 @@ int main() {
   CampaignSpec gate;
   gate.kind = CampaignKind::Validation;
   gate.tier = ValidationTier::Structural;
-  gate.backend = Backend::Reference;  // the scalar cycle-accurate oracle
   gate.seed = 7;
-  gate.sequences = 30;
+  gate.sequences = 64;  // one 64-lane batch of the packed gate-level testbench
   const CampaignResult confirmation = slice.run(gate);
   report(confirmation.validation);
   std::cout << "comparator mismatches: "

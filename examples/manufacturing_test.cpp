@@ -39,10 +39,9 @@ int main() {
             << atpg.aborted << " aborted) with " << atpg.patterns.size()
             << " patterns\n";
 
-  // ...then deliver through the tsi/tso concatenation. Backend::Reference is
-  // the scalar tester oracle; the default (PackedParallel) is pooled 64-lane delivery.
-  const ScanTestResult delivery = session.run_scan_test(
-      atpg.patterns, {.backend = Backend::Reference});
+  // ...then deliver through the tsi/tso concatenation, 64 patterns per lane
+  // batch, sharded across the session's pool.
+  const ScanTestResult delivery = session.run_scan_test(atpg.patterns);
   std::cout << "delivered " << delivery.patterns_applied
             << " patterns through tsi/tso: " << delivery.mismatches
             << " mismatches\n";
@@ -53,8 +52,8 @@ int main() {
   spec.atpg = options;
   const CampaignResult campaign = session.run(spec);
   std::cout << "campaign: " << campaign.scan_test.patterns_applied
-            << " patterns on " << to_string(campaign.backend) << " ("
-            << campaign.threads << " threads), " << campaign.scan_test.mismatches
+            << " patterns on " << campaign.threads << " threads, "
+            << campaign.scan_test.mismatches
             << " mismatches\n";
   std::cout << (delivery.all_passed() && campaign.passed()
                     ? "manufacturing test unaffected by the monitoring logic.\n"

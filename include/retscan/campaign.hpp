@@ -6,11 +6,12 @@
 /// validation campaigns (LFSR or electrical fault injection), fault-coverage /
 /// ATPG runs, transition-delay / bridging / sequential coverage
 /// measurements, and manufacturing scan-test deliveries — with uniform
-/// seed / threads / shard knobs, and `run(Session&, spec)` routes it to
-/// the backend the spec names (the pooled one unless it pins the scalar
-/// reference). Same seed → bit-identical results at any thread count, and
-/// on every backend that computes the same thing (asserted by
-/// tests/test_api.cpp).
+/// seed / threads / shard knobs, and `run(Session&, spec)` runs it on the
+/// one pooled route its kind has. Same seed → bit-identical results at any
+/// thread count (asserted by tests/test_api.cpp); the scalar oracles those
+/// routes are checked against stay engine-level functions
+/// (FastTestbench::run_reference, StructuralTestbench::run,
+/// deliver_scan_test).
 
 #include <cstddef>
 #include <cstdint>
@@ -41,20 +42,6 @@ enum class CampaignKind {
   SequentialCoverage, ///< multi-cycle stuck-at coverage, no scan access
 };
 
-/// Execution strategy. PackedParallel is the default; Reference pins the
-/// scalar oracle, which computes something different. Validation and
-/// scan-test accept both, the fault-simulation kinds only PackedParallel
-/// (validate() rejects Reference there). Each backend reproduces the
-/// engine-level entry point it routes to for the same seed (see
-/// tests/test_api.cpp).
-enum class Backend {
-  Reference,      ///< scalar oracle: one trial/pattern at a time; on the
-                  ///< behavioral tier, the data-full loop the syndrome
-                  ///< evaluation is checked against; for scan-test, the
-                  ///< scalar delivery
-  PackedParallel, ///< 64-way lanes × the session's thread pool
-};
-
 /// Which model tier a validation campaign runs on.
 enum class ValidationTier {
   Behavioral, ///< bit-exact behavioral protectors (paper-scale, fast)
@@ -62,15 +49,13 @@ enum class ValidationTier {
 };
 
 /// Canonical spellings — exactly the values the spec-file format and the
-/// `retscan` CLI accept ("validation", "packed-parallel", "rush-model", ...).
+/// `retscan` CLI accept ("validation", "structural", "rush-model", ...).
 const char* to_string(CampaignKind kind);
-const char* to_string(Backend backend);
 const char* to_string(ValidationTier tier);
 const char* to_string(InjectionMode mode);
 
 /// Inverse of to_string; returns false (out untouched) on unknown text.
 bool from_string(std::string_view text, CampaignKind& out);
-bool from_string(std::string_view text, Backend& out);
 bool from_string(std::string_view text, ValidationTier& out);
 bool from_string(std::string_view text, InjectionMode& out);
 
@@ -78,9 +63,7 @@ bool from_string(std::string_view text, InjectionMode& out);
 /// Fig. 5(b) test-mode ports: a ProtectedDesign's per-chain si ports are
 /// superseded by the monitor feedback muxes.
 struct ScanTestOptions {
-  /// PackedParallel (pooled packed delivery) or Reference (scalar).
-  Backend backend = Backend::PackedParallel;
-  /// PackedParallel: pattern count per pool shard (64-lane aligned).
+  /// Pattern count per pool shard (64-lane aligned).
   std::size_t patterns_per_shard = 256;
 };
 
@@ -94,17 +77,16 @@ struct ScanTestOptions {
 ///   CampaignResult result = run(session, spec);
 struct CampaignSpec {
   CampaignKind kind = CampaignKind::Validation;
-  Backend backend = Backend::PackedParallel;
-  /// Campaign master seed. Every backend derives its per-shard / injector
+  /// Campaign master seed. Every kind derives its per-shard / injector
   /// streams from this one value (for FaultCoverage/ScanTest it overrides
   /// atpg.seed so one knob controls the whole run).
   std::uint64_t seed = 1;
-  /// Worker threads for PackedParallel backends; 0 → the session's pool
-  /// (RETSCAN_THREADS / hardware_concurrency).
+  /// Worker threads; 0 → the session's pool (RETSCAN_THREADS /
+  /// hardware_concurrency).
   unsigned threads = 0;
   /// Trials (validation kinds), fault-list entries (coverage kinds) or
   /// patterns (scan-test, floored to whole 64-lane batches) per pool shard;
-  /// 0 → the kind's default. PackedParallel only.
+  /// 0 → the kind's default.
   std::size_t shard_size = 0;
 
   // --- Validation ------------------------------------------------------
@@ -130,12 +112,12 @@ struct CampaignSpec {
   /// and 0 (unset) everywhere else — no other kind steps a clock.
   std::size_t cycles = 0;
 
-  // --- Durability (validation kinds, sharded backends) -----------------
+  // --- Durability (validation kinds) -----------------------------------
   /// Checkpoint journal path (`checkpoint =` spec key / `--checkpoint`):
   /// completed shards are appended as fixed-format CRC'd records via
   /// write-temp-then-atomic-rename, so an interrupted campaign loses at
   /// most the shards in flight. Empty = no checkpointing. Validation
-  /// kinds on the sharded (PackedParallel) backend only.
+  /// kinds only.
   std::string checkpoint;
   /// Resume from `checkpoint` (`resume =` / `--resume`): the journal
   /// header is validated against the current spec/design/version
@@ -155,11 +137,10 @@ struct CampaignSpec {
 /// populated; the execution-shape fields are always filled.
 struct CampaignResult {
   CampaignKind kind = CampaignKind::Validation;
-  Backend backend = Backend::Reference; ///< the strategy that ran
   /// Settle schedule the gate-level engines ran (sim/schedule.hpp), fixed
-  /// by the route: Auto for PackedParallel structural validation
-  /// (each engine probes its own activity; see `activity` for what that
-  /// chose), Sweep for everything else. Not settable.
+  /// by the route: Auto for structural validation (each engine probes its
+  /// own activity; see `activity` for what that chose), Sweep for
+  /// everything else. Not settable.
   Schedule schedule = Schedule::Sweep;
   unsigned threads = 1;
   std::size_t shard_count = 1;
@@ -195,10 +176,9 @@ struct CampaignResult {
 
 /// Reject unrunnable specs with an actionable message (thrown as
 /// retscan::Error): zero trial counts, injection with nothing to inject,
-/// backends that don't exist for the kind, sessions lacking the golden
-/// model a validation campaign needs, designs the route would not test as
-/// built (a hardware controller on the structural tier or scan-test), bad
-/// shard sizes.
+/// sessions lacking the golden model a validation campaign needs, designs
+/// the route would not test as built (a hardware controller on the
+/// structural tier or scan-test), bad shard sizes.
 void validate(const CampaignSpec& spec, const Session& session);
 
 /// Run the campaign on the session's design. Validates first; throws

@@ -13,7 +13,7 @@
 #include "inject/injector.hpp"       // ErrorInjector, ErrorLocation
 #include "power/corruption.hpp"      // CorruptionModel, CorruptionParameters
 #include "power/pg_fsm.hpp"          // PgControllerFsm, PgState
-#include "power/recovery.hpp"        // recovery/leakage models
+#include "power/recovery.hpp"        // RecoveryAnalyzer, RecoveryCosts
 #include "power/rush_current.hpp"    // RushCurrentModel, RushParameters
 #include "scan/scan_insert.hpp"      // ScanChains, TestModeConfig
 #include "scan/scan_io.hpp"          // scan_snapshot, scan_restore

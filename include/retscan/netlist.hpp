@@ -9,7 +9,7 @@
 /// a design that the session/campaign layers then protect and exercise.
 
 #include "circuits/fifo.hpp"          // FifoSpec, make_fifo, FifoModel
-#include "circuits/generators.hpp"    // make_counter, make_lfsr, ...
+#include "circuits/generators.hpp"    // make_counter, make_shift_register, ...
 #include "netlist/cell_type.hpp"      // CellType
 #include "netlist/lint.hpp"           // lint_netlist
 #include "netlist/netlist.hpp"        // Netlist, NetId, CellId

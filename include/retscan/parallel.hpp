@@ -3,8 +3,8 @@
 /// retscan public surface — parallel orchestration layer.
 ///
 /// The thread pool (whose parallel_for serves concurrent callers
-/// round-robin) and the shard-map-reduce campaign runner the pooled
-/// backends are built on. A Session owns one runner and routes
+/// round-robin) and the shard-map-reduce campaign runner every campaign
+/// kind runs on. A Session owns one runner and routes
 /// CampaignSpec workloads through it automatically; include this directly
 /// only to drive custom map-reduce workloads by hand. Same seed → same
 /// shard plan → bit-identical merged results at any thread count.

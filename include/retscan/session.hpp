@@ -27,7 +27,7 @@
 namespace retscan {
 
 struct SessionOptions {
-  /// Worker threads for campaign backends; 0 → RETSCAN_THREADS env
+  /// Worker threads for campaigns; 0 → RETSCAN_THREADS env
   /// override, else hardware_concurrency().
   unsigned threads = 0;
 };
@@ -113,9 +113,9 @@ class Session {
   CampaignResult run(const CampaignSpec& spec);
 
   /// Deliver a pattern set through the design's Fig. 5(b) test-mode ports
-  /// and check responses: Reference runs the scalar delivery,
-  /// PackedParallel shards the 64-lane delivery across pool().
-  /// The scan-test campaign kind runs this same delivery. Rejects bare
+  /// and check responses, sharding the 64-lane delivery across pool().
+  /// The scan-test campaign kind runs this same delivery; the scalar
+  /// deliver_scan_test is its oracle. Rejects bare
   /// sessions and designs with a hardware controller, whose se/retain
   /// ports no longer reach the chains.
   ScanTestResult run_scan_test(const std::vector<BitVec>& patterns,

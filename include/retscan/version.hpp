@@ -6,10 +6,10 @@
 /// internals under src/ (installed as retscan/detail/) carry no stability
 /// promise.
 
-#define RETSCAN_VERSION_MAJOR 10
+#define RETSCAN_VERSION_MAJOR 11
 #define RETSCAN_VERSION_MINOR 0
 #define RETSCAN_VERSION_PATCH 0
-#define RETSCAN_VERSION_STRING "10.0.0"
+#define RETSCAN_VERSION_STRING "11.0.0"
 
 /// Single comparable number: major * 10000 + minor * 100 + patch, so
 /// `#if RETSCAN_VERSION_NUMBER >= 20100` gates on "2.1.0 or later".
@@ -23,7 +23,7 @@ constexpr int kVersionMajor = RETSCAN_VERSION_MAJOR;
 constexpr int kVersionMinor = RETSCAN_VERSION_MINOR;
 constexpr int kVersionPatch = RETSCAN_VERSION_PATCH;
 
-/// "10.0.0" — the canonical version string (also printed by `retscan
+/// "11.0.0" — the canonical version string (also printed by `retscan
 /// --version`).
 constexpr const char* version_string() noexcept { return RETSCAN_VERSION_STRING; }
 

@@ -36,14 +36,6 @@ const char* to_string(CampaignKind kind) {
   return "?";
 }
 
-const char* to_string(Backend backend) {
-  switch (backend) {
-    case Backend::Reference:      return "reference";
-    case Backend::PackedParallel: return "packed-parallel";
-  }
-  return "?";
-}
-
 const char* to_string(ValidationTier tier) {
   switch (tier) {
     case ValidationTier::Behavioral: return "behavioral";
@@ -69,13 +61,11 @@ namespace {
 constexpr CampaignKind kCampaignKinds[] = {
     CampaignKind::Validation,      CampaignKind::FaultCoverage, CampaignKind::ScanTest,
     CampaignKind::TransitionDelay, CampaignKind::Bridging,      CampaignKind::SequentialCoverage};
-constexpr Backend kBackends[] = {Backend::Reference, Backend::PackedParallel};
 constexpr ValidationTier kTiers[] = {ValidationTier::Behavioral, ValidationTier::Structural};
 constexpr InjectionMode kModes[] = {InjectionMode::None, InjectionMode::SingleRandom,
                                     InjectionMode::MultipleBurst, InjectionMode::RushModel};
 
 std::span<const CampaignKind> values_of(CampaignKind) { return kCampaignKinds; }
-std::span<const Backend> values_of(Backend) { return kBackends; }
 std::span<const ValidationTier> values_of(ValidationTier) { return kTiers; }
 std::span<const InjectionMode> values_of(InjectionMode) { return kModes; }
 
@@ -103,10 +93,6 @@ std::string spellings() {
 }  // namespace
 
 bool from_string(std::string_view text, CampaignKind& out) {
-  return enum_from_string(text, out);
-}
-
-bool from_string(std::string_view text, Backend& out) {
   return enum_from_string(text, out);
 }
 
@@ -165,8 +151,7 @@ ValidationConfig validation_config(Session& session, const CampaignSpec& spec) {
 }
 
 [[noreturn]] void reject(const CampaignSpec& spec, const std::string& why) {
-  throw Error("CampaignSpec (" + std::string(to_string(spec.kind)) + "/" +
-              to_string(spec.backend) + "): " + why);
+  throw Error("CampaignSpec (" + std::string(to_string(spec.kind)) + "): " + why);
 }
 
 /// Why neither scan delivery can test a design with a generated controller:
@@ -183,8 +168,8 @@ constexpr const char* kControllerOwnsScanPorts =
 /// fingerprints hash identically everywhere.
 using Fingerprint = Fnv1a;
 
-/// True when the spec carries any of the durability knobs this PR routes
-/// through the sharded campaign runner.
+/// True when the spec carries any of the durability knobs the sharded
+/// campaign runner honours.
 bool wants_durability(const CampaignSpec& spec) {
   return !spec.checkpoint.empty() || spec.resume || spec.deadline_ms.has_value();
 }
@@ -212,12 +197,6 @@ void validate_durability(const CampaignSpec& spec, const Session& session) {
            "campaign runner; coverage and scan-test kinds replay a "
            "fault/pattern set in one pass — split the workload and rerun "
            "instead");
-  }
-  if (spec.backend == Backend::Reference) {
-    reject(spec,
-           "checkpoint/resume/deadline_ms need the sharded campaign runner, but "
-           "Backend::Reference runs one unsharded pass with nothing to "
-           "checkpoint between — use Backend::PackedParallel");
   }
   if (!spec.checkpoint.empty()) {
     namespace fs = std::filesystem;
@@ -391,15 +370,6 @@ void validate(const CampaignSpec& spec, const Session& session) {
                  "change the shard plan (and the statistics) behind your back");
     }
   } else {
-    // Only backends that compute something different: the pooled driver,
-    // and scan-test's scalar delivery.
-    if (spec.backend == Backend::Reference && spec.kind != CampaignKind::ScanTest) {
-      reject(spec,
-             "only the pooled driver computes this kind (scan-test also has "
-             "the scalar delivery, Backend::Reference); Backend::Reference "
-             "would run the same shards on one thread — use "
-             "Backend::PackedParallel with threads = 1");
-    }
     if (spec.kind == CampaignKind::ScanTest && !session.is_protected()) {
       reject(spec,
              "this session wraps a bare (unprotected) netlist with no scan "
@@ -431,12 +401,6 @@ void validate(const CampaignSpec& spec, const Session& session) {
       }
     }
   }
-  if (spec.shard_size != 0 && spec.backend == Backend::Reference) {
-    reject(spec,
-           "shard_size only applies to the pooled backend; Backend::Reference "
-           "runs one unsharded pass — drop shard_size or pick "
-           "Backend::PackedParallel");
-  }
   if (spec.cycles != 0 && spec.kind != CampaignKind::SequentialCoverage) {
     reject(spec, "cycles only applies to sequential-coverage campaigns — no "
                  "other kind steps a clock; drop campaign.cycles");
@@ -467,31 +431,14 @@ parallel::CampaignRunner& select_runner(
 }
 
 void run_validation(Session& session, const CampaignSpec& spec,
-                    parallel::CampaignRunner* runner, const RunHooks& hooks,
+                    parallel::CampaignRunner& runner, const RunHooks& hooks,
                     CampaignResult& result) {
   ValidationConfig config = validation_config(session, spec);
   const bool behavioral = spec.tier == ValidationTier::Behavioral;
-  // Pooled structural engines probe their own activity. Reference (no
-  // runner) is the scalar full-sweep oracle the event scheduler is checked
-  // against, and behavioral runs have no gate level at all; both report
-  // sweep.
-  config.schedule = behavioral || runner == nullptr ? Schedule::Sweep : Schedule::Auto;
+  // Structural engines probe their own activity; behavioral runs have no
+  // gate level at all and report sweep.
+  config.schedule = behavioral ? Schedule::Sweep : Schedule::Auto;
   result.schedule = config.schedule;
-  if (runner == nullptr) {
-    // Reference: one unsharded pass through the tier's oracle — the
-    // data-full loop of the syndrome evaluation the runner takes, or the
-    // scalar gate-level testbench.
-    if (behavioral) {
-      result.validation = FastTestbench(config).run_reference(spec.sequences);
-    } else {
-      StructuralTestbench bench(config);
-      result.validation = bench.run(spec.sequences);
-      result.activity = bench.take_telemetry();
-    }
-    result.shard_count = 1;
-    result.shards_completed = 1;
-    return;
-  }
   // Durability hooks: a cancel token (SIGINT via the global flag plus the
   // spec's deadline budget) and, when armed, the checkpoint journal. A
   // service passes its own per-job token via RunHooks so it can cancel this
@@ -515,9 +462,9 @@ void run_validation(Session& session, const CampaignSpec& spec,
     controls.journal = journal.get();
   }
   const parallel::CampaignReport report =
-      behavioral ? runner->run_fast(config, spec.sequences, spec.shard_size, controls)
-                 : runner->run_structural_packed(config, spec.sequences, spec.shard_size,
-                                                 controls);
+      behavioral ? runner.run_fast(config, spec.sequences, spec.shard_size, controls)
+                 : runner.run_structural_packed(config, spec.sequences, spec.shard_size,
+                                                controls);
   result.validation = report.stats;
   result.activity = report.telemetry;
   result.shard_count = report.shard_count;
@@ -527,23 +474,17 @@ void run_validation(Session& session, const CampaignSpec& spec,
 }
 
 /// The one scan-test delivery, behind both Session::run_scan_test and the
-/// scan-test campaign kind: the packed delivery sharded across `pool`, or
-/// without a pool (Backend::Reference) the scalar delivery on the session's
-/// retention driver.
+/// scan-test campaign kind: the packed delivery sharded across `pool`.
 ScanTestResult deliver(Session& session, const std::vector<BitVec>& patterns,
-                       ThreadPool* pool, std::size_t shard_size) {
-  const ScanPorts ports = ScanPorts::test_mode_of(session.design());
-  if (pool == nullptr) {
-    return deliver_scan_test(session.retention().sim(), ports, session.frame(), patterns);
-  }
-  return deliver_scan_test_packed(ports, session.frame(), patterns, pool, shard_size);
+                       ThreadPool& pool, std::size_t shard_size) {
+  return deliver_scan_test_packed(ScanPorts::test_mode_of(session.design()), session.frame(),
+                                  patterns, &pool, shard_size);
 }
 
 /// Every kind but the validation ones: ATPG (except sequential), then the
 /// scan delivery or one fault model through the shared fault-simulation
-/// driver, sharded across `pool`. Only scan-test's Reference comes without
-/// a pool, as the scalar delivery.
-void run_coverage(Session& session, const CampaignSpec& spec, ThreadPool* pool,
+/// driver, sharded across `pool`.
+void run_coverage(Session& session, const CampaignSpec& spec, ThreadPool& pool,
                   CampaignResult& result) {
   const bool sequential = spec.kind == CampaignKind::SequentialCoverage;
   if (!sequential) {
@@ -556,7 +497,7 @@ void run_coverage(Session& session, const CampaignSpec& spec, ThreadPool* pool,
     const std::size_t shard =
         scan_test_shard_size(spec.shard_size != 0 ? spec.shard_size : 256);
     result.scan_test = deliver(session, patterns, pool, shard);
-    result.shard_count = pool == nullptr ? 1 : (patterns.size() + shard - 1) / shard;
+    result.shard_count = (patterns.size() + shard - 1) / shard;
     return;
   }
   const std::size_t fault_shard =
@@ -564,16 +505,16 @@ void run_coverage(Session& session, const CampaignSpec& spec, ThreadPool* pool,
   switch (spec.kind) {
     case CampaignKind::FaultCoverage:
       result.faults =
-          fault_simulate(session.frame(), session.faults(), patterns, *pool, fault_shard);
+          fault_simulate(session.frame(), session.faults(), patterns, pool, fault_shard);
       break;
     case CampaignKind::TransitionDelay:
       result.faults = transition_fault_simulate(
-          session.frame(), enumerate_transition_faults(session.netlist()), patterns, *pool,
+          session.frame(), enumerate_transition_faults(session.netlist()), patterns, pool,
           fault_shard);
       break;
     case CampaignKind::Bridging:
       result.faults = bridging_fault_simulate(
-          session.frame(), enumerate_bridging_faults(session.netlist()), patterns, *pool,
+          session.frame(), enumerate_bridging_faults(session.netlist()), patterns, pool,
           fault_shard);
       break;
     case CampaignKind::SequentialCoverage:
@@ -582,7 +523,7 @@ void run_coverage(Session& session, const CampaignSpec& spec, ThreadPool* pool,
       // through free-running multi-cycle simulation instead of scan capture.
       result.faults = sequential_fault_simulate(session.netlist(), session.faults(),
                                                 spec.sequences, spec.cycles, spec.seed,
-                                                *pool, fault_shard);
+                                                pool, fault_shard);
       break;
     default:
       break;
@@ -616,9 +557,7 @@ ScanTestResult Session::run_scan_test(const std::vector<BitVec>& patterns,
                   "CombinationalFrame::random_pattern()");
     }
   }
-  return deliver(*this, patterns,
-                 options.backend == Backend::Reference ? nullptr : &pool(),
-                 options.patterns_per_shard);
+  return deliver(*this, patterns, pool(), options.patterns_per_shard);
 }
 
 CampaignResult run(Session& session, const CampaignSpec& spec) {
@@ -630,18 +569,16 @@ CampaignResult run(Session& session, const CampaignSpec& spec,
   validate(spec, session);
   CampaignResult result;
   result.kind = spec.kind;
-  result.backend = spec.backend;
   const auto start = std::chrono::steady_clock::now();
-  // Only PackedParallel runs on a pool; every kind gets it from here.
+  // Every kind runs on a runner: validation shards on it, the other kinds
+  // take its pool.
   std::unique_ptr<parallel::CampaignRunner> local;
-  parallel::CampaignRunner* runner =
-      spec.backend == Backend::PackedParallel ? &select_runner(session, spec, hooks, local)
-                                              : nullptr;
-  result.threads = runner != nullptr ? runner->threads() : 1;
+  parallel::CampaignRunner& runner = select_runner(session, spec, hooks, local);
+  result.threads = runner.threads();
   if (spec.kind == CampaignKind::Validation) {
     run_validation(session, spec, runner, hooks, result);
   } else {
-    run_coverage(session, spec, runner != nullptr ? &runner->pool() : nullptr, result);
+    run_coverage(session, spec, runner.pool(), result);
   }
   result.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
@@ -742,7 +679,6 @@ void apply_spec_key(SpecFile& file, const std::string& key, const std::string& v
   else if (key == "protection.chain_count")      file.protection.chain_count = parse_spec_u64(value, line);
   else if (key == "protection.test_width")       file.protection.test_width = parse_spec_u64(value, line);
   else if (key == "campaign.kind")               c.kind = parse_spec_enum<CampaignKind>(value, line);
-  else if (key == "campaign.backend")            c.backend = parse_spec_enum<Backend>(value, line);
   else if (key == "campaign.seed")               c.seed = parse_spec_u64(value, line);
   else if (key == "campaign.threads")            c.threads = static_cast<unsigned>(parse_spec_bounded(value, line, 4096, "campaign.threads"));
   else if (key == "campaign.shard_size")         c.shard_size = parse_spec_u64(value, line);

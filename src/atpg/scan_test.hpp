@@ -22,7 +22,9 @@ namespace retscan {
 ///
 /// There is one delivery procedure and two ways to run it: the scalar
 /// reference (one pattern at a time) and the 64-lane packed delivery. Both
-/// shift through a ScanPorts map; Session::run_scan_test picks between them.
+/// shift through a ScanPorts map; Session::run_scan_test and the scan-test
+/// campaign kind run the pooled packed delivery, and the scalar one is its
+/// oracle.
 
 /// The scan ports a delivery shifts through. Serial input g loads the chains
 /// of groups[g] back to back, so one load takes group size x chain length

@@ -13,7 +13,12 @@ namespace retscan {
 /// needs and nothing more:
 ///
 ///   * one `module ... endmodule` per file, non-ANSI header;
-///   * scalar `input` / `output` / `wire` declarations;
+///   * scalar and vector `input` / `output` / `wire` declarations, vectors
+///     bit-blasted at declaration into scalar nets `bus[i]`, LSB first;
+///   * `assign` statements over a two-valued expression subset (bitwise
+///     and ternary operators, equality, constant shifts, selects,
+///     concatenation, sized literals), lowered to the same primitive gates
+///     a structural description would instantiate;
 ///   * primitive gate instantiations `and/or/nand/nor/xor/xnor/not/buf`
 ///     (output first, 2+ inputs for the multi-input gates, Verilog
 ///     reduction semantics);
@@ -23,9 +28,10 @@ namespace retscan {
 ///     implicit global clock;
 ///   * `1'b0` / `1'b1` constant connections.
 ///
-/// Everything else (vectors, `assign`, behavioural blocks, hierarchy, ...)
-/// is rejected with a `file:line:` diagnostic — the full subset, mapping
-/// table and error catalogue are documented in docs/verilog-frontend.md.
+/// Everything else (behavioural blocks, hierarchy, arithmetic, ...) is
+/// rejected with a `file:line:` diagnostic — the full subset, expression
+/// grammar, mapping table and error catalogue are documented in
+/// docs/verilog-frontend.md.
 /// A successfully parsed netlist is guaranteed structurally sound: every
 /// read net is driven, every output port is driven, and the combinational
 /// logic is acyclic — so it flows straight into lint_netlist(),

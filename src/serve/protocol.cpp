@@ -44,7 +44,6 @@ bool is_terminal(JobState state) {
 ResultSummary summarize(const CampaignResult& result, const CampaignSpec& spec) {
   ResultSummary s;
   s.kind = to_string(result.kind);
-  s.backend = to_string(result.backend);
   s.schedule = to_string(result.schedule);
   s.status = to_string(result.status);
   s.threads = result.threads;
@@ -122,7 +121,6 @@ std::uint64_t summary_digest(const ResultSummary& s) {
 Json to_json(const ResultSummary& s) {
   Json json = Json::Object{};
   json.set("kind", s.kind)
-      .set("backend", s.backend)
       .set("schedule", s.schedule)
       .set("status", s.status)
       .set("threads", s.threads)
@@ -163,7 +161,6 @@ Json to_json(const ResultSummary& s) {
 ResultSummary summary_from_json(const Json& json) {
   ResultSummary s;
   s.kind = json.at("kind").as_string();
-  s.backend = json.at("backend").as_string();
   s.schedule = json.at("schedule").as_string();
   s.status = json.at("status").as_string();
   s.threads = json.at("threads").as_u64();
@@ -236,8 +233,8 @@ void print_fault_sim_coverage(std::ostream& out, const ResultSummary& s) {
 }  // namespace
 
 void print_summary(std::ostream& out, const ResultSummary& s) {
-  out << "ran:      " << s.kind << " on " << s.backend << ", " << s.threads
-      << " threads x " << s.shard_count << " shards, " << s.seconds << " s\n";
+  out << "ran:      " << s.kind << ", " << s.threads << " threads x " << s.shard_count
+      << " shards, " << s.seconds << " s\n";
   if (s.shards_resumed != 0) {
     out << "resumed:  " << s.shards_resumed << " of " << s.shard_count
         << " shards merged from " << s.checkpoint << "\n";
@@ -302,7 +299,6 @@ Json to_json(const SubmitOverrides& overrides) {
   if (overrides.seed)      json.set("seed", *overrides.seed);
   if (overrides.threads)   json.set("threads", *overrides.threads);
   if (overrides.sequences) json.set("sequences", *overrides.sequences);
-  if (overrides.backend)   json.set("backend", *overrides.backend);
   if (overrides.checkpoint) json.set("checkpoint", *overrides.checkpoint);
   if (overrides.resume)    json.set("resume", true);
   if (overrides.deadline_ms) json.set("deadline_ms", *overrides.deadline_ms);
@@ -316,7 +312,6 @@ SubmitOverrides overrides_from_json(const Json& json) {
     if (key == "seed")             overrides.seed = v.as_u64();
     else if (key == "threads")     overrides.threads = v.as_u64();
     else if (key == "sequences")   overrides.sequences = v.as_u64();
-    else if (key == "backend")     overrides.backend = v.as_string();
     else if (key == "checkpoint")  overrides.checkpoint = v.as_string();
     else if (key == "resume")      overrides.resume = v.as_bool();
     else if (key == "deadline_ms") overrides.deadline_ms = v.as_u64();
@@ -339,10 +334,6 @@ void apply_overrides(SpecFile& file, const SubmitOverrides& overrides) {
   }
   if (overrides.sequences) {
     file.campaign.sequences = *overrides.sequences;
-  }
-  if (overrides.backend &&
-      !from_string(*overrides.backend, file.campaign.backend)) {
-    throw Error("unknown backend '" + *overrides.backend + "'");
   }
   if (overrides.checkpoint) {
     file.campaign.checkpoint = *overrides.checkpoint;

@@ -6,8 +6,8 @@
 /// Framing is one JSON object per LF-terminated line on a local
 /// AF_UNIX stream socket. Requests carry {"cmd": ...}; responses carry
 /// {"ok": true, ...} or {"ok": false, "error": "..."}. The protocol is
-/// versioned (kProtocolVersion) and the daemon rejects clients that ask
-/// for a version it does not speak.
+/// versioned (kProtocolVersion): `ping` reports the version the daemon
+/// speaks, and clients send none.
 ///
 /// A campaign's statistics cross the wire as a ResultSummary: every
 /// counter as an exact u64 (never a double — counters like 100M-sequence
@@ -29,7 +29,7 @@
 namespace retscan::serve {
 
 /// Bumped whenever a message shape changes incompatibly.
-inline constexpr std::uint64_t kProtocolVersion = 1;
+inline constexpr std::uint64_t kProtocolVersion = 2;
 
 /// Socket path resolution: explicit flag > RETSCAN_SOCKET > ./retscan.sock.
 std::string default_socket_path();
@@ -54,7 +54,6 @@ bool is_terminal(JobState state);
 /// CampaignResult itself.
 struct ResultSummary {
   std::string kind;      ///< to_string(CampaignKind)
-  std::string backend;   ///< resolved backend actually run
   std::string schedule;  ///< schedule the gate-level engines ran
   std::string status;    ///< to_string(CampaignStatus)
   std::uint64_t threads = 1;
@@ -65,7 +64,7 @@ struct ResultSummary {
   std::string checkpoint;  ///< journal path, for the status/resumed lines
   bool passed = false;
 
-  // Validation / Injection (testbench/harness.hpp ValidationStats).
+  // Validation (testbench/harness.hpp ValidationStats).
   std::uint64_t sequences = 0;
   std::uint64_t errors_injected = 0;
   std::uint64_t sequences_with_errors = 0;
@@ -123,7 +122,6 @@ struct SubmitOverrides {
   std::optional<std::uint64_t> seed;
   std::optional<std::uint64_t> threads;
   std::optional<std::uint64_t> sequences;
-  std::optional<std::string> backend;
   std::optional<std::string> checkpoint;
   bool resume = false;
   std::optional<std::uint64_t> deadline_ms;
@@ -131,12 +129,12 @@ struct SubmitOverrides {
 
 Json to_json(const SubmitOverrides& overrides);
 /// Throws retscan::Error on a key it does not know (an older client's
-/// "schedule", say), so an override is never silently dropped.
+/// "schedule" or "backend", say), so an override is never silently dropped.
 SubmitOverrides overrides_from_json(const Json& json);
 
 /// Apply overrides onto a parsed spec: `retscan run` applies its flags
 /// through this, the daemon a submitted job's. Throws retscan::Error on
-/// unknown backend names.
+/// an out-of-range thread count.
 void apply_overrides(SpecFile& file, const SubmitOverrides& overrides);
 
 /// Map a terminal job state + summary to the `retscan run` exit-code

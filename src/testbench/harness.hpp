@@ -36,7 +36,7 @@ struct ValidationConfig {
   /// Settle schedule for the structural simulators (Auto lets each engine
   /// probe its own activity). Campaign statistics are bit-identical under
   /// every mode; this only selects how settles are computed. Campaigns
-  /// leave it at Auto and pin Sweep for the scalar Reference oracle.
+  /// leave it at Auto.
   Schedule schedule = Schedule::Auto;
   /// Used only with InjectionMode::RushModel.
   CorruptionParameters corruption{};
@@ -104,8 +104,8 @@ class FastTestbench {
 
   /// The same campaign on data: each sequence draws C chains of random
   /// data from the stream, encodes, flips, decodes twice and compares
-  /// (DataFullEvaluator). The oracle of run(), and what
-  /// Backend::Reference runs on the behavioral tier.
+  /// (DataFullEvaluator). The oracle of run(), held to it by
+  /// tests/test_testbench.cpp and timed against it by bench_validation.
   ValidationStats run_reference(std::size_t count);
 
   /// Rewind to the state of a freshly constructed testbench with the same

@@ -241,11 +241,9 @@ TEST(Sequential, CombinationalNetlistDegeneratesToSingleCycle) {
 
 // --- golden regressions on vendored circuits ------------------------------
 
-CampaignResult run_kind(Session& session, CampaignKind kind, Backend backend,
-                        unsigned threads = 0) {
+CampaignResult run_kind(Session& session, CampaignKind kind, unsigned threads = 0) {
   CampaignSpec spec;
   spec.kind = kind;
-  spec.backend = backend;
   spec.seed = 11;
   spec.threads = threads;
   spec.atpg.random_patterns = 64;
@@ -268,40 +266,30 @@ void expect_golden(const CampaignResult& result, const Golden& golden) {
 
 TEST(GoldenCoverage, C17AllCombinationalModels) {
   Session session = Session::from_verilog(circuit_path("c17.v"));
-  expect_golden(run_kind(session, CampaignKind::FaultCoverage, Backend::PackedParallel),
-                {22, 22});
+  expect_golden(run_kind(session, CampaignKind::FaultCoverage), {22, 22});
   // Transition totals come from the *uncollapsed* stem universe (a buffered
   // stem still delays independently), so they can exceed the stuck-at total.
-  expect_golden(run_kind(session, CampaignKind::TransitionDelay, Backend::PackedParallel),
-                {17, 22});
-  expect_golden(run_kind(session, CampaignKind::Bridging, Backend::PackedParallel),
-                {10, 12});
+  expect_golden(run_kind(session, CampaignKind::TransitionDelay), {17, 22});
+  expect_golden(run_kind(session, CampaignKind::Bridging), {10, 12});
 }
 
 TEST(GoldenCoverage, S27Sequential) {
   Session session =
       Session::unprotected(Netlist::from_verilog(circuit_path("s27.v")));
-  expect_golden(
-      run_kind(session, CampaignKind::SequentialCoverage, Backend::PackedParallel),
-      {30, 30});
+  expect_golden(run_kind(session, CampaignKind::SequentialCoverage), {30, 30});
 }
 
 TEST(GoldenCoverage, Cmp1908MidSizeCombinational) {
   Session session = Session::from_verilog(circuit_path("cmp1908.v"));
-  expect_golden(run_kind(session, CampaignKind::FaultCoverage, Backend::PackedParallel),
-                {1383, 1388});
-  expect_golden(run_kind(session, CampaignKind::TransitionDelay, Backend::PackedParallel),
-                {2229, 2368});
-  expect_golden(run_kind(session, CampaignKind::Bridging, Backend::PackedParallel),
-                {750, 940});
+  expect_golden(run_kind(session, CampaignKind::FaultCoverage), {1383, 1388});
+  expect_golden(run_kind(session, CampaignKind::TransitionDelay), {2229, 2368});
+  expect_golden(run_kind(session, CampaignKind::Bridging), {750, 940});
 }
 
 TEST(GoldenCoverage, Ctrl344MidSizeSequential) {
   Session session =
       Session::unprotected(Netlist::from_verilog(circuit_path("ctrl344.v")));
-  expect_golden(
-      run_kind(session, CampaignKind::SequentialCoverage, Backend::PackedParallel),
-      {147, 244});
+  expect_golden(run_kind(session, CampaignKind::SequentialCoverage), {147, 244});
 }
 
 // --- invariance: thread counts --------------------------------------------
@@ -314,34 +302,26 @@ void expect_identical(const CampaignResult& lhs, const CampaignResult& rhs) {
 
 TEST(Invariance, TransitionDelayThreads) {
   Session session = Session::from_verilog(circuit_path("cmp1908.v"));
-  const CampaignResult serial =
-      run_kind(session, CampaignKind::TransitionDelay, Backend::PackedParallel, 1);
-  const CampaignResult three =
-      run_kind(session, CampaignKind::TransitionDelay, Backend::PackedParallel, 3);
-  const CampaignResult eight =
-      run_kind(session, CampaignKind::TransitionDelay, Backend::PackedParallel, 8);
+  const CampaignResult serial = run_kind(session, CampaignKind::TransitionDelay, 1);
+  const CampaignResult three = run_kind(session, CampaignKind::TransitionDelay, 3);
+  const CampaignResult eight = run_kind(session, CampaignKind::TransitionDelay, 8);
   expect_identical(serial, three);
   expect_identical(serial, eight);
 }
 
 TEST(Invariance, BridgingThreads) {
   Session session = Session::from_verilog(circuit_path("cmp1908.v"));
-  const CampaignResult serial =
-      run_kind(session, CampaignKind::Bridging, Backend::PackedParallel, 1);
-  const CampaignResult eight =
-      run_kind(session, CampaignKind::Bridging, Backend::PackedParallel, 8);
+  const CampaignResult serial = run_kind(session, CampaignKind::Bridging, 1);
+  const CampaignResult eight = run_kind(session, CampaignKind::Bridging, 8);
   expect_identical(serial, eight);
 }
 
 TEST(Invariance, SequentialThreads) {
   Session session =
       Session::unprotected(Netlist::from_verilog(circuit_path("s27.v")));
-  const CampaignResult serial = run_kind(
-      session, CampaignKind::SequentialCoverage, Backend::PackedParallel, 1);
-  const CampaignResult three = run_kind(
-      session, CampaignKind::SequentialCoverage, Backend::PackedParallel, 3);
-  const CampaignResult eight = run_kind(
-      session, CampaignKind::SequentialCoverage, Backend::PackedParallel, 8);
+  const CampaignResult serial = run_kind(session, CampaignKind::SequentialCoverage, 1);
+  const CampaignResult three = run_kind(session, CampaignKind::SequentialCoverage, 3);
+  const CampaignResult eight = run_kind(session, CampaignKind::SequentialCoverage, 8);
   expect_identical(serial, three);
   expect_identical(serial, eight);
 }
@@ -543,10 +523,8 @@ TEST(CampaignKinds, ValidationRejectsCyclesMisuse) {
 
 TEST(CampaignKinds, TransitionDelayRunShape) {
   Session session = Session::from_verilog(circuit_path("c17.v"));
-  const CampaignResult result =
-      run_kind(session, CampaignKind::TransitionDelay, Backend::PackedParallel);
+  const CampaignResult result = run_kind(session, CampaignKind::TransitionDelay);
   EXPECT_EQ(result.kind, CampaignKind::TransitionDelay);
-  EXPECT_EQ(result.backend, Backend::PackedParallel);
   EXPECT_FALSE(result.atpg.patterns.empty());
   EXPECT_GT(result.faults.total_faults, 0u);
   EXPECT_TRUE(result.passed());

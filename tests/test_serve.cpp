@@ -274,27 +274,25 @@ TEST(ServeJobManager, OverridesShapeTheCampaign) {
   overrides = {};
   overrides.seed = 404;
   overrides.threads = 3;
-  overrides.backend = "reference";
   overrides.checkpoint = "x.journal";
   overrides.resume = true;
   overrides.deadline_ms = 5000;
   apply_overrides(file, overrides);
   EXPECT_EQ(file.campaign.seed, 404u);
   EXPECT_EQ(file.campaign.threads, 3u);
-  EXPECT_EQ(file.campaign.backend, Backend::Reference);
   EXPECT_EQ(file.campaign.checkpoint, "x.journal");
   EXPECT_TRUE(file.campaign.resume);
   EXPECT_EQ(file.campaign.deadline_ms, 5000u);
 
   SubmitOverrides bad;
-  bad.backend = "quantum";
+  bad.threads = 4097;
   EXPECT_THROW(apply_overrides(file, bad), Error);
 
   // Overrides survive the wire.
   const SubmitOverrides back =
       overrides_from_json(Json::parse(to_json(overrides).dump()));
   EXPECT_EQ(back.seed, overrides.seed);
-  EXPECT_EQ(back.backend, overrides.backend);
+  EXPECT_EQ(back.checkpoint, overrides.checkpoint);
   EXPECT_EQ(back.resume, overrides.resume);
   EXPECT_EQ(back.deadline_ms, overrides.deadline_ms);
 
@@ -302,6 +300,17 @@ TEST(ServeJobManager, OverridesShapeTheCampaign) {
   // sending "schedule" must not run under a schedule it did not get.
   EXPECT_THROW(overrides_from_json(Json::parse(R"({"seed":1,"schedule":"event"})")),
                Error);
+}
+
+// 11.0 removed the `backend` override with the campaign backend itself: a
+// client that still sends one is refused by name, like "schedule" in 4.0.
+TEST(ServeJobManager, BackendOverrideIsRefused) {
+  try {
+    overrides_from_json(Json::parse(R"({"backend":"reference"})"));
+    FAIL() << "a backend override was accepted";
+  } catch (const Error& error) {
+    EXPECT_STREQ(error.what(), "unknown override 'backend'");
+  }
 }
 
 TEST(ServeJobManager, BadSpecFailsTheJobNotTheDaemon) {

@@ -8,7 +8,7 @@
 //   retscan --version                         print the library version
 //
 // Overrides (applied after the file is parsed; submit forwards them):
-//   --seed N --threads N --sequences N --backend NAME
+//   --seed N --threads N --sequences N
 //   --checkpoint PATH --resume --deadline-ms N
 //
 // The spec format is `key = value` lines with '#' comments; see
@@ -50,8 +50,8 @@ std::uint64_t parse_override_u64(const std::string& flag, const std::string& val
 
 int usage(std::ostream& out, int status) {
   out << "usage: retscan run <campaign.spec> [--seed N] [--threads N]\n"
-         "                   [--sequences N] [--backend reference|packed-parallel]\n"
-         "                   [--checkpoint PATH] [--resume] [--deadline-ms N]\n"
+         "                   [--sequences N] [--checkpoint PATH] [--resume]\n"
+         "                   [--deadline-ms N]\n"
          "       retscan describe <campaign.spec>\n"
          "       retscan serve [--socket PATH] [--threads N] [--active N]\n"
          "                     [--session-cache N]\n"
@@ -113,8 +113,8 @@ void print_plan(std::ostream& out, const SpecFile& file, const Netlist* base,
     }
     out << (file.protection.secded ? " secded" : "") << "\n";
   }
-  out << "campaign: " << to_string(c.kind) << ", seed " << c.seed << ", backend "
-      << to_string(c.backend) << ", " << threads << " threads\n";
+  out << "campaign: " << to_string(c.kind) << ", seed " << c.seed << ", " << threads
+      << " threads\n";
   if (c.kind == CampaignKind::Validation) {
     out << "workload: " << c.sequences << " sequences, tier " << to_string(c.tier)
         << ", mode " << to_string(c.mode) << "\n";
@@ -146,7 +146,7 @@ void print_plan(std::ostream& out, const SpecFile& file, const Netlist* base,
 /// into the SubmitOverrides that apply_overrides applies — locally for run,
 /// in the daemon for submit. Only submit passes `wait` (its --wait flag).
 /// Returns 0, or the exit status of a usage error after reporting it as
-/// `who: ...`; backend names are checked by apply_overrides.
+/// `who: ...`.
 int parse_overrides(const char* who, int argc, char** argv,
                     serve::SubmitOverrides& overrides, bool* wait) {
   for (int i = 1; i < argc;) {
@@ -174,8 +174,6 @@ int parse_overrides(const char* who, int argc, char** argv,
       overrides.threads = parse_override_u64(flag, value, 4096);
     } else if (flag == "--sequences") {
       overrides.sequences = parse_override_u64(flag, value);
-    } else if (flag == "--backend") {
-      overrides.backend = value;
     } else if (flag == "--checkpoint") {
       overrides.checkpoint = value;
     } else if (flag == "--deadline-ms") {
