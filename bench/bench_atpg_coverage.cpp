@@ -174,13 +174,17 @@ int main() {
   // --- test-mode delivery throughput: one lane per pattern vs one load ----
   bench::header("Test-mode delivery throughput (64-lane vs scalar tester)");
   const ScanPorts ports = ScanPorts::test_mode_of(design);
+  // Single-thread packed (delivery_speedup's numerator): one shard on a
+  // one-thread pool, so one PackedSim walks every batch. Shard sizes floor
+  // to whole 64-lane batches, so the request rounds the pattern count up.
+  ThreadPool one(1);
   timer.restart();
-  const ScanTestResult packed_applied =
-      deliver_scan_test_packed(ports, frame, atpg.patterns, nullptr);
+  const ScanTestResult packed_applied = deliver_scan_test_packed(
+      ports, frame, atpg.patterns, one, atpg.patterns.size() + PackedSim::lane_count() - 1);
   const double packed_apply_time = timer.seconds();
   timer.restart();
   const ScanTestResult pooled_applied =
-      deliver_scan_test_packed(ports, frame, atpg.patterns, &pool, 128);
+      deliver_scan_test_packed(ports, frame, atpg.patterns, pool, 128);
   const double pooled_apply_time = timer.seconds();
   RetentionSession session(design);
   timer.restart();

@@ -6,9 +6,10 @@
 /// validation campaigns (LFSR or electrical fault injection), fault-coverage /
 /// ATPG runs, transition-delay / bridging / sequential coverage
 /// measurements, and manufacturing scan-test deliveries — with uniform
-/// seed / threads / shard knobs, and `run(Session&, spec)` runs it on the
-/// one pooled route its kind has. Same seed → bit-identical results at any
-/// thread count (asserted by tests/test_api.cpp); the scalar oracles those
+/// seed / shard knobs, and `run(Session&, spec)` runs it on the one pooled
+/// route its kind has, on the caller's pool (RunHooks::runner) or the
+/// session's. Same seed → bit-identical results at any thread count
+/// (asserted by tests/test_api.cpp); the scalar oracles those
 /// routes are checked against stay engine-level functions
 /// (FastTestbench::run_reference, StructuralTestbench::run,
 /// deliver_scan_test).
@@ -81,9 +82,6 @@ struct CampaignSpec {
   /// streams from this one value (for FaultCoverage/ScanTest it overrides
   /// atpg.seed so one knob controls the whole run).
   std::uint64_t seed = 1;
-  /// Worker threads; 0 → the session's pool (RETSCAN_THREADS /
-  /// hardware_concurrency).
-  unsigned threads = 0;
   /// Trials (validation kinds), fault-list entries (coverage kinds) or
   /// patterns (scan-test, floored to whole 64-lane batches) per pool shard;
   /// 0 → the kind's default.
@@ -113,20 +111,21 @@ struct CampaignSpec {
   std::size_t cycles = 0;
 
   // --- Durability (validation kinds) -----------------------------------
-  /// Checkpoint journal path (`checkpoint =` spec key / `--checkpoint`):
-  /// completed shards are appended as fixed-format CRC'd records via
-  /// write-temp-then-atomic-rename, so an interrupted campaign loses at
-  /// most the shards in flight. Empty = no checkpointing. Validation
-  /// kinds only.
+  /// Checkpoint journal path (`campaign.checkpoint =` spec key /
+  /// `--checkpoint`): each completed shard is appended as one fixed-format
+  /// CRC'd record by a single positional write at the journal's end, so an
+  /// interrupted campaign loses at most the shards in flight (a record torn
+  /// by a crash fails its CRC and its shard reruns on resume). Empty = no
+  /// checkpointing. Validation kinds only.
   std::string checkpoint;
-  /// Resume from `checkpoint` (`resume =` / `--resume`): the journal
+  /// Resume from `checkpoint` (`campaign.resume =` / `--resume`): the journal
   /// header is validated against the current spec/design/version
   /// fingerprint, completed shards are merged from the journal in shard
   /// order, and the rest run — the final CampaignResult is bit-identical
   /// to an uninterrupted run. Requires `checkpoint` to be set.
   bool resume = false;
-  /// Wall-clock budget (`deadline_ms =` / `--deadline-ms`): once elapsed,
-  /// shards not yet started are skipped and the result carries
+  /// Wall-clock budget (`campaign.deadline_ms =` / `--deadline-ms`): once
+  /// elapsed, shards not yet started are skipped and the result carries
   /// CampaignStatus::Timeout with the partial statistics (checkpointed if
   /// a journal is armed) instead of running forever. nullopt = no budget;
   /// an explicit 0 is rejected by validate().
@@ -193,8 +192,9 @@ CampaignResult run(Session& session, const CampaignSpec& spec);
 /// None of the hooks can change campaign statistics: same seed → same
 /// results, hooked or not (asserted by tests/test_serve.cpp).
 struct RunHooks {
-  /// Shared campaign runner (pool + warm workspaces) to execute on,
-  /// overriding both the session's runner and the spec's threads knob.
+  /// Campaign runner (pool + warm workspaces) to execute on instead of the
+  /// session's: the caller chooses the pool, and with it the thread count.
+  /// nullptr → session.runner().
   parallel::CampaignRunner* runner = nullptr;
   /// Caller-owned cancel token polled by the shard loop. When the spec
   /// carries deadline_ms, run() arms it on this token. nullptr → run()
@@ -226,6 +226,10 @@ struct SpecFile {
   FifoSpec fifo{32, 32};
   ProtectionConfig protection;
   CampaignSpec campaign;
+  /// `campaign.threads` / `--threads`: the worker count make_session gives
+  /// the session's pool (SessionOptions::threads); 0 → RETSCAN_THREADS,
+  /// else hardware_concurrency().
+  unsigned threads = 0;
   /// `netlist = <path.v>`: import a structural-Verilog netlist instead of
   /// generating the golden FIFO. load_spec_file resolves a relative path
   /// against the spec file's directory, so specs can ship next to their
@@ -243,7 +247,7 @@ Netlist spec_base_netlist(const SpecFile& file);
 /// level is built until a campaign needs it); netlist specs import the file
 /// via Session::from_verilog — protected when the design has flip-flops,
 /// bare (fault-coverage only) when it is purely combinational. The spec's
-/// campaign.threads becomes the session's worker count.
+/// campaign.threads (SpecFile::threads) becomes the session's worker count.
 Session make_session(const SpecFile& file);
 
 /// Parse a spec from a stream / string / file. Errors (unknown keys,

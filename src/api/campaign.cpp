@@ -322,11 +322,6 @@ std::uint64_t campaign_fingerprint(const CampaignSpec& spec, const Session& sess
 }
 
 void validate(const CampaignSpec& spec, const Session& session) {
-  if (spec.threads > 4096) {
-    reject(spec, "threads = " + std::to_string(spec.threads) +
-                     " is past any plausible machine; use 1..4096 (0 = the "
-                     "session's pool)");
-  }
   if (spec.kind == CampaignKind::Validation) {
     if (spec.sequences == 0) {
       reject(spec,
@@ -411,25 +406,6 @@ void validate(const CampaignSpec& spec, const Session& session) {
 
 namespace {
 
-/// Campaign runner honouring the service/thread overrides, strongest
-/// first: an embedding service's shared runner (RunHooks), else the
-/// session's pool when the spec doesn't insist, else a private pool.
-/// (Results are thread-count invariant either way; this is throughput only.)
-parallel::CampaignRunner& select_runner(
-    Session& session, const CampaignSpec& spec, const RunHooks& hooks,
-    std::unique_ptr<parallel::CampaignRunner>& local) {
-  if (hooks.runner != nullptr) {
-    return *hooks.runner;
-  }
-  if (spec.threads == 0 || spec.threads == session.threads()) {
-    return session.runner();
-  }
-  parallel::CampaignOptions options;
-  options.threads = spec.threads;
-  local = std::make_unique<parallel::CampaignRunner>(options);
-  return *local;
-}
-
 void run_validation(Session& session, const CampaignSpec& spec,
                     parallel::CampaignRunner& runner, const RunHooks& hooks,
                     CampaignResult& result) {
@@ -478,7 +454,7 @@ void run_validation(Session& session, const CampaignSpec& spec,
 ScanTestResult deliver(Session& session, const std::vector<BitVec>& patterns,
                        ThreadPool& pool, std::size_t shard_size) {
   return deliver_scan_test_packed(ScanPorts::test_mode_of(session.design()), session.frame(),
-                                  patterns, &pool, shard_size);
+                                  patterns, pool, shard_size);
 }
 
 /// Every kind but the validation ones: ATPG (except sequential), then the
@@ -570,10 +546,11 @@ CampaignResult run(Session& session, const CampaignSpec& spec,
   CampaignResult result;
   result.kind = spec.kind;
   const auto start = std::chrono::steady_clock::now();
-  // Every kind runs on a runner: validation shards on it, the other kinds
-  // take its pool.
-  std::unique_ptr<parallel::CampaignRunner> local;
-  parallel::CampaignRunner& runner = select_runner(session, spec, hooks, local);
+  // Every kind runs on the caller's runner, else the session's: validation
+  // shards on it, the other kinds take its pool. Results are thread-count
+  // invariant, so the choice is throughput only.
+  parallel::CampaignRunner& runner =
+      hooks.runner != nullptr ? *hooks.runner : session.runner();
   result.threads = runner.threads();
   if (spec.kind == CampaignKind::Validation) {
     run_validation(session, spec, runner, hooks, result);
@@ -680,7 +657,7 @@ void apply_spec_key(SpecFile& file, const std::string& key, const std::string& v
   else if (key == "protection.test_width")       file.protection.test_width = parse_spec_u64(value, line);
   else if (key == "campaign.kind")               c.kind = parse_spec_enum<CampaignKind>(value, line);
   else if (key == "campaign.seed")               c.seed = parse_spec_u64(value, line);
-  else if (key == "campaign.threads")            c.threads = static_cast<unsigned>(parse_spec_bounded(value, line, 4096, "campaign.threads"));
+  else if (key == "campaign.threads")            file.threads = static_cast<unsigned>(parse_spec_bounded(value, line, 4096, "campaign.threads"));
   else if (key == "campaign.shard_size")         c.shard_size = parse_spec_u64(value, line);
   else if (key == "campaign.sequences")          c.sequences = parse_spec_u64(value, line);
   else if (key == "campaign.cycles")             c.cycles = parse_spec_u64(value, line);
@@ -688,9 +665,9 @@ void apply_spec_key(SpecFile& file, const std::string& key, const std::string& v
   else if (key == "campaign.mode")               c.mode = parse_spec_enum<InjectionMode>(value, line);
   else if (key == "campaign.burst_size")         c.burst_size = parse_spec_u64(value, line);
   else if (key == "campaign.burst_spread")       c.burst_spread = parse_spec_u64(value, line);
-  else if (key == "campaign.checkpoint" || key == "checkpoint") c.checkpoint = value;
-  else if (key == "campaign.resume" || key == "resume")         c.resume = parse_spec_bool(value, line);
-  else if (key == "campaign.deadline_ms" || key == "deadline_ms") c.deadline_ms = parse_spec_u64(value, line);
+  else if (key == "campaign.checkpoint")         c.checkpoint = value;
+  else if (key == "campaign.resume")             c.resume = parse_spec_bool(value, line);
+  else if (key == "campaign.deadline_ms")        c.deadline_ms = parse_spec_u64(value, line);
   else if (key == "campaign.atpg.random_patterns") c.atpg.random_patterns = parse_spec_u64(value, line);
   else if (key == "campaign.atpg.max_backtracks")  c.atpg.max_backtracks = parse_spec_u64(value, line);
   else if (key == "campaign.atpg.run_podem")       c.atpg.run_podem = parse_spec_bool(value, line);
@@ -775,7 +752,7 @@ Netlist spec_base_netlist(const SpecFile& file) {
 
 Session make_session(const SpecFile& file) {
   SessionOptions options;
-  options.threads = file.campaign.threads;
+  options.threads = file.threads;
   if (!file.netlist_file.empty()) {
     return Session::from_verilog(file.netlist_file, file.protection, options);
   }

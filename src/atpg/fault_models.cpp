@@ -68,12 +68,6 @@ struct TransitionModel {
 
 FaultSimResult transition_fault_simulate(const CombinationalFrame& frame,
                                          const std::vector<TransitionFault>& faults,
-                                         const std::vector<BitVec>& patterns) {
-  return detail::simulate_faults(TransitionModel{frame, patterns}, faults, nullptr, 0);
-}
-
-FaultSimResult transition_fault_simulate(const CombinationalFrame& frame,
-                                         const std::vector<TransitionFault>& faults,
                                          const std::vector<BitVec>& patterns,
                                          ThreadPool& pool, std::size_t fault_shard) {
   return detail::simulate_faults(TransitionModel{frame, patterns}, faults, &pool,
@@ -160,12 +154,6 @@ struct BridgingModel : detail::PatternBlocks {
 };
 
 }  // namespace
-
-FaultSimResult bridging_fault_simulate(const CombinationalFrame& frame,
-                                       const std::vector<BridgingFault>& faults,
-                                       const std::vector<BitVec>& patterns) {
-  return detail::simulate_faults(BridgingModel{{frame, patterns}}, faults, nullptr, 0);
-}
 
 FaultSimResult bridging_fault_simulate(const CombinationalFrame& frame,
                                        const std::vector<BridgingFault>& faults,
@@ -322,14 +310,6 @@ struct SequentialModel {
 };
 
 }  // namespace
-
-FaultSimResult sequential_fault_simulate(const Netlist& netlist,
-                                         const std::vector<Fault>& faults,
-                                         std::size_t sequences, std::size_t cycles,
-                                         std::uint64_t seed) {
-  return detail::simulate_faults(SequentialModel(netlist, sequences, cycles, seed), faults,
-                                 nullptr, 0);
-}
 
 FaultSimResult sequential_fault_simulate(const Netlist& netlist,
                                          const std::vector<Fault>& faults,

@@ -36,11 +36,8 @@ std::string transition_fault_name(const Netlist& netlist, const TransitionFault&
 /// Launch/capture transition-delay fault simulation with fault dropping.
 /// detected_by[i] is the index of the first detecting pattern *pair*
 /// (patterns.size() - 1 pairs exist): the stuck-at alias detected over the
-/// capture pattern in the lanes the launch-value condition allows. Serial
-/// and pooled overloads behave as fault_simulate's.
-FaultSimResult transition_fault_simulate(const CombinationalFrame& frame,
-                                         const std::vector<TransitionFault>& faults,
-                                         const std::vector<BitVec>& patterns);
+/// capture pattern in the lanes the launch-value condition allows. Sharded
+/// across `pool` as the pooled fault_simulate is.
 FaultSimResult transition_fault_simulate(const CombinationalFrame& frame,
                                          const std::vector<TransitionFault>& faults,
                                          const std::vector<BitVec>& patterns,
@@ -76,9 +73,6 @@ std::string bridging_fault_name(const Netlist& netlist, const BridgingFault& fau
 /// first detecting pattern index.
 FaultSimResult bridging_fault_simulate(const CombinationalFrame& frame,
                                        const std::vector<BridgingFault>& faults,
-                                       const std::vector<BitVec>& patterns);
-FaultSimResult bridging_fault_simulate(const CombinationalFrame& frame,
-                                       const std::vector<BridgingFault>& faults,
                                        const std::vector<BitVec>& patterns,
                                        ThreadPool& pool, std::size_t fault_shard = 128);
 
@@ -90,10 +84,6 @@ FaultSimResult bridging_fault_simulate(const CombinationalFrame& frame,
 /// faulty-machine re-simulation with its net clamped (fault effects must
 /// propagate through the flops cycle over cycle, which a combinational cone
 /// cannot express). detected_by[i] is the first detecting sequence index.
-FaultSimResult sequential_fault_simulate(const Netlist& netlist,
-                                         const std::vector<Fault>& faults,
-                                         std::size_t sequences, std::size_t cycles,
-                                         std::uint64_t seed);
 FaultSimResult sequential_fault_simulate(const Netlist& netlist,
                                          const std::vector<Fault>& faults,
                                          std::size_t sequences, std::size_t cycles,

@@ -224,7 +224,9 @@ struct FaultSimResult {
 /// *_fault_simulate models (fault_models.hpp) share one driver: the pooled
 /// overload shards the fault list `fault_shard` faults at a time across the
 /// pool, and its result is identical to the serial one at any thread count
-/// and shard size.
+/// and shard size. The serial overload is run_atpg's random phase: one
+/// shard that loads each pattern block only when it reaches it, so one
+/// block is resident at a time.
 FaultSimResult fault_simulate(const CombinationalFrame& frame,
                               const std::vector<Fault>& faults,
                               const std::vector<BitVec>& patterns);

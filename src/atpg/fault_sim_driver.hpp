@@ -63,9 +63,10 @@ struct PatternBlocks {
 /// Each shard walks the batches in order and drops a fault at its first
 /// detecting block, so detected_by[i] = b * kLaneBlockBits + first lane is
 /// a pure function of (fault, stimulus) at any shard size and thread count.
-/// Without a pool the same loop runs inline as one shard, which loads each
-/// block when it reaches it and frees it after: one block is resident, and
-/// blocks past the last live fault are never loaded.
+/// Without a pool (the serial fault_simulate, run_atpg's random phase) the
+/// same loop runs inline as one shard, which loads each block when it
+/// reaches it and frees it after: one block is resident, and blocks past
+/// the last live fault are never loaded.
 template <typename Model, typename FaultT>
 FaultSimResult simulate_faults(const Model& model, const std::vector<FaultT>& faults,
                                ThreadPool* pool, std::size_t fault_shard) {

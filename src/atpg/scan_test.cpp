@@ -140,13 +140,12 @@ ScanTestResult deliver_scan_test(Simulator& sim, const ScanPorts& ports,
 ScanTestResult deliver_scan_test_packed(const ScanPorts& ports,
                                         const CombinationalFrame& frame,
                                         const std::vector<BitVec>& patterns,
-                                        ThreadPool* pool, std::size_t shard_size) {
+                                        ThreadPool& pool, std::size_t shard_size) {
   const std::size_t width = PackedSim::lane_count();
-  const std::size_t shard = pool == nullptr ? std::max<std::size_t>(patterns.size(), 1)
-                                            : scan_test_shard_size(shard_size);
+  const std::size_t shard = scan_test_shard_size(shard_size);
   const std::size_t shard_count = (patterns.size() + shard - 1) / shard;
   std::vector<std::size_t> mismatches(shard_count, 0);
-  const auto run_shard = [&](std::size_t s) {
+  pool.parallel_for(shard_count, [&](std::size_t s) {
     PackedSim sim(frame.netlist());
     PackedLanes lanes{sim};
     const std::size_t last = std::min(patterns.size(), (s + 1) * shard);
@@ -156,14 +155,7 @@ ScanTestResult deliver_scan_test_packed(const ScanPorts& ports,
       mismatches[s] += static_cast<std::size_t>(
           std::popcount(deliver_batch(lanes, ports, frame, batch)));
     }
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(shard_count, run_shard);
-  } else {
-    for (std::size_t s = 0; s < shard_count; ++s) {
-      run_shard(s);
-    }
-  }
+  });
   ScanTestResult result;
   result.patterns_applied = patterns.size();
   for (const std::size_t count : mismatches) {

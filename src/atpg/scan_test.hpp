@@ -68,14 +68,15 @@ ScanTestResult deliver_scan_test(Simulator& sim, const ScanPorts& ports,
 
 /// 64-way parallel-pattern delivery: each PackedSim lane shifts, captures and
 /// checks a different pattern, so a 64-pattern batch costs one scan load plus
-/// one capture cycle. With a pool, the patterns are cut into shards of
-/// scan_test_shard_size(shard_size), each driving its own PackedSim over
-/// frame.netlist(); without one the same loop runs inline as one shard.
-/// Scan loading overwrites every flop, so the result is the reference
-/// delivery's at any thread count and shard size.
+/// one capture cycle. The patterns are cut into shards of
+/// scan_test_shard_size(shard_size) across `pool`, each driving its own
+/// PackedSim over frame.netlist() (a one-thread pool runs them inline; a
+/// shard size of at least the pattern count rounded up to a whole batch
+/// makes one shard). Scan loading overwrites every flop, so the result is
+/// the reference delivery's at any thread count and shard size.
 ScanTestResult deliver_scan_test_packed(const ScanPorts& ports,
                                         const CombinationalFrame& frame,
                                         const std::vector<BitVec>& patterns,
-                                        ThreadPool* pool, std::size_t shard_size = 256);
+                                        ThreadPool& pool, std::size_t shard_size = 256);
 
 }  // namespace retscan

@@ -330,7 +330,7 @@ void apply_overrides(SpecFile& file, const SubmitOverrides& overrides) {
       throw Error("--threads = " + std::to_string(*overrides.threads) +
                   " is out of range (max 4096)");
     }
-    file.campaign.threads = static_cast<unsigned>(*overrides.threads);
+    file.threads = static_cast<unsigned>(*overrides.threads);
   }
   if (overrides.sequences) {
     file.campaign.sequences = *overrides.sequences;

@@ -119,15 +119,31 @@ Server::~Server() {
     ::unlink(socket_path_.c_str());
   }
   stopping_.store(true);
-  for (std::thread& connection : connections_) {
-    if (connection.joinable()) {
-      connection.join();
+  join_connections(true);
+}
+
+std::size_t Server::connection_threads() const {
+  const std::lock_guard<std::mutex> lock(connections_mutex_);
+  return connections_.size();
+}
+
+void Server::join_connections(bool all) {
+  const std::lock_guard<std::mutex> lock(connections_mutex_);
+  for (auto it = connections_.begin(); it != connections_.end();) {
+    if (!all && !it->finished.load()) {
+      ++it;
+      continue;
     }
+    if (it->thread.joinable()) {
+      it->thread.join();
+    }
+    it = connections_.erase(it);
   }
 }
 
 void Server::run() {
   while (!shutdown_requested()) {
+    join_connections(false);
     pollfd pfd{listen_fd_, POLLIN, 0};
     const int ready = ::poll(&pfd, 1, 200);
     if (ready < 0 && errno != EINTR) {
@@ -144,7 +160,12 @@ void Server::run() {
     // notice the drain instead of blocking in recv forever.
     timeval timeout{0, 500 * 1000};
     ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
-    connections_.emplace_back([this, fd] { serve_connection(fd); });
+    const std::lock_guard<std::mutex> lock(connections_mutex_);
+    Connection& connection = connections_.emplace_back();
+    connection.thread = std::thread([this, fd, &connection] {
+      serve_connection(fd);
+      connection.finished.store(true);
+    });
   }
   // Graceful drain: no new connections, finish every accepted job, let
   // the connection threads answer their clients, then join them.
@@ -153,12 +174,7 @@ void Server::run() {
   listen_fd_ = -1;
   manager_.drain();
   stopping_.store(true);
-  for (std::thread& connection : connections_) {
-    if (connection.joinable()) {
-      connection.join();
-    }
-  }
-  connections_.clear();
+  join_connections(true);
 }
 
 void Server::serve_connection(int fd) {

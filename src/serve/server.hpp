@@ -4,7 +4,9 @@
 /// the JobManager. Framing is one JSON object per LF-terminated line
 /// (serve/protocol.hpp); each accepted connection gets its own thread, so
 /// a client blocked in `result` (wait-for-terminal) never stalls another
-/// client's `submit`.
+/// client's `submit`. The accept loop joins the thread of every client that
+/// has gone, so a long-lived daemon holds threads (and their stacks) only
+/// for the clients still connected.
 ///
 /// Commands:
 ///   {"cmd":"ping"}                         → daemon liveness + provenance
@@ -27,10 +29,12 @@
 /// the serve CI job asserts.
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <list>
+#include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "serve/job_manager.hpp"
 
@@ -57,7 +61,22 @@ class Server {
   const std::string& socket_path() const { return socket_path_; }
   JobManager& jobs() { return manager_; }
 
+  /// Connection threads not yet joined: the clients still connected, plus
+  /// any that left since the accept loop last woke (it wakes at least every
+  /// 200 ms).
+  std::size_t connection_threads() const;
+
  private:
+  /// One client's thread; `finished` is its last write, so the accept loop
+  /// joins it without waiting on a live client.
+  struct Connection {
+    std::thread thread;
+    std::atomic<bool> finished{false};
+  };
+
+  /// Join and forget the finished connection threads, or every one (`all`,
+  /// at drain and destruction).
+  void join_connections(bool all);
   void serve_connection(int fd);
   Json handle(const Json& request, int fd, bool& close_connection);
   bool shutdown_requested() const;
@@ -67,7 +86,8 @@ class Server {
   JobManager manager_;
   std::atomic<bool> shutdown_{false};
   std::atomic<bool> stopping_{false};  ///< connection threads should exit
-  std::vector<std::thread> connections_;
+  mutable std::mutex connections_mutex_;  ///< guards connections_
+  std::list<Connection> connections_;
 };
 
 }  // namespace retscan::serve

@@ -71,11 +71,6 @@ CompiledNetlist::CompiledNetlist(const Netlist& netlist) {
 
   // Lower the instruction stream.
   instrs_.reserve(gate_count);
-  DomainId max_domain = 0;
-  for (CellId id = 0; id < netlist.cell_count(); ++id) {
-    max_domain = std::max(max_domain, netlist.cell(id).domain);
-  }
-  domain_count_ = static_cast<std::size_t>(max_domain) + 1;
   for (const CellId id : order) {
     const Cell& c = netlist.cell(id);
     if (c.type == CellType::Output) {

@@ -100,15 +100,10 @@ class CompiledNetlist {
   /// The flat instruction stream in topological evaluation order.
   const std::vector<CompiledInstr>& instrs() const { return instrs_; }
 
-  /// Number of power domains referenced by any cell (>= 1).
-  std::size_t domain_count() const { return domain_count_; }
-
   /// Topological level of instruction `i` (0 = all operands are source
   /// slots). Within a level, instructions are independent: they write
   /// distinct slots and read only strictly lower levels.
   std::uint32_t instr_level(std::uint32_t i) const { return instr_level_[i]; }
-  /// Number of distinct instruction levels (longest combinational path).
-  std::size_t level_count() const { return level_count_; }
 
   /// Evaluate one instruction against a slot-indexed value array. Lanes is
   /// either LaneWord (64 lanes, the cycle engines) or LaneBlock
@@ -249,8 +244,7 @@ class CompiledNetlist {
   std::vector<NetId> net_of_slot_;
   std::vector<CompiledInstr> instrs_;
   std::vector<std::uint32_t> instr_level_;
-  std::size_t level_count_ = 0;
-  std::size_t domain_count_ = 1;
+  std::size_t level_count_ = 0;  ///< distinct instruction levels
   // Readers CSR: reader_instrs_[reader_offsets_[s] .. reader_offsets_[s+1])
   // are the instruction indices whose operands include slot s.
   std::vector<std::uint32_t> reader_offsets_;

@@ -66,7 +66,6 @@ class SimEngine {
   /// Sweep. Switching re-arms the Auto probe and forces one full resync
   /// sweep on the next settle; values are bit-identical under every mode.
   void set_schedule(Schedule schedule);
-  Schedule schedule() const { return schedule_; }
   /// Drain accumulated activity telemetry (counters reset to zero).
   ScheduleTelemetry take_schedule_telemetry();
   /// Mark the whole net state stale: the next settle runs as one full
@@ -131,7 +130,6 @@ class SimEngine {
   void power_off(DomainId domain, Rng* rng, bool per_lane_garbage);
   void power_on(DomainId domain);
   bool domain_powered(DomainId domain) const;
-  std::size_t domain_count() const { return domain_powered_.size(); }
 
   // --- precomputed structure ---------------------------------------------
   /// Flop cells (Dff/Sdff/Rdff) in netlist order, cached at construction.

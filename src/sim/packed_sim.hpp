@@ -87,7 +87,6 @@ class PackedSim {
   /// Settle scheduling (sweep vs dirty-net worklist, see sim/schedule.hpp);
   /// all lanes of every net are bit-identical under every mode.
   void set_schedule(Schedule schedule) { engine_.set_schedule(schedule); }
-  Schedule schedule() const { return engine_.schedule(); }
   ScheduleTelemetry take_schedule_telemetry() { return engine_.take_schedule_telemetry(); }
   void invalidate_schedule_state() { engine_.invalidate_schedule_state(); }
 

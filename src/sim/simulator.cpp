@@ -25,8 +25,6 @@ void Simulator::set_input(NetId net, bool value) {
   engine_.set_net(net, lane_broadcast(value));
 }
 
-bool Simulator::input(NetId net) const { return net_value(net); }
-
 void Simulator::reset() { engine_.reset(); }
 
 void Simulator::eval() { engine_.eval(); }

@@ -63,7 +63,6 @@ class Simulator {
   // --- stimulus -----------------------------------------------------------
   void set_input(const std::string& port_name, bool value);
   void set_input(NetId net, bool value);
-  bool input(NetId net) const;
 
   /// Zero all flip-flops, latches and inputs; powers all domains on.
   void reset();
@@ -112,7 +111,6 @@ class Simulator {
   /// Settle scheduling (sweep vs dirty-net worklist, see sim/schedule.hpp);
   /// values, toggle counts and energy are bit-identical under every mode.
   void set_schedule(Schedule schedule) { engine_.set_schedule(schedule); }
-  Schedule schedule() const { return engine_.schedule(); }
   ScheduleTelemetry take_schedule_telemetry() { return engine_.take_schedule_telemetry(); }
   void invalidate_schedule_state() { engine_.invalidate_schedule_state(); }
 

@@ -109,8 +109,10 @@ TEST(ApiValidation, ThreadCountInvariance) {
   spec.shard_size = 2048;
   Session session = paper_session();
   const CampaignResult pooled = session.run(spec);
-  spec.threads = 1;
-  const CampaignResult serial = session.run(spec);
+  parallel::CampaignRunner one(parallel::CampaignOptions{.threads = 1});
+  RunHooks hooks;
+  hooks.runner = &one;
+  const CampaignResult serial = run(session, spec, hooks);
   EXPECT_EQ(pooled.validation, serial.validation);
   EXPECT_EQ(serial.threads, 1u);
 }
@@ -302,11 +304,14 @@ TEST(ApiScanTest, PooledDeliveryMatchesScalarAndPackedDeliveries) {
   EXPECT_EQ(pooled.patterns_applied, reference.patterns_applied);
   EXPECT_EQ(pooled.mismatches, reference.mismatches);
   const ScanTestResult direct_pooled =
-      deliver_scan_test_packed(ports, frame, atpg.patterns, &session.pool(), 128);
+      deliver_scan_test_packed(ports, frame, atpg.patterns, session.pool(), 128);
   EXPECT_EQ(pooled.patterns_applied, direct_pooled.patterns_applied);
   EXPECT_EQ(pooled.mismatches, direct_pooled.mismatches);
-  const ScanTestResult direct_inline =
-      deliver_scan_test_packed(ports, frame, atpg.patterns, nullptr);
+  // One shard on one thread: a shard size rounded up to whole 64-lane
+  // batches covers every pattern.
+  ThreadPool one(1);
+  const ScanTestResult direct_inline = deliver_scan_test_packed(
+      ports, frame, atpg.patterns, one, atpg.patterns.size() + PackedSim::lane_count() - 1);
   EXPECT_EQ(pooled.patterns_applied, direct_inline.patterns_applied);
   EXPECT_EQ(pooled.mismatches, direct_inline.mismatches);
 }
@@ -323,10 +328,12 @@ TEST(ApiScanTest, CampaignKindRunsAtpgAndDelivery) {
   EXPECT_EQ(result.scan_test.mismatches, 0u);
   EXPECT_TRUE(result.passed());
 
-  // The uniform threads knob applies to scan-test campaigns too: the
-  // delivery runs on a pool of spec.threads workers, with identical results.
-  spec.threads = 2;
-  const CampaignResult two_threads = session.run(spec);
+  // The caller's runner applies to scan-test campaigns too: the delivery
+  // runs on its pool of 2 workers, with identical results.
+  parallel::CampaignRunner two(parallel::CampaignOptions{.threads = 2});
+  RunHooks hooks;
+  hooks.runner = &two;
+  const CampaignResult two_threads = run(session, spec, hooks);
   EXPECT_EQ(two_threads.threads, 2u);
   EXPECT_EQ(two_threads.scan_test.patterns_applied,
             result.scan_test.patterns_applied);
@@ -600,12 +607,13 @@ campaign.deadline_ms = 5000
   ASSERT_TRUE(file.campaign.deadline_ms.has_value());
   EXPECT_EQ(*file.campaign.deadline_ms, 5000u);
 
-  // Bare shorthands, matching the CLI flag names.
-  const SpecFile bare = parse_spec_text(
-      "checkpoint = ck.journal\nresume = false\ndeadline_ms = 9\n");
-  EXPECT_EQ(bare.campaign.checkpoint, "ck.journal");
-  EXPECT_FALSE(bare.campaign.resume);
-  EXPECT_EQ(*bare.campaign.deadline_ms, 9u);
+  // One spelling per key: the bare shorthands 12.0 removed are unknown keys.
+  for (const char* bare : {"checkpoint = ck.journal", "resume = false", "deadline_ms = 9"}) {
+    EXPECT_NE(error_message([&] { parse_spec_text(bare); })
+                  .find("spec line 1: unknown key '"),
+              std::string::npos)
+        << bare;
+  }
 
   // Defaults: durability off.
   const SpecFile none = parse_spec_text("fifo.depth = 32\n");
@@ -881,5 +889,5 @@ TEST(ApiVersion, ConstantsAgree) {
   EXPECT_STREQ(version_string(), RETSCAN_VERSION_STRING);
   EXPECT_EQ(RETSCAN_VERSION_NUMBER,
             kVersionMajor * 10000 + kVersionMinor * 100 + kVersionPatch);
-  EXPECT_EQ(kVersionMajor, 11);
+  EXPECT_EQ(kVersionMajor, 12);
 }

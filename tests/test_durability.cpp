@@ -638,12 +638,11 @@ TEST(ApiDurability, DeadlineYieldsTimeoutResultThatDoesNotPass) {
   protection.kind = CodeKind::HammingPlusCrc;
   protection.hamming_r = 3;
   protection.chain_count = 80;
-  Session session(FifoSpec{32, 32}, protection);
+  Session session(FifoSpec{32, 32}, protection, SessionOptions{.threads = 1});
 
   CampaignSpec spec;
   spec.kind = CampaignKind::Validation;
   spec.seed = 2024;
-  spec.threads = 1;
   spec.sequences = 65536;
   spec.deadline_ms = 1;
 

@@ -22,6 +22,7 @@
 #include "sim/simulator.hpp"
 #include "testbench/harness.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace retscan {
 namespace {
@@ -320,6 +321,17 @@ std::vector<BitVec> doubled_patterns(const std::vector<BitVec>& patterns) {
   return out;
 }
 
+/// The packed delivery as one shard on a one-thread pool: one PackedSim
+/// walks every batch. Shard sizes floor to whole 64-lane batches, so the
+/// request rounds the pattern count up.
+ScanTestResult deliver_packed_one_shard(const ScanPorts& ports,
+                                        const CombinationalFrame& frame,
+                                        const std::vector<BitVec>& patterns) {
+  ThreadPool one(1);
+  return deliver_scan_test_packed(ports, frame, patterns, one,
+                                  patterns.size() + PackedSim::lane_count() - 1);
+}
+
 /// Packed parallel-pattern scan delivery agrees with the scalar tester path
 /// on a full ATPG pattern set through the full-width chains of a plain
 /// scanned design (in a ProtectedDesign the si ports are superseded by the
@@ -346,7 +358,7 @@ TEST(PackedScanTest, MatchesScalarFullWidthDelivery) {
   const ScanPorts ports = ScanPorts::full_width(chains);
   Simulator scalar_sim(nl);
   const ScanTestResult scalar = deliver_scan_test(scalar_sim, ports, frame, patterns);
-  const ScanTestResult packed = deliver_scan_test_packed(ports, frame, patterns, nullptr);
+  const ScanTestResult packed = deliver_packed_one_shard(ports, frame, patterns);
   EXPECT_EQ(packed.patterns_applied, scalar.patterns_applied);
   EXPECT_EQ(packed.mismatches, scalar.mismatches);
   EXPECT_TRUE(scalar.all_passed());
@@ -379,7 +391,7 @@ TEST(PackedScanTest, MatchesScalarTestModeDelivery) {
   const ScanPorts ports = ScanPorts::test_mode_of(design);
   RetentionSession session(design);
   const ScanTestResult scalar = deliver_scan_test(session.sim(), ports, frame, patterns);
-  const ScanTestResult packed = deliver_scan_test_packed(ports, frame, patterns, nullptr);
+  const ScanTestResult packed = deliver_packed_one_shard(ports, frame, patterns);
   EXPECT_EQ(packed.patterns_applied, scalar.patterns_applied);
   EXPECT_EQ(packed.mismatches, scalar.mismatches);
   EXPECT_TRUE(scalar.all_passed());

@@ -3,7 +3,8 @@
 // regressions on the vendored benchmarks (c17 / s27 + two mid-size designs),
 // pooled bit-identity at 1, 3 and 8 threads, every
 // model (stuck-at included) pinned across shard plans and degenerate inputs,
-// and the campaign-kind plumbing (routing, validation, spellings).
+// and the campaign-kind plumbing (routing, validation, spellings). The
+// hand-computed cases run each model as one shard on a one-thread pool.
 
 #include "atpg/fault_models.hpp"
 
@@ -73,7 +74,8 @@ TEST(TransitionDelay, BufferHandComputed) {
   // STF needs launch 1 + SA1 detected at capture (pair 1).
   const std::vector<BitVec> patterns = {make_pattern({0}), make_pattern({1}),
                                         make_pattern({0})};
-  const FaultSimResult result = transition_fault_simulate(frame, faults, patterns);
+  ThreadPool one(1);
+  const FaultSimResult result = transition_fault_simulate(frame, faults, patterns, one);
   EXPECT_EQ(result.total_faults, 2u);
   EXPECT_EQ(result.detected, 2u);
   EXPECT_EQ(result.detected_by[0], 0u);  // STR by the 0→1 pair
@@ -89,7 +91,8 @@ TEST(TransitionDelay, ConstantPatternsLaunchNothing) {
   // A 1,1 pair would *capture* SA0 on `a`, but the launch value never sets
   // up the rising transition — the launch mask must veto the detection.
   const std::vector<BitVec> ones = {make_pattern({1}), make_pattern({1})};
-  const FaultSimResult none = transition_fault_simulate(frame, faults, ones);
+  ThreadPool one(1);
+  const FaultSimResult none = transition_fault_simulate(frame, faults, ones, one);
   EXPECT_EQ(none.detected, 0u);
   EXPECT_EQ(none.detected_by[0], FaultSimResult::npos);
   EXPECT_EQ(none.detected_by[1], FaultSimResult::npos);
@@ -132,14 +135,15 @@ TEST(Bridging, GateInputPairHandComputed) {
   // a=1, b=0 drives the nets apart: wired-AND forces both to 0 (z drops to
   // 0, good 1); wired-OR forces both to 1 (y rises to 1, good 0).
   const std::vector<BitVec> split = {make_pattern({1, 0})};
-  const FaultSimResult detected = bridging_fault_simulate(frame, faults, split);
+  ThreadPool one(1);
+  const FaultSimResult detected = bridging_fault_simulate(frame, faults, split, one);
   EXPECT_EQ(detected.detected, 2u);
   EXPECT_EQ(detected.detected_by[0], 0u);
   EXPECT_EQ(detected.detected_by[1], 0u);
 
   // Patterns that never drive a and b apart cannot expose either dominance.
   const std::vector<BitVec> agree = {make_pattern({0, 0}), make_pattern({1, 1})};
-  const FaultSimResult none = bridging_fault_simulate(frame, faults, agree);
+  const FaultSimResult none = bridging_fault_simulate(frame, faults, agree, one);
   EXPECT_EQ(none.detected, 0u);
 
   const std::string name = bridging_fault_name(nl, faults[0]);
@@ -179,21 +183,22 @@ TEST(Bridging, FeedbackBridgeRecomputesTheDownstreamNet) {
   //     (holding b at 1 too would show at b and y).
   const std::vector<BitVec> patterns = {make_pattern({0, 0}), make_pattern({0, 1}),
                                         make_pattern({1, 0}), make_pattern({1, 1})};
+  ThreadPool one(1);
   for (const bool a_first : {true, false}) {
     const NetId first = a_first ? a : b;
     const NetId second = a_first ? b : a;
     const std::vector<BridgingFault> faults = {{first, second, true},
                                                {first, second, false}};
-    const FaultSimResult result = bridging_fault_simulate(frame, faults, patterns);
+    const FaultSimResult result = bridging_fault_simulate(frame, faults, patterns, one);
     EXPECT_EQ(result.detected, 2u);
     EXPECT_EQ(result.detected_by[0], 3u) << "wired-AND, a first: " << a_first;
     EXPECT_EQ(result.detected_by[1], 1u) << "wired-OR, a first: " << a_first;
     const FaultSimResult at_01 =
-        bridging_fault_simulate(frame, faults, {make_pattern({0, 1})});
+        bridging_fault_simulate(frame, faults, {make_pattern({0, 1})}, one);
     EXPECT_EQ(at_01.detected_by[0], FaultSimResult::npos);
     EXPECT_EQ(at_01.detected_by[1], 0u);
     const FaultSimResult at_11 =
-        bridging_fault_simulate(frame, faults, {make_pattern({1, 1})});
+        bridging_fault_simulate(frame, faults, {make_pattern({1, 1})}, one);
     EXPECT_EQ(at_11.detected_by[0], 0u);
     EXPECT_EQ(at_11.detected_by[1], FaultSimResult::npos);
   }
@@ -217,7 +222,8 @@ TEST(Sequential, FlopOutputFaultsDetectedThroughCycles) {
   // From the all-zero state, SA1 on q differs the moment the good machine
   // holds d=0 (cycle after reset at the latest); SA0 needs a 1 to have been
   // clocked through. The random stimulus hits both within a few cycles.
-  const FaultSimResult serial = sequential_fault_simulate(nl, faults, 4, 8, 99);
+  ThreadPool one(1);
+  const FaultSimResult serial = sequential_fault_simulate(nl, faults, 4, 8, 99, one);
   EXPECT_EQ(serial.total_faults, 2u);
   EXPECT_EQ(serial.detected, 2u);
 
@@ -235,23 +241,30 @@ TEST(Sequential, CombinationalNetlistDegeneratesToSingleCycle) {
   const Netlist nl = read_verilog_text(kBufModule, "buf.v");
   const NetId a = nl.find_net("a");
   const std::vector<Fault> faults = {{a, false}, {a, true}};
-  const FaultSimResult result = sequential_fault_simulate(nl, faults, 2, 4, 3);
+  ThreadPool one(1);
+  const FaultSimResult result = sequential_fault_simulate(nl, faults, 2, 4, 3, one);
   EXPECT_EQ(result.detected, 2u);
 }
 
 // --- golden regressions on vendored circuits ------------------------------
 
+/// `threads` = 0 runs on the session's pool, else on a runner of that many.
 CampaignResult run_kind(Session& session, CampaignKind kind, unsigned threads = 0) {
   CampaignSpec spec;
   spec.kind = kind;
   spec.seed = 11;
-  spec.threads = threads;
   spec.atpg.random_patterns = 64;
   if (kind == CampaignKind::SequentialCoverage) {
     spec.sequences = 16;
     spec.cycles = 32;
   }
-  return run(session, spec);
+  if (threads == 0) {
+    return run(session, spec);
+  }
+  parallel::CampaignRunner runner(parallel::CampaignOptions{.threads = threads});
+  RunHooks hooks;
+  hooks.runner = &runner;
+  return run(session, spec, hooks);
 }
 
 struct Golden {
@@ -343,10 +356,11 @@ Pin pin_of(const FaultSimResult& result) {
 }
 
 /// `simulate(pooled...)` forwards its trailing (pool[, fault_shard])
-/// arguments to a model's entry point, so one lambda reaches both the
-/// serial and the pooled overload. Every shard plan must give `golden`.
-/// `late_detections`: some first detection lies past the first lane block,
-/// so the pin also guards the block offset of dropped faults.
+/// arguments to a model's pooled entry point. Every shard plan must give
+/// `golden`, the serial one (the whole fault list as one shard on one
+/// thread) included. `late_detections`: some first detection lies past the
+/// first lane block, so the pin also guards the block offset of dropped
+/// faults.
 template <typename Simulate>
 void expect_pinned(const Simulate& simulate, std::size_t total, const Pin& golden,
                    bool late_detections = true) {
@@ -356,7 +370,8 @@ void expect_pinned(const Simulate& simulate, std::size_t total, const Pin& golde
     EXPECT_EQ(pin.detected, golden.detected) << plan;
     EXPECT_EQ(pin.digest, golden.digest) << plan;
   };
-  const FaultSimResult serial = simulate();
+  ThreadPool one(1);
+  const FaultSimResult serial = simulate(one, total);
   check(serial, "serial");
   EXPECT_EQ(std::any_of(serial.detected_by.begin(), serial.detected_by.end(),
                         [](std::size_t index) {
@@ -395,6 +410,10 @@ TEST(OneDriver, StuckAtPinnedAcrossShardPlans) {
   expect_pinned(
       [&](auto&&... pooled) { return fault_simulate(c.frame, faults, c.patterns, pooled...); },
       faults.size(), {1099, 13481544910609953155ull});
+  // The serial overload (run_atpg's random phase) loads blocks as it goes.
+  const Pin serial = pin_of(fault_simulate(c.frame, faults, c.patterns));
+  EXPECT_EQ(serial.detected, 1099u);
+  EXPECT_EQ(serial.digest, 13481544910609953155ull);
 }
 
 TEST(OneDriver, TransitionPinnedAcrossShardPlans) {
@@ -431,8 +450,9 @@ TEST(OneDriver, SequentialPinnedAcrossShardPlans) {
       false);
 }
 
-/// Degenerate inputs: every model, serial and pooled, reports every fault
-/// undetected (or no faults at all) rather than indexing past its input.
+/// Degenerate inputs: every model, as one shard on one thread and pooled,
+/// reports every fault undetected (or no faults at all) rather than
+/// indexing past its input; so does the serial stuck-at overload.
 TEST(OneDriver, DegenerateInputsDetectNothing) {
   const Netlist nl = Netlist::from_verilog(circuit_path("c17.v"));
   const CombinationalFrame frame(nl);
@@ -442,6 +462,7 @@ TEST(OneDriver, DegenerateInputsDetectNothing) {
   Rng rng(3);
   const std::vector<BitVec> none;
   const std::vector<BitVec> one = {frame.random_pattern(rng)};
+  ThreadPool serial(1);
   ThreadPool pool(4);
 
   const auto expect_nothing = [](const FaultSimResult& result, std::size_t total,
@@ -452,9 +473,12 @@ TEST(OneDriver, DegenerateInputsDetectNothing) {
         << what;
   };
   const auto both = [&](const auto& simulate, std::size_t total, const std::string& what) {
-    expect_nothing(simulate(), total, what + ", serial");
+    expect_nothing(simulate(serial, total), total, what + ", serial");
     expect_nothing(simulate(pool, std::size_t{3}), total, what + ", pooled");
   };
+  expect_nothing(fault_simulate(frame, {}, one), 0, "stuck-at, no faults, serial overload");
+  expect_nothing(fault_simulate(frame, stuck, none), stuck.size(),
+                 "stuck-at, no patterns, serial overload");
 
   both([&](auto&&... p) { return fault_simulate(frame, {}, one, p...); }, 0,
        "stuck-at, no faults");

@@ -244,6 +244,7 @@ bool lane(const LaneBlock& block, std::size_t p) {
 }
 
 TEST(FfrOracle, DriversMatchReferenceAtEveryShardPlan) {
+  ThreadPool one(1);  // the serial plan: one shard on one thread
   ThreadPool pool(3);
   const std::size_t shards[] = {0, 1, 7, 128};
   for_each_case(kFramesPerSeed / 4, [&](std::size_t seed, std::size_t f, const Case& c,
@@ -284,7 +285,9 @@ TEST(FfrOracle, DriversMatchReferenceAtEveryShardPlan) {
           return launch[i][k] == !transition[i].slow_to_rise &&
                  lane(capture[i][k / kLaneBlockBits], k % kLaneBlockBits);
         });
-    EXPECT_EQ(transition_fault_simulate(c.frame, transition, c.patterns).detected_by, delay)
+    EXPECT_EQ(transition_fault_simulate(c.frame, transition, c.patterns, one, transition.size())
+                  .detected_by,
+              delay)
         << "transition, serial, " << at;
     for (const std::size_t shard : shards) {
       EXPECT_EQ(
@@ -360,6 +363,7 @@ std::size_t reference_bridge(const Case& c, const BridgingFault& fault, bool a_h
 }
 
 TEST(FfrOracle, BridgingMatchesReferenceOnRandomFrames) {
+  ThreadPool one(1);  // the serial plan: one shard on one thread
   ThreadPool pool(3);
   const std::size_t shards[] = {0, 1, 7, 128};
   std::vector<std::size_t> feedback(fuzz_seed_count(), 0);
@@ -417,7 +421,8 @@ TEST(FfrOracle, BridgingMatchesReferenceOnRandomFrames) {
       }
       return true;
     };
-    if (!matches(bridging_fault_simulate(c.frame, faults, c.patterns), "serial")) {
+    if (!matches(bridging_fault_simulate(c.frame, faults, c.patterns, one, faults.size()),
+                 "serial")) {
       return false;
     }
     for (const std::size_t shard : shards) {

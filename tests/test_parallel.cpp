@@ -466,11 +466,13 @@ TEST(ScanTestParallel, PooledDeliveryMatchesSerialPacked) {
   }
 
   const ScanPorts ports = ScanPorts::test_mode_of(fixture.design);
+  // Serial: the 70 patterns as one shard (two batches) on one thread.
+  ThreadPool one(1);
   const ScanTestResult serial =
-      deliver_scan_test_packed(ports, fixture.frame, patterns, nullptr);
+      deliver_scan_test_packed(ports, fixture.frame, patterns, one, 128);
   ThreadPool pool(4);
   const ScanTestResult pooled =
-      deliver_scan_test_packed(ports, fixture.frame, patterns, &pool, 64);
+      deliver_scan_test_packed(ports, fixture.frame, patterns, pool, 64);
 
   EXPECT_EQ(pooled.patterns_applied, serial.patterns_applied);
   EXPECT_EQ(pooled.mismatches, serial.mismatches);

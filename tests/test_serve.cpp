@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
@@ -134,7 +135,7 @@ TEST(ServeSessionKey, HashesDesignShapingFieldsOnly) {
 
   SpecFile b = a;
   b.campaign.seed = 999;  // campaign knobs do not shape the design
-  b.campaign.threads = 7;
+  b.threads = 7;         // nor does the session's worker count
   EXPECT_EQ(session_key(b), base);
 
   b = a;
@@ -279,7 +280,7 @@ TEST(ServeJobManager, OverridesShapeTheCampaign) {
   overrides.deadline_ms = 5000;
   apply_overrides(file, overrides);
   EXPECT_EQ(file.campaign.seed, 404u);
-  EXPECT_EQ(file.campaign.threads, 3u);
+  EXPECT_EQ(file.threads, 3u);
   EXPECT_EQ(file.campaign.checkpoint, "x.journal");
   EXPECT_TRUE(file.campaign.resume);
   EXPECT_EQ(file.campaign.deadline_ms, 5000u);
@@ -490,6 +491,34 @@ TEST(ServeServer, FullProtocolOverAUnixSocket) {
     client.request(Json(Json::Object{}).set("cmd", "shutdown"));
   }
   again.join();
+}
+
+/// A finished connection's thread is joined by the accept loop, not kept
+/// until drain: a daemon that has served many short-lived clients holds
+/// threads (and their mapped stacks) only for the clients still connected.
+TEST(ServeServer, FinishedConnectionThreadsAreJoined) {
+  const std::string socket_path =
+      (std::filesystem::path(::testing::TempDir()) / "serve_reap.sock").string();
+  ServeOptions options;
+  options.max_active = 1;
+  Server server(socket_path, options);
+  std::thread daemon([&] { server.run(); });
+  for (int ping = 0; ping < 256; ++ping) {
+    Client client(socket_path);
+    ASSERT_TRUE(client.request(Json(Json::Object{}).set("cmd", "ping")).at("ok").as_bool());
+  }
+  // Every client has closed; the loop joins the last few when it next wakes.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.connection_threads() > 1 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  EXPECT_LE(server.connection_threads(), 1u);
+  {
+    Client client(socket_path);
+    client.request(Json(Json::Object{}).set("cmd", "shutdown"));
+  }
+  daemon.join();
+  EXPECT_EQ(server.connection_threads(), 0u);
 }
 
 /// ServeOptions::cache_dir and the stats verb's `artifacts` object are
