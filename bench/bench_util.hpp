@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <iomanip>
@@ -48,6 +49,30 @@ class Stopwatch {
  private:
   std::chrono::steady_clock::time_point start_;
 };
+
+/// Sorted ratios num() / den() over `pairs` pairs of timed runs (each side
+/// returns its seconds). The side that runs first alternates, den first in
+/// even pairs, so neither side always follows the other; each ratio
+/// compares two runs adjacent in time, and the median (ratios[size / 2])
+/// discards the pairs a host hiccup landed on.
+template <typename Num, typename Den>
+std::vector<double> paired_ratios(int pairs, Num&& num, Den&& den) {
+  std::vector<double> ratios;
+  for (int pair = 0; pair < pairs; ++pair) {
+    double num_seconds = 0.0;
+    double den_seconds = 0.0;
+    if (pair % 2 == 0) {
+      den_seconds = den();
+      num_seconds = num();
+    } else {
+      num_seconds = num();
+      den_seconds = den();
+    }
+    ratios.push_back(num_seconds / den_seconds);
+  }
+  std::sort(ratios.begin(), ratios.end());
+  return ratios;
+}
 
 /// Machine-readable bench report: write() emits BENCH_<name>.json in the
 /// working directory so the perf trajectory (sequences/sec, fault-evals/sec,

@@ -206,23 +206,18 @@ int main() {
     }
     double plain_seconds = 0.0;
     double durable_seconds = 0.0;
-    std::vector<double> ratios;
-    for (int pair = 0; pair < 15; ++pair) {
-      // Alternate which side runs first, so neither always follows the other.
-      double plain_run = 0.0;
-      double durable_run = 0.0;
-      if (pair % 2 == 0) {
-        plain_run = run_plain(ck_sequences);
-        durable_run = run_durable(ck_sequences);
-      } else {
-        durable_run = run_durable(ck_sequences);
-        plain_run = run_plain(ck_sequences);
-      }
-      plain_seconds += plain_run;
-      durable_seconds += durable_run;
-      ratios.push_back(durable_run / plain_run);
-    }
-    std::sort(ratios.begin(), ratios.end());
+    const std::vector<double> ratios = bench::paired_ratios(
+        15,
+        [&] {
+          const double seconds = run_durable(ck_sequences);
+          durable_seconds += seconds;
+          return seconds;
+        },
+        [&] {
+          const double seconds = run_plain(ck_sequences);
+          plain_seconds += seconds;
+          return seconds;
+        });
     std::remove(path.c_str());
     const double overhead = ratios[ratios.size() / 2];
     std::cout << "checkpoint: " << ck_sequences << " sequences x "
@@ -371,24 +366,51 @@ int main() {
     PackedSim event_sim(nl);
     event_sim.set_schedule(Schedule::Event);
 
-    bench::Stopwatch timer;
-    const std::uint64_t sweep_digest = run_workload(sweep_sim);
-    const double sweep_seconds = timer.seconds();
-    timer.restart();
-    const std::uint64_t event_digest = run_workload(event_sim);
-    const double event_seconds = timer.seconds();
-
-    const double event_speedup = sweep_seconds / event_seconds;
-    const ScheduleTelemetry activity = event_sim.take_schedule_telemetry();
+    // Sweep and event runs alternate in pairs (each run lasts about 10 ms),
+    // and the gate reads the median pair ratio. Every run replays the same
+    // episodes from reset, so every run of a side leaves the same digest.
+    struct Side {
+      PackedSim* sim;
+      std::vector<double> seconds;
+      std::vector<std::uint64_t> digests;
+      ScheduleTelemetry activity;  ///< of the side's last run
+    };
+    Side sweep{&sweep_sim, {}, {}, {}};
+    Side event{&event_sim, {}, {}, {}};
+    const auto timed_run = [&](Side& side) {
+      bench::Stopwatch timer;
+      side.digests.push_back(run_workload(*side.sim));
+      side.seconds.push_back(timer.seconds());
+      side.activity = side.sim->take_schedule_telemetry();
+      return side.seconds.back();
+    };
+    const std::vector<double> ratios = bench::paired_ratios(
+        15, [&] { return timed_run(sweep); }, [&] { return timed_run(event); });
+    const double event_speedup = ratios[ratios.size() / 2];
+    const auto median_seconds = [](std::vector<double> seconds) {
+      std::sort(seconds.begin(), seconds.end());
+      return seconds[seconds.size() / 2];
+    };
+    const double sweep_seconds = median_seconds(sweep.seconds);
+    const double event_seconds = median_seconds(event.seconds);
+    const std::uint64_t event_digest = event.digests.front();
+    const auto all_equal = [&](const std::vector<std::uint64_t>& digests) {
+      return std::all_of(digests.begin(), digests.end(),
+                         [&](std::uint64_t d) { return d == event_digest; });
+    };
+    const bool digests_match = all_equal(sweep.digests) && all_equal(event.digests);
+    const ScheduleTelemetry& activity = event.activity;
     const double cycles =
         static_cast<double>(kEpisodes) * (kActiveCycles + kIdleCycles + 2);
     std::cout << "event-sched: " << cycles << " cycles x " << PackedSim::lane_count()
-              << " lanes, sweep " << sweep_seconds << " s, event " << event_seconds
-              << " s (" << event_speedup << "x)\n  event settles "
+              << " lanes, median sweep " << sweep_seconds << " s, event " << event_seconds
+              << " s; " << ratios.size() << " pairs, median " << event_speedup
+              << "x (min " << ratios.front() << ", max " << ratios.back()
+              << ")\n  event settles "
               << activity.event_sweeps << ", full sweeps " << activity.full_sweeps
               << " (" << activity.full_sweep_fallbacks
               << " fallbacks), avg dirty fraction " << activity.avg_dirty_fraction()
-              << "\n  digest " << (sweep_digest == event_digest ? "match" : "MISMATCH")
+              << "\n  digest " << (digests_match ? "match" : "MISMATCH")
               << " (0x" << std::hex << event_digest << std::dec << ")\n";
     json.set("event_speedup", event_speedup);
     json.set("event_sweeps", static_cast<double>(activity.event_sweeps));
@@ -399,10 +421,9 @@ int main() {
     json.set("event_cycles_per_sec", cycles / event_seconds);
     // Bit-identical values are the contract; the >= 2.0 speedup floor is
     // enforced by ci/check_bench_json.py against this report.
-    ok = ok && sweep_digest == event_digest && activity.event_sweeps > 0 &&
+    ok = ok && digests_match && activity.event_sweeps > 0 &&
          activity.avg_dirty_fraction() < 1.0;
-    const ScheduleTelemetry sweep_activity = sweep_sim.take_schedule_telemetry();
-    ok = ok && sweep_activity.event_sweeps == 0 && sweep_activity.full_sweeps > 0;
+    ok = ok && sweep.activity.event_sweeps == 0 && sweep.activity.full_sweeps > 0;
   }
 
   bench::header("Campaign service — warm-start speedup (session cache)");

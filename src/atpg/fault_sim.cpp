@@ -210,19 +210,19 @@ std::vector<std::uint64_t> CombinationalFrame::good_response_words(
   return words;
 }
 
-const CombinationalFrame::FaultCone& CombinationalFrame::fault_cone(NetId net) const {
+const CombinationalFrame::FaultCone& CombinationalFrame::stem_cone(NetId stem) const {
   const std::lock_guard<std::mutex> lock(cone_mutex_);
-  auto it = cones_.find(net);
+  auto it = cones_.find(stem);
   if (it == cones_.end()) {
-    auto fault_cone = std::make_unique<FaultCone>();
-    fault_cone->cone = compiled_->build_cone(net);
-    for (const std::uint32_t slot : fault_cone->cone.touched_slots) {
+    auto cone = std::make_unique<FaultCone>();
+    cone->cone = compiled_->build_cone(stem);
+    for (const std::uint32_t slot : cone->cone.touched_slots) {
       const std::uint32_t word = obs_word_of_slot_[slot];
       if (word != kNoObs) {
-        fault_cone->observables.emplace_back(word, slot);
+        cone->observables.emplace_back(word, slot);
       }
     }
-    it = cones_.emplace(net, std::move(fault_cone)).first;
+    it = cones_.emplace(stem, std::move(cone)).first;
   }
   return *it->second;
 }
@@ -235,7 +235,7 @@ void CombinationalFrame::warm_cones(const std::vector<Fault>& faults) const {
 
 CombinationalFrame::FaultSite CombinationalFrame::fault_site(NetId net) const {
   const std::uint32_t slot = compiled_->slot(net);
-  return {slot, &fault_cone(compiled_->net_of_slot(stem_of_slot_[slot]))};
+  return {slot, &stem_cone(compiled_->net_of_slot(stem_of_slot_[slot]))};
 }
 
 bool CombinationalFrame::reaches(const FaultSite& from, NetId to) const {

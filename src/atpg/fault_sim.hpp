@@ -35,8 +35,8 @@ namespace retscan {
 /// its reachable observation points are compared, and the touched slots
 /// are restored afterwards — so per-fault cost is O(chain + stem cone), not
 /// O(circuit), and a memo shares one stem replay per batch among every
-/// fault of the region (detect_site). Cones are built lazily per stem (and
-/// per PODEM target) and cached (thread-safe).
+/// fault of the region (detect_site). Cones are built lazily per stem and
+/// cached (thread-safe); PODEM needs none.
 class CombinationalFrame {
  public:
   explicit CombinationalFrame(const Netlist& netlist);
@@ -117,18 +117,13 @@ class CombinationalFrame {
   /// 0 of each LoadedPatternBatch::good block.
   std::vector<std::uint64_t> good_response_words(const std::vector<BitVec>& patterns) const;
 
-  /// Precomputed fanout cone of one net within this frame: the compiled
+  /// Precomputed fanout cone of an FFR stem within this frame: the compiled
   /// cone slice plus the (good-word index, value slot) of every observation
-  /// point a change of the net can reach.
+  /// point a change of the stem can reach.
   struct FaultCone {
     CompiledNetlist::Cone cone;
     std::vector<std::pair<std::uint32_t, std::uint32_t>> observables;
   };
-  /// The cone of a net, built on first use and cached (thread-safe, one
-  /// lock per call; the returned reference stays valid for the frame's
-  /// lifetime). Fault simulation asks only for FFR stems (via fault_site)
-  /// and PODEM for its targets, so the cache holds those cones alone.
-  const FaultCone& fault_cone(NetId net) const;
 
   /// A fault site resolved against the fanout-free regions: the net's value
   /// slot and the cone of its region's stem.
@@ -174,6 +169,10 @@ class CombinationalFrame {
  private:
   void load(std::vector<LaneBlock>& slot_values,
             const std::vector<BitVec>& patterns) const;
+  /// The cone of a stem, built on first use and cached (thread-safe, one
+  /// lock per call; the returned reference stays valid for the frame's
+  /// lifetime). Only fault_site asks, so the cache holds stem cones alone.
+  const FaultCone& stem_cone(NetId stem) const;
   /// Point the workspace at `batch`: check the batch's shape, copy its
   /// settled values and drop the memo when it mirrored another batch.
   void sync(const LoadedPatternBatch& batch, Workspace& workspace) const;

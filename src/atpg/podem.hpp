@@ -34,11 +34,17 @@ struct PodemResult {
 ///
 /// Sources follow the frame's loader: a Const1 output is 1, every other
 /// source that is not a PI or PPI (Const0, latch outputs) is 0, and the
-/// fault is forced at its site whatever drives it. Each generate() call
-/// settles the frame once; after that a decision or a backtrack re-evaluates
-/// only what its changed inputs reach (CompiledNetlist::eval_event). The
-/// D-frontier, the detection test and the backtrace walk only the fault's
-/// fanout cone: outside it the faulty machine equals the good one.
+/// fault is forced at its site whatever drives it. The constructor settles
+/// the decision-free frame once, with the constraints applied and no fault;
+/// each generate() call starts from a copy of it, forces the fault site and
+/// re-evaluates what the site reaches. After that a decision or a backtrack
+/// re-evaluates only what its changed inputs reach, in one ascending scan
+/// (CompiledNetlist::propagate). A D exists only at the fault site and in
+/// its fanout cone, so the D-frontier and the detection test are kept as
+/// values change: every write updates a count of D operands per
+/// instruction and a count of observation points holding a D. No call
+/// builds or walks the fault's cone, and one Podem serves any number of
+/// targets, one at a time.
 class Podem {
  public:
   Podem(const CombinationalFrame& frame, std::size_t max_backtracks = 500);
@@ -103,14 +109,19 @@ class Podem {
     bool value = false;
   };
 
+  /// Write slot `slot`; when whether it holds a D flips, update the D
+  /// operand counts of its readers, the D-frontier bitmap and the count of
+  /// observation points holding a D.
+  void set_value(std::uint32_t slot, Dual v);
   /// Write pattern input `input` (0, 1 or kX) into its slot and mark it dirty.
   void assign(std::size_t input, std::uint8_t value);
-  /// Settle the dirty input slots' fanout (event-driven).
+  /// Settle the dirty slots' fanout (CompiledNetlist::propagate).
   void imply();
-  bool detected(const CombinationalFrame::FaultCone& cone) const;
+  /// Some observation point holds a D.
+  bool detected() const { return observed_d_ != 0; }
   /// Fault activation first, then the first D-frontier gate with an input
   /// X in both machines; invalid means backtrack.
-  Objective pick_objective(const CombinationalFrame::FaultCone& cone) const;
+  Objective pick_objective() const;
   /// Walk an objective back to an unassigned (pseudo-)input; returns the
   /// input *index* into the pattern and the value to assign.
   std::pair<std::size_t, bool> backtrace(const Objective& objective) const;
@@ -118,14 +129,19 @@ class Podem {
   const CombinationalFrame* frame_;
   const CompiledNetlist* compiled_;
   std::size_t max_backtracks_;
-  std::vector<Dual> sources_;                // slot values before any decision
+  std::vector<Dual> base_values_;            // the decision-free settle, no fault
+  std::vector<std::uint8_t> base_inputs_;    // its pattern inputs: constraints, else X
   std::vector<Dual> values_;                 // slot values of the current decisions
   std::vector<std::uint8_t> input_values_;   // per pattern index: 0/1/X
   std::vector<std::uint32_t> input_slots_;   // pattern index -> slot
   std::vector<std::size_t> input_of_slot_;   // slot -> pattern index or npos
   std::vector<std::uint32_t> driver_of_slot_;  // slot -> instruction or none
+  std::vector<std::uint8_t> observed_;       // slot -> 1 at a PO or flop D capture
+  std::vector<std::uint8_t> d_operands_;     // instruction -> operands holding a D
+  std::vector<std::uint64_t> frontier_;      // instructions with d_operands_ > 0
+  std::vector<std::uint64_t> pending_;       // propagate's worklist bitmap
   std::vector<std::uint32_t> dirty_;
-  CompiledNetlist::EventWorkspace events_;
+  std::size_t observed_d_ = 0;               // observation slots holding a D
   std::uint32_t fault_slot_ = 0;
   bool stuck_at_ = false;
 };

@@ -312,35 +312,56 @@ struct Parser {
     }
   }
 
-  Json parse_number() {
-    const std::size_t start = pos;
-    if (consume('-')) {
-    }
-    while (pos < text.size() &&
-           ((text[pos] >= '0' && text[pos] <= '9') || text[pos] == '.' ||
-            text[pos] == 'e' || text[pos] == 'E' || text[pos] == '+' ||
-            text[pos] == '-')) {
+  /// Consume a run of decimal digits; returns how many there were.
+  std::size_t digits() {
+    const std::size_t from = pos;
+    while (pos < text.size() && text[pos] >= '0' && text[pos] <= '9') {
       ++pos;
     }
-    const std::string token(text.substr(start, pos - start));
-    if (token.empty() || token == "-") {
+    return pos - from;
+  }
+
+  Json parse_number() {
+    // RFC 8259's grammar, -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?,
+    // checked here: strtoull and strtod accept more ("+1", "01", ".5", "1.").
+    const std::size_t start = pos;
+    const bool negative = consume('-');
+    if (consume('0')) {
+      if (digits() != 0) {
+        fail("bad number: leading zero");
+      }
+    } else if (digits() == 0) {
       fail("bad number");
     }
+    bool integer = !negative;
+    if (consume('.')) {
+      if (digits() == 0) {
+        fail("bad number: no digit after '.'");
+      }
+      integer = false;
+    }
+    if (consume('e') || consume('E')) {
+      if (!consume('+')) {
+        consume('-');
+      }
+      if (digits() == 0) {
+        fail("bad number: no digit in the exponent");
+      }
+      integer = false;
+    }
+    const std::string token(text.substr(start, pos - start));
     // Exact non-negative integers stay u64 (counters, seeds, fingerprints);
     // everything else goes through double.
-    if (token.find_first_of(".eE-") == std::string::npos) {
+    if (integer) {
       errno = 0;
-      char* end = nullptr;
-      const unsigned long long value = std::strtoull(token.c_str(), &end, 10);
-      if (errno == 0 && end == token.c_str() + token.size()) {
+      const unsigned long long value = std::strtoull(token.c_str(), nullptr, 10);
+      if (errno == 0) {
         return Json(static_cast<std::uint64_t>(value));
       }
     }
     errno = 0;
-    char* end = nullptr;
-    const double value = std::strtod(token.c_str(), &end);
-    if (errno != 0 || end != token.c_str() + token.size() ||
-        !std::isfinite(value)) {
+    const double value = std::strtod(token.c_str(), nullptr);
+    if (errno != 0 || !std::isfinite(value)) {
       fail("bad number '" + token + "'");
     }
     return Json(value);

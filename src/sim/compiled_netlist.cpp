@@ -1,7 +1,6 @@
 #include "sim/compiled_netlist.hpp"
 
 #include <algorithm>
-#include <bit>
 
 namespace retscan {
 
@@ -138,32 +137,13 @@ void CompiledNetlist::eval_full(LaneBlock* values) const {
 CompiledNetlist::Cone CompiledNetlist::build_cone(NetId source) const {
   Cone cone;
   cone.source_slot = slot(source);
-  // One ascending scan over a bitmap of instruction indices. A reader always
-  // sits above the instruction writing its operand, so marking the readers
-  // of the instruction being visited only sets bits ahead of the scan: the
-  // cone comes out in evaluation order with no queue and no sort, and words
-  // outside [lo, hi) are never visited.
+  // Every instruction the scan reaches is in the cone and passes its mark
+  // on, so the cone comes out in evaluation order with no queue and no sort.
   std::vector<std::uint64_t> marked((instrs_.size() + 63) / 64, 0);
-  std::size_t lo = marked.size();
-  std::size_t hi = 0;
-  const auto mark_readers = [&](std::uint32_t s) {
-    for (std::uint32_t r = reader_offsets_[s]; r < reader_offsets_[s + 1]; ++r) {
-      const std::uint32_t i = reader_instrs_[r];
-      marked[i / 64] |= std::uint64_t{1} << (i % 64);
-      lo = std::min<std::size_t>(lo, i / 64);
-      hi = std::max<std::size_t>(hi, i / 64 + 1);
-    }
-  };
-  mark_readers(cone.source_slot);
-  for (std::size_t w = lo; w < hi; ++w) {
-    while (marked[w] != 0) {
-      const std::uint32_t i =
-          static_cast<std::uint32_t>(w * 64 + std::countr_zero(marked[w]));
-      marked[w] &= marked[w] - 1;
-      cone.instrs.push_back(i);
-      mark_readers(instrs_[i].out);
-    }
-  }
+  propagate(std::span(&cone.source_slot, 1), marked, [&](const CompiledInstr& in) {
+    cone.instrs.push_back(static_cast<std::uint32_t>(&in - instrs_.data()));
+    return true;
+  });
   cone.touched_slots.reserve(cone.instrs.size() + 1);
   cone.touched_slots.push_back(cone.source_slot);
   for (const std::uint32_t i : cone.instrs) {

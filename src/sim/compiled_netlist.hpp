@@ -1,6 +1,9 @@
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "netlist/netlist.hpp"
@@ -74,6 +77,9 @@ struct CompiledInstr {
 ///    propagating. Bit-identical to `eval_full` because instructions are
 ///    pure functions of their operands — an instruction with no changed
 ///    operand recomputes its current output, so skipping it is exact.
+///  * `propagate` is the same dirty-set settle without a budget, as one
+///    ascending scan of a bitmap over instruction indices instead of
+///    per-level buckets (PODEM's implication).
 ///  * `build_cone` extracts the fanout cone of one net as the instruction
 ///    slice it can disturb plus the touched-slot undo list, which is what
 ///    makes incremental per-fault simulation O(cone) instead of O(circuit).
@@ -99,6 +105,13 @@ class CompiledNetlist {
 
   /// The flat instruction stream in topological evaluation order.
   const std::vector<CompiledInstr>& instrs() const { return instrs_; }
+
+  /// The instructions whose operands include slot `s`, ascending; a gate
+  /// reading `s` on two pins is listed twice.
+  std::span<const std::uint32_t> readers(std::uint32_t s) const {
+    return {reader_instrs_.data() + reader_offsets_[s],
+            reader_instrs_.data() + reader_offsets_[s + 1]};
+  }
 
   /// Topological level of instruction `i` (0 = all operands are source
   /// slots). Within a level, instructions are independent: they write
@@ -216,13 +229,53 @@ class CompiledNetlist {
     return result;
   }
 
+  /// Dirty-set settle without a budget: mark the readers of `dirty_slots`
+  /// in `pending`, a caller-owned bitmap over instruction indices
+  /// ((instrs().size() + 63) / 64 words, all zero), then pop the lowest
+  /// marked instruction until none is left. `store(instr) -> bool`
+  /// evaluates it and returns whether its output changed, which marks the
+  /// output's readers. A reader sits above every instruction writing one of
+  /// its operands, so marks only land ahead of the scan: each instruction
+  /// runs at most once, after everything it reads, and `pending` is all
+  /// zero again on return. Any topological order reaches the fixed point
+  /// eval_event's level order does, so the values are the same.
+  template <typename Store>
+  void propagate(std::span<const std::uint32_t> dirty_slots,
+                 std::vector<std::uint64_t>& pending, Store&& store) const {
+    std::size_t lo = pending.size();
+    std::size_t hi = 0;
+    const auto mark_readers = [&](std::uint32_t s) {
+      const std::span<const std::uint32_t> list = readers(s);
+      if (list.empty()) {
+        return;
+      }
+      for (const std::uint32_t i : list) {
+        pending[i / 64] |= std::uint64_t{1} << (i % 64);
+      }
+      lo = std::min<std::size_t>(lo, list.front() / 64);
+      hi = std::max<std::size_t>(hi, list.back() / 64 + 1);
+    };
+    for (const std::uint32_t s : dirty_slots) {
+      mark_readers(s);
+    }
+    for (std::size_t w = lo; w < hi; ++w) {
+      while (pending[w] != 0) {
+        const std::size_t i = w * 64 + static_cast<std::size_t>(std::countr_zero(pending[w]));
+        pending[w] &= pending[w] - 1;
+        if (store(instrs_[i])) {
+          mark_readers(instrs_[i].out);
+        }
+      }
+    }
+  }
+
   /// Fanout cone of one net: everything a change of the net can disturb
   /// within the combinational frame (the stuck-at fault cone).
   struct Cone {
     /// The net's slot (the caller forces it before replay).
     std::uint32_t source_slot = 0;
     /// Instruction indices downstream of the source, ascending (topological),
-    /// collected by one ascending bitmap scan.
+    /// collected by one propagate that counts every instruction as changed.
     std::vector<std::uint32_t> instrs;
     /// Undo list: the source slot, then every cone output slot — restoring
     /// exactly these returns a workspace to the good-machine values.

@@ -2,15 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "atpg/scan_test.hpp"
 #include "scan/scan_insert.hpp"
 #include "circuits/fifo.hpp"
 #include "circuits/generators.hpp"
 #include "netlist/verilog_reader.hpp"
+#include "random_frame.hpp"
 #include "retscan/session.hpp"
 #include "scan/scan_io.hpp"
 #include "util/error.hpp"
@@ -634,6 +637,93 @@ TEST(PodemPinned, ProtectedFifoSlice) {
        {"S1 S1 S1 A301 U11 U0 U55 U11 U55 U1 U23 U65 U65 U11 U17 U31 A301 "
         "A301 A301 U1",
         11181108021930453634ull}});
+}
+
+// --- PODEM instance reuse ----------------------------------------------------
+
+/// What one PODEM call decided.
+struct PodemCall {
+  bool success = false;
+  bool untestable = false;
+  bool aborted = false;
+  std::size_t backtracks = 0;
+  std::vector<std::uint64_t> pattern;
+  friend bool operator==(const PodemCall&, const PodemCall&) = default;
+};
+
+/// PODEM on every `stride`-th fault, each call's Rng seeded from the fault's
+/// index. One Podem serves the targets forward or in reverse, or each
+/// target gets a fresh Podem; the calls come back in target order.
+std::vector<PodemCall> podem_calls(const CombinationalFrame& frame,
+                                   const std::vector<Fault>& faults, std::size_t stride,
+                                   bool reverse, bool fresh) {
+  constexpr std::size_t kBudget = 100;
+  std::vector<std::size_t> targets;
+  for (std::size_t fi = 0; fi < faults.size(); fi += stride) {
+    targets.push_back(fi);
+  }
+  if (reverse) {
+    std::reverse(targets.begin(), targets.end());
+  }
+  Podem shared(frame, kBudget);
+  std::vector<PodemCall> calls(faults.size());
+  for (const std::size_t fi : targets) {
+    Rng rng(Rng::derive_stream(0x7e05e, fi));
+    const PodemResult result =
+        fresh ? Podem(frame, kBudget).generate(faults[fi], rng) : shared.generate(faults[fi], rng);
+    calls[fi] = {result.success, result.untestable, result.aborted, result.backtracks,
+                 result.pattern.words()};
+  }
+  return calls;
+}
+
+/// A Podem keeps its D-frontier bitmap, D counts and worklist between
+/// calls; none of it may leak from one target into the next, in any order.
+void expect_reuse_matches_fresh(const CombinationalFrame& frame,
+                                const std::vector<Fault>& faults, std::size_t stride,
+                                const std::string& name, std::size_t& successes,
+                                std::size_t& failures) {
+  const std::vector<PodemCall> fresh = podem_calls(frame, faults, stride, false, true);
+  const std::vector<PodemCall> forward = podem_calls(frame, faults, stride, false, false);
+  const std::vector<PodemCall> reverse = podem_calls(frame, faults, stride, true, false);
+  for (std::size_t fi = 0; fi < faults.size(); fi += stride) {
+    EXPECT_TRUE(forward[fi] == fresh[fi]) << name << ": fault " << fi << " (forward)";
+    EXPECT_TRUE(reverse[fi] == fresh[fi]) << name << ": fault " << fi << " (reverse)";
+    (fresh[fi].success ? successes : failures) += 1;
+  }
+}
+
+TEST(Podem, ReusedInstanceMatchesFreshInstances) {
+  std::size_t successes = 0;
+  std::size_t failures = 0;  // untestable or aborted
+  {
+    const Netlist nl = Netlist::from_verilog(circuit_path("cmp1908.v"));
+    const CombinationalFrame frame(nl);
+    expect_reuse_matches_fresh(frame, collapse_faults(nl, enumerate_faults(nl)), 7, "cmp1908",
+                               successes, failures);
+  }
+  {
+    ProtectionConfig protection;
+    protection.kind = CodeKind::HammingPlusCrc;
+    protection.chain_count = 8;
+    protection.test_width = 4;
+    Session session(FifoSpec{32, 2}, protection);
+    expect_reuse_matches_fresh(session.frame(), session.faults(), 3, "fifo32x2", successes,
+                               failures);
+  }
+  for (std::uint64_t f = 0; f < 8; ++f) {
+    Rng rng(Rng::derive_stream(0x7e05e'f00, f));
+    const RandomFrame rf = random_frame(rng, {.latches = true});
+    CombinationalFrame frame(rf.netlist);
+    for (const auto& [input, value] : rf.constraints) {
+      frame.constrain(input, value);
+    }
+    expect_reuse_matches_fresh(frame, collapse_faults(rf.netlist, enumerate_faults(rf.netlist)),
+                               1, "random frame " + std::to_string(f), successes, failures);
+  }
+  // Both kinds of outcome follow a call that leaves Ds behind.
+  EXPECT_GT(successes, 100u);
+  EXPECT_GT(failures, 10u);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Equivalence tests of the event-driven settle scheduler (dirty-net
 // worklist, sim/schedule.hpp + CompiledNetlist::eval_event) against the
 // full-sweep reference: the kernel-level worklist must match eval_full at
-// word and block lane widths (including budget fallbacks), event-scheduled
+// word and block lane widths (including budget fallbacks), and so must
+// PODEM's budget-free CompiledNetlist::propagate; event-scheduled
 // engines must match sweep-scheduled engines net-for-net through power
 // cycles and on the vendored ISCAS benches, and campaign statistics must be
 // schedule-invariant.
@@ -10,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -216,6 +218,56 @@ TEST(EvalEvent, MatchesEvalFullAtBlockWidth) {
         ASSERT_EQ(event[s].w[w], oracle[s].w[w])
             << "settle " << settle << " slot " << s << " word " << w;
       }
+    }
+  }
+}
+
+/// propagate (PODEM's budget-free settle: one ascending scan of a bitmap
+/// over instruction indices) with a plain compare-and-store must reproduce
+/// eval_full slot for slot, evaluate each instruction at most once per
+/// settle, and hand the bitmap back all zero.
+TEST(Propagate, MatchesEvalFullAndClearsItsBitmap) {
+  Rng rng(303);
+  for (int trial = 0; trial < 3; ++trial) {
+    const RandomDesign d = random_design(rng);
+    const auto compiled = d.nl.compiled();
+    const std::vector<std::uint32_t> sources = source_slots(*compiled);
+    std::vector<LaneWord> oracle(compiled->slot_count());
+    std::vector<LaneWord> settled(compiled->slot_count());
+    for (const std::uint32_t s : sources) {
+      oracle[s] = settled[s] = rng.next_u64();
+    }
+    compiled->eval_full(oracle.data());
+    compiled->eval_full(settled.data());
+
+    std::vector<std::uint64_t> pending((compiled->instrs().size() + 63) / 64, 0);
+    std::vector<std::uint32_t> runs(compiled->instrs().size(), 0);
+    for (int settle = 0; settle < 40; ++settle) {
+      std::vector<std::uint32_t> dirty;
+      const std::size_t changes = 1 + rng.next_below(sources.size());
+      for (std::size_t c = 0; c < changes; ++c) {
+        const std::uint32_t s = sources[rng.next_below(sources.size())];
+        settled[s] = oracle[s] = rng.next_u64();
+        dirty.push_back(s);  // duplicates and unchanged slots are harmless
+      }
+      compiled->eval_full(oracle.data());
+      std::fill(runs.begin(), runs.end(), 0);
+      compiled->propagate(dirty, pending, [&](const CompiledInstr& in) {
+        ++runs[&in - compiled->instrs().data()];
+        const LaneWord value = CompiledNetlist::eval_instr(in, settled.data());
+        if (settled[in.out] == value) {
+          return false;
+        }
+        settled[in.out] = value;
+        return true;
+      });
+      for (std::uint32_t s = 0; s < compiled->slot_count(); ++s) {
+        ASSERT_EQ(settled[s], oracle[s]) << "trial " << trial << " settle " << settle
+                                         << " slot " << s;
+      }
+      EXPECT_LE(*std::max_element(runs.begin(), runs.end()), 1u);
+      EXPECT_EQ(std::count(pending.begin(), pending.end(), 0u),
+                static_cast<std::ptrdiff_t>(pending.size()));
     }
   }
 }

@@ -124,6 +124,27 @@ TEST(ServeJson, RejectsMalformedInputWithOffsets) {
   EXPECT_THROW(Json(true).at("missing"), Error);
 }
 
+TEST(ServeJson, NumbersFollowTheJsonGrammar) {
+  for (const char* bad : {"+1", "01", "00012", "1.", ".5", "-.5", "+0.5e+2", "1e", "1e+",
+                          "--1", "-", "-01", "1.e5", "[1,01]"}) {
+    try {
+      (void)Json::parse(bad);
+      ADD_FAILURE() << "parsed '" << bad << "'";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("at byte "), std::string::npos)
+          << bad << ": " << e.what();
+    }
+  }
+  EXPECT_EQ(Json::parse("0").as_u64(), 0u);
+  EXPECT_EQ(Json::parse("-0").as_double(), 0.0);
+  EXPECT_EQ(Json::parse("0.5").as_double(), 0.5);
+  EXPECT_EQ(Json::parse("1e5").as_double(), 1e5);
+  EXPECT_EQ(Json::parse("1E-3").as_double(), 1e-3);
+  EXPECT_EQ(Json::parse("-2.5e+1").as_double(), -25.0);
+  EXPECT_EQ(Json::parse("18446744073709551615").as_u64(), 18446744073709551615ull);
+  EXPECT_EQ(Json::parse("[0,10,-3]").as_array().size(), 3u);
+}
+
 // ---------------------------------------------------------------------------
 // Session-cache key and LRU mechanics.
 
