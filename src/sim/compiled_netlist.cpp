@@ -106,20 +106,22 @@ CompiledNetlist::CompiledNetlist(const Netlist& netlist) {
                  [&](std::uint32_t s) { reader_instrs_[cursor[s]++] = i; });
   }
 
-  // Topological levels for the event scheduler: source slots sit at level 0,
-  // each instruction one above its deepest operand. The stream is already
-  // topological, so one forward pass suffices.
+  // Level offsets for propagate's budget: source slots sit at level 0, each
+  // instruction one above its deepest operand.
   std::vector<std::uint32_t> slot_level(net_count, 0);
-  instr_level_.resize(instrs_.size());
   for (std::uint32_t i = 0; i < instrs_.size(); ++i) {
     std::uint32_t level = 0;
     each_operand(instrs_[i], [&](std::uint32_t s) {
       level = std::max(level, slot_level[s]);
     });
-    instr_level_[i] = level;
     slot_level[instrs_[i].out] = level + 1;
-    level_count_ = std::max(level_count_, static_cast<std::size_t>(level) + 1);
+    RETSCAN_CHECK(level + 1 >= level_begin_.size(),
+                  "CompiledNetlist: instruction stream not sorted by level");
+    while (level_begin_.size() <= level) {
+      level_begin_.push_back(i);
+    }
   }
+  level_begin_.push_back(static_cast<std::uint32_t>(instrs_.size()));
 }
 
 void CompiledNetlist::eval_full(LaneWord* values) const {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -64,22 +65,23 @@ struct CompiledInstr {
 ///
 ///  * Nets are renumbered into *slots* in evaluation order — source nets
 ///    (primary inputs, constants, sequential outputs, dangling nets) first,
-///    then each compiled gate's output in topological order. Every
+///    then each compiled gate's output in `combinational_order()`, which is
+///    Kahn's algorithm with a FIFO queue and so emits the gates level by
+///    level (the constructor checks it). Every
 ///    instruction therefore only reads slots below the one it writes, and a
 ///    full sweep walks the value array almost monotonically.
 ///  * `eval_full` evaluates the whole stream (the fault-frame good machine
 ///    and the sequential fault model). SimEngine runs its own sweeps over
 ///    `eval_instr`, masking each output with its domain's isolation clamp
 ///    and counting toggles.
-///  * `eval_event` evaluates only the dirty set: a worklist seeded from
-///    changed source slots and propagated level-by-level through the
-///    readers CSR, with caller-side change detection deciding what keeps
-///    propagating. Bit-identical to `eval_full` because instructions are
-///    pure functions of their operands — an instruction with no changed
-///    operand recomputes its current output, so skipping it is exact.
-///  * `propagate` is the same dirty-set settle without a budget, as one
-///    ascending scan of a bitmap over instruction indices instead of
-///    per-level buckets (PODEM's implication).
+///  * `propagate` evaluates only the dirty set: one ascending scan of a
+///    bitmap over instruction indices, seeded from changed source slots and
+///    spread through the readers CSR, with caller-side change detection
+///    deciding what keeps propagating. Bit-identical to `eval_full` because
+///    instructions are pure functions of their operands — an instruction
+///    with no changed operand recomputes its current output, so skipping it
+///    is exact. SimEngine's event schedule runs it with a budget checked at
+///    level boundaries; PODEM's implication and `build_cone` run it without.
 ///  * `build_cone` extracts the fanout cone of one net as the instruction
 ///    slice it can disturb plus the touched-slot undo list, which is what
 ///    makes incremental per-fault simulation O(cone) instead of O(circuit).
@@ -113,11 +115,6 @@ class CompiledNetlist {
             reader_instrs_.data() + reader_offsets_[s + 1]};
   }
 
-  /// Topological level of instruction `i` (0 = all operands are source
-  /// slots). Within a level, instructions are independent: they write
-  /// distinct slots and read only strictly lower levels.
-  std::uint32_t instr_level(std::uint32_t i) const { return instr_level_[i]; }
-
   /// Evaluate one instruction against a slot-indexed value array. Lanes is
   /// either LaneWord (64 lanes, the cycle engines) or LaneBlock
   /// (kLaneBlockBits lanes, the wide sweep/fault datapath); both share this
@@ -145,103 +142,38 @@ class CompiledNetlist {
   /// and contiguous, so one sweep walks kLaneBlockBits lanes per slot.
   void eval_full(LaneBlock* values) const;
 
-  /// Reusable scratch state for `eval_event`: per-level instruction buckets
-  /// plus a scheduled flag per instruction. Both are left empty/zero between
-  /// calls, so one workspace serves any number of settles; allocation
-  /// happens once on first use.
-  struct EventWorkspace {
-    std::vector<std::vector<std::uint32_t>> levels;
-    std::vector<std::uint8_t> scheduled;
-    bool ready = false;
-  };
-  void init_event_workspace(EventWorkspace& ws) const {
-    ws.levels.assign(level_count_, {});
-    ws.scheduled.assign(instrs_.size(), 0);
-    ws.ready = true;
-  }
-
-  struct EventResult {
-    /// Instructions evaluated by the worklist (including partial work of a
-    /// settle that fell back — those values are final either way).
+  /// What one `propagate` settle did.
+  struct Settle {
+    /// Instructions evaluated (including the partial work of a settle that
+    /// fell back — those values are final either way).
     std::size_t evaluated = 0;
-    /// True when the worklist crossed `budget` and the caller must finish
-    /// the settle with a full sweep.
+    /// True when the settle stopped at the budget and the caller must finish
+    /// it with a full sweep.
     bool fell_back = false;
   };
+  static constexpr std::size_t kNoBudget = SIZE_MAX;
 
-  /// Dirty-set settle: seed the worklist with the readers of `dirty_slots`
-  /// (source slots whose values changed since the last settle), then drain
-  /// level by level. `store(instr) -> bool` owns the value array: it
-  /// evaluates the instruction (applying any clamping/activity accounting)
-  /// and returns whether the output value changed; only changed outputs
-  /// propagate. Level order guarantees every instruction sees final operand
-  /// values, so even the partial work of a fallen-back settle is exact and
-  /// a subsequent full sweep recomputes identical values.
+  /// Dirty-set settle: mark the readers of `dirty_slots` in `pending`, a
+  /// caller-owned bitmap over instruction indices ((instrs().size() + 63) /
+  /// 64 words, all zero), then pop the lowest marked instruction until none
+  /// is left. `store(instr) -> bool` owns the value array: it evaluates the
+  /// instruction (applying any clamping/activity accounting) and returns
+  /// whether its output changed, which marks the output's readers. A reader
+  /// sits above every instruction writing one of its operands, so marks
+  /// only land ahead of the scan: each instruction runs at most once, after
+  /// everything it reads, and the values are eval_full's. `pending` is all
+  /// zero again on return.
+  ///
+  /// `budget` is checked when the scan enters a level. Marks come only from
+  /// lower levels, so the level's marked set is complete by then; if
+  /// evaluating it would take the count past `budget`, the settle clears
+  /// `pending` and returns `fell_back`. Work below that level is final, so
+  /// one full sweep completes the settle.
   template <typename Store>
-  EventResult eval_event(const std::vector<std::uint32_t>& dirty_slots,
-                         EventWorkspace& ws, std::size_t budget,
-                         Store&& store) const {
-    if (!ws.ready) {
-      init_event_workspace(ws);
-    }
-    EventResult result;
-    const auto schedule_readers = [&](std::uint32_t s) {
-      for (std::uint32_t r = reader_offsets_[s]; r < reader_offsets_[s + 1]; ++r) {
-        const std::uint32_t i = reader_instrs_[r];
-        if (!ws.scheduled[i]) {
-          ws.scheduled[i] = 1;
-          ws.levels[instr_level_[i]].push_back(i);
-        }
-      }
-    };
-    for (const std::uint32_t s : dirty_slots) {
-      schedule_readers(s);
-    }
-    for (std::size_t lvl = 0; lvl < ws.levels.size(); ++lvl) {
-      std::vector<std::uint32_t>& bucket = ws.levels[lvl];
-      if (bucket.empty()) {
-        continue;
-      }
-      if (result.evaluated + bucket.size() > budget) {
-        // Clear the remaining schedule so the workspace is reusable; work
-        // already done below this level is final and need not be undone.
-        for (std::size_t l = lvl; l < ws.levels.size(); ++l) {
-          for (const std::uint32_t i : ws.levels[l]) {
-            ws.scheduled[i] = 0;
-          }
-          ws.levels[l].clear();
-        }
-        result.fell_back = true;
-        return result;
-      }
-      // schedule_readers only appends to strictly higher levels (a reader of
-      // this bucket's outputs has level > lvl), so iterating by range is
-      // safe while the worklist grows.
-      for (const std::uint32_t i : bucket) {
-        ws.scheduled[i] = 0;
-        if (store(instrs_[i])) {
-          schedule_readers(instrs_[i].out);
-        }
-      }
-      result.evaluated += bucket.size();
-      bucket.clear();
-    }
-    return result;
-  }
-
-  /// Dirty-set settle without a budget: mark the readers of `dirty_slots`
-  /// in `pending`, a caller-owned bitmap over instruction indices
-  /// ((instrs().size() + 63) / 64 words, all zero), then pop the lowest
-  /// marked instruction until none is left. `store(instr) -> bool`
-  /// evaluates it and returns whether its output changed, which marks the
-  /// output's readers. A reader sits above every instruction writing one of
-  /// its operands, so marks only land ahead of the scan: each instruction
-  /// runs at most once, after everything it reads, and `pending` is all
-  /// zero again on return. Any topological order reaches the fixed point
-  /// eval_event's level order does, so the values are the same.
-  template <typename Store>
-  void propagate(std::span<const std::uint32_t> dirty_slots,
-                 std::vector<std::uint64_t>& pending, Store&& store) const {
+  Settle propagate(std::span<const std::uint32_t> dirty_slots,
+                   std::vector<std::uint64_t>& pending, Store&& store,
+                   std::size_t budget = kNoBudget) const {
+    Settle result;
     std::size_t lo = pending.size();
     std::size_t hi = 0;
     const auto mark_readers = [&](std::uint32_t s) {
@@ -258,15 +190,32 @@ class CompiledNetlist {
     for (const std::uint32_t s : dirty_slots) {
       mark_readers(s);
     }
+    // Without a budget the level check never fires.
+    std::size_t level_end = budget == kNoBudget ? SIZE_MAX : 0;
     for (std::size_t w = lo; w < hi; ++w) {
       while (pending[w] != 0) {
         const std::size_t i = w * 64 + static_cast<std::size_t>(std::countr_zero(pending[w]));
+        if (i >= level_end) {
+          // Enter i's level. At most level_end - i of its instructions are
+          // marked, so they are counted only when that many could cross the
+          // budget.
+          level_end = *std::upper_bound(level_begin_.begin(), level_begin_.end(), i);
+          if (result.evaluated + (level_end - i) > budget &&
+              result.evaluated + count_marked(pending, w, level_end) > budget) {
+            std::fill(pending.begin() + static_cast<std::ptrdiff_t>(w),
+                      pending.begin() + static_cast<std::ptrdiff_t>(hi), std::uint64_t{0});
+            result.fell_back = true;
+            return result;
+          }
+        }
         pending[w] &= pending[w] - 1;
+        ++result.evaluated;
         if (store(instrs_[i])) {
           mark_readers(instrs_[i].out);
         }
       }
     }
+    return result;
   }
 
   /// Fanout cone of one net: everything a change of the net can disturb
@@ -293,11 +242,29 @@ class CompiledNetlist {
   static void reference_eval(const Netlist& netlist, std::vector<LaneWord>& values_by_net);
 
  private:
+  /// Marked instructions from word `w`, whose bits below the scan are
+  /// already clear, up to instruction index `end`.
+  static std::size_t count_marked(const std::vector<std::uint64_t>& pending, std::size_t w,
+                                  std::size_t end) {
+    std::size_t count = 0;
+    for (; w < end / 64; ++w) {
+      count += static_cast<std::size_t>(std::popcount(pending[w]));
+    }
+    if (end % 64 != 0) {
+      const std::uint64_t below = (std::uint64_t{1} << (end % 64)) - 1;
+      count += static_cast<std::size_t>(std::popcount(pending[end / 64] & below));
+    }
+    return count;
+  }
+
   std::vector<std::uint32_t> slot_of_net_;
   std::vector<NetId> net_of_slot_;
   std::vector<CompiledInstr> instrs_;
-  std::vector<std::uint32_t> instr_level_;
-  std::size_t level_count_ = 0;  ///< distinct instruction levels
+  /// First instruction of each topological level (source slots sit at
+  /// level 0, an instruction one above its deepest operand), then
+  /// instrs().size(). The stream is sorted by level, so each level is one
+  /// contiguous range.
+  std::vector<std::uint32_t> level_begin_;
   // Readers CSR: reader_instrs_[reader_offsets_[s] .. reader_offsets_[s+1])
   // are the instruction indices whose operands include slot s.
   std::vector<std::uint32_t> reader_offsets_;

@@ -69,11 +69,11 @@ SimEngine::SimEngine(const Netlist& netlist, LaneWord activity_lanes)
   }
   next_state_.resize(seq_cells_.size(), 0);
   write_mask_.resize(seq_cells_.size(), 0);
-  slot_dirty_.assign(compiled_->slot_count(), 0);
+  pending_.assign((compiled_->instrs().size() + 63) / 64, 0);
   dirty_slots_.reserve(64);
-  // Activity threshold: once a settle's worklist would exceed a quarter of
-  // the instruction stream, the compare-and-schedule overhead stops paying
-  // and one full sweep is cheaper.
+  // Activity threshold: once a settle would evaluate more than a quarter of
+  // the instruction stream, the mark-and-scan overhead stops paying and one
+  // full sweep is cheaper.
   event_budget_ = std::max<std::size_t>(64, compiled_->instrs().size() / 4);
   reset();
 }
@@ -98,7 +98,7 @@ void SimEngine::reset() {
   std::fill(domain_powered_.begin(), domain_powered_.end(), kAllLanes);
   all_powered_ = true;
   std::fill(net_values_.begin(), net_values_.end(), LaneWord{0});
-  clear_dirty();
+  dirty_slots_.clear();
   event_needs_full_ = true;
   rearm_auto_probe();
   commit_sequential_outputs();
@@ -110,7 +110,7 @@ void SimEngine::set_schedule(Schedule schedule) {
     return;
   }
   schedule_ = schedule;
-  clear_dirty();
+  dirty_slots_.clear();
   event_needs_full_ = true;
   rearm_auto_probe();
 }
@@ -122,16 +122,9 @@ ScheduleTelemetry SimEngine::take_schedule_telemetry() {
 }
 
 void SimEngine::invalidate_schedule_state() {
-  clear_dirty();
+  dirty_slots_.clear();
   event_needs_full_ = true;
   rearm_auto_probe();
-}
-
-void SimEngine::clear_dirty() {
-  for (const std::uint32_t s : dirty_slots_) {
-    slot_dirty_[s] = 0;
-  }
-  dirty_slots_.clear();
 }
 
 void SimEngine::rearm_auto_probe() {
@@ -149,7 +142,7 @@ void SimEngine::drive_slot(std::uint32_t slot, CellId cell, LaneWord value) {
     net_values_[slot] = value;
     toggles_[cell] += static_cast<std::uint64_t>(std::popcount((old ^ value) & activity_lanes_));
     if (event_active()) {
-      mark_dirty(slot);
+      dirty_slots_.push_back(slot);
     }
   }
 }
@@ -222,16 +215,16 @@ void SimEngine::eval() {
     // power transition, schedule switch). Not an activity signal, so the
     // Auto probe does not count it.
     full_sweep();
-    clear_dirty();
+    dirty_slots_.clear();
     event_needs_full_ = false;
     telemetry_.full_sweeps += 1;
     telemetry_.sweep_instrs += instr_count;
     return;
   }
-  // Dirty-net worklist settle. The store owns the value array: it mirrors
-  // drive_slot (clamp, compare, toggle accounting) but does NOT mark dirty —
-  // the worklist already propagates through the readers CSR, and re-marking
-  // would poison the seed set of the next settle.
+  // Dirty-set settle. The store owns the value array: it mirrors drive_slot
+  // (clamp, compare, toggle accounting) but does NOT list the slot dirty —
+  // propagate already marks its readers, and listing it would poison the
+  // seed of the next settle.
   LaneWord* v = net_values_.data();
   const bool toggles = activity_lanes_ != 0;
   const LaneWord* clamps = domain_powered_.data();
@@ -252,11 +245,8 @@ void SimEngine::eval() {
     }
     return true;
   };
-  for (const std::uint32_t s : dirty_slots_) {
-    slot_dirty_[s] = 0;
-  }
-  const CompiledNetlist::EventResult result =
-      compiled_->eval_event(dirty_slots_, event_ws_, event_budget_, store);
+  const CompiledNetlist::Settle result =
+      compiled_->propagate(dirty_slots_, pending_, store, event_budget_);
   dirty_slots_.clear();
   telemetry_.event_instrs += result.evaluated;
   if (result.fell_back) {
@@ -277,9 +267,6 @@ void SimEngine::eval() {
       const bool too_dirty = auto_event_instrs_ * 8 > auto_capacity_;
       const bool too_flaky = auto_fallbacks_ * 2 > kAutoProbeWindow;
       auto_use_event_ = !(too_dirty || too_flaky);
-      if (!auto_use_event_) {
-        clear_dirty();
-      }
     }
   }
 }

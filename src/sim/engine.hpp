@@ -87,12 +87,12 @@ class SimEngine {
       net_values_[s] = value;
       return;
     }
-    // Event mode: sources seed the worklist, so writes compare-and-mark.
+    // Event mode: sources seed the settle, so writes compare-and-list.
     // A store of the same value is a no-op either way, so this is exactly
     // the sweep-mode semantics.
     if (net_values_[s] != value) {
       net_values_[s] = value;
-      mark_dirty(s);
+      dirty_slots_.push_back(s);
     }
   }
   std::size_t net_count() const { return net_values_.size(); }
@@ -157,19 +157,12 @@ class SimEngine {
   void drive_slot(std::uint32_t slot, CellId cell, LaneWord value);
 
   // --- event-schedule internals -------------------------------------------
-  /// True when the next settle should run the dirty-net worklist (explicit
+  /// True when the next settle should run the dirty-set settle (explicit
   /// Event, or Auto still probing / committed to the event path).
   bool event_active() const {
     return schedule_ == Schedule::Event ||
            (schedule_ == Schedule::Auto && auto_use_event_);
   }
-  void mark_dirty(std::uint32_t slot) {
-    if (!slot_dirty_[slot]) {
-      slot_dirty_[slot] = 1;
-      dirty_slots_.push_back(slot);
-    }
-  }
-  void clear_dirty();
   /// The unconditional compiled sweep (the PR 3 settle body).
   void full_sweep();
   /// Re-arm the Auto probe window (reset / schedule change).
@@ -203,11 +196,12 @@ class SimEngine {
 
   // --- event-schedule state ------------------------------------------------
   Schedule schedule_ = Schedule::Sweep;
-  /// Slots changed since the last settle (worklist seed) + membership flags.
+  /// Slots changed since the last settle (the settle's seed). A slot may be
+  /// listed twice: the settle marks each reader once.
   std::vector<std::uint32_t> dirty_slots_;
-  std::vector<std::uint8_t> slot_dirty_;
-  CompiledNetlist::EventWorkspace event_ws_;
-  /// Worklist budget per settle: crossing it falls back to one full sweep.
+  /// propagate's bitmap over instruction indices, all zero between settles.
+  std::vector<std::uint64_t> pending_;
+  /// Settle budget: crossing it falls back to one full sweep.
   std::size_t event_budget_ = 0;
   /// Forces the next settle to be a full resync sweep — set whenever the
   /// dirty set cannot name everything stale (reset, power transitions,

@@ -84,7 +84,7 @@ class PackedSim {
   const std::vector<CellId>& flop_cells() const { return engine_.flop_cells(); }
 
   // --- evaluation schedule ------------------------------------------------
-  /// Settle scheduling (sweep vs dirty-net worklist, see sim/schedule.hpp);
+  /// Settle scheduling (sweep vs dirty-set settle, see sim/schedule.hpp);
   /// all lanes of every net are bit-identical under every mode.
   void set_schedule(Schedule schedule) { engine_.set_schedule(schedule); }
   ScheduleTelemetry take_schedule_telemetry() { return engine_.take_schedule_telemetry(); }

@@ -10,13 +10,15 @@ namespace retscan {
 ///    (the PR 3 kernel). Cost is O(circuit) per settle regardless of how
 ///    little changed; still the fastest choice for high-activity phases
 ///    (scan circulation toggles every chain flop every cycle).
-///  * Event — dirty-net worklist: settles seed from the source slots that
-///    actually changed since the last settle and propagate level-by-level
-///    through the readers CSR, evaluating only instructions whose inputs
-///    changed. Falls back to one full sweep when the worklist crosses the
-///    activity threshold. Bit-identical to Sweep by construction (and by
-///    test) — instructions are pure functions of their inputs, so skipping
-///    one whose inputs did not change cannot alter any value.
+///  * Event — dirty-set settle (CompiledNetlist::propagate): settles seed
+///    from the source slots that actually changed since the last settle
+///    and scan the marked instructions in ascending order through the
+///    readers CSR, evaluating only instructions whose inputs changed. When
+///    the scan enters a level whose marked set would take it past the
+///    activity budget, the settle falls back to one full sweep.
+///    Bit-identical to Sweep by construction (and by test) — instructions
+///    are pure functions of their inputs, so skipping one whose inputs did
+///    not change cannot alter any value.
 ///  * Auto — start on the event path and measure: after a short probe
 ///    window the engine commits to Event or Sweep for the rest of its run,
 ///    based on the observed dirty fraction and fallback rate. Pooled
@@ -47,16 +49,16 @@ inline const char* to_string(Schedule schedule) {
 /// campaign outcome, and must not participate in the bit-identical
 /// statistics contract).
 struct ScheduleTelemetry {
-  /// Settles completed by the dirty-net worklist alone.
+  /// Settles completed by the dirty-set settle alone.
   std::uint64_t event_sweeps = 0;
   /// Settles evaluated by a full instruction sweep (Sweep/Auto-sweep mode,
   /// forced resyncs after power/reset events, and threshold fallbacks).
   std::uint64_t full_sweeps = 0;
-  /// Subset of full_sweeps that started on the worklist and crossed the
-  /// activity threshold mid-settle.
+  /// Subset of full_sweeps that started as a dirty-set settle and stopped
+  /// at the activity budget.
   std::uint64_t full_sweep_fallbacks = 0;
-  /// Instructions evaluated by worklist passes (including the partial work
-  /// of settles that later fell back).
+  /// Instructions evaluated by dirty-set settles (including the partial
+  /// work of settles that later fell back).
   std::uint64_t event_instrs = 0;
   /// Instructions evaluated by full sweeps.
   std::uint64_t sweep_instrs = 0;
@@ -68,8 +70,8 @@ struct ScheduleTelemetry {
 
   /// Average fraction of the compiled instruction stream evaluated per
   /// settle: 1.0 in pure Sweep mode, near the circuit's true activity on
-  /// the event path (fallback settles count their wasted partial worklist
-  /// work on top of the full sweep, so they can push a settle above 1).
+  /// the event path (fallback settles count their wasted partial work on
+  /// top of the full sweep, so they can push a settle above 1).
   double avg_dirty_fraction() const {
     if (instr_capacity == 0) {
       return 0.0;

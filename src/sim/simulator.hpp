@@ -108,7 +108,7 @@ class Simulator {
   ActivityReport activity(const TechLibrary& tech) const;
 
   // --- evaluation schedule --------------------------------------------------
-  /// Settle scheduling (sweep vs dirty-net worklist, see sim/schedule.hpp);
+  /// Settle scheduling (sweep vs dirty-set settle, see sim/schedule.hpp);
   /// values, toggle counts and energy are bit-identical under every mode.
   void set_schedule(Schedule schedule) { engine_.set_schedule(schedule); }
   ScheduleTelemetry take_schedule_telemetry() { return engine_.take_schedule_telemetry(); }

@@ -1,11 +1,14 @@
-// Equivalence tests of the event-driven settle scheduler (dirty-net
-// worklist, sim/schedule.hpp + CompiledNetlist::eval_event) against the
-// full-sweep reference: the kernel-level worklist must match eval_full at
-// word and block lane widths (including budget fallbacks), and so must
-// PODEM's budget-free CompiledNetlist::propagate; event-scheduled
-// engines must match sweep-scheduled engines net-for-net through power
-// cycles and on the vendored ISCAS benches, and campaign statistics must be
-// schedule-invariant.
+// Equivalence tests of the event schedule (sim/schedule.hpp), whose settle
+// is CompiledNetlist::propagate with a budget checked at level boundaries:
+// the budgeted scan must match a level-bucket worklist kept here as its
+// oracle ({evaluated, fell_back}, values, a cleared bitmap) at word and
+// block lane widths, and eval_full once a fallback is finished; PODEM's
+// budget-free propagate must match eval_full; event-scheduled engines must
+// match sweep-scheduled engines net-for-net through power cycles and on
+// the vendored ISCAS benches; campaign statistics must be
+// schedule-invariant; and the telemetry of a few campaigns and of
+// bench_validation's low-activity workload is pinned. The random-design
+// tests run RETSCAN_FUZZ_SEEDS seeds (tests/fuzz_seeds.hpp).
 
 #include "sim/schedule.hpp"
 
@@ -13,11 +16,15 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <vector>
 
 #include "circuits/fifo.hpp"
+#include "core/protected_design.hpp"
+#include "fuzz_seeds.hpp"
 #include "netlist/netlist.hpp"
+#include "parallel/campaign_runner.hpp"
 #include "sim/compiled_netlist.hpp"
 #include "sim/packed_sim.hpp"
 #include "sim/simulator.hpp"
@@ -29,6 +36,21 @@
 #endif
 
 namespace retscan {
+
+void PrintTo(const ScheduleTelemetry& t, std::ostream* os) {
+  *os << "{event " << t.event_sweeps << ", full " << t.full_sweeps << ", fallbacks "
+      << t.full_sweep_fallbacks << ", event instrs " << t.event_instrs << ", sweep instrs "
+      << t.sweep_instrs << ", capacity " << t.instr_capacity << "}";
+}
+
+void PrintTo(const ValidationStats& s, std::ostream* os) {
+  *os << "{sequences " << s.sequences << ", injected " << s.errors_injected
+      << ", with-errors " << s.sequences_with_errors << ", detected " << s.detected
+      << ", corrected " << s.corrected << ", flagged " << s.flagged_uncorrectable
+      << ", mismatches " << s.comparator_mismatches << ", silent "
+      << s.silent_corruptions << "}";
+}
+
 namespace {
 
 /// Random layered netlist with retention flops and gated logic — the same
@@ -106,120 +128,157 @@ std::vector<std::uint32_t> source_slots(const CompiledNetlist& compiled) {
   return sources;
 }
 
-/// eval_event with a plain compare-and-store must reproduce eval_full slot
-/// for slot across randomized dirty sets, at the word lane width, including
-/// budget-crossing settles finished by a caller-side full sweep.
-TEST(EvalEvent, MatchesEvalFullAtWordWidth) {
-  Rng rng(101);
-  for (int trial = 0; trial < 3; ++trial) {
+/// Per-instruction levels computed from the operands (source slots sit at
+/// level 0, an instruction one above its deepest operand), independently
+/// of the compiled core's level offsets.
+std::vector<std::uint32_t> levels_of(const CompiledNetlist& compiled) {
+  std::vector<std::uint32_t> slot_level(compiled.slot_count(), 0);
+  std::vector<std::uint32_t> level;
+  for (const CompiledInstr& in : compiled.instrs()) {
+    std::uint32_t l = 0;
+    for (std::size_t pin = 0; pin < operand_count(in.op); ++pin) {
+      l = std::max(l, slot_level[in.operand(pin)]);
+    }
+    level.push_back(l);
+    slot_level[in.out] = l + 1;
+  }
+  return level;
+}
+
+/// The oracle of the budgeted settle, a level-bucket worklist: readers of
+/// changed slots are scheduled into per-level buckets, drained in level
+/// order, and a bucket that would take the count past `budget` stops the
+/// settle.
+template <typename Store>
+CompiledNetlist::Settle bucket_settle(const CompiledNetlist& compiled,
+                                      const std::vector<std::uint32_t>& level,
+                                      const std::vector<std::uint32_t>& dirty,
+                                      std::size_t budget, Store&& store) {
+  const std::uint32_t depth =
+      level.empty() ? 0 : *std::max_element(level.begin(), level.end()) + 1;
+  std::vector<std::vector<std::uint32_t>> buckets(depth);
+  std::vector<bool> scheduled(level.size(), false);
+  const auto schedule_readers = [&](std::uint32_t s) {
+    for (const std::uint32_t i : compiled.readers(s)) {
+      if (!scheduled[i]) {
+        scheduled[i] = true;
+        buckets[level[i]].push_back(i);
+      }
+    }
+  };
+  for (const std::uint32_t s : dirty) {
+    schedule_readers(s);
+  }
+  CompiledNetlist::Settle result;
+  for (const std::vector<std::uint32_t>& bucket : buckets) {
+    if (bucket.empty()) {
+      continue;
+    }
+    if (result.evaluated + bucket.size() > budget) {
+      result.fell_back = true;
+      return result;
+    }
+    // Readers sit on strictly higher levels, so this bucket stays put.
+    for (const std::uint32_t i : bucket) {
+      if (store(compiled.instrs()[i])) {
+        schedule_readers(compiled.instrs()[i].out);
+      }
+    }
+    result.evaluated += bucket.size();
+  }
+  return result;
+}
+
+LaneWord random_lanes(Rng& rng, LaneWord) { return rng.next_u64(); }
+
+LaneBlock random_lanes(Rng& rng, const LaneBlock&) {
+  LaneBlock block;
+  for (std::size_t w = 0; w < kLaneWords; ++w) {
+    block.w[w] = rng.next_u64();
+  }
+  return block;
+}
+
+/// Budgeted propagate against the level-bucket oracle at one lane width:
+/// on random designs and random dirty sets, at budgets from 0 past the
+/// stream size, both must report the same {evaluated, fell_back} and leave
+/// the same values, propagate's bitmap must be all zero on return, and a
+/// fallen-back settle finished by eval_full must match eval_full alone.
+template <typename Lanes>
+void check_budgeted_propagate() {
+  std::size_t fallbacks = 0;
+  std::size_t completed = 0;
+  for (std::uint64_t seed = 1; seed <= fuzz_seed_count(); ++seed) {
+    Rng rng(seed);
     const RandomDesign d = random_design(rng);
     const auto compiled = d.nl.compiled();
+    const std::vector<std::uint32_t> level = levels_of(*compiled);
+    ASSERT_TRUE(std::is_sorted(level.begin(), level.end()));
     const std::vector<std::uint32_t> sources = source_slots(*compiled);
     ASSERT_FALSE(sources.empty());
 
-    std::vector<LaneWord> oracle(compiled->slot_count());
-    std::vector<LaneWord> event(compiled->slot_count());
+    std::vector<Lanes> oracle(compiled->slot_count(), Lanes{});
     for (const std::uint32_t s : sources) {
-      oracle[s] = event[s] = rng.next_u64();
+      oracle[s] = random_lanes(rng, Lanes{});
     }
     compiled->eval_full(oracle.data());
-    compiled->eval_full(event.data());
-
-    CompiledNetlist::EventWorkspace ws;
-    // Alternate generous and starved budgets so both the clean path and the
-    // fallback path run against the same workspace.
-    for (int settle = 0; settle < 40; ++settle) {
+    std::vector<Lanes> scanned = oracle;
+    std::vector<Lanes> bucketed = oracle;
+    std::vector<std::uint64_t> pending((compiled->instrs().size() + 63) / 64, 0);
+    const std::size_t stream = compiled->instrs().size();
+    for (std::size_t settle = 0; settle < stream + 3; ++settle) {
       std::vector<std::uint32_t> dirty;
-      const std::size_t changes = 1 + rng.next_below(sources.size());
+      const std::size_t changes = 1 + rng.next_below(settle % 4 == 0 ? sources.size() : 2);
       for (std::size_t c = 0; c < changes; ++c) {
         const std::uint32_t s = sources[rng.next_below(sources.size())];
-        const LaneWord value = rng.next_u64();
-        if (event[s] != value) {
-          event[s] = value;
-          oracle[s] = value;
-          dirty.push_back(s);
-        }
+        oracle[s] = scanned[s] = bucketed[s] = random_lanes(rng, Lanes{});
+        dirty.push_back(s);  // duplicates and unchanged slots are harmless
       }
       compiled->eval_full(oracle.data());
-      const std::size_t budget =
-          settle % 3 == 2 ? 4 : compiled->instrs().size();
-      const auto result = compiled->eval_event(
-          dirty, ws, budget, [&](const CompiledInstr& in) {
-            const LaneWord value = CompiledNetlist::eval_instr(in, event.data());
-            if (event[in.out] == value) {
-              return false;
-            }
-            event[in.out] = value;
-            return true;
-          });
-      if (result.fell_back) {
-        // Partial worklist work is final; the full sweep just completes it.
-        compiled->eval_full(event.data());
-      }
+      const auto store_into = [](std::vector<Lanes>& values) {
+        return [&values](const CompiledInstr& in) {
+          const Lanes value = CompiledNetlist::eval_instr(in, values.data());
+          if (values[in.out] == value) {
+            return false;
+          }
+          values[in.out] = value;
+          return true;
+        };
+      };
+      const std::size_t budget = settle;  // 0, 1, ... past the stream size
+      const CompiledNetlist::Settle want =
+          bucket_settle(*compiled, level, dirty, budget, store_into(bucketed));
+      const CompiledNetlist::Settle got =
+          compiled->propagate(dirty, pending, store_into(scanned), budget);
+      SCOPED_TRACE("seed " + std::to_string(seed) + " budget " + std::to_string(budget));
+      EXPECT_EQ(got.evaluated, want.evaluated);
+      EXPECT_EQ(got.fell_back, want.fell_back);
+      EXPECT_EQ(std::count(pending.begin(), pending.end(), 0u),
+                static_cast<std::ptrdiff_t>(pending.size()));
       for (std::uint32_t s = 0; s < compiled->slot_count(); ++s) {
-        ASSERT_EQ(event[s], oracle[s])
-            << "trial " << trial << " settle " << settle << " slot " << s
-            << (result.fell_back ? " (fell back)" : "");
+        ASSERT_TRUE(scanned[s] == bucketed[s]) << "slot " << s;
+      }
+      if (got.fell_back) {
+        // Partial work is final; the full sweep just completes it.
+        compiled->eval_full(scanned.data());
+        compiled->eval_full(bucketed.data());
+      }
+      ++(got.fell_back ? fallbacks : completed);
+      for (std::uint32_t s = 0; s < compiled->slot_count(); ++s) {
+        ASSERT_TRUE(scanned[s] == oracle[s]) << "slot " << s;
       }
     }
   }
+  EXPECT_GT(fallbacks, 0u);
+  EXPECT_GT(completed, 0u);
 }
 
-/// Same agreement at the block lane width — eval_event is width-agnostic
-/// (the store lambda owns the value array), so one worklist drives both the
-/// 64-lane engines and the 256-lane fault datapath.
-TEST(EvalEvent, MatchesEvalFullAtBlockWidth) {
-  Rng rng(202);
-  const RandomDesign d = random_design(rng);
-  const auto compiled = d.nl.compiled();
-  const std::vector<std::uint32_t> sources = source_slots(*compiled);
+TEST(BudgetedPropagate, MatchesLevelBucketsAtWordWidth) {
+  check_budgeted_propagate<LaneWord>();
+}
 
-  std::vector<LaneBlock> oracle(compiled->slot_count(), LaneBlock{});
-  std::vector<LaneBlock> event(compiled->slot_count(), LaneBlock{});
-  auto random_block = [&rng]() {
-    LaneBlock block;
-    for (std::size_t w = 0; w < kLaneWords; ++w) {
-      block.w[w] = rng.next_u64();
-    }
-    return block;
-  };
-  for (const std::uint32_t s : sources) {
-    oracle[s] = event[s] = random_block();
-  }
-  compiled->eval_full(oracle.data());
-  compiled->eval_full(event.data());
-
-  CompiledNetlist::EventWorkspace ws;
-  for (int settle = 0; settle < 25; ++settle) {
-    std::vector<std::uint32_t> dirty;
-    for (std::size_t c = 0; c < 3; ++c) {
-      const std::uint32_t s = sources[rng.next_below(sources.size())];
-      const LaneBlock value = random_block();
-      event[s] = value;
-      oracle[s] = value;
-      dirty.push_back(s);
-    }
-    compiled->eval_full(oracle.data());
-    const auto result = compiled->eval_event(
-        dirty, ws, compiled->instrs().size(), [&](const CompiledInstr& in) {
-          const LaneBlock value = CompiledNetlist::eval_instr(in, event.data());
-          bool changed = false;
-          for (std::size_t w = 0; w < kLaneWords; ++w) {
-            changed |= event[in.out].w[w] != value.w[w];
-          }
-          if (changed) {
-            event[in.out] = value;
-          }
-          return changed;
-        });
-    EXPECT_FALSE(result.fell_back);
-    for (std::uint32_t s = 0; s < compiled->slot_count(); ++s) {
-      for (std::size_t w = 0; w < kLaneWords; ++w) {
-        ASSERT_EQ(event[s].w[w], oracle[s].w[w])
-            << "settle " << settle << " slot " << s << " word " << w;
-      }
-    }
-  }
+TEST(BudgetedPropagate, MatchesLevelBucketsAtBlockWidth) {
+  check_budgeted_propagate<LaneBlock>();
 }
 
 /// propagate (PODEM's budget-free settle: one ascending scan of a bitmap
@@ -227,8 +286,8 @@ TEST(EvalEvent, MatchesEvalFullAtBlockWidth) {
 /// eval_full slot for slot, evaluate each instruction at most once per
 /// settle, and hand the bitmap back all zero.
 TEST(Propagate, MatchesEvalFullAndClearsItsBitmap) {
-  Rng rng(303);
-  for (int trial = 0; trial < 3; ++trial) {
+  for (std::uint64_t seed = 1; seed <= fuzz_seed_count(); ++seed) {
+    Rng rng(seed);
     const RandomDesign d = random_design(rng);
     const auto compiled = d.nl.compiled();
     const std::vector<std::uint32_t> sources = source_slots(*compiled);
@@ -262,7 +321,7 @@ TEST(Propagate, MatchesEvalFullAndClearsItsBitmap) {
         return true;
       });
       for (std::uint32_t s = 0; s < compiled->slot_count(); ++s) {
-        ASSERT_EQ(settled[s], oracle[s]) << "trial " << trial << " settle " << settle
+        ASSERT_EQ(settled[s], oracle[s]) << "seed " << seed << " settle " << settle
                                          << " slot " << s;
       }
       EXPECT_LE(*std::max_element(runs.begin(), runs.end()), 1u);
@@ -455,6 +514,119 @@ TEST(EventSchedule, RetentionCampaignStatsInvariant) {
   const ScheduleTelemetry sweep_telemetry = sweep_packed.take_telemetry();
   EXPECT_EQ(sweep_telemetry.event_sweeps, 0u);
   EXPECT_GT(sweep_telemetry.full_sweeps, 0u);
+}
+
+/// Telemetry is part of serve's summary digest, so the settle's counters
+/// are pinned, not just its values (recorded on the level-bucket settle
+/// bucket_settle models): 512 sequences in two shards on the 32x2/8 slice,
+/// under Auto (what campaigns run) and explicit Event, at one thread and
+/// three.
+TEST(SchedulePinned, StructuralCampaignTelemetry) {
+  struct Pin {
+    Schedule schedule;
+    std::uint64_t seed;
+    InjectionMode mode;
+    ValidationStats stats;
+    ScheduleTelemetry telemetry;
+  };
+  constexpr InjectionMode kSingle = InjectionMode::SingleRandom;
+  constexpr InjectionMode kBurst = InjectionMode::MultipleBurst;
+  constexpr InjectionMode kRush = InjectionMode::RushModel;
+  const Pin pins[] = {
+      {Schedule::Auto, 1, kSingle, {512, 512, 512, 512, 512, 0, 0, 0},
+       {105, 1427, 23, 10541, 1083093, 1162788}},
+      {Schedule::Auto, 1, kBurst, {512, 1024, 512, 512, 472, 40, 18, 0},
+       {105, 1427, 23, 10541, 1083093, 1162788}},
+      {Schedule::Auto, 1, kRush, {512, 418, 302, 302, 293, 9, 9, 0},
+       {105, 1442, 23, 10541, 1094478, 1174173}},
+      {Schedule::Auto, 7, kSingle, {512, 512, 512, 512, 512, 0, 0, 0},
+       {107, 1490, 21, 10540, 1130910, 1212123}},
+      {Schedule::Auto, 7, kBurst, {512, 1024, 512, 512, 473, 39, 20, 0},
+       {107, 1490, 21, 10540, 1130910, 1212123}},
+      {Schedule::Auto, 7, kRush, {512, 424, 297, 297, 287, 10, 8, 0},
+       {107, 1550, 21, 10540, 1176450, 1257663}},
+      {Schedule::Event, 1, kSingle, {512, 512, 512, 512, 512, 0, 0, 0},
+       {1240, 292, 274, 89140, 221628, 1162788}},
+      {Schedule::Event, 1, kBurst, {512, 1024, 512, 512, 472, 40, 18, 0},
+       {1238, 294, 276, 94967, 223146, 1162788}},
+      {Schedule::Event, 1, kRush, {512, 418, 302, 302, 293, 9, 9, 0},
+       {1251, 296, 278, 90707, 224664, 1174173}},
+      {Schedule::Event, 7, kSingle, {512, 512, 512, 512, 512, 0, 0, 0},
+       {1300, 297, 279, 92664, 225423, 1212123}},
+      {Schedule::Event, 7, kBurst, {512, 1024, 512, 512, 473, 39, 20, 0},
+       {1300, 297, 279, 98114, 225423, 1212123}},
+      {Schedule::Event, 7, kRush, {512, 424, 297, 297, 287, 10, 8, 0},
+       {1359, 298, 280, 96326, 226182, 1257663}},
+  };
+  for (const unsigned threads : {1u, 3u}) {
+    parallel::CampaignRunner runner(parallel::CampaignOptions{.threads = threads});
+    for (const Pin& pin : pins) {
+      ValidationConfig config;
+      config.fifo = FifoSpec{32, 2};
+      config.chain_count = 8;
+      config.seed = pin.seed;
+      config.schedule = pin.schedule;
+      config.mode = pin.mode;
+      config.burst_size = 2;
+      config.burst_spread = 1;
+      config.rush.resistance_ohm = 0.05;  // ringing wake-up: real upsets
+      config.corruption.vulnerability = 0.02;
+      SCOPED_TRACE(std::string(to_string(pin.schedule)) + " seed " +
+                   std::to_string(pin.seed) + " mode " +
+                   std::to_string(static_cast<int>(pin.mode)) + ", " +
+                   std::to_string(threads) + " threads");
+      const parallel::CampaignReport report = runner.run_structural_packed(config, 512, 256);
+      EXPECT_EQ(report.stats, pin.stats);
+      EXPECT_EQ(report.telemetry, pin.telemetry);
+    }
+  }
+}
+
+/// bench_validation's low-activity retention workload (the event_speedup
+/// gate's), pinned: its output digest under every schedule, and the Event
+/// engine's telemetry — including the fallbacks of the dense settles.
+TEST(SchedulePinned, LowActivityWorkloadTelemetry) {
+  ProtectionConfig protection;
+  protection.kind = CodeKind::HammingPlusCrc;
+  protection.chain_count = 8;
+  protection.test_width = 4;
+  const ProtectedDesign design(make_fifo(FifoSpec{32, 2}), protection);
+  const Netlist& nl = design.netlist();
+  const auto run = [&](Schedule schedule) {
+    PackedSim sim(nl);
+    sim.set_schedule(schedule);
+    sim.reset();
+    for (const char* name : {"se", "retain", "mon_en", "mon_decode", "mon_clear",
+                             "sig_capture", "sig_compare", "test_mode", "rd_en"}) {
+      sim.set_input_all(name, false);
+    }
+    std::uint64_t digest = 0;
+    Rng stim(77);
+    for (int episode = 0; episode < 12; ++episode) {
+      for (int active = 0; active < 4; ++active) {
+        sim.set_input("wr_en", stim.next_u64());
+        sim.set_input("din0", stim.next_u64());
+        sim.set_input("din1", stim.next_u64());
+        sim.step();
+      }
+      sim.set_input_all("wr_en", false);
+      sim.step_n(256);
+      sim.set_input_all("retain", true);
+      sim.step();
+      sim.power_off(1);
+      sim.power_on(1);
+      sim.set_input_all("retain", false);
+      sim.step();
+      for (const NetId out : nl.outputs()) {
+        digest = digest * 1099511628211ull ^ sim.net_lanes(out);
+      }
+    }
+    EXPECT_EQ(digest, 0xa902bbc103a8baf8ull) << to_string(schedule);
+    return sim.take_schedule_telemetry();
+  };
+  EXPECT_EQ(run(Schedule::Event), (ScheduleTelemetry{6231, 83, 57, 15171, 62997, 4792326}));
+  EXPECT_EQ(run(Schedule::Auto), (ScheduleTelemetry{6231, 83, 57, 15171, 62997, 4792326}));
+  EXPECT_EQ(run(Schedule::Sweep), (ScheduleTelemetry{0, 6314, 0, 0, 4792326, 4792326}));
 }
 
 }  // namespace

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdlib>
 #include <ostream>
 #include <string>
+#include <unordered_set>
+#include <vector>
 
 namespace retscan {
 
@@ -320,6 +324,120 @@ TEST(SyndromeDifferential, AgreesWithProtectorsOffTheInjectorSupport) {
             EXPECT_FALSE(outcome.detected) << describe(errors) << " is not CRC-null";
             EXPECT_FALSE(outcome.matches);
           }
+        }
+      }
+    }
+  }
+}
+
+/// Section IV checked exactly over the injector's whole support, on the
+/// evaluator FastTestbench::run uses (the 32x32 FIFO, 1,040 flops): every
+/// single error, and every 2- and 4-subset of the 3x3 window that
+/// ErrorInjector::clustered_burst(count, 1) anchors at each cell, wrapping
+/// around. Every pattern is detected and none corrupts silently; the
+/// corrected counts are pinned, so the exact correction rates are
+/// 31,200 / 37,440 = 0.833 and 34,320 / 131,040 = 0.262 at r = 3, and
+/// 0.763 and 0.040 at r = 5. Sampled draws of clustered_burst must all fall
+/// inside the enumerated support.
+TEST(ExactSectionIV, WholeInjectorSupportDetectedAndCorrectedAsPinned) {
+  struct Shape {
+    CodeKind kind;
+    unsigned r;
+    std::size_t chains;
+    std::size_t corrected[3];  // singles, bursts of 2, bursts of 4
+  };
+  constexpr std::size_t kR3[] = {1040, 31200, 34320};
+  constexpr std::size_t kR5[] = {1040, 28560, 5280};
+  constexpr CodeKind kBoth = CodeKind::HammingPlusCrc;
+  constexpr CodeKind kHamming = CodeKind::HammingCorrect;
+  const Shape shapes[] = {
+      {kBoth, 3, 80, {kR3[0], kR3[1], kR3[2]}},
+      {kBoth, 3, 16, {kR3[0], kR3[1], kR3[2]}},
+      {kBoth, 3, 208, {kR3[0], kR3[1], kR3[2]}},
+      {CodeKind::CrcDetect, 3, 80, {0, 0, 0}},
+      {kHamming, 3, 80, {kR3[0], kR3[1], kR3[2]}},
+      {kHamming, 3, 16, {kR3[0], kR3[1], kR3[2]}},
+      {kBoth, 5, 52, {kR5[0], kR5[1], kR5[2]}},
+      {kBoth, 5, 104, {kR5[0], kR5[1], kR5[2]}},
+  };
+  const std::size_t flops = FifoSpec{32, 32}.flop_count();
+  ASSERT_EQ(flops, 1040u);
+  for (const Shape& shape : shapes) {
+    const std::size_t chains = shape.chains;
+    const std::size_t length = flops / chains;
+    SCOPED_TRACE("kind " + std::to_string(static_cast<int>(shape.kind)) + " r=" +
+                 std::to_string(shape.r) + ", " + std::to_string(chains) + "x" +
+                 std::to_string(length));
+    SyndromeEvaluator evaluator(SequenceShape{shape.kind, shape.r, chains, length});
+    // A pattern's key: its flop indices (chain * length + position), sorted,
+    // 11 bits each.
+    std::unordered_set<std::uint64_t> support[5];
+    const auto key_of = [&](const std::vector<ErrorLocation>& errors) {
+      std::vector<std::uint64_t> bits;
+      for (const ErrorLocation& e : errors) {
+        bits.push_back(e.chain * length + e.position);
+      }
+      std::sort(bits.begin(), bits.end());
+      std::uint64_t key = 0;
+      for (const std::uint64_t b : bits) {
+        key = key << 11 | b;
+      }
+      return key;
+    };
+    struct Tally {
+      std::size_t n = 0, detected = 0, corrected = 0, silent = 0;
+    };
+    const auto evaluate = [&](const std::vector<ErrorLocation>& errors, Tally& tally) {
+      const SequenceOutcome outcome = evaluator.evaluate(errors);
+      ++tally.n;
+      tally.detected += outcome.detected;
+      tally.corrected += outcome.matches && outcome.recheck_clean;
+      tally.silent += !outcome.matches && !outcome.detected;
+      support[errors.size()].insert(key_of(errors));
+    };
+
+    Tally singles;
+    for (std::size_t c = 0; c < chains; ++c) {
+      for (std::size_t p = 0; p < length; ++p) {
+        evaluate({{c, p}}, singles);
+      }
+    }
+    Tally bursts[2];  // of 2, of 4
+    for (std::size_t c = 0; c < chains; ++c) {
+      for (std::size_t p = 0; p < length; ++p) {
+        for (unsigned subset = 1; subset < (1u << 9); ++subset) {
+          const int count = std::popcount(subset);
+          if (count != 2 && count != 4) {
+            continue;
+          }
+          std::vector<ErrorLocation> errors;
+          for (unsigned cell = 0; cell < 9; ++cell) {
+            if (subset >> cell & 1) {
+              errors.push_back({(c + cell / 3) % chains, (p + cell % 3) % length});
+            }
+          }
+          evaluate(errors, bursts[count / 4]);
+        }
+      }
+    }
+    const Tally* tallies[] = {&singles, &bursts[0], &bursts[1]};
+    const std::size_t patterns[] = {1040, 37440, 131040};
+    for (std::size_t t = 0; t < 3; ++t) {
+      SCOPED_TRACE("tally " + std::to_string(t));
+      EXPECT_EQ(tallies[t]->n, patterns[t]);
+      EXPECT_EQ(tallies[t]->detected, patterns[t]);
+      EXPECT_EQ(tallies[t]->silent, 0u);
+      EXPECT_EQ(tallies[t]->corrected, shape.corrected[t]);
+    }
+
+    for (const std::uint64_t seed : {1u, 7u}) {
+      ErrorInjector injector(chains, length, seed);
+      for (const std::size_t count : {2u, 4u}) {
+        for (int draw = 0; draw < 2000; ++draw) {
+          const std::vector<ErrorLocation> errors = injector.clustered_burst(count, 1);
+          ASSERT_EQ(errors.size(), count);
+          ASSERT_TRUE(support[count].contains(key_of(errors)))
+              << describe(errors) << " at seed " << seed;
         }
       }
     }
