@@ -27,7 +27,7 @@ namespace {
 /// Full fault-dictionary workload (no fault dropping): every fault is
 /// simulated against every pattern, so the measured cost is pure
 /// pattern-evaluation throughput. `batch_size` kLaneBlockBits is the
-/// block-parallel compiled cone path (256 patterns per pass at the default
+/// block-parallel compiled FFR path (256 patterns per pass at the default
 /// lane width); with `reference` set, each fault instead pays a full
 /// interpreted circuit evaluation per pattern pass (the seed's
 /// one-fault-at-a-time flow), which is the scalar baseline.

@@ -7,11 +7,14 @@
 //    datapath (kLaneBlockBits lanes per sweep, AVX2 when compiled in); a
 //    single-word sweep is also timed so laneblock_speedup isolates the
 //    block-vs-word win on the same host and binary;
-//  * incremental fault simulation — per-fault detect_block (detect_site
-//    with its memo cleared: the fault's fanout-free-region chain, then its
-//    stem's cone) over lane-block batches vs full-circuit interpreted passes
-//    on the same fault dictionary, with bit-identical detect masks required;
-//    the two alternate in pairs and cone_speedup is the median pair ratio.
+//  * incremental fault simulation — warm per-fault detect_block
+//    (detect_site with its memo cleared: the fault's fanout-free-region
+//    chain, then a change-driven propagate of its stem's flip) over
+//    lane-block batches vs full-circuit interpreted passes on the same fault
+//    dictionary, with bit-identical detect masks required; the two alternate
+//    in pairs and cone_speedup is the median pair ratio. The ungated
+//    cold_fault_evals_per_sec times what run_atpg's random phase pays: a
+//    fresh frame and one serial fault_simulate per pass.
 //
 // The ratios (compile_speedup, laneblock_speedup, cone_speedup) are
 // same-host comparisons and land in BENCH_engine.json, where
@@ -145,23 +148,26 @@ int main() {
   json.set("compile_speedup", compile_speedup);
   json.set("laneblock_speedup", laneblock_speedup);
 
-  // --- cone-incremental vs full-circuit fault simulation ------------------
-  bench::header("Fanout-cone incremental vs full-circuit fault simulation");
-  CombinationalFrame frame(nl);
-  for (const char* name : {"se", "retain", "mon_en", "mon_decode", "mon_clear",
-                           "sig_capture", "sig_compare", "test_mode"}) {
-    frame.constrain(name, false);
-  }
+  // --- FFR-incremental vs full-circuit fault simulation --------------------
+  bench::header("Fanout-free-region incremental vs full-circuit fault simulation");
+  const auto make_frame = [&] {
+    CombinationalFrame made(nl);
+    for (const char* name : {"se", "retain", "mon_en", "mon_decode", "mon_clear",
+                             "sig_capture", "sig_compare", "test_mode"}) {
+      made.constrain(name, false);
+    }
+    return made;
+  };
+  const CombinationalFrame frame = make_frame();
   const auto faults = collapse_faults(nl, enumerate_faults(nl));
   Rng pattern_rng(7);
   std::vector<BitVec> patterns;
   for (int i = 0; i < 256; ++i) {
     patterns.push_back(frame.random_pattern(pattern_rng));
   }
-  frame.warm_cones(faults);
 
   // Preload batches so both timed loops measure pure per-fault evaluation.
-  // The cone path consumes kLaneBlockBits patterns per loaded block; the
+  // The FFR path consumes kLaneBlockBits patterns per loaded block; the
   // interpreted baseline keeps the historical 64-pattern batches so
   // cone_fault_evals_per_sec stays in faults x (patterns/64) units across PRs.
   std::vector<std::vector<BitVec>> batches;
@@ -182,8 +188,9 @@ int main() {
   }
 
   // cone_speedup, the gated ratio, is the median over alternating pairs of
-  // one cone pass (every fault over every lane block, kConeRepeats times,
-  // about 2 ms) and one interpreted pass (every fault over one 64-pattern
+  // one warm pass (every fault's detect_block, which clears the memo, so
+  // every fault observes its stem afresh, over every lane block,
+  // kConeRepeats times) and one interpreted pass (every fault over one 64-pattern
   // batch, the next batch each pair, about 0.4 s); each side is timed per
   // fault-eval, so the pair's ratio is the speedup. A lone back-to-back
   // measurement read past the gate from host noise alone. Nine pairs time
@@ -228,7 +235,7 @@ int main() {
   std::sort(cone_rates.begin(), cone_rates.end());
   std::sort(full_rates.begin(), full_rates.end());
 
-  // Word w of cone block b covers the same 64 patterns as interpreted batch
+  // Word w of warm block b covers the same 64 patterns as interpreted batch
   // b * kLaneWords + w; every lane must agree.
   std::size_t mask_mismatches = 0;
   for (std::size_t b = 0; b < loaded.size(); ++b) {
@@ -246,18 +253,47 @@ int main() {
     }
   }
   ok = ok && mask_mismatches == 0;
+
+  // Cold: a fresh frame per pass, then serial fault_simulate over the same
+  // patterns, in the same fault-eval units. Its detections must be the
+  // faults whose warm masks have a lane set.
+  constexpr int kColdPasses = 9;
+  std::vector<double> cold_rates;
+  std::size_t cold_detected = 0;
+  for (int pass = 0; pass < kColdPasses; ++pass) {
+    bench::Stopwatch timer;
+    const CombinationalFrame cold = make_frame();
+    cold_detected = fault_simulate(cold, faults, patterns).detected;
+    cold_rates.push_back(fault_count * static_cast<double>(batches.size()) / timer.seconds());
+  }
+  std::sort(cold_rates.begin(), cold_rates.end());
+  std::size_t warm_detected = 0;
+  for (std::size_t fi = 0; fi < faults.size(); ++fi) {
+    bool any = false;
+    for (std::size_t b = 0; b < loaded.size(); ++b) {
+      any = any || block_any(cone_blocks[b * faults.size() + fi]);
+    }
+    warm_detected += any ? 1 : 0;
+  }
+  ok = ok && cold_detected == warm_detected;
+
   const double cone_rate = cone_rates[cone_rates.size() / 2];
   const double full_rate = full_rates[full_rates.size() / 2];
   const double cone_speedup = ratios[ratios.size() / 2];
-  std::cout << "cone:    " << cone_rate << " fault-evals/sec over "
+  const double cold_rate = cold_rates[cold_rates.size() / 2];
+  std::cout << "warm:    " << cone_rate << " fault-evals/sec over "
             << faults.size() << " faults x " << batches.size()
             << " 64-pattern batches (" << loaded.size() << " lane blocks)\n"
+            << "cold:    " << cold_rate << " fault-evals/sec, median of " << kColdPasses
+            << " fresh-frame fault_simulate passes (" << cold_detected << " detected, "
+            << (cold_detected == warm_detected ? "as warm" : "DIVERGED from warm") << ")\n"
             << "full:    " << full_rate << " fault-evals/sec\n"
             << "speedup: " << cone_speedup << "x, median of " << ratios.size()
             << " pairs (min " << ratios.front() << ", max " << ratios.back() << "; masks "
             << (mask_mismatches == 0 ? "identical" : "DIVERGED") << ")\n";
   json.set("collapsed_faults", static_cast<double>(faults.size()));
   json.set("cone_fault_evals_per_sec", cone_rate);
+  json.set("cold_fault_evals_per_sec", cold_rate);
   json.set("full_fault_evals_per_sec", full_rate);
   json.set("cone_speedup", cone_speedup);
 

@@ -8,7 +8,7 @@
 // ATPG (random patterns, then PODEM at 300 backtracks on what they leave),
 // so the coverage table is the one a test engineer would sign off on. The
 // sequential benches additionally run the scan-free sequential-coverage
-// model, and the largest import feeds the compiled-core full-sweep and cone
+// model, and the largest import feeds the compiled-core full-sweep and FFR
 // fault-evaluation throughput loops.
 //
 // BENCH_external.json records per-circuit coverage (with the untestable and
@@ -219,7 +219,9 @@ int main() {
                                static_cast<double>(kLaneBlockBits) / sweep_time / 1e6;
   ok = ok && checksum != 0;  // keeps the loop observable
 
-  // --- cone fault-evaluation throughput on the same import -----------------
+  // --- FFR fault-evaluation throughput on the same import ------------------
+  // Warm and memo-cleared: every detect_block observes its fault's stem
+  // afresh (a change-driven propagate of the stem's flip).
   CombinationalFrame frame(mul);
   const auto faults = collapse_faults(mul, enumerate_faults(mul));
   Rng pattern_rng(7);
@@ -227,7 +229,6 @@ int main() {
   for (int i = 0; i < 256; ++i) {
     patterns.push_back(frame.random_pattern(pattern_rng));
   }
-  frame.warm_cones(faults);
   // Each loaded block carries kLaneBlockBits patterns; the throughput unit
   // stays faults x (patterns/64) per second so the metric is comparable
   // across lane widths and PRs.
@@ -252,16 +253,16 @@ int main() {
       }
     }
   }
-  const double cone_time = timer.seconds() / kRepeats;
+  const double ffr_time = timer.seconds() / kRepeats;
   const double word_batches =
       static_cast<double>((patterns.size() + kLaneCount - 1) / kLaneCount);
   const double evals_per_sec =
-      static_cast<double>(faults.size()) * word_batches / cone_time;
+      static_cast<double>(faults.size()) * word_batches / ffr_time;
   (void)mask_checksum;
 
   std::cout << "full sweep: " << compiled_meps << " M lane-gate-evals/sec over "
             << gates << " compiled gates\n"
-            << "cone path:  " << evals_per_sec << " fault-evals/sec over "
+            << "FFR path:   " << evals_per_sec << " fault-evals/sec over "
             << faults.size() << " faults x " << loaded.size() << " lane blocks\n"
             << "min stuck-at coverage across imports: " << 100.0 * min_coverage
             << "%\nmin transition coverage across imports: "

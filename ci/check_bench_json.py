@@ -65,6 +65,7 @@ REQUIRED_KEYS = {
         "compile_speedup",
         "laneblock_speedup",
         "cone_fault_evals_per_sec",
+        "cold_fault_evals_per_sec",
         "full_fault_evals_per_sec",
         "cone_speedup",
     ],

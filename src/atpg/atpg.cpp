@@ -36,14 +36,7 @@ AtpgResult run_atpg(const CombinationalFrame& frame, const std::vector<Fault>& f
   // --- Phase 2: PODEM top-up.
   if (options.run_podem && remaining > 0) {
     Podem podem(frame, options.max_backtracks);
-    // The survivors' sites, resolved once so no cone lookup sits in the
-    // loop; one workspace memoises each pattern's FFR terms across them.
-    std::vector<CombinationalFrame::FaultSite> sites(faults.size());
-    for (std::size_t fi = 0; fi < faults.size(); ++fi) {
-      if (!detected[fi]) {
-        sites[fi] = frame.fault_site(faults[fi].net);
-      }
-    }
+    // One workspace memoises each pattern's FFR terms across the survivors.
     CombinationalFrame::Workspace workspace;
     for (std::size_t fi = 0; fi < faults.size() && remaining > 0; ++fi) {
       if (detected[fi]) {
@@ -69,8 +62,9 @@ AtpgResult run_atpg(const CombinationalFrame& frame, const std::vector<Fault>& f
         if (detected[fj]) {
           continue;
         }
-        if (block_any(frame.detect_site(sites[fj], faults[fj].stuck_at,
-                                        block_broadcast(true), loaded, workspace))) {
+        if (block_any(frame.detect_site(frame.fault_site(faults[fj].net),
+                                        faults[fj].stuck_at, block_broadcast(true), loaded,
+                                        workspace))) {
           detected[fj] = true;
           ++result.detected_podem;
           --remaining;

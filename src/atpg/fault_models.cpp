@@ -34,7 +34,7 @@ namespace {
 /// is pair b * kLaneBlockBits + k. Capture must detect the stuck-at alias
 /// (the net frozen at the transition's initial value) AND the launch
 /// pattern must set the net to that value; the launch condition is the care
-/// set of the capture detection, so lanes it rules out never cost a replay.
+/// set of the capture detection, so lanes it rules out never cost an observation.
 struct TransitionModel {
   struct Batch {
     CombinationalFrame::LoadedPatternBatch launch;
@@ -54,7 +54,9 @@ struct TransitionModel {
     return {detail::load_patterns(frame, patterns, first, count),
             detail::load_patterns(frame, patterns, first + 1, count)};
   }
-  Site site(const TransitionFault& fault) const { return frame.fault_site(fault.net); }
+  Site site(const TransitionFault& fault, Scratch&) const {
+    return frame.fault_site(fault.net);
+  }
   Scratch scratch() const { return {}; }
   LaneBlock detect(const TransitionFault& fault, const Site& site, const Batch& batch,
                    Scratch& workspace) const {
@@ -119,7 +121,7 @@ namespace {
 /// other net is 0, a wired-OR from 0 to 1 where it is 1. A net the other one
 /// reaches is recomputed from the flipped net rather than held, so its own
 /// term drops out. Both terms share the shard's memoised chain paths and
-/// stem replays with every other fault of the shard.
+/// stem observations with every other fault of the shard.
 struct BridgingModel : detail::PatternBlocks {
   struct Site {
     CombinationalFrame::FaultSite a;
@@ -127,16 +129,31 @@ struct BridgingModel : detail::PatternBlocks {
     bool a_reaches_b = false;
     bool b_reaches_a = false;
   };
-  using Scratch = CombinationalFrame::Workspace;
+  /// The shard's workspace and the last site it resolved: the universe
+  /// lists each pair's wired-AND and wired-OR bridges back to back, so the
+  /// second one reuses the first one's reaches walks.
+  struct Scratch {
+    CombinationalFrame::Workspace workspace;
+    NetId a = kNullNet;
+    NetId b = kNullNet;
+    Site site;
+  };
 
-  Site site(const BridgingFault& fault) const {
-    const CombinationalFrame::FaultSite a = frame.fault_site(fault.a);
-    const CombinationalFrame::FaultSite b = frame.fault_site(fault.b);
-    return {a, b, frame.reaches(a, fault.b), frame.reaches(b, fault.a)};
+  Site site(const BridgingFault& fault, Scratch& s) const {
+    if (fault.a != s.a || fault.b != s.b) {
+      const CombinationalFrame::FaultSite a = frame.fault_site(fault.a);
+      const CombinationalFrame::FaultSite b = frame.fault_site(fault.b);
+      s.site = {a, b, frame.reaches(a, fault.b, s.workspace),
+                frame.reaches(b, fault.a, s.workspace)};
+      s.a = fault.a;
+      s.b = fault.b;
+    }
+    return s.site;
   }
   Scratch scratch() const { return {}; }
   LaneBlock detect(const BridgingFault& fault, const Site& site, const Batch& batch,
-                   Scratch& workspace) const {
+                   Scratch& s) const {
+    CombinationalFrame::Workspace& workspace = s.workspace;
     const LaneBlock& va = batch.settled[site.a.slot];
     const LaneBlock& vb = batch.settled[site.b.slot];
     const bool pulled_to = !fault.wired_and;
@@ -170,22 +187,22 @@ namespace {
 /// Sequential stuck-at faults on a free-running machine. Lane block b holds
 /// sequences [b * kLaneBlockBits, ...): random primary-input stimulus from
 /// its own derived stream plus the good machine's primary-output trajectory,
-/// both a pure function of (netlist, cycles, seed, b). A fault is a full
-/// faulty-machine re-simulation of the block with its net clamped.
+/// both a pure function of (netlist, cycles, seed, b). A fault is a
+/// faulty-machine re-simulation of the block with its net clamped, which
+/// ends once lane 0 detects it: the driver reads only the first detecting
+/// lane, and no later cycle can set a lane below 0.
 struct SequentialModel {
   struct Batch {
     std::vector<LaneBlock> stimulus;  ///< [t * pi_count + i]: PI i at cycle t
     std::vector<LaneBlock> good_po;   ///< [t * po_count + p]: good PO p at cycle t
     std::size_t lanes = 0;
   };
-  struct Site {
-    CompiledNetlist::Cone cone;
-    std::uint32_t slot = 0;
-  };
+  using Site = std::uint32_t;  ///< the fault net's value slot
   struct Scratch {
     std::vector<LaneBlock> values;  ///< slot values; flop Q slots carry state
     std::vector<LaneBlock> po;
     std::vector<LaneBlock> d;
+    std::vector<std::uint64_t> pending;  ///< propagate's instruction bitmap
   };
 
   std::shared_ptr<const CompiledNetlist> compiled;
@@ -235,29 +252,29 @@ struct SequentialModel {
     batch.good_po.resize(cycles * po_count);
     Scratch s = scratch();
     for (std::size_t t = 0; t < cycles; ++t) {
-      step(s, batch, t, nullptr, 0, LaneBlock{}, batch.good_po.data() + t * po_count);
+      step(s, batch, t, nullptr, LaneBlock{}, batch.good_po.data() + t * po_count);
     }
     return batch;
   }
 
-  Site site(const Fault& fault) const {
-    return {compiled->build_cone(fault.net), compiled->slot(fault.net)};
-  }
+  Site site(const Fault& fault, Scratch&) const { return compiled->slot(fault.net); }
 
   Scratch scratch() const {
     return {std::vector<LaneBlock>(compiled->slot_count()),
-            std::vector<LaneBlock>(po_slots.size()), std::vector<LaneBlock>(d_slots.size())};
+            std::vector<LaneBlock>(po_slots.size()), std::vector<LaneBlock>(d_slots.size()),
+            std::vector<std::uint64_t>((compiled->instrs().size() + 63) / 64, 0)};
   }
 
-  /// Per-lane OR of PO differences across all cycles.
+  /// Per-lane OR of PO differences across the cycles, up to the first cycle
+  /// in which lane 0 differs.
   LaneBlock detect(const Fault& fault, const Site& site, const Batch& batch,
                    Scratch& s) const {
     s.values.assign(s.values.size(), LaneBlock{});
     const LaneBlock clamp = block_broadcast(fault.stuck_at);
     const std::size_t po_count = po_slots.size();
     LaneBlock diff{};
-    for (std::size_t t = 0; t < cycles; ++t) {
-      step(s, batch, t, &site.cone, site.slot, clamp, s.po.data());
+    for (std::size_t t = 0; t < cycles && (diff.w[0] & 1) == 0; ++t) {
+      step(s, batch, t, &site, clamp, s.po.data());
       for (std::size_t p = 0; p < po_count; ++p) {
         diff = diff | (s.po[p] ^ batch.good_po[t * po_count + p]);
       }
@@ -266,13 +283,12 @@ struct SequentialModel {
   }
 
   /// Advance one machine by one cycle: load the cycle's PIs and constants,
-  /// settle, optionally clamp a fault slot and re-propagate its cone, record
-  /// the cycle's primary outputs into `po_out`, then latch next state.
-  /// POs must be captured before the latch — a PO fed straight by a flop Q
-  /// shares that Q's slot, and latching first would overwrite the settled
-  /// (possibly faulty) output with the fault-free next state.
-  void step(Scratch& s, const Batch& batch, std::size_t t,
-            const CompiledNetlist::Cone* clamp_cone, std::uint32_t clamp_slot,
+  /// settle, optionally clamp a fault slot and propagate what the clamp
+  /// changes, record the cycle's primary outputs into `po_out`, then latch
+  /// next state. POs must be captured before the latch — a PO fed straight
+  /// by a flop Q shares that Q's slot, and latching first would overwrite
+  /// the settled (possibly faulty) output with the fault-free next state.
+  void step(Scratch& s, const Batch& batch, std::size_t t, const Site* clamp_slot,
             const LaneBlock& clamp_value, LaneBlock* po_out) const {
     std::vector<LaneBlock>& values = s.values;
     const std::size_t pi_count = pi_slots.size();
@@ -283,18 +299,16 @@ struct SequentialModel {
     for (const std::uint32_t slot : one_slots) {
       values[slot] = ones;
     }
-    if (clamp_cone != nullptr) {
-      values[clamp_slot] = clamp_value;  // source-slot faults must be in before settle
+    if (clamp_slot != nullptr) {
+      values[*clamp_slot] = clamp_value;  // source-slot faults must be in before settle
     }
     compiled->eval_full(values.data());
-    if (clamp_cone != nullptr) {
-      // Instruction-driven fault sites were recomputed by the sweep: clamp
-      // again and re-propagate just the fanout cone (topological order).
-      values[clamp_slot] = clamp_value;
-      const auto& instrs = compiled->instrs();
-      for (const std::uint32_t idx : clamp_cone->instrs) {
-        values[instrs[idx].out] = CompiledNetlist::eval_instr(instrs[idx], values.data());
-      }
+    if (clamp_slot != nullptr) {
+      // An instruction-driven fault site was recomputed by the sweep: clamp
+      // it again and re-evaluate only what the clamp changes.
+      values[*clamp_slot] = clamp_value;
+      compiled->propagate_change(*clamp_slot, values.data(), block_lane_mask(batch.lanes),
+                                 s.pending, [](std::uint32_t, const LaneBlock&) {});
     }
     for (std::size_t p = 0; p < po_slots.size(); ++p) {
       po_out[p] = values[po_slots[p]];

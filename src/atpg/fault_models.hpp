@@ -80,10 +80,11 @@ FaultSimResult bridging_fault_simulate(const CombinationalFrame& frame,
 /// no scan access — lanes are independent random primary-input sequences of
 /// `cycles` cycles from the all-zero flop state, and a fault is detected
 /// when any primary output differs from the good machine in any cycle. The
-/// good trajectory settles once per lane block; every fault is then a full
+/// good trajectory settles once per lane block; every fault is then a
 /// faulty-machine re-simulation with its net clamped (fault effects must
-/// propagate through the flops cycle over cycle, which a combinational cone
-/// cannot express). detected_by[i] is the first detecting sequence index.
+/// propagate through the flops cycle over cycle, which one combinational
+/// frame cannot express), cut short once the block's first sequence detects
+/// it. detected_by[i] is the first detecting sequence index.
 FaultSimResult sequential_fault_simulate(const Netlist& netlist,
                                          const std::vector<Fault>& faults,
                                          std::size_t sequences, std::size_t cycles,

@@ -210,41 +210,24 @@ std::vector<std::uint64_t> CombinationalFrame::good_response_words(
   return words;
 }
 
-const CombinationalFrame::FaultCone& CombinationalFrame::stem_cone(NetId stem) const {
-  const std::lock_guard<std::mutex> lock(cone_mutex_);
-  auto it = cones_.find(stem);
-  if (it == cones_.end()) {
-    auto cone = std::make_unique<FaultCone>();
-    cone->cone = compiled_->build_cone(stem);
-    for (const std::uint32_t slot : cone->cone.touched_slots) {
-      const std::uint32_t word = obs_word_of_slot_[slot];
-      if (word != kNoObs) {
-        cone->observables.emplace_back(word, slot);
-      }
-    }
-    it = cones_.emplace(stem, std::move(cone)).first;
-  }
-  return *it->second;
-}
-
-void CombinationalFrame::warm_cones(const std::vector<Fault>& faults) const {
-  for (const Fault& fault : faults) {
-    (void)fault_site(fault.net);
-  }
-}
-
 CombinationalFrame::FaultSite CombinationalFrame::fault_site(NetId net) const {
   const std::uint32_t slot = compiled_->slot(net);
-  return {slot, &stem_cone(compiled_->net_of_slot(stem_of_slot_[slot]))};
+  return {slot, stem_of_slot_[slot]};
 }
 
-bool CombinationalFrame::reaches(const FaultSite& from, NetId to) const {
+void CombinationalFrame::size_pending(Workspace& workspace) const {
+  const std::size_t words = (compiled_->instrs().size() + 63) / 64;
+  if (workspace.pending.size() != words) {
+    workspace.pending.assign(words, 0);
+  }
+}
+
+bool CombinationalFrame::reaches(const FaultSite& from, NetId to, Workspace& workspace) const {
   const std::uint32_t target = compiled_->slot(to);
   if (target <= from.slot) {
     return false;  // every reader sits above its operands
   }
-  // The chain's slots ascend to the stem, and the stem cone's outputs all
-  // sit above the stem.
+  // The chain's slots ascend to the stem.
   std::uint32_t s = from.slot;
   while (s < target && reader_of_slot_[s] != kNoReader) {
     s = compiled_->instrs()[reader_of_slot_[s]].out;
@@ -252,8 +235,16 @@ bool CombinationalFrame::reaches(const FaultSite& from, NetId to) const {
   if (s >= target) {
     return s == target;
   }
-  const std::vector<std::uint32_t>& touched = from.stem->cone.touched_slots;
-  return std::binary_search(touched.begin() + 1, touched.end(), target);
+  // From the stem: a slot at or above the target cannot lead back down to
+  // it, so the walk marks readers only below the target, and none once the
+  // target is reached.
+  size_pending(workspace);
+  bool reached = false;
+  compiled_->propagate(std::span(&s, 1), workspace.pending, [&](const CompiledInstr& in) {
+    reached = reached || in.out == target;
+    return !reached && in.out < target;
+  });
+  return reached;
 }
 
 void CombinationalFrame::sync(const LoadedPatternBatch& batch, Workspace& workspace) const {
@@ -265,6 +256,10 @@ void CombinationalFrame::sync(const LoadedPatternBatch& batch, Workspace& worksp
     workspace.synced_tag = batch.tag;
     workspace.memo.clear();
   }
+  if (workspace.memo_index.size() != stem_of_slot_.size()) {
+    workspace.memo_index.assign(stem_of_slot_.size(), 0);
+  }
+  size_pending(workspace);
 }
 
 LaneBlock CombinationalFrame::flip_sensitivity(std::uint32_t slot,
@@ -278,32 +273,34 @@ LaneBlock CombinationalFrame::flip_sensitivity(std::uint32_t slot,
   return flipped ^ values[in.out];
 }
 
-LaneBlock CombinationalFrame::observe_stem(const FaultCone& stem,
+LaneBlock CombinationalFrame::observe_stem(std::uint32_t stem,
                                            const LoadedPatternBatch& batch,
                                            Workspace& workspace) const {
-  const std::uint32_t slot = stem.cone.source_slot;
-  if (obs_word_of_slot_[slot] != kNoObs) {
-    return block_lane_mask(batch.count);  // the stem itself shows every flip
+  const LaneBlock live = block_lane_mask(batch.count);
+  if (obs_word_of_slot_[stem] != kNoObs) {
+    return live;  // the stem itself shows every flip
   }
+  // Lane p of the result is set iff pattern p sees a difference at some
+  // observation point; only slots the flip changes are written, and undo
+  // restores exactly those, so the workspace stays synced and consecutive
+  // faults pay no copy.
   LaneBlock* v = workspace.values.data();
-  v[slot] = ~v[slot];
-  const CompiledInstr* instrs = compiled_->instrs().data();
-  for (const std::uint32_t i : stem.cone.instrs) {
-    const CompiledInstr& in = instrs[i];
-    v[in.out] = CompiledNetlist::eval_instr(in, v);
-  }
-  // Block-wide good/faulty XOR over the reachable observables only: lane p
-  // of the result is set iff pattern p sees a difference somewhere.
+  std::vector<std::uint32_t>& undo = workspace.undo;
+  undo.clear();
   LaneBlock mask{};
-  for (const auto& [word, obs] : stem.observables) {
-    mask = mask | (v[obs] ^ batch.good[word]);
+  v[stem] = ~v[stem];
+  compiled_->propagate_change(stem, v, live, workspace.pending,
+                              [&](std::uint32_t slot, const LaneBlock& diff) {
+                                undo.push_back(slot);
+                                if (obs_word_of_slot_[slot] != kNoObs) {
+                                  mask = mask | diff;
+                                }
+                              });
+  v[stem] = batch.settled[stem];
+  for (const std::uint32_t slot : undo) {
+    v[slot] = batch.settled[slot];
   }
-  // Undo: restore exactly the touched slots, so the workspace stays synced
-  // and consecutive faults pay no copy.
-  for (const std::uint32_t touched : stem.cone.touched_slots) {
-    v[touched] = batch.settled[touched];
-  }
-  return mask & block_lane_mask(batch.count);
+  return mask;
 }
 
 LaneBlock CombinationalFrame::detect_block(const Fault& fault, const LoadedPatternBatch& batch,
@@ -318,9 +315,6 @@ LaneBlock CombinationalFrame::detect_site(const FaultSite& site, bool stuck_at,
                                           const LoadedPatternBatch& batch,
                                           Workspace& workspace) const {
   sync(batch, workspace);
-  if (workspace.memo_index.size() != stem_of_slot_.size()) {
-    workspace.memo_index.assign(stem_of_slot_.size(), 0);
-  }
   LaneBlock* v = workspace.values.data();
   LaneBlock reach = care & (v[site.slot] ^ block_broadcast(stuck_at)) &
                     block_lane_mask(batch.count);
@@ -349,10 +343,9 @@ LaneBlock CombinationalFrame::detect_site(const FaultSite& site, bool stuck_at,
       return reach;
     }
   }
-  const std::uint32_t stem = site.stem->cone.source_slot;
-  const LaneBlock* observed = memo_find(workspace, stem);
+  const LaneBlock* observed = memo_find(workspace, site.stem);
   if (observed == nullptr) {
-    observed = &memo_put(workspace, stem, observe_stem(*site.stem, batch, workspace));
+    observed = &memo_put(workspace, site.stem, observe_stem(site.stem, batch, workspace));
   }
   return reach & *observed;
 }
@@ -415,12 +408,12 @@ std::uint64_t CombinationalFrame::detect_mask_full(
 namespace {
 
 /// Stuck-at faults: both polarities of every net in a region share the
-/// shard's memoised chain paths and one stem replay per batch.
+/// shard's memoised chain paths and one stem observation per batch.
 struct StuckAtModel : detail::PatternBlocks {
   using Site = CombinationalFrame::FaultSite;
   using Scratch = CombinationalFrame::Workspace;
 
-  Site site(const Fault& fault) const { return frame.fault_site(fault.net); }
+  Site site(const Fault& fault, Scratch&) const { return frame.fault_site(fault.net); }
   Scratch scratch() const { return {}; }
   LaneBlock detect(const Fault& fault, const Site& site, const Batch& batch,
                    Scratch& workspace) const {

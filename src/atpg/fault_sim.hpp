@@ -2,8 +2,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -31,18 +29,19 @@ namespace retscan {
 /// only, so it is detected exactly in the lanes where it is activated, every
 /// chain gate passes a flip of its input on, and flipping the stem is
 /// observed. That last term is every lane for an observed stem, else one
-/// replay of the stem's fanout cone — only the cone is re-evaluated, only
-/// its reachable observation points are compared, and the touched slots
-/// are restored afterwards — so per-fault cost is O(chain + stem cone), not
-/// O(circuit), and a memo shares one stem replay per batch among every
-/// fault of the region (detect_site). Cones are built lazily per stem and
-/// cached (thread-safe); PODEM needs none.
+/// change-driven propagate of the stem's flip (CompiledNetlist::
+/// propagate_change): only instructions whose operands changed are
+/// re-evaluated, a changed observation point ORs its difference into the
+/// result, and the changed slots are restored afterwards. So per-fault cost
+/// is O(chain + what the flip disturbs), not O(circuit), no cone is built or
+/// stored, and a memo shares one stem observation per batch among every
+/// fault of the region (detect_site).
 class CombinationalFrame {
  public:
   explicit CombinationalFrame(const Netlist& netlist);
 
   const Netlist& netlist() const { return *netlist_; }
-  /// The compiled core the frame's value slots and cones index into.
+  /// The compiled core the frame's value slots index into.
   const CompiledNetlist& compiled() const { return *compiled_; }
   /// Primary input nets (excludes scan controls only if caller wires them).
   const std::vector<NetId>& pi_nets() const { return pi_nets_; }
@@ -73,7 +72,7 @@ class CombinationalFrame {
   /// after one full compiled block sweep, `good` the observable response
   /// blocks. Loading+settling is the per-batch cost; each fault evaluation
   /// is then incremental over `settled`, so simulating F faults through
-  /// detect_site costs one settle plus at most one stem-cone replay per
+  /// detect_site costs one settle plus at most one stem observation per
   /// region touched — each covering 256 patterns. Patterns are loaded whole
   /// words at a time (64 x 64 bit-tile transposes).
   struct LoadedPatternBatch {
@@ -87,8 +86,9 @@ class CombinationalFrame {
   /// Per-thread evaluation scratch. The frame itself is immutable during
   /// queries and every detection below takes a workspace, so any number of
   /// threads share one frame concurrently, one workspace each. The workspace
-  /// remembers which batch it mirrors (cone undo keeps it settled), so
-  /// consecutive queries against the same batch skip the baseline copy.
+  /// remembers which batch it mirrors (each observation restores what it
+  /// changed), so consecutive queries against the same batch skip the
+  /// baseline copy.
   struct Workspace {
     /// One memoised FFR term of the synced batch: a non-stem slot's path
     /// (lanes in which a flip of the slot reaches its stem) or a stem's
@@ -107,6 +107,10 @@ class CombinationalFrame {
     std::vector<std::uint32_t> memo_index;
     std::vector<MemoEntry> memo;
     std::vector<std::uint32_t> chain;  // path-walk scratch
+    std::vector<std::uint32_t> undo;   // slots a stem observation changed
+    /// propagate's instruction bitmap, all zero between calls (stem
+    /// observation and reaches share it).
+    std::vector<std::uint64_t> pending;
   };
 
   /// Good-machine responses of up to 64 patterns in lane-word form: one word
@@ -117,38 +121,29 @@ class CombinationalFrame {
   /// 0 of each LoadedPatternBatch::good block.
   std::vector<std::uint64_t> good_response_words(const std::vector<BitVec>& patterns) const;
 
-  /// Precomputed fanout cone of an FFR stem within this frame: the compiled
-  /// cone slice plus the (good-word index, value slot) of every observation
-  /// point a change of the stem can reach.
-  struct FaultCone {
-    CompiledNetlist::Cone cone;
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> observables;
-  };
-
   /// A fault site resolved against the fanout-free regions: the net's value
-  /// slot and the cone of its region's stem.
+  /// slot and the slot of its region's stem.
   struct FaultSite {
     std::uint32_t slot = 0;
-    const FaultCone* stem = nullptr;
+    std::uint32_t stem = 0;
   };
-  /// Resolve a site, building and caching its stem's cone on first use (the
-  /// one cone-cache lock of a fault); hot loops resolve every site up front.
   FaultSite fault_site(NetId net) const;
   /// Whether a change of the site's net can reach net `to`: `to` lies on the
-  /// site's chain to its stem, is the stem, or is driven inside the stem's
-  /// cone. A walk of the chain plus one binary search, no cone built.
-  bool reaches(const FaultSite& from, NetId to) const;
+  /// site's chain to its stem, is the stem, or is reached from the stem. A
+  /// walk of the chain, then a propagate from the stem that stops below
+  /// `to`'s slot, on the workspace's bitmap.
+  bool reaches(const FaultSite& from, NetId to, Workspace& workspace) const;
 
   /// Block-wide parallel-pattern single-fault propagation: lane p of the
   /// result is set iff pattern p of `batch` (up to kLaneBlockBits patterns)
   /// detects a fault on the resolved `site` stuck at `stuck_at`, restricted
   /// to the lanes of `care`. The fault is activated, narrowed along its FFR
-  /// chain and observed at the stem (one replay of the stem's cone, skipped
-  /// when no activated lane reaches the stem). Each chain slot's path and
-  /// each stem's observability is memoised in the workspace for the synced
-  /// batch and shared by every fault that reaches it (both polarities of a
-  /// net, every net of a region). Throws Error when `batch` does not fit
-  /// the frame.
+  /// chain and observed at the stem (one propagate of the stem's flip,
+  /// skipped when no activated lane reaches the stem). Each chain slot's
+  /// path and each stem's observability is memoised in the workspace for the
+  /// synced batch and shared by every fault that reaches it (both polarities
+  /// of a net, every net of a region). Throws Error when `batch` does not
+  /// fit the frame.
   LaneBlock detect_site(const FaultSite& site, bool stuck_at, const LaneBlock& care,
                         const LoadedPatternBatch& batch, Workspace& workspace) const;
   /// detect_site for one fault over every lane, with the memo cleared first
@@ -157,33 +152,28 @@ class CombinationalFrame {
                          Workspace& workspace) const;
 
   /// Reference full-circuit detection through the retained interpreter path
-  /// (per-Cell walk, NetId-indexed values, no cones): the independent oracle
+  /// (per-Cell walk, NetId-indexed values, no FFRs): the independent oracle
   /// the FFR path is tested against, and the baseline bench_engine times.
   std::uint64_t detect_mask_full(const Fault& fault, const std::vector<BitVec>& patterns,
                                  const std::vector<std::uint64_t>& good_words) const;
 
-  /// Pre-build the stem cone of every fault site in `faults` (optional:
-  /// cones build lazily under a lock; benches call this to time them apart).
-  void warm_cones(const std::vector<Fault>& faults) const;
-
  private:
   void load(std::vector<LaneBlock>& slot_values,
             const std::vector<BitVec>& patterns) const;
-  /// The cone of a stem, built on first use and cached (thread-safe, one
-  /// lock per call; the returned reference stays valid for the frame's
-  /// lifetime). Only fault_site asks, so the cache holds stem cones alone.
-  const FaultCone& stem_cone(NetId stem) const;
   /// Point the workspace at `batch`: check the batch's shape, copy its
-  /// settled values and drop the memo when it mirrored another batch.
+  /// settled values and drop the memo when it mirrored another batch; size
+  /// its scratch for this frame.
   void sync(const LoadedPatternBatch& batch, Workspace& workspace) const;
   /// Lanes in which flipping `slot` flips the output of its single reader;
   /// `values` (a synced workspace) is restored before returning.
   LaneBlock flip_sensitivity(std::uint32_t slot, LaneBlock* values) const;
-  /// Lanes in which a flip of the stem whose cone is `stem` is observed:
-  /// every lane at an observed stem, else one replay of the stem's cone in
-  /// the workspace (synced to `batch`), which is restored before returning.
-  LaneBlock observe_stem(const FaultCone& stem, const LoadedPatternBatch& batch,
+  /// Lanes in which a flip of slot `stem` is observed: every live lane at an
+  /// observed stem, else one change-driven propagate of the flip in the
+  /// workspace (synced to `batch`), which is restored before returning.
+  LaneBlock observe_stem(std::uint32_t stem, const LoadedPatternBatch& batch,
                          Workspace& workspace) const;
+  /// Size the workspace's propagate bitmap for this frame.
+  void size_pending(Workspace& workspace) const;
 
   const Netlist* netlist_;
   std::shared_ptr<const CompiledNetlist> compiled_;
@@ -200,8 +190,6 @@ class CombinationalFrame {
   std::vector<std::uint32_t> const1_slots_;
   std::vector<NetId> const1_nets_;  // for the reference interpreter path
   std::vector<std::pair<std::size_t, bool>> constraints_;
-  mutable std::mutex cone_mutex_;
-  mutable std::unordered_map<NetId, std::unique_ptr<FaultCone>> cones_;
 };
 
 /// Outcome of fault-simulating a stimulus set over a fault list.

@@ -51,14 +51,17 @@ struct PatternBlocks {
 /// supplies:
 ///   - `Batch`, `batch_count()`, `load(b)`: lane block b of the stimulus,
 ///     loaded once and shared read-only by every shard;
-///   - `Site`, `site(fault)`: per-fault state (FFR sites, a cone),
-///     resolved once per shard before its batch loop, so the frame's
-///     cone-cache lock stays out of it;
 ///   - `Scratch`, `scratch()`: a shard's private evaluation state (for the
 ///     combinational models, a workspace whose memo shares FFR terms among
 ///     the shard's faults within a batch);
-///   - `detect(fault, site, batch, scratch)`: lane p set iff stimulus entry
-///     p of the batch detects the fault.
+///   - `Site`, `site(fault, scratch)`: per-fault state (FFR slots, and for a
+///     bridge which net reaches the other), resolved once per shard before
+///     its batch loop;
+///   - `detect(fault, site, batch, scratch)`: a mask whose lowest set lane
+///     is the batch's first stimulus entry that detects the fault, and no
+///     lane set when none does. The driver reads nothing else, so a model
+///     may return more lanes or fewer above that one (the sequential model
+///     stops a fault's cycle loop once lane 0 is set).
 /// The fault list is cut into `fault_shard`-sized shards (0 counts as 1).
 /// Each shard walks the batches in order and drops a fault at its first
 /// detecting block, so detected_by[i] = b * kLaneBlockBits + first lane is
@@ -102,15 +105,15 @@ FaultSimResult simulate_faults(const Model& model, const std::vector<FaultT>& fa
   for_each(shard_count, [&](std::size_t s) {
     const std::size_t first = s * shard;
     const std::size_t last = std::min(faults.size(), first + shard);
+    typename Model::Scratch scratch = model.scratch();
     std::vector<typename Model::Site> sites;
     std::vector<std::size_t> live;
     sites.reserve(last - first);
     live.reserve(last - first);
     for (std::size_t fi = first; fi < last; ++fi) {
-      sites.push_back(model.site(faults[fi]));
+      sites.push_back(model.site(faults[fi], scratch));
       live.push_back(fi);
     }
-    typename Model::Scratch scratch = model.scratch();
     for (std::size_t b = 0; b < batch_count && !live.empty(); ++b) {
       if (pool == nullptr) {
         batches[b] = model.load(b);

@@ -86,7 +86,7 @@ CompiledNetlist::CompiledNetlist(const Netlist& netlist) {
     instrs_.push_back(in);
   }
 
-  // Readers CSR over slots, for cone extraction.
+  // Readers CSR over slots, for propagate.
   reader_offsets_.assign(net_count + 1, 0);
   auto each_operand = [&](const CompiledInstr& in, auto&& fn) {
     for (std::size_t pin = 0; pin < operand_count(in.op); ++pin) {
@@ -134,24 +134,6 @@ void CompiledNetlist::eval_full(LaneBlock* values) const {
   for (const CompiledInstr& in : instrs_) {
     values[in.out] = eval_instr(in, values);
   }
-}
-
-CompiledNetlist::Cone CompiledNetlist::build_cone(NetId source) const {
-  Cone cone;
-  cone.source_slot = slot(source);
-  // Every instruction the scan reaches is in the cone and passes its mark
-  // on, so the cone comes out in evaluation order with no queue and no sort.
-  std::vector<std::uint64_t> marked((instrs_.size() + 63) / 64, 0);
-  propagate(std::span(&cone.source_slot, 1), marked, [&](const CompiledInstr& in) {
-    cone.instrs.push_back(static_cast<std::uint32_t>(&in - instrs_.data()));
-    return true;
-  });
-  cone.touched_slots.reserve(cone.instrs.size() + 1);
-  cone.touched_slots.push_back(cone.source_slot);
-  for (const std::uint32_t i : cone.instrs) {
-    cone.touched_slots.push_back(instrs_[i].out);
-  }
-  return cone;
 }
 
 void CompiledNetlist::reference_eval(const Netlist& netlist,

@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "netlist/netlist.hpp"
@@ -81,10 +82,9 @@ struct CompiledInstr {
 ///    instructions are pure functions of their operands — an instruction
 ///    with no changed operand recomputes its current output, so skipping it
 ///    is exact. SimEngine's event schedule runs it with a budget checked at
-///    level boundaries; PODEM's implication and `build_cone` run it without.
-///  * `build_cone` extracts the fanout cone of one net as the instruction
-///    slice it can disturb plus the touched-slot undo list, which is what
-///    makes incremental per-fault simulation O(cone) instead of O(circuit).
+///    level boundaries; PODEM's implication runs it without, and fault
+///    simulation through `propagate_change`, which keeps propagating only
+///    where a value changed, so a fault costs what its flip disturbs.
 ///
 /// A CompiledNetlist is self-contained (no back-pointer into the Netlist),
 /// so the shared instance cached by Netlist::compiled() stays valid across
@@ -174,41 +174,55 @@ class CompiledNetlist {
                    std::vector<std::uint64_t>& pending, Store&& store,
                    std::size_t budget = kNoBudget) const {
     Settle result;
+    std::uint64_t* const marks = pending.data();
+    // The word the scan is in lives in `word`: a reader sits above the
+    // instruction that marks it, so its mark lands there or in a later word.
+    std::size_t w = SIZE_MAX;
+    std::uint64_t word = 0;
     std::size_t lo = pending.size();
     std::size_t hi = 0;
     const auto mark_readers = [&](std::uint32_t s) {
-      const std::span<const std::uint32_t> list = readers(s);
-      if (list.empty()) {
+      const std::uint32_t* it = reader_instrs_.data() + reader_offsets_[s];
+      const std::uint32_t* const end = reader_instrs_.data() + reader_offsets_[s + 1];
+      if (it == end) {
         return;
       }
-      for (const std::uint32_t i : list) {
-        pending[i / 64] |= std::uint64_t{1} << (i % 64);
+      lo = std::min<std::size_t>(lo, *it / 64);
+      hi = std::max<std::size_t>(hi, end[-1] / 64 + 1);
+      for (; it != end; ++it) {
+        const std::uint64_t bit = std::uint64_t{1} << (*it % 64);
+        if (*it / 64 == w) {
+          word |= bit;
+        } else {
+          marks[*it / 64] |= bit;
+        }
       }
-      lo = std::min<std::size_t>(lo, list.front() / 64);
-      hi = std::max<std::size_t>(hi, list.back() / 64 + 1);
     };
     for (const std::uint32_t s : dirty_slots) {
       mark_readers(s);
     }
     // Without a budget the level check never fires.
     std::size_t level_end = budget == kNoBudget ? SIZE_MAX : 0;
-    for (std::size_t w = lo; w < hi; ++w) {
-      while (pending[w] != 0) {
-        const std::size_t i = w * 64 + static_cast<std::size_t>(std::countr_zero(pending[w]));
+    for (w = lo; w < hi; ++w) {
+      word = std::exchange(marks[w], 0);
+      while (word != 0) {
+        const std::size_t i = w * 64 + static_cast<std::size_t>(std::countr_zero(word));
         if (i >= level_end) {
           // Enter i's level. At most level_end - i of its instructions are
           // marked, so they are counted only when that many could cross the
           // budget.
           level_end = *std::upper_bound(level_begin_.begin(), level_begin_.end(), i);
-          if (result.evaluated + (level_end - i) > budget &&
-              result.evaluated + count_marked(pending, w, level_end) > budget) {
-            std::fill(pending.begin() + static_cast<std::ptrdiff_t>(w),
-                      pending.begin() + static_cast<std::ptrdiff_t>(hi), std::uint64_t{0});
-            result.fell_back = true;
-            return result;
+          if (result.evaluated + (level_end - i) > budget) {
+            marks[w] = word;
+            if (result.evaluated + count_marked(pending, w, level_end) > budget) {
+              std::fill(marks + w, marks + hi, std::uint64_t{0});
+              result.fell_back = true;
+              return result;
+            }
+            marks[w] = 0;
           }
         }
-        pending[w] &= pending[w] - 1;
+        word &= word - 1;
         ++result.evaluated;
         if (store(instrs_[i])) {
           mark_readers(instrs_[i].out);
@@ -218,21 +232,28 @@ class CompiledNetlist {
     return result;
   }
 
-  /// Fanout cone of one net: everything a change of the net can disturb
-  /// within the combinational frame (the stuck-at fault cone).
-  struct Cone {
-    /// The net's slot (the caller forces it before replay).
-    std::uint32_t source_slot = 0;
-    /// Instruction indices downstream of the source, ascending (topological),
-    /// collected by one propagate that counts every instruction as changed.
-    std::vector<std::uint32_t> instrs;
-    /// Undo list: the source slot, then every cone output slot — restoring
-    /// exactly these returns a workspace to the good-machine values.
-    /// Instruction i writes the slot after every source slot plus i, so the
-    /// output slots ascend like `instrs`.
-    std::vector<std::uint32_t> touched_slots;
-  };
-  Cone build_cone(NetId source) const;
+  /// Change-driven settle of a LaneBlock value array after the caller
+  /// changed slot `source`: propagate from it, re-evaluating each reached
+  /// instruction and keeping its new output only where it differs from the
+  /// held one in the lanes of `live`. Then `changed(slot, diff)` runs (the
+  /// held value is still in place), the output is written and its readers
+  /// follow; an unchanged output stops the walk there. Exact in the `live`
+  /// lanes: an instruction whose operands all hold their old values there
+  /// recomputes its old output.
+  template <typename Changed>
+  void propagate_change(std::uint32_t source, LaneBlock* values, const LaneBlock& live,
+                        std::vector<std::uint64_t>& pending, Changed&& changed) const {
+    propagate(std::span(&source, 1), pending, [&](const CompiledInstr& in) {
+      const LaneBlock value = eval_instr(in, values);
+      const LaneBlock diff = (value ^ values[in.out]) & live;
+      if (!block_any(diff)) {
+        return false;
+      }
+      changed(in.out, diff);
+      values[in.out] = value;
+      return true;
+    });
+  }
 
   /// The retained reference interpreter: the seed's per-`Cell` evaluation
   /// walk (combinational_order + eval_comb_word over NetId-indexed values,

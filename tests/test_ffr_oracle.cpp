@@ -5,7 +5,7 @@
 // single-reader nets that are also POs or PPOs, and unread outputs left
 // dangling — and every collapsed fault is held to the frame's reference
 // interpreter (detect_mask_full), lane by lane, over a full 256-pattern
-// block plus a partial one:
+// block plus a partial one (of 1, 64, 65 or a drawn 1-255 patterns):
 //   - detect_block (one fault, its memo cleared) must equal the reference;
 //   - detect_site must equal it restricted to a random care set, with one
 //     workspace alternating between the two batches so a memo entry that
@@ -26,6 +26,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -45,7 +46,10 @@ constexpr std::size_t kFramesPerSeed = 32;
 constexpr std::uint64_t kStream = 0xff20'0000;
 
 /// One generated frame with its constraints applied and 257-511 random
-/// patterns: a full lane block and a partial one.
+/// patterns: a full lane block and a partial one. A quarter of the frames
+/// each take 257, 320 or 321 patterns instead of the drawn count, so the
+/// partial block holds one pattern (what run_atpg loads per PODEM pattern),
+/// exactly one lane word, or one lane of a second word.
 struct Case {
   /// The patterns from `offset` on in 64-pattern words, with their good
   /// responses: the reference's view of lane blocks starting at `offset`.
@@ -67,7 +71,10 @@ struct Case {
     for (const auto& [name, value] : rf.constraints) {
       frame.constrain(name, value);
     }
-    const std::size_t count = kLaneBlockBits + 1 + rng.next_below(kLaneBlockBits - 1);
+    const std::size_t shapes[] = {kLaneBlockBits + 1, kLaneBlockBits + kLaneCount,
+                                  kLaneBlockBits + kLaneCount + 1,
+                                  kLaneBlockBits + 1 + rng.next_below(kLaneBlockBits - 1)};
+    const std::size_t count = shapes[rng.next_below(std::size(shapes))];
     for (std::size_t p = 0; p < count; ++p) {
       patterns.push_back(frame.random_pattern(rng));
     }
@@ -377,10 +384,11 @@ TEST(FfrOracle, BridgingMatchesReferenceOnRandomFrames) {
     for (NetId net = 0; net < nl.net_count(); ++net) {
       reached.push_back(reached_from(nl, net));
     }
+    CombinationalFrame::Workspace workspace;
     for (NetId from = 0; from < nl.net_count(); ++from) {
       const CombinationalFrame::FaultSite site = c.frame.fault_site(from);
       for (NetId to = 0; to < nl.net_count(); ++to) {
-        if (to != from && c.frame.reaches(site, to) != reached[from][to]) {
+        if (to != from && c.frame.reaches(site, to, workspace) != reached[from][to]) {
           ADD_FAILURE() << "reaches(" << net_label(nl, from) << ", " << net_label(nl, to)
                         << ") differs from the fanout walk at " << at;
           return false;
